@@ -20,6 +20,7 @@ output layer is never transported (its plan is the identity by contract).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,8 @@ from .ot import (
     sinkhorn_unbalanced,
     uniform_weights,
 )
+
+_log = logging.getLogger("gcnfuse")
 
 SOLVER_EMD = "emd"
 SOLVER_SINKHORN = "sinkhorn"
@@ -226,7 +229,8 @@ def compute_layer_tm(
     The final parameterized layer gets the identity plan: outputs are
     matched by position, never transported. Weight mode aligns A's weights
     by the incoming plan first, then compares rows; activation mode builds
-    the cost from the captured samples.
+    the cost from the captured samples. An unconverged Sinkhorn plan logs
+    a warning on the "gcnfuse" logger.
     """
     layer_a = model_a.layers[layer_index]
     layer_b = model_b.layers[layer_index]
@@ -258,6 +262,11 @@ def compute_layer_tm(
         plan = emd(alpha, beta, C)
     else:
         plan = sinkhorn_unbalanced(alpha, beta, C, config.sinkhorn)
+        if not plan.converged:
+            _log.warning(
+                "layer %d: sinkhorn plan unconverged after %d iterations, "
+                "relative duality gap %.3g", layer_index, plan.iterations, plan.gap,
+            )
         if config.round_plans:
             plan = round_plan_to_permutation(plan)
     return plan, C

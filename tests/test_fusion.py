@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,27 @@ class TestComputeLayerTm:
         plan, C = compute_layer_tm(last, model, model, acts, acts, config)
         assert C is None
         assert np.array_equal(plan.coupling, np.eye(1))
+
+    def test_unconverged_sinkhorn_plan_logs_warning(self, small_regression_setup, caplog):
+        dataset, model = small_regression_setup
+        twin = random_model(ArchSpec(feature_dim=4, hidden_dim=6, gc_layers=1,
+                                     dense_layers=2, batch_norm=True), seed=55)
+        config = FusionConfig(solver="sinkhorn",
+                              sinkhorn=SinkhornParams(epsilon=5e-4, max_iters=1),
+                              sample_size=8, seed=0)
+        batch = sample_batch(dataset, 8, seed=0)
+        _, acts_a = forward_with_capture(model, batch)
+        _, acts_b = forward_with_capture(twin, batch)
+        first = model.parameterized_indices()[0]
+        with caplog.at_level(logging.WARNING, logger="gcnfuse"):
+            plan, _ = compute_layer_tm(first, model, twin, acts_a, acts_b, config)
+        assert not plan.converged
+        [record] = caplog.records
+        assert record.name == "gcnfuse" and record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert f"layer {first}:" in message
+        assert "after 1 iterations" in message
+        assert f"gap {plan.gap:.3g}" in message
 
 
 class TestFuse:

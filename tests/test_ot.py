@@ -236,6 +236,39 @@ class TestSinkhorn:
         assert other.epsilon == 0.2
         assert other.rho_alpha == 2.0 and other.max_iters == 77
 
+    def test_converges_quickly_at_large_rho(self):
+        # acceptance criterion 2's regime: near-balanced, eps = 1e-3 mean C
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            n, m = (int(k) for k in rng.integers(2, 9, size=2))
+            C = rng.random((n, m)) + 0.05
+            params = SinkhornParams(epsilon=1e-3 * float(C.mean()),
+                                    rho_alpha=1e3, rho_beta=1e3)
+            plan = sinkhorn_unbalanced(uniform_weights(n), uniform_weights(m), C, params)
+            assert plan.converged
+            assert plan.iterations < 100
+            assert plan.gap <= params.tol
+
+    @pytest.mark.parametrize("epsilon", [5e-4, 5e-5])
+    def test_converges_at_fusion_scale_costs(self, epsilon):
+        # the fusion layers' regime: costs in [10, 1000) against rho = 1, so the
+        # optimal plan keeps only about exp(-C/2) of its mass
+        a = uniform_weights(16)
+        iterations = []
+        for seed in range(10):
+            C = np.random.default_rng(seed).uniform(10.0, 1000.0, size=(16, 16))
+            params = SinkhornParams(epsilon=epsilon, history_every=1)
+            plan = sinkhorn_unbalanced(a, a, C, params)
+            assert plan.converged
+            assert plan.iterations < 200
+            competitor = emd(a, a, C).coupling
+            assert (unbalanced_objective(plan.coupling, a, a, C, params)
+                    <= unbalanced_objective(competitor, a, a, C, params))
+            assert np.all(np.diff(plan.history) <= 1e-12)
+            iterations.append(plan.iterations)
+        # some instances need Newton steps, so the history checks are not vacuous
+        assert max(iterations) >= 5
+
 
 class TestFgw:
     def _problem(self, rng, n, m=None, trade_off=0.5, **kw):
