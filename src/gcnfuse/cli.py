@@ -78,7 +78,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
+def _write_results(path: Path, results: list[ExperimentResult], fmt: str) -> None:
+    """One row per result, sorted: its config values, then mean_mae, std_mae and status."""
+    keys = list(results[0].config)
+    rows = [[r.config[k] for k in keys] + (["", "", "failed"] if r.failed else [r.mean, r.std, "ok"])
+            for r in results]
+    rows.sort(key=lambda row: row[:len(keys)])
+    header = keys + ["mean_mae", "std_mae", "status"]
     if fmt == "json":
         records = [dict(zip(header, row)) for row in rows]
         path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
@@ -89,6 +95,12 @@ def _write_rows(path: Path, header: list[str], rows: list[list], fmt: str) -> No
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
     path.write_text(buf.getvalue())
+
+
+def _raise_on_failures(results: list[ExperimentResult], what: str) -> None:
+    failures = [r.label for r in results if r.failed]
+    if failures:
+        raise click.ClickException(f"{what} failed: " + ", ".join(sorted(failures)))
 
 
 def _load_config_file(ctx: click.Context, config_path: str | None) -> None:
@@ -114,17 +126,6 @@ def _load_config_file(ctx: click.Context, config_path: str | None) -> None:
         source = ctx.get_parameter_source(key)
         if source is not None and source.name != "COMMANDLINE":
             ctx.params[key] = value
-
-
-def _build_sinkhorn(cost_kind: str, epsilon: float | None, rho: float) -> SinkhornParams:
-    eps = default_epsilon(cost_kind) if epsilon is None else epsilon
-    return SinkhornParams(epsilon=eps, rho_alpha=rho, rho_beta=rho)
-
-
-def _build_cost_spec(kind: str, lam: float) -> CostSpec:
-    if kind == FGW:
-        return CostSpec(kind=kind, lam=lam, fgw=FgwCostSpec())
-    return CostSpec(kind=kind, lam=lam)
 
 
 def _load_pair(a: str, b: str, swap: bool) -> tuple[GcnModel, GcnModel]:
@@ -182,16 +183,17 @@ config_option = click.option("--config", "config_path", type=click.Path(exists=T
 
 
 def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
-                   interpolation=0.5, use_weight_cost=False) -> FusionConfig:
+                   interpolation=0.5) -> FusionConfig:
+    """The CLI's config: Sinkhorn's epsilon defaults per cost, FGW at FgwCostSpec defaults."""
+    eps = default_epsilon(cost_kind) if epsilon is None else epsilon
     return FusionConfig(
         solver=solver,
-        cost=_build_cost_spec(cost_kind, lam),
-        sinkhorn=_build_sinkhorn(cost_kind, epsilon, rho),
+        cost=CostSpec(kind=cost_kind, lam=lam, fgw=FgwCostSpec() if cost_kind == FGW else None),
+        sinkhorn=SinkhornParams(epsilon=eps, rho_alpha=rho, rho_beta=rho),
         sample_size=samples,
         capture_point=capture,
         interpolation=interpolation,
         seed=seed,
-        use_weight_cost=use_weight_cost,
     )
 
 
@@ -218,7 +220,7 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="Write the per-layer alignment report here.")
 @click.option("--dump-costs", "dump_dir", type=click.Path(file_okay=False), default=None,
-              help="Directory for per-layer cost-matrix CSV dumps.")
+              help="Directory for the per-layer cost matrices of this fusion run, as CSV.")
 @config_option
 @click.pass_context
 @_guard
@@ -238,33 +240,16 @@ def cmd_fuse(ctx, a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rh
     if p["trace_path"]:
         Path(p["trace_path"]).write_text(trace.report() + "\n")
     if p["dump_dir"]:
-        _dump_cost_matrices(model_a, model_b, dataset, config, Path(p["dump_dir"]))
+        dump_dir = Path(p["dump_dir"])
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        for layer in trace.layers:
+            if not layer.is_identity:
+                np.savetxt(dump_dir / f"layer_{layer.layer_index}_cost.csv", layer.cost,
+                           delimiter=",")
     click.echo(f"wrote {p['out_path']} ({len(trace.layers)} aligned layers, {elapsed:.2f}s)")
     click.echo(trace.report())
     if dataset is not None and all(g.target is not None for g in dataset.graphs):
         click.echo(f"fused MAE: {evaluate_mae(fused, dataset)!r}")
-
-
-def _dump_cost_matrices(model_a, model_b, dataset, config, out_dir: Path) -> None:
-    from .fusion import compute_layer_tm
-    from .graphs import sample_batch
-    from .models import forward_with_capture
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    acts_a = acts_b = None
-    if not config.weight_mode:
-        batch = sample_batch(dataset, config.sample_size, config.seed)
-        _, acts_a = forward_with_capture(model_a, batch, config.capture_point)
-        _, acts_b = forward_with_capture(model_b, batch, config.capture_point)
-    t_prev = beta_prev = None
-    from .ot import uniform_weights
-    for i in model_a.parameterized_indices():
-        plan, C = compute_layer_tm(i, model_a, model_b, acts_a, acts_b, config,
-                                   t_prev=t_prev, beta_prev=beta_prev)
-        if C is not None:
-            np.savetxt(out_dir / f"layer_{i}_cost.csv", C, delimiter=",")
-        t_prev = plan
-        beta_prev = uniform_weights(plan.coupling.shape[1])
 
 
 @main.command("vanilla")
@@ -345,24 +330,9 @@ def cmd_grid(ctx, a_path, b_path, data_path, samples, fgw_samples, lam, rho, cap
             results.append(result)
             status = "failed" if result.failed else "ok"
             click.echo(f"{result.label}: {status} ({result.wall_clock:.2f}s)")
-    results.sort(key=lambda r: (r.config["solver"], r.config["cost"]))
-    header = ["solver", "cost", "epsilon", "lam", "samples", "repeats",
-              "mean_mae", "std_mae", "status"]
-    rows = []
-    for r in results:
-        if r.failed:
-            rows.append([r.config["solver"], r.config["cost"], r.config["epsilon"],
-                         r.config["lam"], r.config["samples"], r.config["repeats"],
-                         "", "", "failed"])
-        else:
-            rows.append([r.config["solver"], r.config["cost"], r.config["epsilon"],
-                         r.config["lam"], r.config["samples"], r.config["repeats"],
-                         r.mean, r.std, "ok"])
-    _write_rows(Path(p["out_path"]), header, rows, p["fmt"])
-    click.echo(f"wrote {p['out_path']} ({len(rows)} rows)")
-    failures = [r.label for r in results if r.failed]
-    if failures:
-        raise click.ClickException("grid cells failed: " + ", ".join(sorted(failures)))
+    _write_results(Path(p["out_path"]), results, p["fmt"])
+    click.echo(f"wrote {p['out_path']} ({len(results)} rows)")
+    _raise_on_failures(results, "grid cells")
 
 
 @main.command("sweep-samples")
@@ -402,21 +372,12 @@ def cmd_sweep_samples(ctx, a_path, b_path, data_path, sizes, solver, cost_kind, 
     for size in size_list:
         config = _fusion_config(p["solver"], p["cost_kind"], p["lam"], p["epsilon"], p["rho"],
                                 size, p["capture"], p["seed"])
-        row = {"sample_size": size}
+        row = {"sample_size": size, "repeats": p["repeats"]}
         results.append(_run_repeats(model_a, model_b, dataset, config,
                                     p["repeats"], p["seed"], f"size-{size}", row))
-    header = ["sample_size", "repeats", "mean_mae", "std_mae", "status"]
-    rows = []
-    for r in results:
-        if r.failed:
-            rows.append([r.config["sample_size"], p["repeats"], "", "", "failed"])
-        else:
-            rows.append([r.config["sample_size"], p["repeats"], r.mean, r.std, "ok"])
-    _write_rows(Path(p["out_path"]), header, rows, p["fmt"])
-    click.echo(f"wrote {p['out_path']} ({len(rows)} rows)")
-    failures = [r.label for r in results if r.failed]
-    if failures:
-        raise click.ClickException("sweep points failed: " + ", ".join(sorted(failures)))
+    _write_results(Path(p["out_path"]), results, p["fmt"])
+    click.echo(f"wrote {p['out_path']} ({len(results)} rows)")
+    _raise_on_failures(results, "sweep points")
 
 
 @main.command("bn-compare")
@@ -452,22 +413,15 @@ def cmd_bn_compare(ctx, a_path, b_path, data_path, solver, cost_kind, lam, epsil
     for capture in CAPTURE_POINTS:
         config = _fusion_config(p["solver"], p["cost_kind"], p["lam"], p["epsilon"], p["rho"],
                                 p["samples"], capture, p["seed"])
-        row = {"capture_point": capture}
+        row = {"capture_point": capture, "repeats": p["repeats"]}
         results.append(_run_repeats(model_a, model_b, dataset, config,
                                     p["repeats"], p["seed"], capture, row))
-    header = ["capture_point", "repeats", "mean_mae", "std_mae", "status"]
-    rows = []
-    for r in sorted(results, key=lambda r: r.config["capture_point"]):
-        if r.failed:
-            rows.append([r.config["capture_point"], p["repeats"], "", "", "failed"])
-        else:
-            rows.append([r.config["capture_point"], p["repeats"], r.mean, r.std, "ok"])
-            click.echo(f"{r.config['capture_point']}: mean MAE {r.mean!r} (std {r.std!r})")
-    _write_rows(Path(p["out_path"]), header, rows, p["fmt"])
+    for r in sorted(results, key=lambda r: r.label):
+        if not r.failed:
+            click.echo(f"{r.label}: mean MAE {r.mean!r} (std {r.std!r})")
+    _write_results(Path(p["out_path"]), results, p["fmt"])
     click.echo(f"wrote {p['out_path']}")
-    failures = [r.label for r in results if r.failed]
-    if failures:
-        raise click.ClickException("runs failed: " + ", ".join(sorted(failures)))
+    _raise_on_failures(results, "runs")
 
 
 @main.command("gen-fixtures")

@@ -5,9 +5,7 @@ neuron's value at every vertex of that input graph), or a plain scalar per
 sample after the readout. Three pairwise costs compare two neurons on one
 shared-structure sample:
 
-- EFD: sqrt(lam * sum over vertices of the squared value difference). An
-  edge-indexed variant (summing squared differences across edge endpoints
-  instead) sits behind a flag.
+- EFD: sqrt(lam * sum over vertices of the squared value difference).
 - QE: lam * (edge term) + (1 - lam) * (vertex term), the edge term summing
   (a_i(u) - a_j(w))^2 over every undirected edge in both orientations so
   the cost stays symmetric in (i, j).
@@ -16,8 +14,10 @@ shared-structure sample:
   distances or the adjacency pattern.
 
 build_cost_matrix sums the chosen pairwise cost over matched batch indices
-(neuron i's graph k against neuron j's graph k). weight_cost_matrix skips
-activations entirely and compares weight rows.
+(neuron i's graph k against neuron j's graph k), vectorized over all neuron
+pairs; the pairwise_* functions state each cost for one pair and serve as
+its reference. weight_cost_matrix skips activations entirely and compares
+weight rows.
 """
 
 from __future__ import annotations
@@ -68,17 +68,14 @@ class FgwCostSpec:
 class CostSpec:
     """Which pairwise cost to use and its knobs.
 
-    lam weighs EFD/QE terms. efd_edge_indexed switches EFD to the
-    edge-endpoint sum. cross_samples switches the batch accumulation from
-    matched indices to all sample pairs (experimentation only; it requires
-    every batch graph to share one structure).
+    kind is one of COST_KINDS; "weight" compares weight rows and needs no
+    activations. lam weighs the EFD/QE terms. fgw holds the FGW settings and
+    is set exactly when kind is "fgw".
     """
 
     kind: str
     lam: float = 0.2
     fgw: FgwCostSpec | None = None
-    efd_edge_indexed: bool = False
-    cross_samples: bool = False
 
     def __post_init__(self):
         if self.kind not in COST_KINDS:
@@ -94,15 +91,9 @@ def _check_shared_structure(gi: ScalarGraph, gj: ScalarGraph) -> None:
         raise DimensionMismatchError("scalar graphs do not share vertex/edge structure")
 
 
-def pairwise_efd(gi: ScalarGraph, gj: ScalarGraph, lam: float, edge_indexed: bool = False) -> float:
+def pairwise_efd(gi: ScalarGraph, gj: ScalarGraph, lam: float) -> float:
     """Euclidean distance between the two value vectors, scaled by sqrt(lam)."""
     _check_shared_structure(gi, gj)
-    if edge_indexed:
-        total = 0.0
-        for u, w in gi.graph.edges:
-            total += (gi.values[u] - gj.values[w]) ** 2
-            total += (gi.values[w] - gj.values[u]) ** 2
-        return float(np.sqrt(lam * total))
     diff = gi.values - gj.values
     return float(np.sqrt(lam * np.sum(diff * diff)))
 
@@ -206,16 +197,8 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
             raise InvalidSpecError("FGW needs per-vertex activations; layer is post-readout")
         A = acts_a.readout_values
         B = acts_b.readout_values
-        if spec.cross_samples:
-            return np.add.reduce([
-                (A[k][:, None] - B[l][None, :]) ** 2
-                for k in range(A.shape[0]) for l in range(B.shape[0])
-            ])
         diff = A.T[:, None, :] - B.T[None, :, :]
         return np.einsum("ijk,ijk->ij", diff, diff)
-
-    if spec.cross_samples:
-        return _cross_sample_cost(acts_a, acts_b, spec)
 
     na, nb = acts_a.width, acts_b.width
     C = np.zeros((na, nb))
@@ -231,7 +214,7 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         # diff[i, j, u] = neuron i's value at vertex u minus neuron j's
         diff = va.T[:, None, :] - vb.T[None, :, :]
         vertex = np.einsum("iju,iju->ij", diff, diff)
-        if spec.kind == EFD and not spec.efd_edge_indexed:
+        if spec.kind == EFD:
             C += np.sqrt(spec.lam * vertex)
             continue
         edge = np.zeros((na, nb))
@@ -239,28 +222,7 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
             duw = va.T[:, None, u] - vb.T[None, :, w]
             dwu = va.T[:, None, w] - vb.T[None, :, u]
             edge += duw * duw + dwu * dwu
-        if spec.kind == EFD:
-            C += np.sqrt(spec.lam * edge)
-        else:
-            C += spec.lam * edge + (1.0 - spec.lam) * vertex
-    return C
-
-
-def _cross_sample_cost(acts_a: ActivationSample, acts_b: ActivationSample, spec: CostSpec) -> np.ndarray:
-    na, nb = acts_a.width, acts_b.width
-    C = np.zeros((na, nb))
-    for k, ga in enumerate(acts_a.batch.graphs):
-        for l, gb in enumerate(acts_b.batch.graphs):
-            for i in range(na):
-                gi = ScalarGraph(graph=ga, values=acts_a.graph_values[k][:, i])
-                for j in range(nb):
-                    gj = ScalarGraph(graph=gb, values=acts_b.graph_values[l][:, j])
-                    if spec.kind == EFD:
-                        C[i, j] += pairwise_efd(gi, gj, spec.lam, spec.efd_edge_indexed)
-                    elif spec.kind == QE:
-                        C[i, j] += pairwise_qe(gi, gj, spec.lam)
-                    else:
-                        C[i, j] += pairwise_fgw(gi, gj, spec)
+        C += spec.lam * edge + (1.0 - spec.lam) * vertex
     return C
 
 

@@ -33,12 +33,10 @@ from .models import (
     POST_BN,
     ActivationSample,
     BatchNormParams,
-    Dense,
     DenseParams,
-    Embedding,
     GcnModel,
-    GraphConv,
     MeanReadout,
+    _rebuild,
     forward,
     forward_with_capture,
 )
@@ -70,8 +68,8 @@ class FusionConfig:
     """Everything fuse() needs besides the two models and the data.
 
     interpolation is the weight on the anchor (0.5 averages, 1.0 returns
-    the anchor). use_weight_cost switches the cost route from activations
-    to aligned weight rows; a CostSpec of kind "weight" does the same.
+    the anchor). A cost of kind "weight" takes the plans from aligned weight
+    rows instead of captured activations, so it needs no dataset.
     round_plans snaps Sinkhorn's soft plans to their best permutation
     before aligning (ablation only; EMD plans on uniform square marginals
     are permutations already).
@@ -84,7 +82,6 @@ class FusionConfig:
     capture_point: str = POST_BN
     interpolation: float = 0.5
     seed: int = 0
-    use_weight_cost: bool = False
     round_plans: bool = False
 
     def __post_init__(self):
@@ -97,20 +94,26 @@ class FusionConfig:
 
     @property
     def weight_mode(self) -> bool:
-        return self.use_weight_cost or self.cost.kind == WEIGHT
+        return self.cost.kind == WEIGHT
 
 
 @dataclass(frozen=True)
 class LayerTrace:
-    """Diagnostics for one aligned layer."""
+    """Diagnostics for one aligned layer.
+
+    cost is the (read-only) cost matrix the plan was solved on, or None
+    for the output layer, whose identity plan is fixed by contract; the
+    report's cost summary and `fuse --dump-costs` both read it.
+    """
 
     layer_index: int
     plan: TransportPlan
     solver: str
-    is_identity: bool
-    cost_min: float = 0.0
-    cost_max: float = 0.0
-    cost_mean: float = 0.0
+    cost: np.ndarray | None = None
+
+    @property
+    def is_identity(self) -> bool:
+        return self.cost is None
 
     def describe(self) -> str:
         n, m = self.plan.coupling.shape
@@ -121,7 +124,8 @@ class LayerTrace:
         return (
             f"layer {self.layer_index}: {self.solver} {n}x{m} {kind} plan, "
             f"objective {self.plan.objective:.6g}, "
-            f"cost[min {self.cost_min:.4g}, mean {self.cost_mean:.4g}, max {self.cost_max:.4g}], "
+            f"cost[min {self.cost.min():.4g}, mean {self.cost.mean():.4g}, "
+            f"max {self.cost.max():.4g}], "
             f"iterations {self.plan.iterations}, converged {self.plan.converged}"
         )
 
@@ -224,7 +228,7 @@ def compute_layer_tm(
     t_prev: TransportPlan | None = None,
     beta_prev: np.ndarray | None = None,
 ) -> tuple[TransportPlan, np.ndarray | None]:
-    """Solve one layer's neuron coupling; returns (plan, cost matrix or None).
+    """Solve one layer's neuron coupling; returns (plan, read-only cost matrix or None).
 
     The final parameterized layer gets the identity plan: outputs are
     matched by position, never transported. Weight mode aligns A's weights
@@ -255,6 +259,7 @@ def compute_layer_tm(
             # difference that EFD/QE also reduce to there
             cost_spec = CostSpec(kind="qe", lam=cost_spec.lam)
         C = build_cost_matrix(acts_a[layer_index], acts_b[layer_index], cost_spec)
+    C.setflags(write=False)
 
     alpha = uniform_weights(C.shape[0])
     beta = uniform_weights(C.shape[1])
@@ -291,12 +296,10 @@ def _interpolate_bn(a: BatchNormParams, b: BatchNormParams, t: float) -> BatchNo
     )
 
 
-def _rebuild_layer(layer, params: DenseParams, bn: BatchNormParams | None):
-    if isinstance(layer, Embedding):
-        return Embedding(params=params)
-    if isinstance(layer, GraphConv):
-        return GraphConv(params=params, batch_norm=bn)
-    return Dense(params=params, batch_norm=bn, activation=layer.activation)
+def _interpolate_layer(layer_b, params_a: DenseParams, bn_a: BatchNormParams | None, t: float):
+    """A layer of layer_b's type whose parameters interpolate A's (aligned) and B's; t weighs B."""
+    fused_bn = None if bn_a is None else _interpolate_bn(bn_a, layer_b.batch_norm, t)
+    return _rebuild(layer_b, _interpolate_params(params_a, layer_b.params, t), fused_bn)
 
 
 def fuse(
@@ -310,7 +313,7 @@ def fuse(
     Activation mode samples config.sample_size graphs from the dataset
     (seeded) and captures both models' pre-activations on them; weight
     mode needs no data. Returns the fused model plus a per-layer trace of
-    the plans and cost summaries.
+    the plans and the cost matrices they were solved on.
     """
     if not model_a.same_architecture(model_b):
         raise DimensionMismatchError("models must share an architecture to fuse")
@@ -327,7 +330,6 @@ def fuse(
     traces = []
     t_prev: TransportPlan | None = None
     beta_prev: np.ndarray | None = None
-    last_index = model_a.parameterized_indices()[-1]
     for i, layer_a in enumerate(model_a.layers):
         layer_b = model_b.layers[i]
         if isinstance(layer_a, MeanReadout):
@@ -344,25 +346,11 @@ def fuse(
         if t_prev is not None:
             params_a = align_layer_incoming(params_a, t_prev, beta_prev)
         params_a = align_layer_outgoing(params_a, plan, beta_curr)
-
         bn_a = getattr(layer_a, "batch_norm", None)
-        bn_b = getattr(layer_b, "batch_norm", None)
-        fused_bn = None
         if bn_a is not None:
-            aligned_bn = align_batchnorm(bn_a, plan, beta_curr)
-            fused_bn = _interpolate_bn(aligned_bn, bn_b, config.interpolation)
-        fused_params = _interpolate_params(params_a, layer_b.params, config.interpolation)
-        new_layers.append(_rebuild_layer(layer_b, fused_params, fused_bn))
-
-        if C is None:
-            traces.append(LayerTrace(
-                layer_index=i, plan=plan, solver=config.solver, is_identity=True,
-            ))
-        else:
-            traces.append(LayerTrace(
-                layer_index=i, plan=plan, solver=config.solver, is_identity=False,
-                cost_min=float(C.min()), cost_max=float(C.max()), cost_mean=float(C.mean()),
-            ))
+            bn_a = align_batchnorm(bn_a, plan, beta_curr)
+        new_layers.append(_interpolate_layer(layer_b, params_a, bn_a, config.interpolation))
+        traces.append(LayerTrace(layer_index=i, plan=plan, solver=config.solver, cost=C))
         t_prev = plan
         beta_prev = beta_curr
 
@@ -384,11 +372,8 @@ def vanilla_fuse(model_a: GcnModel, model_b: GcnModel, interpolation: float = 0.
         if isinstance(layer_a, MeanReadout):
             new_layers.append(MeanReadout())
             continue
-        bn_a = getattr(layer_a, "batch_norm", None)
-        bn_b = getattr(layer_b, "batch_norm", None)
-        fused_bn = None if bn_a is None else _interpolate_bn(bn_a, bn_b, interpolation)
-        params = _interpolate_params(layer_a.params, layer_b.params, interpolation)
-        new_layers.append(_rebuild_layer(layer_b, params, fused_bn))
+        new_layers.append(_interpolate_layer(
+            layer_b, layer_a.params, getattr(layer_a, "batch_norm", None), interpolation))
     return GcnModel(
         layers=tuple(new_layers),
         name=f"vanilla({model_a.name or 'a'},{model_b.name or 'b'})",

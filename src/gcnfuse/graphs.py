@@ -151,8 +151,8 @@ class FusionBatch:
 def load_dataset(path: str | Path) -> Dataset:
     """Read a line-delimited JSON dataset file.
 
-    Raises DatasetFormatError with the offending record index on parse or
-    invariant failures; an empty file is an error.
+    Raises DatasetFormatError with the offending record index on parse,
+    type or invariant failures; an empty file is an error.
     """
     path = Path(path)
     feature_dim: int | None = None
@@ -167,16 +167,18 @@ def load_dataset(path: str | Path) -> Dataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
-            if "n" not in rec:
+            try:
+                if not isinstance(rec, dict):
+                    raise DatasetFormatError("record is not a JSON object")
+                if "n" in rec:
+                    graphs.append(_parse_graph_record(rec, feature_dim, vocab))
+                    continue
                 # header record
                 if "feature_dim" in rec:
-                    feature_dim = int(rec["feature_dim"])
+                    feature_dim = _integer(rec["feature_dim"], "feature_dim")
                 if "vocab" in rec:
-                    vocab = int(rec["vocab"])
-                continue
-            try:
-                graphs.append(_parse_graph_record(rec, feature_dim, vocab))
-            except DatasetFormatError as exc:
+                    vocab = _integer(rec["vocab"], "vocab")
+            except (DatasetFormatError, ValueError, TypeError, KeyError) as exc:
                 raise DatasetFormatError(f"record {lineno}: {exc}") from exc
     if not graphs:
         raise DatasetFormatError(f"empty dataset: {path}")
@@ -185,9 +187,17 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(graphs=tuple(graphs), feature_dim=feature_dim)
 
 
+def _integer(value, what: str) -> int:
+    # int() would silently truncate 1.5 and accept "3"
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DatasetFormatError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -> Graph:
-    n = int(rec["n"])
-    edges = tuple((int(u), int(v)) for u, v in rec.get("edges", []))
+    n = _integer(rec["n"], "vertex count")
+    edges = tuple((_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
+                  for u, v in rec.get("edges", []))
     if "x" in rec:
         features = np.array(rec["x"], dtype=np.float64)
         if features.ndim != 2:
@@ -195,7 +205,7 @@ def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -
     elif "atom" in rec:
         if vocab is None:
             raise DatasetFormatError("'atom' record requires a header declaring 'vocab'")
-        idx = np.array(rec["atom"], dtype=np.int64)
+        idx = np.array([_integer(a, "atom index") for a in rec["atom"]], dtype=np.int64)
         if idx.ndim != 1 or idx.shape[0] != n:
             raise DatasetFormatError("'atom' must list one index per vertex")
         if np.any((idx < 0) | (idx >= vocab)):

@@ -33,9 +33,14 @@ CAPTURE_POINTS = (PRE_BN, POST_BN)
 
 
 def _array(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"parameter array is not numeric ({exc})") from exc
     if arr.ndim != ndim:
         raise ModelFormatError(f"expected {ndim}-d parameter array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError("parameter array holds NaN or infinite values")
     arr.setflags(write=False)
     return arr
 
@@ -84,8 +89,8 @@ class BatchNormParams:
             raise DimensionMismatchError(f"batch-norm vectors disagree on dim: {dims}")
         if np.any(self.running_var < 0):
             raise ModelFormatError("running_var entries must be >= 0")
-        if self.epsilon < 0:
-            raise ModelFormatError("batch-norm epsilon must be >= 0")
+        if not 0 <= self.epsilon < np.inf:
+            raise ModelFormatError("batch-norm epsilon must be finite and >= 0")
         if np.any(self.running_var + self.epsilon <= 0):
             raise ModelFormatError("running_var + epsilon must be > 0 everywhere")
 
@@ -456,7 +461,6 @@ def permute_model(model: GcnModel, permutations) -> GcnModel:
         bias = layer.params.bias
         if bias is not None and row_perm is not None:
             bias = bias[row_perm]
-        params = DenseParams(weight=W, bias=bias)
         bn = getattr(layer, "batch_norm", None)
         if bn is not None and row_perm is not None:
             bn = BatchNormParams(
@@ -464,13 +468,8 @@ def permute_model(model: GcnModel, permutations) -> GcnModel:
                 running_mean=bn.running_mean[row_perm], running_var=bn.running_var[row_perm],
                 epsilon=bn.epsilon,
             )
-        if isinstance(layer, Embedding):
-            new_layers.append(Embedding(params=params))
-        elif isinstance(layer, GraphConv):
-            new_layers.append(GraphConv(params=params, batch_norm=bn))
-        else:
-            new_layers.append(Dense(params=params, batch_norm=bn, activation=layer.activation))
-        prev_perm = row_perm if row_perm is not None else None
+        new_layers.append(_rebuild(layer, DenseParams(weight=W, bias=bias), bn))
+        prev_perm = row_perm
     return GcnModel(layers=tuple(new_layers), name=model.name + "+perm", seed=model.seed)
 
 
@@ -506,6 +505,7 @@ def perturb_model(model: GcnModel, scale: float, seed: int) -> GcnModel:
 
 
 def _rebuild(layer, params: DenseParams, bn: BatchNormParams | None) -> Layer:
+    """A layer of the same type and activation as layer, holding params and bn."""
     if isinstance(layer, Embedding):
         return Embedding(params=params)
     if isinstance(layer, GraphConv):
@@ -637,17 +637,19 @@ def save_model(model: GcnModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GcnModel:
-    """Read a model file, rejecting unknown schemas, layer kinds, or bad dims."""
+    """Read a model file, rejecting unknown schemas, layer kinds, or bad values."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers", []), list):
+        raise ModelFormatError(f"{path}: a model file holds one JSON object with a layer list")
     if doc.get("schema") != _SCHEMA:
         raise ModelFormatError(f"{path}: unsupported schema {doc.get('schema')!r}")
     layers: list[Layer] = []
     for i, rec in enumerate(doc.get("layers", [])):
-        kind = rec.get("kind")
         try:
+            kind = rec.get("kind")
             if kind == "embedding":
                 layers.append(Embedding(params=DenseParams(weight=rec["weight"])))
             elif kind == "graph_conv":
@@ -665,7 +667,8 @@ def load_model(path: str | Path) -> GcnModel:
                 ))
             else:
                 raise ModelFormatError(f"unknown layer kind {kind!r}")
-        except (ModelFormatError, DimensionMismatchError, KeyError) as exc:
+        except (ModelFormatError, DimensionMismatchError,
+                KeyError, AttributeError, TypeError) as exc:
             raise ModelFormatError(f"{path}: layer {i}: {exc}") from exc
     try:
         return GcnModel(layers=tuple(layers), name=doc.get("name", ""), seed=doc.get("seed"))

@@ -22,7 +22,6 @@ All solvers are pure functions of their inputs.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -224,8 +223,8 @@ class SinkhornParams:
     rho_beta scale the KL penalties on the two marginals. tol is the
     relative duality gap the solve must certify: it stops once
     P(T) - D(f, g) <= tol * max(1, |P(T)|), with P the unbalanced objective
-    and D its dual. The unbalanced objective is logged at the first and the
-    last iteration and every history_every iterations in between.
+    and D its dual. The solve records the unbalanced objective of every
+    iteration in the plan's history.
     """
 
     epsilon: float
@@ -233,18 +232,12 @@ class SinkhornParams:
     rho_beta: float = 1.0
     max_iters: int = 10000
     tol: float = 1e-9
-    history_every: int = 10
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.rho_alpha <= 0 or self.rho_beta <= 0:
             raise InvalidSpecError("epsilon and rho values must be > 0")
         if self.tol <= 0 or self.max_iters < 1:
             raise InvalidSpecError("tol must be > 0 and max_iters >= 1")
-        if self.history_every < 1:
-            raise InvalidSpecError("history_every must be >= 1")
-
-    def with_epsilon(self, epsilon: float) -> "SinkhornParams":
-        return dataclasses.replace(self, epsilon=epsilon)
 
 
 def _generalized_kl(x: np.ndarray, y: np.ndarray) -> float:
@@ -443,7 +436,7 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
     D = dual.value(T, f, g)
     history = [P]
     # the start sweep is the first iteration
-    logged = iterations = 1
+    iterations = 1
     while _relative_gap(P, D) + _ROUNDING > params.tol and iterations < params.max_iters:
         step = _newton_step(dual, T, f, g, P, D) or _sweep_step(dual, g, P)
         if step is None:
@@ -453,10 +446,6 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
         # the translation leaves T, and with it P, unchanged
         f, g = dual.translate(f, g)
         D = dual.value(T, f, g)
-        if iterations % params.history_every == 0:
-            history.append(P)
-            logged = iterations
-    if logged != iterations:
         history.append(P)
     gap = _relative_gap(P, D)
     return TransportPlan(

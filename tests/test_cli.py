@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gcnfuse import ensemble_predict, evaluate_mae, load_dataset, load_model
+from gcnfuse import FusionConfig, ensemble_predict, evaluate_mae, fuse, load_dataset, load_model
+from gcnfuse import fusion, models
 from gcnfuse.cli import main
 
 
@@ -128,6 +129,32 @@ class TestFuseCommand:
         assert len(files) == 3  # hidden layers only; the head has no cost matrix
         matrix = np.loadtxt(files[0], delimiter=",")
         assert matrix.shape == (6, 6)
+
+    def test_dump_costs_is_a_view_of_the_fusion_run(self, workdir, fx, monkeypatch):
+        capture, calls = models.forward_with_capture, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return capture(*args, **kwargs)
+
+        for module in (fusion, models):
+            monkeypatch.setattr(module, "forward_with_capture", counted)
+        dump = workdir / "view_costs"
+        result = run("fuse", "--a", fx["a"], "--b", fx["b"], "--data", fx["data"],
+                     "--samples", 4, "--out", workdir / "view_fused.json",
+                     "--dump-costs", dump)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 2  # one capture per model; the dump recomputes nothing
+        monkeypatch.undo()
+
+        _, trace = fuse(load_model(fx["a"]), load_model(fx["b"]), load_dataset(fx["data"]),
+                        FusionConfig(sample_size=4))
+        costed = [t for t in trace.layers if not t.is_identity]
+        assert sorted(f.name for f in dump.glob("*.csv")) == sorted(
+            f"layer_{t.layer_index}_cost.csv" for t in costed)
+        for t in costed:
+            dumped = np.loadtxt(dump / f"layer_{t.layer_index}_cost.csv", delimiter=",")
+            assert np.array_equal(dumped, t.cost)  # %.18e round-trips float64
 
     def test_config_file_sets_flags_and_cli_wins(self, workdir, fx, tmp_path):
         config = tmp_path / "run.json"
@@ -277,6 +304,17 @@ class TestEvalCommand:
         header, rows = read_csv(out)
         assert header == ["model", "dataset", "mae"]
         assert len(rows) == 2 and rows[0] == rows[1]
+
+
+    def test_nan_model_exits_cleanly(self, fx, tmp_path):
+        doc = json.loads(fx["a"].read_text())
+        doc["layers"][0]["weight"][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        result = run("eval", "--model", bad, "--data", fx["data"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a raised error
+        assert "Error:" in result.output and "layer 0" in result.output
 
 
 class TestEnsembleCommand:

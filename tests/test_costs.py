@@ -74,15 +74,6 @@ class TestPairwiseEfd:
         with pytest.raises(DimensionMismatchError):
             pairwise_efd(a, b, lam=1.0)
 
-    def test_edge_indexed_variant(self):
-        # single edge (0, 1): both orientations -> (a0-b1)^2 + (a1-b0)^2
-        a = scalar_graph([1.0, 0.0], edges=[(0, 1)])
-        b = scalar_graph([0.0, 1.0], edges=[(0, 1)])
-        assert pairwise_efd(a, b, lam=1.0, edge_indexed=True) == 0.0
-        c = scalar_graph([2.0, 2.0], edges=[(0, 1)])
-        assert pairwise_efd(a, c, lam=1.0, edge_indexed=True) == pytest.approx(
-            np.sqrt((1 - 2) ** 2 + (0 - 2) ** 2))
-
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         edges = [(0, 1), (1, 2)]
@@ -275,27 +266,6 @@ class TestBuildCostMatrix:
         with pytest.raises(InvalidSpecError):
             build_cost_matrix(acts_a[1], acts_b[1], CostSpec(kind="weight"))
 
-    def test_cross_samples_recomputed(self):
-        # all-pairs accumulation needs one shared structure; use twin batches
-        # of the same graph
-        model_a = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
-                                        dense_layers=1), seed=14)
-        model_b = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
-                                        dense_layers=1), seed=15)
-        rng = np.random.default_rng(16)
-        graphs = [make_graph(3, edges=[(0, 1), (1, 2)],
-                             values=rng.standard_normal((3, 2))) for _ in range(2)]
-        acts_a = captured_acts(model_a, graphs)
-        acts_b = captured_acts(model_b, graphs)
-        spec = CostSpec(kind="efd", lam=0.2, cross_samples=True)
-        C = build_cost_matrix(acts_a[1], acts_b[1], spec)
-        expected = 0.0
-        for k in range(2):
-            for l in range(2):
-                gi = scalar_graph(acts_a[1].graph_values[k][:, 0], edges=[(0, 1), (1, 2)])
-                gj = scalar_graph(acts_b[1].graph_values[l][:, 2], edges=[(0, 1), (1, 2)])
-                expected += pairwise_efd(gi, gj, 0.2)
-        assert C[0, 2] == pytest.approx(expected, rel=1e-12)
 
 
 class TestWeightCostMatrix:

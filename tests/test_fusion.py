@@ -73,7 +73,6 @@ class TestFusionConfig:
             FusionConfig(sample_size=0)
 
     def test_weight_mode_flags(self):
-        assert FusionConfig(use_weight_cost=True).weight_mode
         assert FusionConfig(cost=CostSpec(kind="weight")).weight_mode
         assert not FusionConfig().weight_mode
 
@@ -349,7 +348,7 @@ class TestFuse:
     def test_weight_mode_needs_no_dataset(self, small_regression_setup):
         dataset, model = small_regression_setup
         twin = permute_model(model, hidden_perms(model, seed=30))
-        config = FusionConfig(use_weight_cost=True, sample_size=8, seed=0)
+        config = FusionConfig(cost=CostSpec(kind="weight"), sample_size=8, seed=0)
         fused, _ = fuse(model, twin, None, config)
         assert max_rel_prediction_gap(fused, model, dataset.graphs) < 1e-5
 

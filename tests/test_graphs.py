@@ -111,6 +111,20 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="record 2"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("record", [
+        {"n": "x", "x": [[0.0]]},
+        {"n": 2, "edges": [[0]], "x": [[0.0], [0.0]]},
+        {"n": 1, "x": [[0.0]], "y": "abc"},
+        {"n": 1, "x": [["a"]]},
+        {"n": 2, "edges": [[0, 1.5]], "x": [[0.0], [0.0]]},  # not truncated to (0, 1)
+        {"n": 1, "atom": [0.5]},  # not truncated to atom 0
+    ])
+    def test_malformed_record_names_record(self, tmp_path, record):
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps({"vocab": 1}) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DatasetFormatError, match="record 2"):
+            load_dataset(p)
+
     def test_invalid_json_names_line(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text("{not json\n")

@@ -66,6 +66,16 @@ class TestLayerValidation:
         with pytest.raises(DimensionMismatchError):
             GraphConv(params=DenseParams(weight=np.ones((3, 3))), batch_norm=bn)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameters_rejected(self, value):
+        with pytest.raises(ModelFormatError, match="NaN or infinite"):
+            DenseParams(weight=[[1.0, value]])
+        with pytest.raises(ModelFormatError, match="NaN or infinite"):
+            DenseParams(weight=[[1.0]], bias=[value])
+        with pytest.raises(ModelFormatError):
+            BatchNormParams(gamma=[1.0], beta_shift=[0.0], running_mean=[0.0],
+                            running_var=[1.0], epsilon=value)
+
     def test_bn_negative_var_rejected(self):
         with pytest.raises(ModelFormatError):
             BatchNormParams(gamma=[1], beta_shift=[0], running_mean=[0],
@@ -381,6 +391,25 @@ class TestModelIo:
         doc["layers"][0]["kind"] = "attention"
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="unknown layer kind"):
+            load_model(p)
+
+    @pytest.mark.parametrize("document", [[1, 2], {"schema": "gcnfuse-model/1", "layers": 5}])
+    def test_malformed_document_rejected(self, tmp_path, document):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(document))
+        with pytest.raises(ModelFormatError, match="JSON object"):
+            load_model(p)
+
+    @pytest.mark.parametrize("value", ["zz", float("nan"), float("inf")])
+    def test_bad_weight_entry_names_layer(self, tmp_path, value):
+        model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                      dense_layers=1), seed=27)
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        doc["layers"][1]["weight"][0][0] = value
+        p.write_text(json.dumps(doc))  # NaN and inf go out as bare NaN / Infinity
+        with pytest.raises(ModelFormatError, match="layer 1"):
             load_model(p)
 
     def test_unknown_schema_rejected(self, tmp_path):

@@ -181,7 +181,7 @@ class TestSinkhorn:
         # exact block minimizations; holds whenever exp(-C/eps) never underflows
         rng = np.random.default_rng(7)
         a, b, C = random_instance(rng, 6)
-        params = SinkhornParams(epsilon=0.05, history_every=1)
+        params = SinkhornParams(epsilon=0.05)
         plan = sinkhorn_unbalanced(a, b, C, params)
         hist = np.array(plan.history)
         assert len(hist) > 1
@@ -230,12 +230,6 @@ class TestSinkhorn:
         with pytest.raises(InvalidSpecError):
             SinkhornParams(epsilon=0.1, tol=0.0)
 
-    def test_with_epsilon_keeps_other_fields(self):
-        params = SinkhornParams(epsilon=0.1, rho_alpha=2.0, max_iters=77)
-        other = params.with_epsilon(0.2)
-        assert other.epsilon == 0.2
-        assert other.rho_alpha == 2.0 and other.max_iters == 77
-
     def test_converges_quickly_at_large_rho(self):
         # acceptance criterion 2's regime: near-balanced, eps = 1e-3 mean C
         rng = np.random.default_rng(19)
@@ -257,7 +251,7 @@ class TestSinkhorn:
         iterations = []
         for seed in range(10):
             C = np.random.default_rng(seed).uniform(10.0, 1000.0, size=(16, 16))
-            params = SinkhornParams(epsilon=epsilon, history_every=1)
+            params = SinkhornParams(epsilon=epsilon)
             plan = sinkhorn_unbalanced(a, a, C, params)
             assert plan.converged
             assert plan.iterations < 200
