@@ -42,7 +42,6 @@ from .fusion import (
     default_epsilon,
     ensemble_predict,
     fuse,
-    round_plan_to_permutation,
     vanilla_fuse,
 )
 from .graphs import (
@@ -111,8 +110,7 @@ __all__ = [
     "fused_objective", "identity_plan", "label_with_model", "load_dataset",
     "load_model", "normalized_adjacency", "pairwise_efd", "pairwise_fgw",
     "pairwise_qe", "permute_model", "perturb_model", "random_model",
-    "round_plan_to_permutation", "sample_batch", "save_model",
-    "shortest_path_structure", "sinkhorn_unbalanced", "synthesize_dataset",
-    "unbalanced_objective", "uniform_weights", "vanilla_fuse",
-    "weight_cost_matrix", "write_dataset",
+    "sample_batch", "save_model", "shortest_path_structure",
+    "sinkhorn_unbalanced", "synthesize_dataset", "unbalanced_objective",
+    "uniform_weights", "vanilla_fuse", "weight_cost_matrix", "write_dataset",
 ]

@@ -464,7 +464,7 @@ def cmd_gen_fixtures(out_dir, arch, feature_dim, hidden, gc_layers, dense_layers
     if noise > 0:
         model_b = perturb_model(model_b, noise, seed=seed + 1)
     gen = GeneratorSpec(count=count, min_vertices=min_vertices, max_vertices=max_vertices,
-                        edge_density=density, feature_dim=feature_dim, target_rule="linear_mean")
+                        edge_density=density, feature_dim=feature_dim)
     dataset = synthesize_dataset(gen, seed=seed + 2)
     if teacher_labels:
         dataset = label_with_model(model_a, dataset)

@@ -10,8 +10,8 @@ shared-structure sample:
   (a_i(u) - a_j(w))^2 over every undirected edge in both orientations so
   the cost stays symmetric in (i, j).
 - FGW: the fused Gromov-Wasserstein distance between the two scalar
-  graphs, features being the per-vertex values and structures either hop
-  distances or the adjacency pattern.
+  graphs, features being the per-vertex values and structures the hop
+  distances of the shared input graph.
 
 build_cost_matrix sums the chosen pairwise cost over matched batch indices
 (neuron i's graph k against neuron j's graph k), vectorized over all neuron
@@ -31,7 +31,7 @@ import scipy.sparse.csgraph
 from .errors import DimensionMismatchError, InvalidSpecError
 from .graphs import Graph, ScalarGraph
 from .models import ActivationSample, DenseParams
-from .ot import FgwProblem, SinkhornParams, fgw_distance, uniform_weights
+from .ot import FgwProblem, fgw_distance, uniform_weights
 
 EFD = "efd"
 QE = "qe"
@@ -39,27 +39,18 @@ FGW = "fgw"
 WEIGHT = "weight"
 COST_KINDS = (EFD, QE, FGW, WEIGHT)
 
-STRUCTURE_SHORTEST_PATH = "shortest_path"
-STRUCTURE_ADJACENCY = "adjacency"
-
 
 @dataclass(frozen=True)
 class FgwCostSpec:
     """How to pose the per-sample FGW instance.
 
-    structure picks the intra-graph matrix (hop distances by default);
-    inner=None solves each linearized step exactly.
+    trade_off weighs the feature term against the structure term, whose
+    intra-graph matrices are hop distances; each instance is solved exactly.
     """
 
-    structure: str = STRUCTURE_SHORTEST_PATH
     trade_off: float = 0.5
-    inner: SinkhornParams | None = None
-    outer_tol: float = 1e-7
-    outer_max_iters: int = 100
 
     def __post_init__(self):
-        if self.structure not in (STRUCTURE_SHORTEST_PATH, STRUCTURE_ADJACENCY):
-            raise InvalidSpecError(f"unknown structure kind {self.structure!r}")
         if not 0.0 <= self.trade_off <= 1.0:
             raise InvalidSpecError("trade_off must be in [0, 1]")
 
@@ -133,12 +124,6 @@ def shortest_path_structure(graph: Graph) -> np.ndarray:
     return D
 
 
-def _structure_matrix(graph: Graph, kind: str) -> np.ndarray:
-    if kind == STRUCTURE_ADJACENCY:
-        return adjacency_structure(graph)
-    return shortest_path_structure(graph)
-
-
 def _fgw_value(values_a: np.ndarray, values_b: np.ndarray,
                struct_a: np.ndarray, struct_b: np.ndarray, fgw: FgwCostSpec) -> float:
     feature_cost = (values_a[:, None] - values_b[None, :]) ** 2
@@ -146,7 +131,6 @@ def _fgw_value(values_a: np.ndarray, values_b: np.ndarray,
         structure_a=struct_a, structure_b=struct_b, feature_cost=feature_cost,
         trade_off=fgw.trade_off,
         alpha=uniform_weights(values_a.size), beta=uniform_weights(values_b.size),
-        inner=fgw.inner, outer_tol=fgw.outer_tol, outer_max_iters=fgw.outer_max_iters,
     )
     distance, _ = fgw_distance(problem)
     return distance
@@ -159,8 +143,8 @@ def pairwise_fgw(gi: ScalarGraph, gj: ScalarGraph, spec: CostSpec) -> float:
     _check_shared_structure(gi, gj)
     return _fgw_value(
         gi.values, gj.values,
-        _structure_matrix(gi.graph, spec.fgw.structure),
-        _structure_matrix(gj.graph, spec.fgw.structure),
+        shortest_path_structure(gi.graph),
+        shortest_path_structure(gj.graph),
         spec.fgw,
     )
 
@@ -206,7 +190,7 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         va = acts_a.graph_values[k]
         vb = acts_b.graph_values[k]
         if spec.kind == FGW:
-            struct = _structure_matrix(graph, spec.fgw.structure)
+            struct = shortest_path_structure(graph)
             for i in range(na):
                 for j in range(nb):
                     C[i, j] += _fgw_value(va[:, i], vb[:, j], struct, struct, spec.fgw)

@@ -7,11 +7,16 @@ activation costs or weight costs. A's parameters are then pushed through
     incoming:  W_hat   = W_A @ (T_prev / beta_prev)
     outgoing:  W_tilde = (T / beta).T @ W_hat,   b_tilde = (T / beta).T @ b
 
-and averaged with the anchor's. The scaled transport T / beta is applied
-as a division, not a multiplication by n: for a permutation plan (1/n) P
-the nonzero entries become exactly 1.0 (x / x is exact in IEEE), so
-aligning by a recovered permutation is entrywise exact, which the
-self-fusion and permutation-recovery guarantees rely on.
+and averaged with the anchor's. beta = T^T 1 is the mass the plan gives
+each anchor neuron, so every column of T / beta sums to 1 and A's neurons
+are mapped by the barycentric average the plan assigns to that anchor
+neuron. An unbalanced (Sinkhorn) plan that keeps little mass therefore
+does not shrink the aligned parameters; a column with no mass at all maps
+to zero. The scaled transport T / beta is applied as a division, not a
+multiplication by m: for a permutation plan (1/m) P the nonzero entries
+become exactly 1.0 (x / x is exact in IEEE), so aligning by a recovered
+permutation is entrywise exact, which the self-fusion and
+permutation-recovery guarantees rely on.
 
 Batch norm vectors ride along with the owning layer's plan; the mean
 readout has no parameters and just propagates the previous plan; the
@@ -24,7 +29,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .costs import EFD, FGW, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
 from .errors import DimensionMismatchError, InvalidSpecError
@@ -70,9 +74,6 @@ class FusionConfig:
     interpolation is the weight on the anchor (0.5 averages, 1.0 returns
     the anchor). A cost of kind "weight" takes the plans from aligned weight
     rows instead of captured activations, so it needs no dataset.
-    round_plans snaps Sinkhorn's soft plans to their best permutation
-    before aligning (ablation only; EMD plans on uniform square marginals
-    are permutations already).
     """
 
     solver: str = SOLVER_EMD
@@ -82,7 +83,6 @@ class FusionConfig:
     capture_point: str = POST_BN
     interpolation: float = 0.5
     seed: int = 0
-    round_plans: bool = False
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
@@ -147,20 +147,19 @@ class AlignmentTrace:
         return worst
 
 
-def _scaled_transport(plan: TransportPlan, beta) -> np.ndarray:
-    """T / beta columnwise; exact (entries become x/x) for permutation plans."""
-    b = np.asarray(beta, dtype=np.float64)
+def _scaled_transport(plan: TransportPlan) -> np.ndarray:
+    """T / beta with beta = T^T 1; exact (entries become x/x) for permutation plans.
+
+    A column with zero mass stays zero instead of becoming 0/0.
+    """
     T = plan.coupling
-    if T.shape[1] != b.size:
-        raise DimensionMismatchError(f"plan has {T.shape[1]} columns, beta has {b.size}")
-    if np.any(b <= 0):
-        raise InvalidSpecError("beta entries must be > 0")
-    return T / b[None, :]
+    mass = T.sum(axis=0)
+    return T / np.where(mass > 0, mass, 1.0)[None, :]
 
 
-def align_layer_incoming(weights: DenseParams, t_prev: TransportPlan, beta_prev) -> DenseParams:
+def align_layer_incoming(weights: DenseParams, t_prev: TransportPlan) -> DenseParams:
     """W_hat = W @ T_prev / beta_prev: re-express columns in anchor order."""
-    S = _scaled_transport(t_prev, beta_prev)
+    S = _scaled_transport(t_prev)
     if weights.in_dim != S.shape[0]:
         raise DimensionMismatchError(
             f"weight in_dim {weights.in_dim} != plan rows {S.shape[0]}"
@@ -168,9 +167,9 @@ def align_layer_incoming(weights: DenseParams, t_prev: TransportPlan, beta_prev)
     return DenseParams(weight=weights.weight @ S, bias=weights.bias)
 
 
-def align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan, beta_curr) -> DenseParams:
+def align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan) -> DenseParams:
     """W_tilde = (T / beta).T @ W_hat; the bias moves with the rows."""
-    S = _scaled_transport(t_curr, beta_curr)
+    S = _scaled_transport(t_curr)
     if weights.out_dim != S.shape[0]:
         raise DimensionMismatchError(
             f"weight out_dim {weights.out_dim} != plan rows {S.shape[0]}"
@@ -179,13 +178,13 @@ def align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan, beta_curr)
     return DenseParams(weight=S.T @ weights.weight, bias=bias)
 
 
-def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan, beta_prev) -> BatchNormParams:
+def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormParams:
     """Map all four BN vectors by (T / beta).T; no plan of its own.
 
     t_prev is the plan of the affine layer the batch norm sits behind. The
     map has nonnegative entries, so running_var stays nonnegative.
     """
-    S = _scaled_transport(t_prev, beta_prev)
+    S = _scaled_transport(t_prev)
     if bn.dim != S.shape[0]:
         raise DimensionMismatchError(f"bn dim {bn.dim} != plan rows {S.shape[0]}")
     return BatchNormParams(
@@ -197,27 +196,6 @@ def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan, beta_prev) -> Ba
     )
 
 
-def round_plan_to_permutation(plan: TransportPlan) -> TransportPlan:
-    """Snap a soft square plan to its maximum-weight permutation coupling.
-
-    The result carries uniform mass 1/n per matched pair — the Birkhoff
-    vertex of the uniform polytope — rather than the soft plan's slightly
-    unbalanced row masses, so a rounded plan aligns exactly like an EMD
-    permutation plan does.
-    """
-    T = plan.coupling
-    n, m = T.shape
-    if n != m:
-        raise InvalidSpecError("only square plans can be rounded to permutations")
-    rows, cols = linear_sum_assignment(-T)
-    rounded = np.zeros_like(T)
-    rounded[rows, cols] = uniform_weights(n)
-    return TransportPlan(
-        coupling=rounded, objective=plan.objective,
-        converged=plan.converged, iterations=plan.iterations,
-    )
-
-
 def compute_layer_tm(
     layer_index: int,
     model_a: GcnModel,
@@ -226,7 +204,6 @@ def compute_layer_tm(
     acts_b: dict[int, ActivationSample] | None,
     config: FusionConfig,
     t_prev: TransportPlan | None = None,
-    beta_prev: np.ndarray | None = None,
 ) -> tuple[TransportPlan, np.ndarray | None]:
     """Solve one layer's neuron coupling; returns (plan, read-only cost matrix or None).
 
@@ -247,7 +224,7 @@ def compute_layer_tm(
     if config.weight_mode:
         params_a = layer_a.params
         if t_prev is not None:
-            params_a = align_layer_incoming(params_a, t_prev, beta_prev)
+            params_a = align_layer_incoming(params_a, t_prev)
         C = weight_cost_matrix(params_a, layer_b.params)
     else:
         if acts_a is None or acts_b is None:
@@ -272,8 +249,6 @@ def compute_layer_tm(
                 "layer %d: sinkhorn plan unconverged after %d iterations, "
                 "relative duality gap %.3g", layer_index, plan.iterations, plan.gap,
             )
-        if config.round_plans:
-            plan = round_plan_to_permutation(plan)
     return plan, C
 
 
@@ -329,30 +304,24 @@ def fuse(
     new_layers = []
     traces = []
     t_prev: TransportPlan | None = None
-    beta_prev: np.ndarray | None = None
     for i, layer_a in enumerate(model_a.layers):
         layer_b = model_b.layers[i]
         if isinstance(layer_a, MeanReadout):
             # no parameters; the previous plan flows through to the dense head
             new_layers.append(MeanReadout())
             continue
-        plan, C = compute_layer_tm(
-            i, model_a, model_b, acts_a, acts_b, config,
-            t_prev=t_prev, beta_prev=beta_prev,
-        )
-        beta_curr = uniform_weights(layer_b.params.out_dim)
+        plan, C = compute_layer_tm(i, model_a, model_b, acts_a, acts_b, config, t_prev=t_prev)
 
         params_a = layer_a.params
         if t_prev is not None:
-            params_a = align_layer_incoming(params_a, t_prev, beta_prev)
-        params_a = align_layer_outgoing(params_a, plan, beta_curr)
+            params_a = align_layer_incoming(params_a, t_prev)
+        params_a = align_layer_outgoing(params_a, plan)
         bn_a = getattr(layer_a, "batch_norm", None)
         if bn_a is not None:
-            bn_a = align_batchnorm(bn_a, plan, beta_curr)
+            bn_a = align_batchnorm(bn_a, plan)
         new_layers.append(_interpolate_layer(layer_b, params_a, bn_a, config.interpolation))
         traces.append(LayerTrace(layer_index=i, plan=plan, solver=config.solver, cost=C))
         t_prev = plan
-        beta_prev = beta_curr
 
     fused = GcnModel(
         layers=tuple(new_layers),

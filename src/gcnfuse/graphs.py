@@ -14,6 +14,7 @@ record per graph with fields ``n``, ``edges``, ``x`` (dense rows) or ``atom``
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +37,7 @@ class Graph:
 
     Edges are canonicalized to ``(min(u, v), max(u, v))`` and deduplicated at
     construction; self-loops are rejected because degree normalization counts
-    the vertex itself exactly once.
+    the vertex itself exactly once. Features and the target must be finite.
     """
 
     num_vertices: int
@@ -68,9 +69,14 @@ class Graph:
             raise DatasetFormatError(
                 f"features have {feats.shape[0]} rows for {self.num_vertices} vertices"
             )
+        if not np.isfinite(feats).all():
+            raise DatasetFormatError("features hold NaN or infinite values")
         object.__setattr__(self, "features", feats)
         if self.target is not None:
-            object.__setattr__(self, "target", float(self.target))
+            target = float(self.target)
+            if not math.isfinite(target):
+                raise DatasetFormatError(f"target {target!r} is not finite")
+            object.__setattr__(self, "target", target)
 
     @property
     def feature_dim(self) -> int:
@@ -178,7 +184,7 @@ def load_dataset(path: str | Path) -> Dataset:
                     feature_dim = _integer(rec["feature_dim"], "feature_dim")
                 if "vocab" in rec:
                     vocab = _integer(rec["vocab"], "vocab")
-            except (DatasetFormatError, ValueError, TypeError, KeyError) as exc:
+            except (DatasetFormatError, ValueError, TypeError, KeyError, OverflowError) as exc:
                 raise DatasetFormatError(f"record {lineno}: {exc}") from exc
     if not graphs:
         raise DatasetFormatError(f"empty dataset: {path}")
@@ -254,9 +260,9 @@ class GeneratorSpec:
     """Parameters for synthetic graph-regression datasets.
 
     ``edge_density`` is the independent inclusion probability of each vertex
-    pair; 1.0 yields complete graphs. Targets follow ``target_rule``:
-    "linear_mean" labels each graph with a fixed random linear function of its
-    mean feature vector, "none" leaves targets absent.
+    pair; 1.0 yields complete graphs. Features are standard Gaussian, and
+    each graph's target is a fixed random linear function of its mean
+    feature vector.
     """
 
     count: int
@@ -264,8 +270,6 @@ class GeneratorSpec:
     max_vertices: int
     edge_density: float
     feature_dim: int
-    target_rule: str = "linear_mean"
-    onehot: bool = False
 
     def __post_init__(self):
         if self.count < 1:
@@ -278,8 +282,6 @@ class GeneratorSpec:
             )
         if self.feature_dim < 1:
             raise InvalidSpecError("feature_dim must be >= 1")
-        if self.target_rule not in ("linear_mean", "none"):
-            raise InvalidSpecError(f"unknown target_rule {self.target_rule!r}")
 
 
 def synthesize_dataset(spec: GeneratorSpec, seed: int) -> Dataset:
@@ -294,14 +296,7 @@ def synthesize_dataset(spec: GeneratorSpec, seed: int) -> Dataset:
             for v in range(u + 1, n):
                 if rng.random() < spec.edge_density:
                     edges.append((u, v))
-        if spec.onehot:
-            idx = rng.integers(0, spec.feature_dim, size=n)
-            features = np.zeros((n, spec.feature_dim))
-            features[np.arange(n), idx] = 1.0
-        else:
-            features = rng.standard_normal((n, spec.feature_dim))
-        target = None
-        if spec.target_rule == "linear_mean":
-            target = float(weights @ features.mean(axis=0))
+        features = rng.standard_normal((n, spec.feature_dim))
+        target = float(weights @ features.mean(axis=0))
         graphs.append(Graph(num_vertices=n, edges=tuple(edges), features=features, target=target))
     return Dataset(graphs=tuple(graphs), feature_dim=spec.feature_dim)

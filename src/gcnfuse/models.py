@@ -668,7 +668,7 @@ def load_model(path: str | Path) -> GcnModel:
             else:
                 raise ModelFormatError(f"unknown layer kind {kind!r}")
         except (ModelFormatError, DimensionMismatchError,
-                KeyError, AttributeError, TypeError) as exc:
+                KeyError, AttributeError, TypeError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: layer {i}: {exc}") from exc
     try:
         return GcnModel(layers=tuple(layers), name=doc.get("name", ""), seed=doc.get("seed"))

@@ -455,6 +455,12 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
     )
 
 
+# the FGW fixed point stops once the plan moves less than this, or after
+# this many linearized solves
+_FGW_TOL = 1e-7
+_FGW_MAX_ITERS = 100
+
+
 @dataclass(frozen=True)
 class FgwProblem:
     """A fused Gromov-Wasserstein instance.
@@ -462,8 +468,7 @@ class FgwProblem:
     structure_a and structure_b are symmetric zero-diagonal intra-graph
     distance matrices; feature_cost compares vertex features across the
     graphs. trade_off weights the feature term (1 = pure feature OT,
-    0 = pure structure). inner=None solves each linearized step exactly
-    with emd; a SinkhornParams switches the inner solver.
+    0 = pure structure). Each linearized step is solved exactly by emd.
     """
 
     structure_a: np.ndarray
@@ -472,9 +477,6 @@ class FgwProblem:
     trade_off: float
     alpha: np.ndarray
     beta: np.ndarray
-    inner: SinkhornParams | None = None
-    outer_tol: float = 1e-7
-    outer_max_iters: int = 100
 
     def __post_init__(self):
         a = _histogram(self.alpha, "alpha")
@@ -489,8 +491,6 @@ class FgwProblem:
         object.__setattr__(self, "feature_cost", F)
         if not 0.0 <= self.trade_off <= 1.0:
             raise InvalidSpecError(f"trade_off must be in [0, 1], got {self.trade_off}")
-        if self.outer_tol <= 0 or self.outer_max_iters < 1:
-            raise InvalidSpecError("outer_tol must be > 0 and outer_max_iters >= 1")
 
     @staticmethod
     def _structure(mat, size: int, name: str) -> np.ndarray:
@@ -509,8 +509,7 @@ class FgwProblem:
         return FgwProblem(
             structure_a=self.structure_b, structure_b=self.structure_a,
             feature_cost=self.feature_cost.T, trade_off=self.trade_off,
-            alpha=self.beta, beta=self.alpha, inner=self.inner,
-            outer_tol=self.outer_tol, outer_max_iters=self.outer_max_iters,
+            alpha=self.beta, beta=self.alpha,
         )
 
 
@@ -530,23 +529,19 @@ def fused_objective(problem: FgwProblem, T: np.ndarray) -> float:
 
 def _fgw_fixed_point(problem: FgwProblem, start: np.ndarray) -> tuple[np.ndarray, bool, int]:
     T = start
-    for it in range(1, problem.outer_max_iters + 1):
+    for it in range(1, _FGW_MAX_ITERS + 1):
         lin = problem.trade_off * problem.feature_cost
         if problem.trade_off < 1.0:
             tens = _gromov_linearized(problem.structure_a, problem.structure_b, T)
             lin = lin + (1.0 - problem.trade_off) * tens
         # tiny negatives from cancellation would trip the cost validator
         lin = np.maximum(lin, 0.0)
-        if problem.inner is None:
-            plan = emd(problem.alpha, problem.beta, lin)
-        else:
-            plan = sinkhorn_unbalanced(problem.alpha, problem.beta, lin, problem.inner)
-        T_new = plan.coupling
+        T_new = emd(problem.alpha, problem.beta, lin).coupling
         change = float(np.max(np.abs(T_new - T)))
         T = T_new
-        if change < problem.outer_tol:
+        if change < _FGW_TOL:
             return T, True, it
-    return T, False, problem.outer_max_iters
+    return T, False, _FGW_MAX_ITERS
 
 
 def _fgw_starts(problem: FgwProblem) -> list[np.ndarray]:
@@ -560,9 +555,10 @@ def fgw_distance(problem: FgwProblem) -> tuple[float, TransportPlan]:
     """Fixed-point iteration on the linearized fused cost; returns (distance, plan).
 
     Each outer step solves linear OT on
-    trade_off * feature_cost + (1 - trade_off) * tens(T) and stops when the
-    plan moves less than outer_tol. Runs from the product and (when square)
-    identity couplings, and again on the transposed problem, keeping the
+    trade_off * feature_cost + (1 - trade_off) * tens(T) exactly by emd, and
+    the iteration stops when the plan moves less than _FGW_TOL or after
+    _FGW_MAX_ITERS steps. Runs from the product and (when square) identity
+    couplings, and again on the transposed problem, keeping the
     best fused objective; this makes the identity and symmetry properties
     hold by construction rather than by luck of the start point.
     """

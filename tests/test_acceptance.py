@@ -259,20 +259,19 @@ def test_criterion_7_alignment_algebra_and_self_fusion_exact(report):
     p = rng.permutation(n)
     P = np.eye(n)[p]
     plan = TransportPlan(coupling=P / n, objective=0.0)
-    beta = uniform_weights(n)
 
     incoming = DenseParams(weight=rng.standard_normal((3, n)))
-    cols_ok = np.array_equal(align_layer_incoming(incoming, plan, beta).weight,
+    cols_ok = np.array_equal(align_layer_incoming(incoming, plan).weight,
                              incoming.weight @ P)
     outgoing = DenseParams(weight=rng.standard_normal((n, 3)),
                            bias=rng.standard_normal(n))
-    aligned_out = align_layer_outgoing(outgoing, plan, beta)
+    aligned_out = align_layer_outgoing(outgoing, plan)
     rows_ok = (np.array_equal(aligned_out.weight, P.T @ outgoing.weight)
                and np.array_equal(aligned_out.bias, P.T @ outgoing.bias))
     bn = BatchNormParams(gamma=rng.standard_normal(n), beta_shift=rng.standard_normal(n),
                          running_mean=rng.standard_normal(n), running_var=rng.random(n) + 0.5,
                          epsilon=1e-5)
-    aligned_bn = align_batchnorm(bn, plan, beta)
+    aligned_bn = align_batchnorm(bn, plan)
     inv = (P.T @ np.arange(n)).astype(int)
     bn_ok = all(np.array_equal(getattr(aligned_bn, name), getattr(bn, name)[inv])
                 for name in ("gamma", "beta_shift", "running_mean", "running_var"))

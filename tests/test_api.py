@@ -1,0 +1,34 @@
+"""The public names other code relies on still resolve.
+
+perfbench/tracer.py times the library by swapping the functions it lists in
+WRAPPED, and it skips a name it cannot find without a word, so a renamed or
+deleted function would silently zero that layer's metrics. This test turns
+that into a failure.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import gcnfuse
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _wrapped():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.WRAPPED
+
+
+@pytest.mark.parametrize("home, attr", [(home, attr) for home, attr, *_ in _wrapped()],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_traced_function_exists(home, attr):
+    assert callable(getattr(home, attr, None)), f"{home.__name__}.{attr} is gone"
+
+
+def test_all_names_resolve():
+    missing = [name for name in gcnfuse.__all__ if not hasattr(gcnfuse, name)]
+    assert missing == []

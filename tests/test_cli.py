@@ -316,6 +316,15 @@ class TestEvalCommand:
         assert isinstance(result.exception, SystemExit)  # a clean exit, not a raised error
         assert "Error:" in result.output and "layer 0" in result.output
 
+    def test_non_finite_dataset_exits_cleanly(self, fx, tmp_path):
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text(json.dumps({"n": 1, "x": [[float("nan")] * 4], "y": 0.0}) + "\n")
+        result = run("eval", "--model", fx["a"], "--data", bad)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a raised error
+        assert "Error:" in result.output and "record 1" in result.output
+        assert "MAE" not in result.output
+
 
 class TestEnsembleCommand:
     def test_single_member_equals_eval(self, fx):

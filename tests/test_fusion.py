@@ -9,6 +9,7 @@ from gcnfuse import (
     CostSpec,
     DenseParams,
     DimensionMismatchError,
+    FgwCostSpec,
     FusionConfig,
     GeneratorSpec,
     InvalidSpecError,
@@ -27,10 +28,8 @@ from gcnfuse import (
     label_with_model,
     permute_model,
     random_model,
-    round_plan_to_permutation,
     sample_batch,
     synthesize_dataset,
-    uniform_weights,
     vanilla_fuse,
 )
 from conftest import assert_models_equal, constant_model, make_graph, single_vertex_graphs
@@ -88,7 +87,7 @@ class TestAlignmentAlgebra:
         rng = np.random.default_rng(0)
         W = DenseParams(weight=rng.standard_normal((3, 4)), bias=rng.standard_normal(3))
         plan = TransportPlan(coupling=np.eye(4) / 4, objective=0.0)
-        out = align_layer_incoming(W, plan, uniform_weights(4))
+        out = align_layer_incoming(W, plan)
         assert np.array_equal(out.weight, W.weight)
         assert np.array_equal(out.bias, W.bias)
 
@@ -97,7 +96,7 @@ class TestAlignmentAlgebra:
         W = DenseParams(weight=rng.standard_normal((3, 4)))
         P = np.eye(4)[[2, 0, 3, 1]]
         plan = TransportPlan(coupling=P / 4, objective=0.0)
-        out = align_layer_incoming(W, plan, uniform_weights(4))
+        out = align_layer_incoming(W, plan)
         assert np.array_equal(out.weight, W.weight @ P)
 
     def test_incoming_entry_recomputed(self):
@@ -106,15 +105,15 @@ class TestAlignmentAlgebra:
         T = rng.random((3, 3))
         T = T / T.sum() # arbitrary soft coupling
         plan = TransportPlan(coupling=T, objective=0.0)
-        out = align_layer_incoming(W, plan, uniform_weights(3))
-        expected = sum(W.weight[0, k] * T[k, 0] * 3.0 for k in range(3))
+        out = align_layer_incoming(W, plan)
+        expected = sum(W.weight[0, k] * T[k, 0] / T[:, 0].sum() for k in range(3))
         assert out.weight[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_outgoing_identity_is_noop(self):
         rng = np.random.default_rng(3)
         W = DenseParams(weight=rng.standard_normal((4, 2)), bias=rng.standard_normal(4))
         plan = TransportPlan(coupling=np.eye(4) / 4, objective=0.0)
-        out = align_layer_outgoing(W, plan, uniform_weights(4))
+        out = align_layer_outgoing(W, plan)
         assert np.array_equal(out.weight, W.weight)
         assert np.array_equal(out.bias, W.bias)
 
@@ -123,7 +122,7 @@ class TestAlignmentAlgebra:
         W = DenseParams(weight=rng.standard_normal((4, 2)), bias=rng.standard_normal(4))
         P = np.eye(4)[[1, 3, 0, 2]]
         plan = TransportPlan(coupling=P / 4, objective=0.0)
-        out = align_layer_outgoing(W, plan, uniform_weights(4))
+        out = align_layer_outgoing(W, plan)
         assert np.array_equal(out.weight, P.T @ W.weight)
         assert np.array_equal(out.bias, P.T @ W.bias)
 
@@ -133,8 +132,8 @@ class TestAlignmentAlgebra:
         T = rng.random((3, 3))
         T = T / T.sum()
         plan = TransportPlan(coupling=T, objective=0.0)
-        out = align_layer_outgoing(W, plan, uniform_weights(3))
-        expected = sum(T[k, 1] * 3.0 * W.weight[k, 0] for k in range(3))
+        out = align_layer_outgoing(W, plan)
+        expected = sum(T[k, 1] / T[:, 1].sum() * W.weight[k, 0] for k in range(3))
         assert out.weight[1, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_batchnorm_identity_is_noop(self):
@@ -142,7 +141,7 @@ class TestAlignmentAlgebra:
                              running_mean=[0.5, -0.5], running_var=[1.0, 2.0],
                              epsilon=1e-5)
         plan = TransportPlan(coupling=np.eye(2) / 2, objective=0.0)
-        out = align_batchnorm(bn, plan, uniform_weights(2))
+        out = align_batchnorm(bn, plan)
         assert np.array_equal(out.gamma, bn.gamma)
         assert np.array_equal(out.running_var, bn.running_var)
 
@@ -153,7 +152,7 @@ class TestAlignmentAlgebra:
         p = [2, 0, 1]
         P = np.eye(3)[p]
         plan = TransportPlan(coupling=P / 3, objective=0.0)
-        out = align_batchnorm(bn, plan, uniform_weights(3))
+        out = align_batchnorm(bn, plan)
         inv = P.T @ np.arange(3)  # where each anchor slot reads from
         for name in ("gamma", "beta_shift", "running_mean", "running_var"):
             assert np.array_equal(getattr(out, name),
@@ -168,26 +167,26 @@ class TestAlignmentAlgebra:
         T = rng.random((4, 4))
         T = T / T.sum()
         plan = TransportPlan(coupling=T, objective=0.0)
-        out = align_batchnorm(bn, plan, uniform_weights(4))
+        out = align_batchnorm(bn, plan)
         assert np.all(out.running_var >= 0)
 
     def test_dim_mismatches_rejected(self):
         W = DenseParams(weight=np.ones((2, 3)))
         plan = TransportPlan(coupling=np.eye(2) / 2, objective=0.0)
         with pytest.raises(DimensionMismatchError):
-            align_layer_incoming(W, plan, uniform_weights(2))
+            align_layer_incoming(W, plan)
         with pytest.raises(DimensionMismatchError):
-            align_layer_outgoing(DenseParams(weight=np.ones((3, 2))), plan,
-                                 uniform_weights(2))
+            align_layer_outgoing(DenseParams(weight=np.ones((3, 2))), plan)
 
-    def test_round_plan_snaps_to_uniform_permutation(self):
-        soft = np.array([[0.02, 0.31], [0.30, 0.03]])
-        plan = TransportPlan(coupling=soft, objective=0.0)
-        rounded = round_plan_to_permutation(plan)
-        assert np.array_equal(rounded.coupling, [[0.0, 0.5], [0.5, 0.0]])
-        with pytest.raises(InvalidSpecError):
-            round_plan_to_permutation(TransportPlan(coupling=np.ones((2, 3)) / 6,
-                                                    objective=0.0))
+    def test_empty_plan_column_aligns_to_finite_weights(self):
+        # a Sinkhorn plan can lose all mass on an anchor neuron
+        plan = TransportPlan(coupling=np.array([[0.5, 0.0], [0.25, 0.0]]), objective=0.0)
+        incoming = align_layer_incoming(DenseParams(weight=np.ones((3, 2))), plan)
+        outgoing = align_layer_outgoing(DenseParams(weight=np.ones((2, 3)), bias=np.ones(2)), plan)
+        for arr in (incoming.weight, outgoing.weight, outgoing.bias):
+            assert np.all(np.isfinite(arr))
+        assert np.array_equal(incoming.weight[:, 1], np.zeros(3))
+        assert np.array_equal(outgoing.weight[1], np.zeros(3))
 
 
 class TestComputeLayerTm:
@@ -260,8 +259,6 @@ class TestFuse:
             assert np.array_equal(layer_trace.plan.coupling, perm_plan(p).coupling)
 
     def test_fgw_cost_twin_recovery(self, small_regression_setup):
-        from gcnfuse import FgwCostSpec
-
         dataset, model = small_regression_setup
         perms = hidden_perms(model, seed=23)
         twin = permute_model(model, perms)
@@ -269,6 +266,20 @@ class TestFuse:
                               sample_size=2, seed=0)
         fused, _ = fuse(model, twin, dataset, config)
         assert max_rel_prediction_gap(fused, model, dataset.graphs) < 1e-5
+
+    @pytest.mark.parametrize("solver", ["emd", "sinkhorn"])
+    @pytest.mark.parametrize("cost_kind", ["efd", "qe", "fgw", "weight"])
+    def test_ot_fusion_beats_vanilla_on_twins(self, small_regression_setup, solver, cost_kind):
+        # default epsilon and rho = 1: the QE Sinkhorn plans keep little mass,
+        # which must not shrink the aligned parameters
+        dataset, model = small_regression_setup
+        twin = permute_model(model, hidden_perms(model, seed=30))
+        fgw = FgwCostSpec() if cost_kind == "fgw" else None
+        config = FusionConfig(solver=solver, cost=CostSpec(kind=cost_kind, lam=0.2, fgw=fgw),
+                              sinkhorn=SinkhornParams(epsilon=default_epsilon(cost_kind)),
+                              sample_size=2 if cost_kind == "fgw" else 8, seed=0)
+        fused, _ = fuse(model, twin, dataset, config)
+        assert evaluate_mae(fused, dataset) <= evaluate_mae(vanilla_fuse(model, twin), dataset)
 
     def test_self_fusion_returns_anchor_exactly(self, small_regression_setup):
         dataset, model = small_regression_setup
@@ -312,15 +323,6 @@ class TestFuse:
         fused, _ = fuse(model, model, dataset, config)
         gap = max(abs(forward(fused, g) - forward(model, g)) for g in dataset.graphs)
         assert gap < 1e-3
-
-    def test_sinkhorn_rounded_plans_recover_exactly(self, small_regression_setup):
-        dataset, model = small_regression_setup
-        twin = permute_model(model, hidden_perms(model, seed=25))
-        config = FusionConfig(solver="sinkhorn",
-                              sinkhorn=SinkhornParams(epsilon=5e-4),
-                              sample_size=8, seed=0, round_plans=True)
-        fused, _ = fuse(model, twin, dataset, config)
-        assert max_rel_prediction_gap(fused, model, dataset.graphs) < 1e-6
 
     def test_mlp_twin_recovery(self):
         gen = GeneratorSpec(count=40, min_vertices=1, max_vertices=1,

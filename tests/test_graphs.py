@@ -118,6 +118,9 @@ class TestLoadDataset:
         {"n": 1, "x": [["a"]]},
         {"n": 2, "edges": [[0, 1.5]], "x": [[0.0], [0.0]]},  # not truncated to (0, 1)
         {"n": 1, "atom": [0.5]},  # not truncated to atom 0
+        {"n": 1, "x": [[float("nan")]]},
+        {"n": 1, "x": [[0.0]], "y": float("inf")},
+        {"n": 1, "x": [[0.0]], "y": 10 ** 400},  # too large for a float
     ])
     def test_malformed_record_names_record(self, tmp_path, record):
         p = tmp_path / "d.jsonl"
@@ -224,13 +227,3 @@ class TestSynthesize:
         base = dict(count=3, min_vertices=2, max_vertices=3, edge_density=0.5, feature_dim=2)
         labeled = synthesize_dataset(GeneratorSpec(**base), seed=1)
         assert all(g.target is not None and np.isfinite(g.target) for g in labeled.graphs)
-        bare = synthesize_dataset(GeneratorSpec(**base, target_rule="none"), seed=1)
-        assert all(g.target is None for g in bare.graphs)
-
-    def test_onehot_features(self):
-        spec = GeneratorSpec(count=3, min_vertices=2, max_vertices=4,
-                             edge_density=0.5, feature_dim=4, onehot=True)
-        ds = synthesize_dataset(spec, seed=2)
-        for g in ds.graphs:
-            assert np.array_equal(g.features.sum(axis=1), np.ones(g.num_vertices))
-            assert set(np.unique(g.features)) <= {0.0, 1.0}

@@ -400,7 +400,8 @@ class TestModelIo:
         with pytest.raises(ModelFormatError, match="JSON object"):
             load_model(p)
 
-    @pytest.mark.parametrize("value", ["zz", float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", ["zz", float("nan"), float("inf"),
+                                       pytest.param(10 ** 400, id="int-too-large")])
     def test_bad_weight_entry_names_layer(self, tmp_path, value):
         model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
                                       dense_layers=1), seed=27)
@@ -409,6 +410,17 @@ class TestModelIo:
         doc = json.loads(p.read_text())
         doc["layers"][1]["weight"][0][0] = value
         p.write_text(json.dumps(doc))  # NaN and inf go out as bare NaN / Infinity
+        with pytest.raises(ModelFormatError, match="layer 1"):
+            load_model(p)
+
+    def test_oversized_batchnorm_epsilon_names_layer(self, tmp_path):
+        model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                      dense_layers=1, batch_norm=True), seed=27)
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        doc["layers"][1]["batch_norm"]["epsilon"] = 10 ** 400  # too large for a float
+        p.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="layer 1"):
             load_model(p)
 

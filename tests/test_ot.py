@@ -329,13 +329,6 @@ class TestFgw:
         assert plan.coupling.shape == (4, 6)
         assert plan.marginal_error(problem.alpha, problem.beta) <= 1e-9
 
-    def test_sinkhorn_inner_solver(self):
-        rng = np.random.default_rng(15)
-        problem = self._problem(rng, 4, inner=SinkhornParams(epsilon=0.01))
-        d, plan = fgw_distance(problem)
-        assert d >= 0.0
-        assert np.all(plan.coupling >= 0)
-
     def test_structure_validation(self):
         rng = np.random.default_rng(16)
         S = random_structure(rng, 3)

@@ -1,4 +1,4 @@
-"""Property tests over random architectures (hypothesis, derandomized)."""
+"""Property tests over random architectures and transport instances (hypothesis, derandomized)."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,16 @@ from gcnfuse import (
     ArchSpec,
     FusionConfig,
     GeneratorSpec,
+    SinkhornParams,
+    emd,
     forward,
     fuse,
     label_with_model,
     permute_model,
     random_model,
+    sinkhorn_unbalanced,
     synthesize_dataset,
+    uniform_weights,
 )
 
 
@@ -52,3 +56,64 @@ def test_emd_fusion_recovers_planted_permutation(hidden, batch_norm, gc_layers,
     for g in dataset.graphs:
         a, f = forward(model, g), forward(fused, g)
         assert abs(f - a) <= 1e-9 * max(abs(a), 1e-12)
+
+
+def _histogram(rng, n):
+    w = rng.random(n) + 0.1
+    return w / w.sum()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    route=st.sampled_from(["uniform_square", "uniform_rectangular", "non_uniform"]),
+    n=st.integers(1, 7),
+    m=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+def test_emd_plan_keeps_marginals(route, n, m, seed):
+    rng = np.random.default_rng(seed)
+    if route == "uniform_square":
+        m = n
+    elif route == "uniform_rectangular" and m == n:
+        m = n + 1 if n < 7 else n - 1
+    if route == "non_uniform":
+        a, b = _histogram(rng, n), _histogram(rng, m)
+    else:
+        a, b = uniform_weights(n), uniform_weights(m)
+    C = rng.random((n, m)) * 10.0
+
+    plan = emd(a, b, C)
+
+    assert np.all(plan.coupling >= 0)
+    assert np.max(np.abs(plan.row_marginal - a)) <= 1e-9
+    assert np.max(np.abs(plan.col_marginal - b)) <= 1e-9
+    assert plan.objective == float(np.sum(plan.coupling * C))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(1, 7),
+    cost_scale=st.sampled_from([1.0, 1000.0]),
+    relative_epsilon=st.sampled_from([5e-5, 1e-3, 1e-1, 1.0]),
+    rho=st.sampled_from([1e-2, 1.0, 1e3]),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_sinkhorn_plan_is_finite_and_certified(n, m, cost_scale, relative_epsilon, rho,
+                                                uniform, seed):
+    rng = np.random.default_rng(seed)
+    if uniform:
+        a, b = uniform_weights(n), uniform_weights(m)
+    else:
+        a, b = _histogram(rng, n), _histogram(rng, m)
+    C = rng.random((n, m)) * cost_scale
+    # a cap keeps a slow solve from stalling the suite; it then reports converged=False
+    params = SinkhornParams(epsilon=relative_epsilon * cost_scale, rho_alpha=rho,
+                            rho_beta=rho, max_iters=500)
+
+    plan = sinkhorn_unbalanced(a, b, C, params)
+
+    assert np.all(np.isfinite(plan.coupling)) and np.all(plan.coupling >= 0)
+    if plan.converged:
+        assert plan.gap <= params.tol
