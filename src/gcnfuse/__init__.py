@@ -38,7 +38,6 @@ from .fusion import (
     align_batchnorm,
     align_layer_incoming,
     align_layer_outgoing,
-    compute_layer_tm,
     default_epsilon,
     ensemble_predict,
     fuse,
@@ -104,7 +103,7 @@ __all__ = [
     "QE", "SOLVER_EMD", "SOLVER_SINKHORN", "ScalarGraph", "SinkhornParams",
     "SolverError", "TransportPlan", "WEIGHT", "adjacency_structure",
     "align_batchnorm", "align_layer_incoming", "align_layer_outgoing",
-    "brute_force_ot", "build_cost_matrix", "compute_layer_tm",
+    "brute_force_ot", "build_cost_matrix",
     "default_epsilon", "emd", "ensemble_predict", "evaluate_mae",
     "fgw_distance", "forward", "forward_with_capture", "fuse",
     "fused_objective", "identity_plan", "label_with_model", "load_dataset",

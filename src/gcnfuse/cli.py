@@ -12,20 +12,19 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .costs import COST_KINDS, EFD, FGW, QE, WEIGHT, CostSpec, FgwCostSpec
+from .costs import COST_KINDS, EFD, FGW, QE, WEIGHT, CostSpec
 from .errors import GcnFuseError
 from .fusion import (
     SOLVER_EMD,
     SOLVER_SINKHORN,
     SOLVERS,
     FusionConfig,
-    default_epsilon,
     ensemble_predict,
     fuse,
     vanilla_fuse,
@@ -104,7 +103,13 @@ def _raise_on_failures(results: list[ExperimentResult], what: str) -> None:
 
 
 def _load_config_file(ctx: click.Context, config_path: str | None) -> None:
-    """Fill parameters from a JSON config file; explicit flags win."""
+    """Fill parameters from a JSON config file; explicit flags win.
+
+    Each value goes through its option's click type as the text it would
+    have on the command line, so "8" and 8 both act like --samples 8, and a
+    value the flag would reject (1.5 for an integer, "xml" for a choice)
+    fails with the option named.
+    """
     if config_path is None:
         return
     try:
@@ -113,19 +118,22 @@ def _load_config_file(ctx: click.Context, config_path: str | None) -> None:
         raise click.ClickException(f"cannot read config file: {exc}")
     if not isinstance(values, dict):
         raise click.ClickException("config file must hold a JSON object of flag values")
-    # map option spellings (--cost) to parameter names (cost_kind)
-    aliases: dict[str, str] = {}
+    # map option spellings (--cost) to parameters (cost_kind)
+    aliases: dict[str, click.Parameter] = {}
     for param in ctx.command.params:
-        aliases[param.name] = param.name
+        aliases[param.name] = param
         for opt in param.opts:
-            aliases[opt.lstrip("-").replace("-", "_")] = param.name
+            aliases[opt.lstrip("-").replace("-", "_")] = param
     for name, value in values.items():
-        key = aliases.get(name.replace("-", "_"))
-        if key is None or key == "config_path":
+        param = aliases.get(name.replace("-", "_"))
+        if param is None or param.name == "config_path":
             raise click.ClickException(f"config file sets unknown option {name!r}")
-        source = ctx.get_parameter_source(key)
+        if value is None or isinstance(value, (list, dict)):
+            raise click.BadParameter(f"{json.dumps(value)} is not a flag value", ctx, param)
+        source = ctx.get_parameter_source(param.name)
         if source is not None and source.name != "COMMANDLINE":
-            ctx.params[key] = value
+            text = value if isinstance(value, str) else json.dumps(value)
+            ctx.params[param.name] = param.type_cast_value(ctx, text)
 
 
 def _load_pair(a: str, b: str, swap: bool) -> tuple[GcnModel, GcnModel]:
@@ -184,17 +192,17 @@ config_option = click.option("--config", "config_path", type=click.Path(exists=T
 
 def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
                    interpolation=0.5) -> FusionConfig:
-    """The CLI's config: Sinkhorn's epsilon defaults per cost, FGW at FgwCostSpec defaults."""
-    eps = default_epsilon(cost_kind) if epsilon is None else epsilon
-    return FusionConfig(
+    """The CLI's config; an unset epsilon keeps FusionConfig's per-cost default."""
+    config = FusionConfig(
         solver=solver,
-        cost=CostSpec(kind=cost_kind, lam=lam, fgw=FgwCostSpec() if cost_kind == FGW else None),
-        sinkhorn=SinkhornParams(epsilon=eps, rho_alpha=rho, rho_beta=rho),
+        cost=CostSpec(kind=cost_kind, lam=lam),
         sample_size=samples,
         capture_point=capture,
         interpolation=interpolation,
         seed=seed,
     )
+    eps = config.sinkhorn.epsilon if epsilon is None else epsilon
+    return replace(config, sinkhorn=SinkhornParams(epsilon=eps, rho_alpha=rho, rho_beta=rho))
 
 
 @main.command("fuse")
@@ -203,7 +211,7 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 @click.option("--b", "b_path", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Anchor model (ordering kept).")
 @click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Dataset for activation sampling and MAE (optional in weight mode).")
+              help="Dataset for activation sampling and MAE (optional with --cost weight).")
 @solver_option
 @cost_option
 @lam_option
@@ -275,8 +283,6 @@ def cmd_vanilla(a_path, b_path, data_path, interpolation, out_path):
 
 def _run_repeats(model_a, model_b, dataset, config_template: FusionConfig,
                  repeats: int, seed: int, label: str, config_row: dict) -> ExperimentResult:
-    from dataclasses import replace
-
     maes = []
     t0 = time.perf_counter()
     try:
@@ -323,7 +329,7 @@ def cmd_grid(ctx, a_path, b_path, data_path, samples, fgw_samples, lam, rho, cap
             config = _fusion_config(solver, cost_kind, p["lam"], None, p["rho"],
                                     cell_samples, p["capture"], p["seed"])
             row = {"solver": solver, "cost": cost_kind,
-                   "epsilon": default_epsilon(cost_kind), "lam": p["lam"],
+                   "epsilon": config.sinkhorn.epsilon, "lam": p["lam"],
                    "samples": cell_samples, "repeats": p["repeats"]}
             result = _run_repeats(model_a, model_b, dataset, config,
                                   p["repeats"], p["seed"], f"{solver}-{cost_kind}", row)

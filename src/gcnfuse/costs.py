@@ -39,6 +39,9 @@ FGW = "fgw"
 WEIGHT = "weight"
 COST_KINDS = (EFD, QE, FGW, WEIGHT)
 
+# Sinkhorn's entropy scale per cost kind; EFD tolerates a coarser epsilon
+DEFAULT_EPSILON = {EFD: 5e-4, QE: 5e-5, FGW: 5e-5, WEIGHT: 5e-4}
+
 
 @dataclass(frozen=True)
 class FgwCostSpec:
@@ -60,8 +63,9 @@ class CostSpec:
     """Which pairwise cost to use and its knobs.
 
     kind is one of COST_KINDS; "weight" compares weight rows and needs no
-    activations. lam weighs the EFD/QE terms. fgw holds the FGW settings and
-    is set exactly when kind is "fgw".
+    activations. lam weighs the EFD/QE terms. fgw holds the FGW settings:
+    left unset on kind "fgw" it takes FgwCostSpec(), and any other kind
+    rejects it.
     """
 
     kind: str
@@ -73,8 +77,10 @@ class CostSpec:
             raise InvalidSpecError(f"cost kind must be one of {COST_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidSpecError(f"lam must be in [0, 1], got {self.lam}")
-        if (self.fgw is not None) != (self.kind == FGW):
-            raise InvalidSpecError("fgw settings must be present exactly when kind is fgw")
+        if self.kind == FGW and self.fgw is None:
+            object.__setattr__(self, "fgw", FgwCostSpec())
+        if self.kind != FGW and self.fgw is not None:
+            raise InvalidSpecError("fgw settings are only for kind fgw")
 
 
 def _check_shared_structure(gi: ScalarGraph, gj: ScalarGraph) -> None:
@@ -165,9 +171,9 @@ def _same_batch(acts_a: ActivationSample, acts_b: ActivationSample) -> bool:
 def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: CostSpec) -> np.ndarray:
     """Neuron-by-neuron cost: entry (i, j) sums the pairwise cost over the batch.
 
-    Post-readout layers hold one scalar per sample; there EFD and QE both
-    degenerate to the summed squared scalar difference and FGW is rejected
-    (there is no structure left to transport over).
+    Post-readout layers hold one scalar per sample and no graph structure;
+    there every activation kind (EFD, QE and FGW) degenerates to the summed
+    squared scalar difference.
     """
     if spec.kind == WEIGHT:
         raise InvalidSpecError("weight costs are built by weight_cost_matrix, not activations")
@@ -177,8 +183,6 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         raise DimensionMismatchError("one side is per-vertex, the other post-readout")
 
     if not acts_a.is_graph_valued:
-        if spec.kind == FGW:
-            raise InvalidSpecError("FGW needs per-vertex activations; layer is post-readout")
         A = acts_a.readout_values
         B = acts_b.readout_values
         diff = A.T[:, None, :] - B.T[None, :, :]

@@ -1,8 +1,13 @@
 """Layer-wise model fusion by optimal transport.
 
 One model (A) is aligned to an anchor (B) one layer at a time: a transport
-plan T couples A's neurons (rows) to B's (columns), computed from either
-activation costs or weight costs. A's parameters are then pushed through
+plan T couples A's neurons (rows) to B's (columns). fuse() runs one loop
+over the layers, and each parameterized layer takes one step: align A's
+incoming weights by the previous plan, build the layer's cost matrix (from
+those aligned weights for a weight cost, otherwise from activations
+captured once before the loop), solve it for T, then map A's outgoing
+weights and batch norm by T and interpolate with B's. A's parameters are
+pushed through
 
     incoming:  W_hat   = W_A @ (T_prev / beta_prev)
     outgoing:  W_tilde = (T / beta).T @ W_hat,   b_tilde = (T / beta).T @ b
@@ -30,12 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import EFD, FGW, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
+from .costs import DEFAULT_EPSILON, EFD, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
 from .errors import DimensionMismatchError, InvalidSpecError
 from .graphs import Dataset, Graph, sample_batch
 from .models import (
     POST_BN,
-    ActivationSample,
     BatchNormParams,
     DenseParams,
     GcnModel,
@@ -59,11 +63,9 @@ SOLVER_EMD = "emd"
 SOLVER_SINKHORN = "sinkhorn"
 SOLVERS = (SOLVER_EMD, SOLVER_SINKHORN)
 
-# per-cost entropic defaults; EFD tolerates a coarser epsilon
-DEFAULT_EPSILON = {EFD: 5e-4, "qe": 5e-5, FGW: 5e-5, WEIGHT: 5e-4}
-
 
 def default_epsilon(cost_kind: str) -> float:
+    """Sinkhorn's entropy scale for a cost kind when none is given."""
     return DEFAULT_EPSILON[cost_kind]
 
 
@@ -73,12 +75,13 @@ class FusionConfig:
 
     interpolation is the weight on the anchor (0.5 averages, 1.0 returns
     the anchor). A cost of kind "weight" takes the plans from aligned weight
-    rows instead of captured activations, so it needs no dataset.
+    rows instead of captured activations, so it needs no dataset. Left
+    unset, sinkhorn takes the cost kind's default_epsilon.
     """
 
     solver: str = SOLVER_EMD
     cost: CostSpec = field(default_factory=lambda: CostSpec(kind=EFD))
-    sinkhorn: SinkhornParams = field(default_factory=lambda: SinkhornParams(epsilon=5e-4))
+    sinkhorn: SinkhornParams | None = None
     sample_size: int = 340
     capture_point: str = POST_BN
     interpolation: float = 0.5
@@ -91,10 +94,9 @@ class FusionConfig:
             raise InvalidSpecError("interpolation must be in [0, 1]")
         if self.sample_size < 1:
             raise InvalidSpecError("sample_size must be >= 1")
-
-    @property
-    def weight_mode(self) -> bool:
-        return self.cost.kind == WEIGHT
+        if self.sinkhorn is None:
+            object.__setattr__(self, "sinkhorn",
+                               SinkhornParams(epsilon=default_epsilon(self.cost.kind)))
 
 
 @dataclass(frozen=True)
@@ -196,62 +198,6 @@ def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormPara
     )
 
 
-def compute_layer_tm(
-    layer_index: int,
-    model_a: GcnModel,
-    model_b: GcnModel,
-    acts_a: dict[int, ActivationSample] | None,
-    acts_b: dict[int, ActivationSample] | None,
-    config: FusionConfig,
-    t_prev: TransportPlan | None = None,
-) -> tuple[TransportPlan, np.ndarray | None]:
-    """Solve one layer's neuron coupling; returns (plan, read-only cost matrix or None).
-
-    The final parameterized layer gets the identity plan: outputs are
-    matched by position, never transported. Weight mode aligns A's weights
-    by the incoming plan first, then compares rows; activation mode builds
-    the cost from the captured samples. An unconverged Sinkhorn plan logs
-    a warning on the "gcnfuse" logger.
-    """
-    layer_a = model_a.layers[layer_index]
-    layer_b = model_b.layers[layer_index]
-    n_out = layer_b.params.out_dim
-    if layer_a.params.out_dim != n_out:
-        raise DimensionMismatchError("layer widths differ between the models")
-    if layer_index == model_a.parameterized_indices()[-1]:
-        return identity_plan(uniform_weights(n_out)), None
-
-    if config.weight_mode:
-        params_a = layer_a.params
-        if t_prev is not None:
-            params_a = align_layer_incoming(params_a, t_prev)
-        C = weight_cost_matrix(params_a, layer_b.params)
-    else:
-        if acts_a is None or acts_b is None:
-            raise InvalidSpecError("activation mode needs captured activations")
-        cost_spec = config.cost
-        if cost_spec.kind == FGW and not acts_a[layer_index].is_graph_valued:
-            # post-readout activations are plain scalars; no structure left
-            # to transport over, so fall back to the degenerate squared
-            # difference that EFD/QE also reduce to there
-            cost_spec = CostSpec(kind="qe", lam=cost_spec.lam)
-        C = build_cost_matrix(acts_a[layer_index], acts_b[layer_index], cost_spec)
-    C.setflags(write=False)
-
-    alpha = uniform_weights(C.shape[0])
-    beta = uniform_weights(C.shape[1])
-    if config.solver == SOLVER_EMD:
-        plan = emd(alpha, beta, C)
-    else:
-        plan = sinkhorn_unbalanced(alpha, beta, C, config.sinkhorn)
-        if not plan.converged:
-            _log.warning(
-                "layer %d: sinkhorn plan unconverged after %d iterations, "
-                "relative duality gap %.3g", layer_index, plan.iterations, plan.gap,
-            )
-    return plan, C
-
-
 def _interpolate(a: np.ndarray, b: np.ndarray, weight_on_b: float) -> np.ndarray:
     return weight_on_b * b + (1.0 - weight_on_b) * a
 
@@ -285,22 +231,26 @@ def fuse(
 ) -> tuple[GcnModel, AlignmentTrace]:
     """Align model_a to anchor model_b layer by layer, then average.
 
-    Activation mode samples config.sample_size graphs from the dataset
-    (seeded) and captures both models' pre-activations on them; weight
-    mode needs no data. Returns the fused model plus a per-layer trace of
-    the plans and the cost matrices they were solved on.
+    Activation costs sample config.sample_size graphs from the dataset
+    (seeded) and capture both models' pre-activations on them once; a
+    weight cost needs no data. Every parameterized layer then takes the one
+    step the module docstring describes, the output layer with the identity
+    plan and no cost. An unconverged Sinkhorn plan logs a warning on the
+    "gcnfuse" logger. Returns the fused model plus a per-layer trace of the
+    plans and the read-only cost matrices they were solved on.
     """
     if not model_a.same_architecture(model_b):
         raise DimensionMismatchError("models must share an architecture to fuse")
 
-    acts_a = acts_b = None
-    if not config.weight_mode:
+    weight_cost = config.cost.kind == WEIGHT
+    if not weight_cost:
         if dataset is None or not dataset.graphs:
             raise InvalidSpecError("activation-based fusion needs a nonempty dataset")
         batch = sample_batch(dataset, config.sample_size, config.seed)
         _, acts_a = forward_with_capture(model_a, batch, config.capture_point)
         _, acts_b = forward_with_capture(model_b, batch, config.capture_point)
 
+    output_index = model_a.parameterized_indices()[-1]
     new_layers = []
     traces = []
     t_prev: TransportPlan | None = None
@@ -310,11 +260,30 @@ def fuse(
             # no parameters; the previous plan flows through to the dense head
             new_layers.append(MeanReadout())
             continue
-        plan, C = compute_layer_tm(i, model_a, model_b, acts_a, acts_b, config, t_prev=t_prev)
-
         params_a = layer_a.params
         if t_prev is not None:
             params_a = align_layer_incoming(params_a, t_prev)
+
+        if i == output_index:
+            plan, C = identity_plan(uniform_weights(params_a.out_dim)), None
+        else:
+            if weight_cost:
+                C = weight_cost_matrix(params_a, layer_b.params)
+            else:
+                C = build_cost_matrix(acts_a[i], acts_b[i], config.cost)
+            C.setflags(write=False)
+            alpha = uniform_weights(C.shape[0])
+            beta = uniform_weights(C.shape[1])
+            if config.solver == SOLVER_EMD:
+                plan = emd(alpha, beta, C)
+            else:
+                plan = sinkhorn_unbalanced(alpha, beta, C, config.sinkhorn)
+                if not plan.converged:
+                    _log.warning(
+                        "layer %d: sinkhorn plan unconverged after %d iterations, "
+                        "relative duality gap %.3g", i, plan.iterations, plan.gap,
+                    )
+
         params_a = align_layer_outgoing(params_a, plan)
         bn_a = getattr(layer_a, "batch_norm", None)
         if bn_a is not None:

@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpecError, ModelFormatError
-from .graphs import Dataset, FusionBatch, Graph, ScalarGraph
+from .graphs import Dataset, FusionBatch, Graph
 
 PRE_BN = "pre_bn"
 POST_BN = "post_bn"
@@ -245,8 +245,6 @@ class ActivationSample:
     single (sample_size, width) array of per-graph scalars.
     """
 
-    layer_index: int
-    capture_point: str
     batch: FusionBatch
     graph_values: tuple[np.ndarray, ...] | None = None
     readout_values: np.ndarray | None = None
@@ -264,20 +262,6 @@ class ActivationSample:
         if self.graph_values is not None:
             return self.graph_values[0].shape[1]
         return self.readout_values.shape[1]
-
-    def neuron_scalar_graphs(self, neuron: int) -> tuple[ScalarGraph, ...]:
-        """Scalar activation graphs of one neuron, one per batch graph."""
-        if self.graph_values is None:
-            raise InvalidSpecError("layer is post-readout; use neuron_readout")
-        return tuple(
-            ScalarGraph(graph=g, values=vals[:, neuron])
-            for g, vals in zip(self.batch.graphs, self.graph_values)
-        )
-
-    def neuron_readout(self, neuron: int) -> np.ndarray:
-        if self.readout_values is None:
-            raise InvalidSpecError("layer is graph-valued; use neuron_scalar_graphs")
-        return self.readout_values[:, neuron]
 
 
 def normalized_adjacency(graph: Graph) -> np.ndarray:
@@ -392,15 +376,9 @@ def forward_with_capture(
     samples: dict[int, ActivationSample] = {}
     for i, values in raw.items():
         if values[0].ndim == 2:
-            samples[i] = ActivationSample(
-                layer_index=i, capture_point=capture_point, batch=batch,
-                graph_values=tuple(values),
-            )
+            samples[i] = ActivationSample(batch=batch, graph_values=tuple(values))
         else:
-            samples[i] = ActivationSample(
-                layer_index=i, capture_point=capture_point, batch=batch,
-                readout_values=np.stack(values),
-            )
+            samples[i] = ActivationSample(batch=batch, readout_values=np.stack(values))
     return predictions, samples
 
 

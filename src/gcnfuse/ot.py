@@ -107,14 +107,15 @@ class TransportPlan:
         ))
 
     def as_permutation(self) -> np.ndarray | None:
-        """Column index per row if the coupling is a scaled permutation, else None."""
-        n, m = self.coupling.shape
-        if n != m or np.count_nonzero(self.coupling) != n:
+        """Column index per row if the coupling is a scaled permutation, else None.
+
+        That is a square coupling with exactly one nonzero in every row and
+        every column.
+        """
+        nonzero = self.coupling != 0.0
+        if not (np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) == 1)):
             return None
-        cols = np.argmax(self.coupling != 0.0, axis=1)
-        if len(set(cols.tolist())) != n:
-            return None
-        return cols
+        return np.argmax(nonzero, axis=1)
 
 
 def identity_plan(alpha) -> TransportPlan:

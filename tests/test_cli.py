@@ -170,6 +170,32 @@ class TestFuseCommand:
         assert result.exit_code == 0, result.output
         assert explicit.exists()
 
+    @pytest.mark.parametrize("command, values, option", [
+        ("fuse", {"samples": "8"}, None),  # acts like --samples 8
+        ("fuse", {"samples": "abc"}, "--samples"),
+        ("fuse", {"samples": 8.5}, "--samples"),  # not truncated to 8
+        ("fuse", {"seed": 1.5}, "--seed"),
+        ("grid", {"format": "xml"}, "--format"),
+    ])
+    def test_config_values_checked_like_flags(self, fx, tmp_path, command, values, option):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "from_config.out"
+        result = run(command, "--a", fx["a"], "--b", fx["b"], "--data", fx["data"],
+                     "--config", config, "--out", out)
+        if option is None:
+            assert result.exit_code == 0, result.output
+            flagged = tmp_path / "from_flag.out"
+            result = run(command, "--a", fx["a"], "--b", fx["b"], "--data", fx["data"],
+                         "--samples", 8, "--out", flagged)
+            assert result.exit_code == 0, result.output
+            assert out.read_bytes() == flagged.read_bytes()
+        else:
+            assert result.exit_code != 0
+            assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+            assert f"'{option}'" in result.output
+            assert not out.exists()
+
     def test_config_file_unknown_key_rejected(self, fx, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"no_such_flag": 1}))

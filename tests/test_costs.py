@@ -10,6 +10,7 @@ from gcnfuse import (
     FgwCostSpec,
     FusionBatch,
     InvalidSpecError,
+    ScalarGraph,
     adjacency_structure,
     build_cost_matrix,
     emd,
@@ -27,6 +28,12 @@ from conftest import make_graph, path_graph, scalar_graph
 
 def fgw_spec(**kw):
     return CostSpec(kind="fgw", fgw=FgwCostSpec(**kw))
+
+
+def neuron_scalar_graphs(acts, neuron):
+    """One neuron's scalar activation graph per batch graph, for the pairwise_* oracles."""
+    return [ScalarGraph(graph=g, values=vals[:, neuron])
+            for g, vals in zip(acts.batch.graphs, acts.graph_values)]
 
 
 def captured_acts(model, graphs, capture="post_bn"):
@@ -166,8 +173,8 @@ class TestCostSpec:
     def test_fgw_settings_paired_with_kind(self):
         with pytest.raises(InvalidSpecError):
             CostSpec(kind="efd", fgw=FgwCostSpec())
-        with pytest.raises(InvalidSpecError):
-            CostSpec(kind="fgw")
+        assert CostSpec(kind="fgw").fgw == FgwCostSpec()
+        assert CostSpec(kind="fgw", fgw=FgwCostSpec(trade_off=0.9)).fgw.trade_off == 0.9
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpecError):
@@ -194,8 +201,8 @@ class TestBuildCostMatrix:
         C = build_cost_matrix(acts_a[1], acts_b[1], spec)
         for i in range(4):
             for j in range(4):
-                gi = acts_a[1].neuron_scalar_graphs(i)[0]
-                gj = acts_b[1].neuron_scalar_graphs(j)[0]
+                gi = neuron_scalar_graphs(acts_a[1], i)[0]
+                gj = neuron_scalar_graphs(acts_b[1], j)[0]
                 assert C[i, j] == pytest.approx(pairwise_qe(gi, gj, 0.2), rel=1e-12)
 
     def test_entry_recomputed_over_batch(self):
@@ -207,8 +214,8 @@ class TestBuildCostMatrix:
             C = build_cost_matrix(acts_a[1], acts_b[1], spec)
             expected = sum(
                 pair_fn(gi, gj)
-                for gi, gj in zip(acts_a[1].neuron_scalar_graphs(0),
-                                  acts_b[1].neuron_scalar_graphs(1))
+                for gi, gj in zip(neuron_scalar_graphs(acts_a[1], 0),
+                                  neuron_scalar_graphs(acts_b[1], 1))
             )
             assert C[0, 1] == pytest.approx(expected, rel=1e-12)
 
@@ -218,8 +225,8 @@ class TestBuildCostMatrix:
         C = build_cost_matrix(acts_a[1], acts_b[1], spec)
         expected = sum(
             pairwise_fgw(gi, gj, spec)
-            for gi, gj in zip(acts_a[1].neuron_scalar_graphs(2),
-                              acts_b[1].neuron_scalar_graphs(0))
+            for gi, gj in zip(neuron_scalar_graphs(acts_a[1], 2),
+                              neuron_scalar_graphs(acts_b[1], 0))
         )
         assert C[2, 0] == pytest.approx(expected, rel=1e-9)
 
@@ -229,8 +236,6 @@ class TestBuildCostMatrix:
         C = build_cost_matrix(acts_a[1], acts_b[1], spec)
         perm = np.array([2, 0, 3, 1])
         permuted = ActivationSample(
-            layer_index=acts_a[1].layer_index,
-            capture_point=acts_a[1].capture_point,
             batch=acts_a[1].batch,
             graph_values=tuple(v[:, perm] for v in acts_a[1].graph_values),
         )
@@ -242,16 +247,11 @@ class TestBuildCostMatrix:
         dense_idx = 4  # emb, gc, readout, dense, head
         A = acts_a[dense_idx].readout_values
         B = acts_b[dense_idx].readout_values
-        for kind in ("efd", "qe"):
+        for kind in ("efd", "qe", "fgw"):
             C = build_cost_matrix(acts_a[dense_idx], acts_b[dense_idx],
                                   CostSpec(kind=kind, lam=0.2))
             expected = ((A.T[:, None, :] - B.T[None, :, :]) ** 2).sum(axis=2)
             assert np.allclose(C, expected)
-
-    def test_fgw_rejected_post_readout(self):
-        acts_a, acts_b = self._acts_pair(seed=11)
-        with pytest.raises(InvalidSpecError, match="post-readout"):
-            build_cost_matrix(acts_a[4], acts_b[4], fgw_spec())
 
     def test_batch_mismatch_rejected(self):
         acts_a, _ = self._acts_pair(seed=12)

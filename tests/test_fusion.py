@@ -18,17 +18,14 @@ from gcnfuse import (
     align_batchnorm,
     align_layer_incoming,
     align_layer_outgoing,
-    compute_layer_tm,
     default_epsilon,
     ensemble_predict,
     evaluate_mae,
     forward,
-    forward_with_capture,
     fuse,
     label_with_model,
     permute_model,
     random_model,
-    sample_batch,
     synthesize_dataset,
     vanilla_fuse,
 )
@@ -71,9 +68,13 @@ class TestFusionConfig:
         with pytest.raises(InvalidSpecError):
             FusionConfig(sample_size=0)
 
-    def test_weight_mode_flags(self):
-        assert FusionConfig(cost=CostSpec(kind="weight")).weight_mode
-        assert not FusionConfig().weight_mode
+    @pytest.mark.parametrize("kind", ["efd", "qe", "fgw", "weight"])
+    def test_unset_settings_follow_the_cost_kind(self, kind):
+        config = FusionConfig(solver="sinkhorn", cost=CostSpec(kind=kind))
+        assert config.sinkhorn == SinkhornParams(epsilon=default_epsilon(kind))
+        assert config.cost.fgw == (FgwCostSpec() if kind == "fgw" else None)
+        explicit = SinkhornParams(epsilon=1e-2, rho_alpha=2.0, rho_beta=3.0)
+        assert FusionConfig(cost=CostSpec(kind=kind), sinkhorn=explicit).sinkhorn is explicit
 
     def test_per_cost_epsilon_defaults(self):
         assert default_epsilon("efd") == 5e-4
@@ -190,37 +191,30 @@ class TestAlignmentAlgebra:
 
 
 class TestComputeLayerTm:
+    """Each layer's transport map (TM), read from the trace fuse() returns."""
+
     def test_twin_recovers_exact_permutation(self, small_regression_setup):
         dataset, model = small_regression_setup
         perms = hidden_perms(model, seed=21)
         twin = permute_model(model, perms)
-        config = FusionConfig(sample_size=8, seed=0)
-        batch = sample_batch(dataset, 8, seed=0)
-        _, acts_a = forward_with_capture(model, batch)
-        _, acts_b = forward_with_capture(twin, batch)
-        first = model.parameterized_indices()[0]
-        plan, C = compute_layer_tm(first, model, twin, acts_a, acts_b, config)
-        assert np.array_equal(plan.coupling, perm_plan(perms[0]).coupling)
-        assert C is not None and C.shape == (6, 6)
+        _, trace = fuse(model, twin, dataset, FusionConfig(sample_size=8, seed=0))
+        first = trace.layers[0]
+        assert first.layer_index == model.parameterized_indices()[0]
+        assert np.array_equal(first.plan.coupling, perm_plan(perms[0]).coupling)
+        assert first.cost is not None and first.cost.shape == (6, 6)
 
     def test_identical_models_get_identity_plan(self, small_regression_setup):
         dataset, model = small_regression_setup
-        config = FusionConfig(sample_size=8, seed=0)
-        batch = sample_batch(dataset, 8, seed=0)
-        _, acts = forward_with_capture(model, batch)
-        first = model.parameterized_indices()[0]
-        plan, _ = compute_layer_tm(first, model, model, acts, acts, config)
-        assert np.array_equal(plan.coupling, np.eye(6) / 6)
+        _, trace = fuse(model, model, dataset, FusionConfig(sample_size=8, seed=0))
+        assert np.array_equal(trace.layers[0].plan.coupling, np.eye(6) / 6)
 
     def test_last_layer_identity_by_contract(self, small_regression_setup):
         dataset, model = small_regression_setup
-        config = FusionConfig(sample_size=8, seed=0)
-        batch = sample_batch(dataset, 8, seed=0)
-        _, acts = forward_with_capture(model, batch)
-        last = model.parameterized_indices()[-1]
-        plan, C = compute_layer_tm(last, model, model, acts, acts, config)
-        assert C is None
-        assert np.array_equal(plan.coupling, np.eye(1))
+        _, trace = fuse(model, model, dataset, FusionConfig(sample_size=8, seed=0))
+        last = trace.layers[-1]
+        assert last.layer_index == model.parameterized_indices()[-1]
+        assert last.cost is None
+        assert np.array_equal(last.plan.coupling, np.eye(1))
 
     def test_unconverged_sinkhorn_plan_logs_warning(self, small_regression_setup, caplog):
         dataset, model = small_regression_setup
@@ -229,19 +223,17 @@ class TestComputeLayerTm:
         config = FusionConfig(solver="sinkhorn",
                               sinkhorn=SinkhornParams(epsilon=5e-4, max_iters=1),
                               sample_size=8, seed=0)
-        batch = sample_batch(dataset, 8, seed=0)
-        _, acts_a = forward_with_capture(model, batch)
-        _, acts_b = forward_with_capture(twin, batch)
-        first = model.parameterized_indices()[0]
         with caplog.at_level(logging.WARNING, logger="gcnfuse"):
-            plan, _ = compute_layer_tm(first, model, twin, acts_a, acts_b, config)
-        assert not plan.converged
-        [record] = caplog.records
-        assert record.name == "gcnfuse" and record.levelno == logging.WARNING
-        message = record.getMessage()
-        assert f"layer {first}:" in message
-        assert "after 1 iterations" in message
-        assert f"gap {plan.gap:.3g}" in message
+            _, trace = fuse(model, twin, dataset, config)
+        unconverged = [t for t in trace.layers if not t.plan.converged]
+        assert unconverged
+        assert len(caplog.records) == len(unconverged)
+        for record, t in zip(caplog.records, unconverged):
+            assert record.name == "gcnfuse" and record.levelno == logging.WARNING
+            message = record.getMessage()
+            assert f"layer {t.layer_index}:" in message
+            assert "after 1 iterations" in message
+            assert f"gap {t.plan.gap:.3g}" in message
 
 
 class TestFuse:

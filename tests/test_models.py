@@ -204,20 +204,6 @@ class TestCapture:
         for k, g in enumerate(graphs):
             assert preds[k] == forward(model, g)
 
-    def test_neuron_accessors(self):
-        spec = ArchSpec(feature_dim=3, hidden_dim=5, gc_layers=1, dense_layers=2)
-        model = random_model(spec, seed=6)
-        graphs = random_graphs(4, 3, seed=7)
-        batch = FusionBatch(graphs=tuple(graphs))
-        _, acts = forward_with_capture(model, batch)
-        gc_idx, dense_idx = 1, 3  # emb, gc, readout, dense, head
-        assert acts[gc_idx].is_graph_valued and acts[gc_idx].width == 5
-        sgs = acts[gc_idx].neuron_scalar_graphs(2)
-        assert len(sgs) == 4
-        assert all(sg.graph.same_structure(g) for sg, g in zip(sgs, graphs))
-        assert not acts[dense_idx].is_graph_valued
-        assert acts[dense_idx].neuron_readout(0).shape == (4,)
-
     def test_bad_capture_point(self):
         model = tiny_gcn([[1.0]], [0.0])
         batch = FusionBatch(graphs=(path_graph(2),))

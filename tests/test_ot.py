@@ -41,6 +41,10 @@ class TestTransportPlan:
         assert np.array_equal(perm_plan.as_permutation(), [1, 0])
         soft = TransportPlan(coupling=np.full((2, 2), 0.25), objective=0.0)
         assert soft.as_permutation() is None
+        # three nonzeros in distinct columns, but row 0 is empty and row 1 split
+        degenerate = TransportPlan(
+            coupling=np.array([[0.0, 0.0, 0.0], [0.0, 0.2, 0.1], [0.0, 0.0, 0.3]]), objective=0.0)
+        assert degenerate.as_permutation() is None
 
     def test_negative_entries_rejected(self):
         with pytest.raises(Exception):

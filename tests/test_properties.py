@@ -1,4 +1,7 @@
-"""Property tests over random architectures and transport instances (hypothesis, derandomized)."""
+"""Property tests over random architectures, datasets and transport instances (hypothesis, derandomized)."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +18,15 @@ from gcnfuse import (
     forward,
     fuse,
     label_with_model,
+    load_dataset,
+    load_model,
     permute_model,
     random_model,
+    save_model,
     sinkhorn_unbalanced,
     synthesize_dataset,
     uniform_weights,
+    write_dataset,
 )
 
 
@@ -117,3 +124,72 @@ def test_sinkhorn_plan_is_finite_and_certified(n, m, cost_scale, relative_epsilo
     assert np.all(np.isfinite(plan.coupling)) and np.all(plan.coupling >= 0)
     if plan.converged:
         assert plan.gap <= params.tol
+
+
+def _bits(arr):
+    return None if arr is None else (arr.dtype, arr.shape, arr.tobytes())
+
+
+def _layer_bits(layer):
+    """Every array and scalar a layer carries, as exact bytes."""
+    params = getattr(layer, "params", None)
+    bn = getattr(layer, "batch_norm", None)
+    return (
+        type(layer).__name__,
+        getattr(layer, "activation", None),
+        None if params is None else (_bits(params.weight), _bits(params.bias)),
+        None if bn is None else (_bits(bn.gamma), _bits(bn.beta_shift), _bits(bn.running_mean),
+                                 _bits(bn.running_var), bn.epsilon),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    hidden=st.integers(1, 6),
+    batch_norm=st.booleans(),
+    gc_layers=st.integers(0, 3),
+    dense_layers=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    name=st.text(max_size=8),
+)
+def test_model_file_round_trip_is_exact(hidden, batch_norm, gc_layers, dense_layers, seed, name):
+    spec = ArchSpec(feature_dim=3, hidden_dim=hidden, gc_layers=gc_layers,
+                    dense_layers=dense_layers, batch_norm=batch_norm)
+    model = random_model(spec, seed=seed, name=name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+
+    assert loaded.name == model.name and loaded.seed == model.seed
+    assert loaded.same_architecture(model)
+    assert [_layer_bits(l) for l in loaded.layers] == [_layer_bits(l) for l in model.layers]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    count=st.integers(1, 12),
+    min_vertices=st.integers(1, 5),
+    extra_vertices=st.integers(0, 4),
+    edge_density=st.floats(0.0, 1.0),
+    feature_dim=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_dataset_file_round_trip_is_exact(count, min_vertices, extra_vertices, edge_density,
+                                          feature_dim, seed):
+    spec = GeneratorSpec(count=count, min_vertices=min_vertices,
+                         max_vertices=min_vertices + extra_vertices,
+                         edge_density=edge_density, feature_dim=feature_dim)
+    dataset = synthesize_dataset(spec, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.jsonl"
+        write_dataset(dataset, path)
+        loaded = load_dataset(path)
+
+    assert loaded.feature_dim == dataset.feature_dim
+    assert len(loaded.graphs) == len(dataset.graphs)
+    for got, want in zip(loaded.graphs, dataset.graphs):
+        assert got.num_vertices == want.num_vertices
+        assert got.edges == want.edges
+        assert _bits(got.features) == _bits(want.features)
+        assert got.target == want.target
