@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .costs import COST_KINDS, EFD, FGW, QE, WEIGHT, CostSpec
+from .costs import EFD, FGW, QE, WEIGHT, CostSpec
 from .errors import GcnFuseError
 from .fusion import (
     SOLVER_EMD,
@@ -302,8 +302,8 @@ def _run_repeats(model_a, model_b, dataset, config_template: FusionConfig,
 @click.option("--b", "b_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @samples_option
-@click.option("--fgw-samples", type=int, default=2, show_default=True,
-              help="Smaller sample size for the FGW column (runtime concession).")
+@click.option("--fgw-samples", type=int, default=32, show_default=True,
+              help="Sample size for the FGW column.")
 @lam_option
 @rho_option
 @capture_option

@@ -15,9 +15,9 @@ shared-structure sample:
 
 build_cost_matrix sums the chosen pairwise cost over matched batch indices
 (neuron i's graph k against neuron j's graph k), vectorized over all neuron
-pairs; the pairwise_* functions state each cost for one pair and serve as
-its reference. weight_cost_matrix skips activations entirely and compares
-weight rows.
+pairs, FGW by one stacked fgw_distance per batch graph; the pairwise_*
+functions state each cost for one pair and serve as its reference.
+weight_cost_matrix skips activations entirely and compares weight rows.
 """
 
 from __future__ import annotations
@@ -130,29 +130,20 @@ def shortest_path_structure(graph: Graph) -> np.ndarray:
     return D
 
 
-def _fgw_value(values_a: np.ndarray, values_b: np.ndarray,
-               struct_a: np.ndarray, struct_b: np.ndarray, fgw: FgwCostSpec) -> float:
-    feature_cost = (values_a[:, None] - values_b[None, :]) ** 2
-    problem = FgwProblem(
-        structure_a=struct_a, structure_b=struct_b, feature_cost=feature_cost,
-        trade_off=fgw.trade_off,
-        alpha=uniform_weights(values_a.size), beta=uniform_weights(values_b.size),
-    )
-    distance, _ = fgw_distance(problem)
-    return distance
-
-
 def pairwise_fgw(gi: ScalarGraph, gj: ScalarGraph, spec: CostSpec) -> float:
     """FGW distance between two scalar graphs (solved as a general instance)."""
     if spec.kind != FGW or spec.fgw is None:
         raise InvalidSpecError("pairwise_fgw needs a CostSpec with kind fgw")
     _check_shared_structure(gi, gj)
-    return _fgw_value(
-        gi.values, gj.values,
-        shortest_path_structure(gi.graph),
-        shortest_path_structure(gj.graph),
-        spec.fgw,
+    problem = FgwProblem(
+        structure_a=shortest_path_structure(gi.graph),
+        structure_b=shortest_path_structure(gj.graph),
+        feature_cost=(gi.values[:, None] - gj.values[None, :]) ** 2,
+        trade_off=spec.fgw.trade_off,
+        alpha=uniform_weights(gi.values.size), beta=uniform_weights(gj.values.size),
     )
+    distance, _ = fgw_distance(problem)
+    return distance
 
 
 def _same_batch(acts_a: ActivationSample, acts_b: ActivationSample) -> bool:
@@ -194,10 +185,16 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         va = acts_a.graph_values[k]
         vb = acts_b.graph_values[k]
         if spec.kind == FGW:
+            # one stacked instance per neuron pair (i, j), all sharing the graph
             struct = shortest_path_structure(graph)
-            for i in range(na):
-                for j in range(nb):
-                    C[i, j] += _fgw_value(va[:, i], vb[:, j], struct, struct, spec.fgw)
+            n = graph.num_vertices
+            features = (va.T[:, None, :, None] - vb.T[None, :, None, :]) ** 2
+            distances, _ = fgw_distance(FgwProblem(
+                structure_a=struct, structure_b=struct,
+                feature_cost=features.reshape(na * nb, n, n), trade_off=spec.fgw.trade_off,
+                alpha=uniform_weights(n), beta=uniform_weights(n),
+            ))
+            C += distances.reshape(na, nb)
             continue
         # diff[i, j, u] = neuron i's value at vertex u minus neuron j's
         diff = va.T[:, None, :] - vb.T[None, :, :]

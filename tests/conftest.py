@@ -5,7 +5,6 @@ import pytest
 
 from gcnfuse import (
     ArchSpec,
-    Dataset,
     Dense,
     DenseParams,
     Embedding,

@@ -349,3 +349,11 @@ class TestFgw:
         with pytest.raises(InvalidSpecError, match="trade_off"):
             FgwProblem(structure_a=S, structure_b=S, feature_cost=np.zeros((3, 3)),
                        trade_off=1.5, alpha=uniform_weights(3), beta=uniform_weights(3))
+        # the kernel's assignment steps skip emd, so the masses are checked here
+        with pytest.raises(InvalidSpecError, match="masses"):
+            FgwProblem(structure_a=S, structure_b=S, feature_cost=np.zeros((3, 3)),
+                       trade_off=0.5, alpha=uniform_weights(3), beta=2 * uniform_weights(3))
+        for stack in (np.zeros((0, 3, 3)), np.zeros((2, 2, 3, 3))):
+            with pytest.raises(DimensionMismatchError):
+                FgwProblem(structure_a=S, structure_b=S, feature_cost=stack,
+                           trade_off=0.5, alpha=uniform_weights(3), beta=uniform_weights(3))

@@ -10,19 +10,30 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from gcnfuse import (
+    ActivationSample,
     ArchSpec,
+    CostSpec,
+    FgwCostSpec,
+    FgwProblem,
+    FusionBatch,
     FusionConfig,
     GeneratorSpec,
+    Graph,
+    ScalarGraph,
     SinkhornParams,
+    build_cost_matrix,
     emd,
+    fgw_distance,
     forward,
     fuse,
     label_with_model,
     load_dataset,
     load_model,
+    pairwise_fgw,
     permute_model,
     random_model,
     save_model,
+    shortest_path_structure,
     sinkhorn_unbalanced,
     synthesize_dataset,
     uniform_weights,
@@ -193,3 +204,130 @@ def test_dataset_file_round_trip_is_exact(count, min_vertices, extra_vertices, e
         assert got.edges == want.edges
         assert _bits(got.features) == _bits(want.features)
         assert got.target == want.target
+
+
+def _fgw_graph(kind, n):
+    """A graph of n vertices; n = 1 gives the single vertex whatever the kind."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = {
+        "cycle": [(u, (u + 1) % n) for u in range(n)] if n >= 3 else pairs,
+        "complete": pairs,
+        # two paths with no edge between them
+        "disconnected": [(u, u + 1) for u in range(n - 1) if u != n // 2 - 1],
+    }[kind]
+    return Graph(num_vertices=n, edges=tuple(edges), features=np.zeros((n, 1)))
+
+
+def _fgw_values(rng, style, shape):
+    """Activations built to tie: small integers, or a few columns repeated."""
+    if style == "integer":
+        return rng.integers(0, 3, shape).astype(float)
+    if style == "duplicated":
+        pool = rng.standard_normal(shape[:-1] + (2,))
+        return pool[..., rng.integers(0, 2, shape[-1])]
+    return rng.standard_normal(shape)
+
+
+def _reference_fgw(problem):
+    """fgw_distance one instance and one start at a time, each step solved by emd."""
+    t = problem.trade_off
+
+    def linearized(C1, C2, T):
+        return ((C1 ** 2) @ T.sum(axis=1)[:, None] + ((C2 ** 2) @ T.sum(axis=0))[None, :]
+                - 2.0 * (C1 @ T) @ C2.T)
+
+    def objective(T):
+        structure = linearized(problem.structure_a, problem.structure_b, T) * T
+        return t * float(np.sum(problem.feature_cost * T)) + (1.0 - t) * float(np.sum(structure))
+
+    best = None
+    for C1, C2, F, a, b, mirror in (
+        (problem.structure_a, problem.structure_b, problem.feature_cost, problem.alpha,
+         problem.beta, False),
+        (problem.structure_b, problem.structure_a, problem.feature_cost.T, problem.beta,
+         problem.alpha, True),
+    ):
+        square = a.size == b.size and np.array_equal(a, b)
+        for T in [np.outer(a, b)] + ([np.diag(a)] if square else []):
+            for _ in range(100):
+                lin = t * F + (1.0 - t) * linearized(C1, C2, T) if t < 1.0 else t * F
+                T_new = emd(a, b, np.maximum(lin, 0.0)).coupling
+                moved = np.max(np.abs(T_new - T))
+                T = T_new
+                if moved < 1e-7:
+                    break
+            T = T.T if mirror else T
+            if best is None or objective(T) < best[0]:
+                best = (objective(T), T)
+    return max(best[0], 0.0), best[1]
+
+
+FGW_GRAPH_KINDS = st.sampled_from(["cycle", "complete", "disconnected"])
+FGW_VALUE_STYLES = st.sampled_from(["integer", "duplicated", "real"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    graphs=st.lists(st.tuples(FGW_GRAPH_KINDS, st.integers(1, 6)), min_size=1, max_size=3),
+    na=st.integers(1, 4),
+    nb=st.integers(1, 4),
+    style=FGW_VALUE_STYLES,
+    trade_off=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_fgw_cost_matrix_is_the_sum_of_pairwise_fgw(graphs, na, nb, style, trade_off, seed):
+    rng = np.random.default_rng(seed)
+    batch = FusionBatch(graphs=tuple(_fgw_graph(kind, n) for kind, n in graphs))
+    # one pool per graph, so duplicated columns tie across the two sides too
+    values = [_fgw_values(rng, style, (g.num_vertices, na + nb)) for g in batch.graphs]
+    acts_a = ActivationSample(batch=batch, graph_values=tuple(v[:, :na] for v in values))
+    acts_b = ActivationSample(batch=batch, graph_values=tuple(v[:, na:] for v in values))
+    spec = CostSpec(kind="fgw", fgw=FgwCostSpec(trade_off=trade_off))
+
+    C = build_cost_matrix(acts_a, acts_b, spec)
+
+    expected = np.zeros((na, nb))
+    for g, va, vb in zip(batch.graphs, acts_a.graph_values, acts_b.graph_values):
+        for i in range(na):
+            for j in range(nb):
+                expected[i, j] += pairwise_fgw(ScalarGraph(graph=g, values=va[:, i]),
+                                               ScalarGraph(graph=g, values=vb[:, j]), spec)
+    assert _bits(C) == _bits(expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    graph_a=st.tuples(FGW_GRAPH_KINDS, st.integers(1, 6)),
+    graph_b=st.tuples(FGW_GRAPH_KINDS, st.integers(1, 6)),
+    instances=st.integers(1, 5),
+    style=FGW_VALUE_STYLES,
+    trade_off=st.sampled_from([0.0, 0.5, 1.0]),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_fgw_distance_equals_its_slices(graph_a, graph_b, instances, style, trade_off,
+                                                uniform, seed):
+    rng = np.random.default_rng(seed)
+    Ca = shortest_path_structure(_fgw_graph(*graph_a))
+    Cb = shortest_path_structure(_fgw_graph(*graph_b))
+    n, m = Ca.shape[0], Cb.shape[0]
+    F = _fgw_values(rng, style, (n, m, instances)).transpose(2, 0, 1) ** 2
+    if uniform:
+        a, b = uniform_weights(n), uniform_weights(m)
+    else:
+        a, b = _histogram(rng, n), _histogram(rng, m)
+
+    def problem(feature_cost):
+        return FgwProblem(structure_a=Ca, structure_b=Cb, feature_cost=feature_cost,
+                          trade_off=trade_off, alpha=a, beta=b)
+
+    distances, couplings = fgw_distance(problem(F))
+
+    assert distances.shape == (instances,) and couplings.shape == (instances, n, m)
+    for p in range(instances):
+        d, plan = fgw_distance(problem(F[p]))
+        assert _bits(np.float64(d)) == _bits(distances[p])
+        assert _bits(plan.coupling) == _bits(couplings[p])
+        d_ref, coupling_ref = _reference_fgw(problem(F[p]))
+        assert _bits(np.float64(d)) == _bits(np.float64(d_ref))
+        assert _bits(plan.coupling) == _bits(coupling_ref)

@@ -30,13 +30,16 @@ run() {
 mkdir -p console
 run gen-fixtures gen-fixtures --out-dir fx --seed 0
 pair="--a fx/model_a.json --b fx/model_b.json --data fx/dataset.jsonl"
-for cell in emd:efd sinkhorn:qe emd:weight sinkhorn:weight emd:fgw; do
-    solver=${cell%:*}
-    cost=${cell#*:}
+# each cell is SOLVER:COST, or SOLVER:COST:SAMPLES to set --samples
+for cell in emd:efd sinkhorn:qe emd:weight sinkhorn:weight emd:fgw:2 emd:fgw:8; do
+    solver=${cell%%:*}
+    rest=${cell#*:}
+    cost=${rest%%:*}
     name="fuse-$solver-$cost"
     extra=""
-    if [ "$cost" = fgw ]; then
-        extra="--samples 2"
+    if [ "$rest" != "$cost" ]; then
+        name="$name-${rest#*:}"
+        extra="--samples ${rest#*:}"
     fi
     run "$name" fuse $pair --solver "$solver" --cost "$cost" $extra \
         --out "$name.model.json" --trace "$name.trace.txt" --dump-costs "$name.costs"
