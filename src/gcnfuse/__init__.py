@@ -14,9 +14,6 @@ from .costs import (
     FgwCostSpec,
     adjacency_structure,
     build_cost_matrix,
-    pairwise_efd,
-    pairwise_fgw,
-    pairwise_qe,
     shortest_path_structure,
     weight_cost_matrix,
 )
@@ -48,7 +45,6 @@ from .graphs import (
     FusionBatch,
     GeneratorSpec,
     Graph,
-    ScalarGraph,
     load_dataset,
     sample_batch,
     synthesize_dataset,
@@ -81,7 +77,6 @@ from .ot import (
     FgwProblem,
     SinkhornParams,
     TransportPlan,
-    brute_force_ot,
     emd,
     fgw_distance,
     fused_objective,
@@ -100,16 +95,14 @@ __all__ = [
     "FgwProblem", "FusionBatch", "FusionConfig", "GcnFuseError", "GcnModel",
     "GeneratorSpec", "Graph", "GraphConv", "InvalidSpecError", "LayerTrace",
     "MeanReadout", "ModelFormatError", "NumericalError", "POST_BN", "PRE_BN",
-    "QE", "SOLVER_EMD", "SOLVER_SINKHORN", "ScalarGraph", "SinkhornParams",
-    "SolverError", "TransportPlan", "WEIGHT", "adjacency_structure",
-    "align_batchnorm", "align_layer_incoming", "align_layer_outgoing",
-    "brute_force_ot", "build_cost_matrix",
+    "QE", "SOLVER_EMD", "SOLVER_SINKHORN", "SinkhornParams", "SolverError",
+    "TransportPlan", "WEIGHT", "adjacency_structure", "align_batchnorm",
+    "align_layer_incoming", "align_layer_outgoing", "build_cost_matrix",
     "default_epsilon", "emd", "ensemble_predict", "evaluate_mae",
     "fgw_distance", "forward", "forward_with_capture", "fuse",
     "fused_objective", "identity_plan", "label_with_model", "load_dataset",
-    "load_model", "normalized_adjacency", "pairwise_efd", "pairwise_fgw",
-    "pairwise_qe", "permute_model", "perturb_model", "random_model",
-    "sample_batch", "save_model", "shortest_path_structure",
+    "load_model", "normalized_adjacency", "permute_model", "perturb_model",
+    "random_model", "sample_batch", "save_model", "shortest_path_structure",
     "sinkhorn_unbalanced", "synthesize_dataset", "unbalanced_objective",
     "uniform_weights", "vanilla_fuse", "weight_cost_matrix", "write_dataset",
 ]

@@ -25,6 +25,7 @@ from .fusion import (
     SOLVER_SINKHORN,
     SOLVERS,
     FusionConfig,
+    default_epsilon,
     ensemble_predict,
     fuse,
     vanilla_fuse,
@@ -182,7 +183,7 @@ samples_option = click.option("--samples", type=int, default=340, show_default=T
 capture_option = click.option("--capture", type=click.Choice(list(CAPTURE_POINTS)), default=POST_BN,
                               show_default=True, help="Capture pre-activations before or after batch norm.")
 seed_option = click.option("--seed", type=int, default=0, show_default=True)
-repeats_option = click.option("--repeats", type=int, default=5, show_default=True,
+repeats_option = click.option("--repeats", type=click.IntRange(min=1), default=5, show_default=True,
                               help="Fusion repeats per configuration (seed + r each).")
 format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                              show_default=True)
@@ -192,17 +193,17 @@ config_option = click.option("--config", "config_path", type=click.Path(exists=T
 
 def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
                    interpolation=0.5) -> FusionConfig:
-    """The CLI's config; an unset epsilon keeps FusionConfig's per-cost default."""
-    config = FusionConfig(
+    """The CLI's config; an unset epsilon takes the cost kind's default."""
+    return FusionConfig(
         solver=solver,
         cost=CostSpec(kind=cost_kind, lam=lam),
+        sinkhorn=SinkhornParams(epsilon=default_epsilon(cost_kind) if epsilon is None else epsilon,
+                                rho_alpha=rho, rho_beta=rho),
         sample_size=samples,
         capture_point=capture,
         interpolation=interpolation,
         seed=seed,
     )
-    eps = config.sinkhorn.epsilon if epsilon is None else epsilon
-    return replace(config, sinkhorn=SinkhornParams(epsilon=eps, rho_alpha=rho, rho_beta=rho))
 
 
 @main.command("fuse")
@@ -444,7 +445,7 @@ def cmd_bn_compare(ctx, a_path, b_path, data_path, solver, cost_kind, lam, epsil
 @click.option("--min-vertices", type=int, default=3, show_default=True)
 @click.option("--max-vertices", type=int, default=9, show_default=True)
 @click.option("--density", type=float, default=0.35, show_default=True)
-@click.option("--noise", type=float, default=0.0, show_default=True,
+@click.option("--noise", type=click.FloatRange(min=0.0), default=0.0, show_default=True,
               help="Relative weight noise on the twin (0 keeps it an exact permutation).")
 @click.option("--teacher-labels/--synthetic-labels", default=True, show_default=True,
               help="Label the dataset with model A's own predictions or keep synthetic targets.")

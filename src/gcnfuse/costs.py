@@ -1,23 +1,21 @@
 """Ground costs between neurons, assembled from activations or weights.
 
-A neuron's activation evidence is a scalar graph per batch sample (the
-neuron's value at every vertex of that input graph), or a plain scalar per
-sample after the readout. Three pairwise costs compare two neurons on one
-shared-structure sample:
+A neuron's activation evidence is one value per vertex of each batch graph,
+or a plain scalar per sample after the readout. Three costs compare two
+neurons on one batch graph:
 
 - EFD: sqrt(lam * sum over vertices of the squared value difference).
 - QE: lam * (edge term) + (1 - lam) * (vertex term), the edge term summing
   (a_i(u) - a_j(w))^2 over every undirected edge in both orientations so
   the cost stays symmetric in (i, j).
-- FGW: the fused Gromov-Wasserstein distance between the two scalar
-  graphs, features being the per-vertex values and structures the hop
-  distances of the shared input graph.
+- FGW: the fused Gromov-Wasserstein distance between the two neurons'
+  values, features being the per-vertex values and structures the hop
+  distances of the graph.
 
-build_cost_matrix sums the chosen pairwise cost over matched batch indices
-(neuron i's graph k against neuron j's graph k), vectorized over all neuron
-pairs, FGW by one stacked fgw_distance per batch graph; the pairwise_*
-functions state each cost for one pair and serve as its reference.
-weight_cost_matrix skips activations entirely and compares weight rows.
+build_cost_matrix sums the chosen cost over matched batch indices (neuron
+i's graph k against neuron j's graph k), vectorized over all neuron pairs,
+FGW by one stacked fgw_distance per batch graph. weight_cost_matrix skips
+activations entirely and compares weight rows.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .errors import DimensionMismatchError, InvalidSpecError
-from .graphs import Graph, ScalarGraph
+from .graphs import Graph
 from .models import ActivationSample, DenseParams
 from .ot import FgwProblem, fgw_distance, uniform_weights
 
@@ -83,30 +81,6 @@ class CostSpec:
             raise InvalidSpecError("fgw settings are only for kind fgw")
 
 
-def _check_shared_structure(gi: ScalarGraph, gj: ScalarGraph) -> None:
-    if not gi.graph.same_structure(gj.graph):
-        raise DimensionMismatchError("scalar graphs do not share vertex/edge structure")
-
-
-def pairwise_efd(gi: ScalarGraph, gj: ScalarGraph, lam: float) -> float:
-    """Euclidean distance between the two value vectors, scaled by sqrt(lam)."""
-    _check_shared_structure(gi, gj)
-    diff = gi.values - gj.values
-    return float(np.sqrt(lam * np.sum(diff * diff)))
-
-
-def pairwise_qe(gi: ScalarGraph, gj: ScalarGraph, lam: float) -> float:
-    """Edge-smoothness term plus vertex term: lam * edges + (1 - lam) * vertices."""
-    _check_shared_structure(gi, gj)
-    edge_term = 0.0
-    for u, w in gi.graph.edges:
-        edge_term += (gi.values[u] - gj.values[w]) ** 2
-        edge_term += (gi.values[w] - gj.values[u]) ** 2
-    diff = gi.values - gj.values
-    vertex_term = float(np.sum(diff * diff))
-    return float(lam * edge_term + (1.0 - lam) * vertex_term)
-
-
 def adjacency_structure(graph: Graph) -> np.ndarray:
     """0/1 adjacency matrix; zero diagonal."""
     n = graph.num_vertices
@@ -128,22 +102,6 @@ def shortest_path_structure(graph: Graph) -> np.ndarray:
     finite = D[np.isfinite(D)]
     D[~np.isfinite(D)] = finite.max() + 1.0
     return D
-
-
-def pairwise_fgw(gi: ScalarGraph, gj: ScalarGraph, spec: CostSpec) -> float:
-    """FGW distance between two scalar graphs (solved as a general instance)."""
-    if spec.kind != FGW or spec.fgw is None:
-        raise InvalidSpecError("pairwise_fgw needs a CostSpec with kind fgw")
-    _check_shared_structure(gi, gj)
-    problem = FgwProblem(
-        structure_a=shortest_path_structure(gi.graph),
-        structure_b=shortest_path_structure(gj.graph),
-        feature_cost=(gi.values[:, None] - gj.values[None, :]) ** 2,
-        trade_off=spec.fgw.trade_off,
-        alpha=uniform_weights(gi.values.size), beta=uniform_weights(gj.values.size),
-    )
-    distance, _ = fgw_distance(problem)
-    return distance
 
 
 def _same_batch(acts_a: ActivationSample, acts_b: ActivationSample) -> bool:

@@ -95,26 +95,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class ScalarGraph:
-    """One real value per vertex of a shared graph structure.
-
-    A single neuron's response to one input graph: the structure is borrowed
-    from the input, the values are that neuron's per-vertex activations.
-    """
-
-    graph: Graph
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _frozen_array(self.values, ndim=1)
-        if vals.shape[0] != self.graph.num_vertices:
-            raise DatasetFormatError(
-                f"{vals.shape[0]} values for {self.graph.num_vertices} vertices"
-            )
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Ordered, immutable collection of graphs with a common feature_dim."""
 

@@ -1,6 +1,6 @@
 """Discrete optimal-transport solvers.
 
-Three solvers plus a test oracle:
+Three solvers:
 
 - emd: the exact Kantorovich LP. Uniform equal-size marginals go through a
   linear-assignment solver and come back as a (1/n)-scaled permutation
@@ -15,15 +15,12 @@ Three solvers plus a test oracle:
   linearized cost, multi-started and solved in both directions so identity
   and symmetry hold tightly; one array kernel over a stack of instances,
   with uniform square steps solved by linear assignment directly.
-- brute_force_ot: exhaustive minimum over permutation couplings, the oracle
-  exact EMD is checked against.
 
 All solvers are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +31,6 @@ from scipy.optimize import linear_sum_assignment, linprog
 from .errors import DimensionMismatchError, InvalidSpecError, NumericalError, SolverError
 
 MARGINAL_TOL = 1e-9
-_BRUTE_FORCE_MAX = 8
 
 
 def _histogram(weights, name: str) -> np.ndarray:
@@ -189,34 +185,6 @@ def _emd_linprog(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> np.ndarray:
     if res.status != 0:
         raise SolverError(f"LP solver failed: {res.message}")
     return np.maximum(res.x.reshape(n, m), 0.0)
-
-
-def brute_force_ot(alpha, beta, cost) -> TransportPlan:
-    """Exhaustive minimum over permutation couplings; n = m <= 8, uniform only.
-
-    The winning permutation's objective is recomputed with the same
-    arithmetic emd uses (np.sum over the dense coupling), so the two agree
-    bit-for-bit whenever they pick the same permutation.
-    """
-    a = _histogram(alpha, "alpha")
-    b = _histogram(beta, "beta")
-    n = a.size
-    if b.size != n:
-        raise InvalidSpecError("brute force requires square instances")
-    if n > _BRUTE_FORCE_MAX:
-        raise InvalidSpecError(f"brute force capped at n = {_BRUTE_FORCE_MAX}, got {n}")
-    if not (np.all(a == a[0]) and np.all(b == b[0])):
-        raise InvalidSpecError("brute force requires uniform marginals")
-    C = _cost(cost, n, n)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    scores = C[np.arange(n), perms].sum(axis=1)
-    best = perms[int(np.argmin(scores))]
-    T = np.zeros((n, n))
-    T[np.arange(n), best] = a
-    return TransportPlan(
-        coupling=T, objective=float(np.sum(T * C)),
-        converged=True, iterations=len(perms),
-    )
 
 
 @dataclass(frozen=True)
@@ -544,16 +512,14 @@ def fused_objective(problem: FgwProblem, T: np.ndarray) -> float | np.ndarray:
     return float(obj) if obj.ndim == 0 else obj
 
 
-def _fgw_fixed_points(problem: FgwProblem, mirror: bool):
-    """The fixed point from every start on every instance, of the problem or its transpose.
+def _fgw_fixed_points(problem: FgwProblem):
+    """The fixed point from every start on every instance of the problem.
 
     Run s * P + p is instance p from start s; it leaves the array once its plan
     moves less than _FGW_TOL. Returns plans (S, P, n, m), converged and steps (S, P).
     """
     Ca, Cb, a, b = problem.structure_a, problem.structure_b, problem.alpha, problem.beta
     F = problem.feature_cost.reshape((-1,) + problem.feature_cost.shape[-2:])
-    if mirror:
-        Ca, Cb, a, b, F = Cb, Ca, b, a, F.swapaxes(1, 2)
     starts = [np.outer(a, b)] + ([np.diag(a)] if a.size == b.size and np.array_equal(a, b) else [])
     P = F.shape[0]
     T = np.repeat(np.array(starts), P, axis=0)
@@ -591,8 +557,8 @@ def fgw_distance(problem: FgwProblem) -> tuple[float, TransportPlan] | tuple[np.
     problem, (distances (P,), couplings (P, n, m)) for a stack.
     """
     runs = []
-    for mirror in (False, True):
-        for T, converged, iterations in zip(*_fgw_fixed_points(problem, mirror)):
+    for mirror, posed in enumerate((problem, problem.transposed())):
+        for T, converged, iterations in zip(*_fgw_fixed_points(posed)):
             T = T.swapaxes(1, 2) if mirror else T
             runs.append((fused_objective(problem, T), T, converged, iterations))
     best = np.argmin([run[0] for run in runs], axis=0), np.arange(len(runs[0][0]))

@@ -12,7 +12,6 @@ from gcnfuse import (
     Graph,
     GraphConv,
     MeanReadout,
-    ScalarGraph,
     label_with_model,
     random_model,
 )
@@ -30,10 +29,10 @@ def path_graph(n, feature_dim=1):
     return make_graph(n, edges=[(i, i + 1) for i in range(n - 1)], feature_dim=feature_dim)
 
 
-def scalar_graph(values, edges=()):
+def graph_values(values, edges=()):
+    """(graph, values): one neuron's value at each vertex of a graph with these edges."""
     values = np.asarray(values, dtype=float)
-    g = make_graph(values.size, edges=edges)
-    return ScalarGraph(graph=g, values=values)
+    return make_graph(values.size, edges=edges), values
 
 
 def single_vertex_graphs(xs, targets=None):

@@ -1,0 +1,80 @@
+"""Reference implementations the library is checked against.
+
+Each states one quantity the plain way, for one instance: an exhaustive
+minimum over permutation couplings for exact EMD, and the EFD, QE and FGW
+neuron costs for one pair of neurons on one input graph. A neuron's
+evidence on a graph is one value per vertex; both neurons of a pair are
+read on the same graph, so the two value vectors share its structure.
+"""
+
+import itertools
+
+import numpy as np
+
+from gcnfuse import (
+    FgwProblem,
+    Graph,
+    TransportPlan,
+    fgw_distance,
+    shortest_path_structure,
+    uniform_weights,
+)
+
+
+def brute_force_ot(alpha, beta, cost) -> TransportPlan:
+    """Exhaustive minimum over permutation couplings; n = m <= 8, uniform only.
+
+    The winning permutation's objective is recomputed with the same
+    arithmetic emd uses (np.sum over the dense coupling), so the two agree
+    bit-for-bit whenever they pick the same permutation.
+    """
+    a = np.asarray(alpha, dtype=np.float64)
+    b = np.asarray(beta, dtype=np.float64)
+    C = np.asarray(cost, dtype=np.float64)
+    n = a.size
+    assert b.size == n <= 8 and C.shape == (n, n) and np.all(a == a[0]) and np.all(b == b[0]), \
+        "brute force needs a square instance with uniform marginals and n <= 8"
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    scores = C[np.arange(n), perms].sum(axis=1)
+    best = perms[int(np.argmin(scores))]
+    T = np.zeros((n, n))
+    T[np.arange(n), best] = a
+    return TransportPlan(
+        coupling=T, objective=float(np.sum(T * C)),
+        converged=True, iterations=len(perms),
+    )
+
+
+def pairwise_efd(values_a, values_b, lam: float) -> float:
+    """Euclidean distance between the two value vectors, scaled by sqrt(lam)."""
+    diff = np.asarray(values_a, dtype=float) - np.asarray(values_b, dtype=float)
+    return float(np.sqrt(lam * np.sum(diff * diff)))
+
+
+def pairwise_qe(graph: Graph, values_a, values_b, lam: float) -> float:
+    """Edge-smoothness term plus vertex term: lam * edges + (1 - lam) * vertices.
+
+    The edge term sums (a(u) - b(w))^2 over every edge in both orientations.
+    """
+    a = np.asarray(values_a, dtype=float)
+    b = np.asarray(values_b, dtype=float)
+    edge_term = 0.0
+    for u, w in graph.edges:
+        edge_term += (a[u] - b[w]) ** 2
+        edge_term += (a[w] - b[u]) ** 2
+    diff = a - b
+    vertex_term = float(np.sum(diff * diff))
+    return float(lam * edge_term + (1.0 - lam) * vertex_term)
+
+
+def pairwise_fgw(graph: Graph, values_a, values_b, trade_off: float) -> float:
+    """FGW distance between the two value vectors on the graph's hop distances."""
+    a = np.asarray(values_a, dtype=float)
+    b = np.asarray(values_b, dtype=float)
+    structure = shortest_path_structure(graph)
+    distance, _ = fgw_distance(FgwProblem(
+        structure_a=structure, structure_b=structure,
+        feature_cost=(a[:, None] - b[None, :]) ** 2, trade_off=trade_off,
+        alpha=uniform_weights(a.size), beta=uniform_weights(b.size),
+    ))
+    return distance

@@ -24,7 +24,6 @@ from gcnfuse import (
     align_batchnorm,
     align_layer_incoming,
     align_layer_outgoing,
-    brute_force_ot,
     emd,
     evaluate_mae,
     forward,
@@ -42,6 +41,7 @@ from gcnfuse.cli import main
 from gcnfuse.costs import shortest_path_structure
 from gcnfuse.ot import fgw_distance
 from conftest import assert_models_equal, make_graph
+from oracles import brute_force_ot
 
 
 @pytest.fixture

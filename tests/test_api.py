@@ -1,11 +1,13 @@
-"""The public names other code relies on still resolve.
+"""The public names other code relies on still resolve, and each is used.
 
 perfbench/tracer.py times the library by swapping the functions it lists in
 WRAPPED, and it skips a name it cannot find without a word, so a renamed or
 deleted function would silently zero that layer's metrics. This test turns
-that into a failure.
+that into a failure. The package also ships no public name that only tests
+call: reference implementations live in tests/oracles.py.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import pytest
 
 import gcnfuse
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _wrapped():
@@ -32,3 +35,17 @@ def test_traced_function_exists(home, attr):
 def test_all_names_resolve():
     missing = [name for name in gcnfuse.__all__ if not hasattr(gcnfuse, name)]
     assert missing == []
+
+
+def test_every_public_name_is_used_outside_tests():
+    package = ROOT / "src" / "gcnfuse"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(gcnfuse.__all__) - used) == []

@@ -213,6 +213,32 @@ class TestFuseCommand:
         assert "JSON object" in result.output
 
 
+@pytest.mark.parametrize("command, flags, config, option", [
+    ("grid", ["--repeats", 0], None, "--repeats"),
+    ("sweep-samples", ["--repeats", 0], None, "--repeats"),
+    ("bn-compare", ["--repeats", -1], None, "--repeats"),
+    ("grid", [], {"repeats": 0}, "--repeats"),
+    ("sweep-samples", [], {"repeats": "-2"}, "--repeats"),
+    ("gen-fixtures", ["--noise", -0.5], None, "--noise"),
+], ids=["grid", "sweep-samples", "bn-compare", "grid-config", "sweep-samples-config",
+        "gen-fixtures"])
+def test_out_of_range_repeats_and_noise_rejected(fx, tmp_path, command, flags, config, option):
+    out = tmp_path / "out"
+    if command == "gen-fixtures":
+        args = ["--out-dir", out, *GEN_ARGS]
+    else:
+        args = ["--a", fx["a"], "--b", fx["b"], "--data", fx["data"], "--out", out]
+    if config is not None:
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        args += ["--config", config_path]
+    result = run(command, *args, *flags)
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert f"'{option}'" in result.output
+    assert not out.exists()
+
+
 class TestVanillaCommand:
     def test_identical_models_keep_their_mae(self, workdir, fx):
         out = workdir / "vanilla.json"

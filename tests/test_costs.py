@@ -10,30 +10,26 @@ from gcnfuse import (
     FgwCostSpec,
     FusionBatch,
     InvalidSpecError,
-    ScalarGraph,
     adjacency_structure,
     build_cost_matrix,
     emd,
     forward_with_capture,
-    pairwise_efd,
-    pairwise_fgw,
-    pairwise_qe,
     random_model,
     shortest_path_structure,
     uniform_weights,
     weight_cost_matrix,
 )
-from conftest import make_graph, path_graph, scalar_graph
+from conftest import graph_values, make_graph, path_graph
+from oracles import pairwise_efd, pairwise_fgw, pairwise_qe
 
 
 def fgw_spec(**kw):
     return CostSpec(kind="fgw", fgw=FgwCostSpec(**kw))
 
 
-def neuron_scalar_graphs(acts, neuron):
-    """One neuron's scalar activation graph per batch graph, for the pairwise_* oracles."""
-    return [ScalarGraph(graph=g, values=vals[:, neuron])
-            for g, vals in zip(acts.batch.graphs, acts.graph_values)]
+def neuron_values(acts, neuron):
+    """(graph, one neuron's value per vertex) per batch graph, for the pairwise_* oracles."""
+    return [(g, vals[:, neuron]) for g, vals in zip(acts.batch.graphs, acts.graph_values)]
 
 
 def captured_acts(model, graphs, capture="post_bn"):
@@ -54,38 +50,31 @@ def random_graphs(count, feature_dim, seed):
 
 class TestPairwiseEfd:
     def test_identical_graphs_zero(self):
-        g = scalar_graph([1.0, 2.0], edges=[(0, 1)])
+        g = np.array([1.0, 2.0])
         assert pairwise_efd(g, g, lam=0.7) == 0.0
 
     def test_equal_values_zero(self):
-        a = scalar_graph([1.0, 2.0], edges=[(0, 1)])
-        b = scalar_graph([1.0, 2.0], edges=[(0, 1)])
+        a = np.array([1.0, 2.0])
+        b = np.array([1.0, 2.0])
         assert pairwise_efd(a, b, lam=1.0) == 0.0
 
     def test_hand_value(self):
-        a = scalar_graph([0.0, 0.0, 3.0], edges=[(0, 1), (1, 2)])
-        b = scalar_graph([0.0, 4.0, 3.0], edges=[(0, 1), (1, 2)])
+        a = np.array([0.0, 0.0, 3.0])
+        b = np.array([0.0, 4.0, 3.0])
         assert pairwise_efd(a, b, lam=1.0) == 4.0
 
     def test_lambda_scaling(self):
         rng = np.random.default_rng(0)
-        a = scalar_graph(rng.standard_normal(4), edges=[(0, 1), (2, 3)])
-        b = scalar_graph(rng.standard_normal(4), edges=[(0, 1), (2, 3)])
+        a = rng.standard_normal(4)
+        b = rng.standard_normal(4)
         c1 = pairwise_efd(a, b, lam=0.2)
         c2 = pairwise_efd(a, b, lam=0.8)
         assert c1 / c2 == pytest.approx(np.sqrt(0.2 / 0.8), rel=1e-12)
 
-    def test_structure_mismatch_rejected(self):
-        a = scalar_graph([1.0, 2.0], edges=[(0, 1)])
-        b = scalar_graph([1.0, 2.0])
-        with pytest.raises(DimensionMismatchError):
-            pairwise_efd(a, b, lam=1.0)
-
     def test_symmetry(self):
         rng = np.random.default_rng(1)
-        edges = [(0, 1), (1, 2)]
-        a = scalar_graph(rng.standard_normal(3), edges=edges)
-        b = scalar_graph(rng.standard_normal(3), edges=edges)
+        a = rng.standard_normal(3)
+        b = rng.standard_normal(3)
         assert pairwise_efd(a, b, 0.4) == pairwise_efd(b, a, 0.4)
 
 
@@ -93,34 +82,35 @@ class TestPairwiseQe:
     def test_lambda_zero_equals_squared_efd(self):
         rng = np.random.default_rng(2)
         edges = [(0, 1), (1, 2), (0, 2)]
-        a = scalar_graph(rng.standard_normal(3), edges=edges)
-        b = scalar_graph(rng.standard_normal(3), edges=edges)
-        assert pairwise_qe(a, b, lam=0.0) == pytest.approx(
+        graph, a = graph_values(rng.standard_normal(3), edges=edges)
+        b = rng.standard_normal(3)
+        assert pairwise_qe(graph, a, b, lam=0.0) == pytest.approx(
             pairwise_efd(a, b, lam=1.0) ** 2, rel=1e-12)
 
     def test_identical_edgeless_zero(self):
-        g = scalar_graph([1.0, -2.0, 0.5])
-        assert pairwise_qe(g, g, lam=0.3) == 0.0
+        graph, g = graph_values([1.0, -2.0, 0.5])
+        assert pairwise_qe(graph, g, g, lam=0.3) == 0.0
 
     def test_single_edge_hand_value(self):
         # edge term over both orientations: (1-1)^2 + (0-0)^2 = 0
         # vertex term: (1-0)^2 + (0-1)^2 = 2 -> 0.5*0 + 0.5*2 = 1
-        a = scalar_graph([1.0, 0.0], edges=[(0, 1)])
-        b = scalar_graph([0.0, 1.0], edges=[(0, 1)])
-        assert pairwise_qe(a, b, lam=0.5) == 1.0
+        graph, a = graph_values([1.0, 0.0], edges=[(0, 1)])
+        b = np.array([0.0, 1.0])
+        assert pairwise_qe(graph, a, b, lam=0.5) == 1.0
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(3)
         edges = [(0, 1), (1, 3), (2, 3)]
-        a = scalar_graph(rng.standard_normal(4), edges=edges)
-        b = scalar_graph(rng.standard_normal(4), edges=edges)
-        assert pairwise_qe(a, b, 0.7) == pytest.approx(pairwise_qe(b, a, 0.7), rel=1e-12)
+        graph, a = graph_values(rng.standard_normal(4), edges=edges)
+        b = rng.standard_normal(4)
+        assert pairwise_qe(graph, a, b, 0.7) == pytest.approx(pairwise_qe(graph, b, a, 0.7),
+                                                              rel=1e-12)
 
     def test_self_cost_is_own_edge_energy(self):
         # the edge term does not vanish at i == j; it measures the neuron's
         # smoothness over the graph
-        a = scalar_graph([0.0, 2.0], edges=[(0, 1)])
-        assert pairwise_qe(a, a, lam=0.5) == 0.5 * ((0 - 2) ** 2 + (2 - 0) ** 2)
+        graph, a = graph_values([0.0, 2.0], edges=[(0, 1)])
+        assert pairwise_qe(graph, a, a, lam=0.5) == 0.5 * ((0 - 2) ** 2 + (2 - 0) ** 2)
 
 
 class TestStructures:
@@ -146,23 +136,18 @@ class TestStructures:
 
 class TestPairwiseFgw:
     def test_identical_zero(self):
-        g = scalar_graph([0.0, 1.0, 2.0], edges=[(0, 1), (1, 2)])
-        assert pairwise_fgw(g, g, fgw_spec()) <= 1e-8
+        graph, g = graph_values([0.0, 1.0, 2.0], edges=[(0, 1), (1, 2)])
+        assert pairwise_fgw(graph, g, g, FgwCostSpec().trade_off) <= 1e-8
 
     def test_trade_off_one_equals_emd(self):
         rng = np.random.default_rng(4)
         edges = [(0, 1), (1, 2)]
-        a = scalar_graph(rng.standard_normal(3), edges=edges)
-        b = scalar_graph(rng.standard_normal(3), edges=edges)
-        d = pairwise_fgw(a, b, fgw_spec(trade_off=1.0))
-        F = (a.values[:, None] - b.values[None, :]) ** 2
+        graph, a = graph_values(rng.standard_normal(3), edges=edges)
+        b = rng.standard_normal(3)
+        d = pairwise_fgw(graph, a, b, trade_off=1.0)
+        F = (a[:, None] - b[None, :]) ** 2
         exact = emd(uniform_weights(3), uniform_weights(3), F)
         assert d == pytest.approx(exact.objective, abs=1e-12)
-
-    def test_requires_fgw_spec(self):
-        g = scalar_graph([0.0, 1.0], edges=[(0, 1)])
-        with pytest.raises(InvalidSpecError):
-            pairwise_fgw(g, g, CostSpec(kind="efd"))
 
 
 class TestCostSpec:
@@ -201,21 +186,21 @@ class TestBuildCostMatrix:
         C = build_cost_matrix(acts_a[1], acts_b[1], spec)
         for i in range(4):
             for j in range(4):
-                gi = neuron_scalar_graphs(acts_a[1], i)[0]
-                gj = neuron_scalar_graphs(acts_b[1], j)[0]
-                assert C[i, j] == pytest.approx(pairwise_qe(gi, gj, 0.2), rel=1e-12)
+                graph, vi = neuron_values(acts_a[1], i)[0]
+                _, vj = neuron_values(acts_b[1], j)[0]
+                assert C[i, j] == pytest.approx(pairwise_qe(graph, vi, vj, 0.2), rel=1e-12)
 
     def test_entry_recomputed_over_batch(self):
         acts_a, acts_b = self._acts_pair(seed=7, count=3)
         for spec, pair_fn in [
-            (CostSpec(kind="efd", lam=0.2), lambda x, y: pairwise_efd(x, y, 0.2)),
-            (CostSpec(kind="qe", lam=0.2), lambda x, y: pairwise_qe(x, y, 0.2)),
+            (CostSpec(kind="efd", lam=0.2), lambda g, x, y: pairwise_efd(x, y, 0.2)),
+            (CostSpec(kind="qe", lam=0.2), lambda g, x, y: pairwise_qe(g, x, y, 0.2)),
         ]:
             C = build_cost_matrix(acts_a[1], acts_b[1], spec)
             expected = sum(
-                pair_fn(gi, gj)
-                for gi, gj in zip(neuron_scalar_graphs(acts_a[1], 0),
-                                  neuron_scalar_graphs(acts_b[1], 1))
+                pair_fn(g, vi, vj)
+                for (g, vi), (_, vj) in zip(neuron_values(acts_a[1], 0),
+                                            neuron_values(acts_b[1], 1))
             )
             assert C[0, 1] == pytest.approx(expected, rel=1e-12)
 
@@ -224,9 +209,9 @@ class TestBuildCostMatrix:
         spec = fgw_spec()
         C = build_cost_matrix(acts_a[1], acts_b[1], spec)
         expected = sum(
-            pairwise_fgw(gi, gj, spec)
-            for gi, gj in zip(neuron_scalar_graphs(acts_a[1], 2),
-                              neuron_scalar_graphs(acts_b[1], 0))
+            pairwise_fgw(g, vi, vj, spec.fgw.trade_off)
+            for (g, vi), (_, vj) in zip(neuron_values(acts_a[1], 2),
+                                        neuron_values(acts_b[1], 0))
         )
         assert C[2, 0] == pytest.approx(expected, rel=1e-9)
 

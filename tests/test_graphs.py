@@ -10,7 +10,6 @@ from gcnfuse import (
     GeneratorSpec,
     Graph,
     InvalidSpecError,
-    ScalarGraph,
     load_dataset,
     sample_batch,
     synthesize_dataset,
@@ -56,12 +55,6 @@ class TestGraph:
         g = make_graph(2, values=[[1.0], [2.0]])
         with pytest.raises(ValueError):
             g.features[0, 0] = 9.0
-
-
-class TestScalarGraph:
-    def test_length_checked(self):
-        with pytest.raises(DatasetFormatError):
-            ScalarGraph(graph=path_graph(3), values=np.zeros(2))
 
 
 class TestDataset:

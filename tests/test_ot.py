@@ -7,7 +7,6 @@ from gcnfuse import (
     InvalidSpecError,
     SinkhornParams,
     TransportPlan,
-    brute_force_ot,
     emd,
     fgw_distance,
     fused_objective,
@@ -16,6 +15,7 @@ from gcnfuse import (
     unbalanced_objective,
     uniform_weights,
 )
+from oracles import brute_force_ot
 
 
 def random_instance(rng, n, m=None):
@@ -143,15 +143,6 @@ class TestBruteForce:
         for _ in range(50):
             a, b, C = random_instance(rng, 6)
             assert emd(a, b, C).objective == brute_force_ot(a, b, C).objective
-
-    def test_size_guard(self):
-        a = uniform_weights(9)
-        with pytest.raises(InvalidSpecError, match="capped"):
-            brute_force_ot(a, a, np.zeros((9, 9)))
-
-    def test_uniform_only(self):
-        with pytest.raises(InvalidSpecError, match="uniform"):
-            brute_force_ot([0.7, 0.3], [0.7, 0.3], np.zeros((2, 2)))
 
 
 class TestSinkhorn:

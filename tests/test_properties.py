@@ -19,7 +19,6 @@ from gcnfuse import (
     FusionConfig,
     GeneratorSpec,
     Graph,
-    ScalarGraph,
     SinkhornParams,
     build_cost_matrix,
     emd,
@@ -29,7 +28,6 @@ from gcnfuse import (
     label_with_model,
     load_dataset,
     load_model,
-    pairwise_fgw,
     permute_model,
     random_model,
     save_model,
@@ -39,6 +37,7 @@ from gcnfuse import (
     uniform_weights,
     write_dataset,
 )
+from oracles import pairwise_fgw
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -290,8 +289,7 @@ def test_fgw_cost_matrix_is_the_sum_of_pairwise_fgw(graphs, na, nb, style, trade
     for g, va, vb in zip(batch.graphs, acts_a.graph_values, acts_b.graph_values):
         for i in range(na):
             for j in range(nb):
-                expected[i, j] += pairwise_fgw(ScalarGraph(graph=g, values=va[:, i]),
-                                               ScalarGraph(graph=g, values=vb[:, j]), spec)
+                expected[i, j] += pairwise_fgw(g, va[:, i], vb[:, j], trade_off)
     assert _bits(C) == _bits(expected)
 
 

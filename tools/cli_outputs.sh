@@ -1,7 +1,8 @@
 #!/bin/sh
 # Run the gcnfuse CLI of source tree TREE over a fixed set of commands and
-# keep everything it writes under OUT: fixtures, fused models, traces, dumped
-# cost matrices, result tables, and each command's console output.
+# keep everything it writes under OUT: fixtures (GCN and MLP), fused and
+# averaged models, traces, dumped cost matrices, result tables, evaluation
+# rows, and each command's console output.
 #
 #   tools/cli_outputs.sh TREE OUT
 #
@@ -28,6 +29,8 @@ run() {
 }
 
 mkdir -p console
+# eval and ensemble append to their --out; start those files afresh
+rm -f eval.csv ensemble.csv
 run gen-fixtures gen-fixtures --out-dir fx --seed 0
 pair="--a fx/model_a.json --b fx/model_b.json --data fx/dataset.jsonl"
 # each cell is SOLVER:COST, or SOLVER:COST:SAMPLES to set --samples
@@ -47,3 +50,11 @@ done
 run grid grid $pair --repeats 2 --out grid.csv
 run bn-compare bn-compare $pair --out bn_compare.csv
 run sweep-samples sweep-samples $pair --out sweep.csv
+run vanilla vanilla $pair --out vanilla.model.json
+run eval eval --model fuse-emd-efd.model.json --data fx/dataset.jsonl --out eval.csv
+run ensemble ensemble --model fx/model_a.json --model fx/model_b.json \
+    --data fx/dataset.jsonl --out ensemble.csv
+# the MLP path: single-vertex inputs, no graph layers
+run gen-fixtures-mlp gen-fixtures --out-dir fx-mlp --arch mlp --seed 0
+run fuse-mlp fuse --a fx-mlp/model_a.json --b fx-mlp/model_b.json --data fx-mlp/dataset.jsonl \
+    --out fuse-mlp.model.json --trace fuse-mlp.trace.txt --dump-costs fuse-mlp.costs
