@@ -70,6 +70,7 @@ from .models import (
     normalized_adjacency,
     permute_model,
     perturb_model,
+    predict,
     random_model,
     save_model,
 )
@@ -102,7 +103,8 @@ __all__ = [
     "fgw_distance", "forward", "forward_with_capture", "fuse",
     "fused_objective", "identity_plan", "label_with_model", "load_dataset",
     "load_model", "normalized_adjacency", "permute_model", "perturb_model",
-    "random_model", "sample_batch", "save_model", "shortest_path_structure",
+    "predict", "random_model", "sample_batch", "save_model",
+    "shortest_path_structure",
     "sinkhorn_unbalanced", "synthesize_dataset", "unbalanced_objective",
     "uniform_weights", "vanilla_fuse", "weight_cost_matrix", "write_dataset",
 ]

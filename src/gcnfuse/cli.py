@@ -178,7 +178,7 @@ epsilon_option = click.option("--epsilon", type=float, default=None,
                               help="Sinkhorn entropy scale; defaults per cost (5e-4 efd/weight, 5e-5 qe/fgw).")
 rho_option = click.option("--rho", type=float, default=1.0, show_default=True,
                           help="Sinkhorn marginal-relaxation scale.")
-samples_option = click.option("--samples", type=int, default=340, show_default=True,
+samples_option = click.option("--samples", type=click.IntRange(min=1), default=340, show_default=True,
                               help="Activation sample size per fusion run.")
 capture_option = click.option("--capture", type=click.Choice(list(CAPTURE_POINTS)), default=POST_BN,
                               show_default=True, help="Capture pre-activations before or after batch norm.")
@@ -303,7 +303,7 @@ def _run_repeats(model_a, model_b, dataset, config_template: FusionConfig,
 @click.option("--b", "b_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @samples_option
-@click.option("--fgw-samples", type=int, default=32, show_default=True,
+@click.option("--fgw-samples", type=click.IntRange(min=1), default=32, show_default=True,
               help="Sample size for the FGW column.")
 @lam_option
 @rho_option
@@ -521,8 +521,8 @@ def cmd_ensemble(model_paths, data_path, out_path):
     models = [load_model(p) for p in model_paths]
     dataset = load_dataset(data_path)
     _require_targets(dataset, "ensemble eval")
-    errors = [abs(ensemble_predict(models, g) - g.target) for g in dataset.graphs]
-    mae = float(np.mean(errors))
+    targets = np.array([g.target for g in dataset.graphs])
+    mae = float(np.mean(np.abs(ensemble_predict(models, dataset.graphs) - targets)))
     click.echo(f"ensemble MAE ({len(models)} models): {mae!r}")
     if out_path:
         _append_csv_row(Path(out_path), ["models", "dataset", "mae"],

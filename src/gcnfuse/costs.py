@@ -13,9 +13,20 @@ neurons on one batch graph:
   distances of the graph.
 
 build_cost_matrix sums the chosen cost over matched batch indices (neuron
-i's graph k against neuron j's graph k), vectorized over all neuron pairs,
-FGW by one stacked fgw_distance per batch graph. weight_cost_matrix skips
-activations entirely and compares weight rows.
+i's graph k against neuron j's graph k) for all neuron pairs at once. Every
+summed squared difference is expanded as |a|^2 + |b|^2 - 2 a.b, so it takes
+one matrix product instead of an (n_a, n_b, vertices) difference tensor:
+
+- QE: one product over the batch's concatenated vertices, one over the
+  rows its edges gather, each edge in both orientations;
+- EFD: one stacked product per group of graphs with the same vertex count,
+  since the square root is taken per graph;
+- after the readout, and in weight_cost_matrix (weight rows, bias appended,
+  no activations): one product.
+
+An entry the expansion cancels to near zero is recomputed from the direct
+differences, so identical neurons cost exactly 0. FGW runs one stacked
+fgw_distance per batch graph.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .errors import DimensionMismatchError, InvalidSpecError
-from .graphs import Graph
+from .graphs import Graph, edge_owners, vertex_count_buckets
 from .models import ActivationSample, DenseParams
 from .ot import FgwProblem, fgw_distance, uniform_weights
 
@@ -85,9 +96,9 @@ def adjacency_structure(graph: Graph) -> np.ndarray:
     """0/1 adjacency matrix; zero diagonal."""
     n = graph.num_vertices
     A = np.zeros((n, n))
-    for u, v in graph.edges:
-        A[u, v] = 1.0
-        A[v, u] = 1.0
+    u, v = graph.edge_index
+    A[u, v] = 1.0
+    A[v, u] = 1.0
     return A
 
 
@@ -132,40 +143,46 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         raise DimensionMismatchError("one side is per-vertex, the other post-readout")
 
     if not acts_a.is_graph_valued:
-        A = acts_a.readout_values
-        B = acts_b.readout_values
-        diff = A.T[:, None, :] - B.T[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
+        return _squared_distances(acts_a.readout_values[None], acts_b.readout_values[None])[0]
 
+    graphs = acts_a.batch.graphs
     na, nb = acts_a.width, acts_b.width
+    if spec.kind == EFD:
+        # the square root is per graph, so one stacked product per vertex count
+        C = np.zeros((na, nb))
+        for index in vertex_count_buckets(graphs):
+            D = _squared_distances(np.stack([acts_a.graph_values[k] for k in index]),
+                                   np.stack([acts_b.graph_values[k] for k in index]))
+            D *= spec.lam
+            C += np.sqrt(D, out=D).sum(axis=0)
+        return C
+    if spec.kind == QE:
+        # one product over the batch's vertices, one over its edges' endpoint rows
+        va = np.concatenate(acts_a.graph_values)
+        vb = np.concatenate(acts_b.graph_values)
+        owner, u, w = edge_owners(graphs)
+        offset = np.cumsum([0] + [g.num_vertices for g in graphs[:-1]])[owner]
+        u, w = u + offset, w + offset
+        edge = _squared_distances(va[np.concatenate([u, w])][None],
+                                  vb[np.concatenate([w, u])][None])[0]
+        vertex = _squared_distances(va[None], vb[None])[0]
+        return spec.lam * edge + (1.0 - spec.lam) * vertex
+
+    # FGW
     C = np.zeros((na, nb))
-    for k, graph in enumerate(acts_a.batch.graphs):
+    for k, graph in enumerate(graphs):
         va = acts_a.graph_values[k]
         vb = acts_b.graph_values[k]
-        if spec.kind == FGW:
-            # one stacked instance per neuron pair (i, j), all sharing the graph
-            struct = shortest_path_structure(graph)
-            n = graph.num_vertices
-            features = (va.T[:, None, :, None] - vb.T[None, :, None, :]) ** 2
-            distances, _ = fgw_distance(FgwProblem(
-                structure_a=struct, structure_b=struct,
-                feature_cost=features.reshape(na * nb, n, n), trade_off=spec.fgw.trade_off,
-                alpha=uniform_weights(n), beta=uniform_weights(n),
-            ))
-            C += distances.reshape(na, nb)
-            continue
-        # diff[i, j, u] = neuron i's value at vertex u minus neuron j's
-        diff = va.T[:, None, :] - vb.T[None, :, :]
-        vertex = np.einsum("iju,iju->ij", diff, diff)
-        if spec.kind == EFD:
-            C += np.sqrt(spec.lam * vertex)
-            continue
-        edge = np.zeros((na, nb))
-        for u, w in graph.edges:
-            duw = va.T[:, None, u] - vb.T[None, :, w]
-            dwu = va.T[:, None, w] - vb.T[None, :, u]
-            edge += duw * duw + dwu * dwu
-        C += spec.lam * edge + (1.0 - spec.lam) * vertex
+        # one stacked FGW instance per neuron pair (i, j), all sharing the graph
+        struct = shortest_path_structure(graph)
+        n = graph.num_vertices
+        features = (va.T[:, None, :, None] - vb.T[None, :, None, :]) ** 2
+        distances, _ = fgw_distance(FgwProblem(
+            structure_a=struct, structure_b=struct,
+            feature_cost=features.reshape(na * nb, n, n), trade_off=spec.fgw.trade_off,
+            alpha=uniform_weights(n), beta=uniform_weights(n),
+        ))
+        C += distances.reshape(na, nb)
     return C
 
 
@@ -182,5 +199,39 @@ def weight_cost_matrix(layer_a: DenseParams, layer_b: DenseParams) -> np.ndarray
     if layer_a.bias is not None:
         A = np.concatenate([A, layer_a.bias[:, None]], axis=1)
         B = np.concatenate([B, layer_b.bias[:, None]], axis=1)
-    diff = A[:, None, :] - B[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return np.sqrt(_squared_distances(A.T[None], B.T[None])[0])
+
+
+# An expansion within this share of |a|^2 + |b|^2 of zero has lost most of
+# its digits to cancellation and is recomputed from the differences.
+_CANCELLATION = 1e-3
+# Difference entries one recompute pass may hold in memory.
+_RECOMPUTE_BLOCK = 1 << 20
+
+
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Summed squared differences between columns: (G, V, na) and (G, V, nb) -> (G, na, nb).
+
+    Entry (g, i, j) is |a_i|^2 + |b_j|^2 - 2 a_i . b_j over A[g] and B[g],
+    one stacked matrix product (A gains the rows |a|^2 and 1, B the rows 1
+    and |b|^2) in place of a (na, nb, V) difference tensor. An entry that
+    cancels to within _CANCELLATION of |a_i|^2 + |b_j|^2 is recomputed as
+    the sum of its squared differences, so identical columns cost exactly
+    0 and no entry is negative.
+    """
+    sq_a = np.einsum("gvi,gvi->gi", A, A)
+    sq_b = np.einsum("gvj,gvj->gj", B, B)
+    left = np.concatenate([-2.0 * A, sq_a[:, None], np.ones_like(sq_a[:, None])], axis=1)
+    right = np.concatenate([B, np.ones_like(sq_b[:, None]), sq_b[:, None]], axis=1)
+    D = left.transpose(0, 2, 1) @ right
+    # a cheap bound per stack picks the candidates, then the exact test
+    bound = _CANCELLATION * (sq_a.max(axis=1) + sq_b.max(axis=1))
+    g, i, j = np.unravel_index(np.flatnonzero(D <= bound[:, None, None]), D.shape)
+    near = D[g, i, j] <= _CANCELLATION * (sq_a[g, i] + sq_b[g, j])
+    g, i, j = g[near], i[near], j[near]
+    step = max(1, _RECOMPUTE_BLOCK // max(1, A.shape[1]))
+    for s in range(0, g.size, step):
+        gs, is_, js = g[s:s + step], i[s:s + step], j[s:s + step]
+        diff = A[gs, :, is_] - B[gs, :, js]
+        D[gs, is_, js] = np.einsum("kv,kv->k", diff, diff)
+    return D

@@ -45,8 +45,8 @@ from .models import (
     GcnModel,
     MeanReadout,
     _rebuild,
-    forward,
     forward_with_capture,
+    predict,
 )
 from .ot import (
     SinkhornParams,
@@ -318,8 +318,15 @@ def vanilla_fuse(model_a: GcnModel, model_b: GcnModel, interpolation: float = 0.
     )
 
 
-def ensemble_predict(models: list[GcnModel], graph: Graph) -> float:
-    """Mean of the member predictions."""
+def ensemble_predict(models: list[GcnModel], graphs) -> float | np.ndarray:
+    """Mean of the member predictions.
+
+    Takes one graph and gives a float, or a sequence of graphs and gives
+    one mean per graph, in order.
+    """
     if not models:
         raise InvalidSpecError("ensemble needs at least one model")
-    return float(np.mean([forward(m, graph) for m in models]))
+    if isinstance(graphs, Graph):
+        return float(ensemble_predict(models, (graphs,))[0])
+    # one row per graph, so each mean sums its members in model order
+    return np.stack([predict(m, graphs) for m in models], axis=1).mean(axis=1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -82,13 +83,16 @@ class Graph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """The edges as a read-only (2, num_edges) integer array, one (u, v) column each."""
+        index = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
+        index.setflags(write=False)
+        return index
+
     def degrees(self) -> np.ndarray:
         """Vertex degrees counting the vertex itself, so an isolated vertex has degree 1."""
-        deg = np.ones(self.num_vertices, dtype=np.float64)
-        for u, v in self.edges:
-            deg[u] += 1.0
-            deg[v] += 1.0
-        return deg
+        return 1.0 + np.bincount(self.edge_index.ravel(), minlength=self.num_vertices)
 
     def same_structure(self, other: "Graph") -> bool:
         return self.num_vertices == other.num_vertices and self.edges == other.edges
@@ -132,6 +136,24 @@ class FusionBatch:
     @property
     def sample_size(self) -> int:
         return len(self.graphs)
+
+
+def vertex_count_buckets(graphs) -> list[np.ndarray]:
+    """Group graphs by vertex count: the positions of the graphs with n vertices, per n.
+
+    Counts ascend, and each bucket lists its graphs in their given order.
+    """
+    groups: dict[int, list[int]] = {}
+    for k, g in enumerate(graphs):
+        groups.setdefault(g.num_vertices, []).append(k)
+    return [np.array(groups[n]) for n in sorted(groups)]
+
+
+def edge_owners(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, u, v) over every edge of the graphs in order; owner is the graph's position."""
+    owner = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])
+    u, v = np.concatenate([g.edge_index for g in graphs], axis=1)
+    return owner, u, v
 
 
 def load_dataset(path: str | Path) -> Dataset:

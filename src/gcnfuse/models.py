@@ -13,6 +13,15 @@ The graph-convolution update for vertex i is
 
 with degrees counting the vertex itself. Batch norm always runs in
 inference mode from stored running statistics; nothing here trains.
+
+One private evaluator runs every forward pass (forward, predict,
+forward_with_capture, evaluate_mae, label_with_model). It groups the graphs
+by vertex count and runs each group as one stack: features (G, n, f),
+normalized adjacencies (G, n, n) placed from the group's edge index, and
+each layer as a stacked matmul. After the readout the state is (G, 1, d),
+so the dense layers stay one product per graph. A graph's results
+therefore do not depend on which other graphs share its batch: forward on
+one graph gives the same bits as its entry in any batch.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpecError, ModelFormatError
-from .graphs import Dataset, FusionBatch, Graph
+from .graphs import Dataset, FusionBatch, Graph, edge_owners, vertex_count_buckets
 
 PRE_BN = "pre_bn"
 POST_BN = "post_bn"
@@ -264,95 +273,97 @@ class ActivationSample:
         return self.readout_values.shape[1]
 
 
-def normalized_adjacency(graph: Graph) -> np.ndarray:
-    """Symmetric-degree-normalized adjacency including self-connections."""
-    n = graph.num_vertices
-    deg = graph.degrees()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    A = np.zeros((n, n))
-    A[np.arange(n), np.arange(n)] = inv_sqrt * inv_sqrt
-    for u, v in graph.edges:
-        A[u, v] = inv_sqrt[u] * inv_sqrt[v]
-        A[v, u] = inv_sqrt[v] * inv_sqrt[u]
+def normalized_adjacency(graphs) -> np.ndarray:
+    """Symmetric-degree-normalized adjacency including self-connections.
+
+    Takes one graph and gives its (n, n) matrix, or a sequence of G graphs
+    that all have n vertices and gives their (G, n, n) stack. Entry (u, v)
+    is 1/sqrt(deg_u deg_v) for each edge and for u == v, degrees counting
+    the vertex itself; the entries are placed by fancy indexing over the
+    graphs' concatenated edge index.
+    """
+    if isinstance(graphs, Graph):
+        return normalized_adjacency((graphs,))[0]
+    n = graphs[0].num_vertices
+    owner, u, v = edge_owners(graphs)
+    ends = np.concatenate([owner * n + u, owner * n + v])
+    inv_sqrt = 1.0 / np.sqrt(1.0 + np.bincount(ends, minlength=len(graphs) * n).reshape(-1, n))
+    A = np.zeros((len(graphs), n, n))
+    diag = np.arange(n)
+    A[:, diag, diag] = inv_sqrt * inv_sqrt
+    A[owner, u, v] = inv_sqrt[owner, u] * inv_sqrt[owner, v]
+    A[owner, v, u] = inv_sqrt[owner, v] * inv_sqrt[owner, u]
     return A
 
 
-def _evaluate(model: GcnModel, graph: Graph, capture_point: str | None):
-    """Shared forward pass; optionally records per-layer pre-activations.
+def _evaluate(model: GcnModel, graphs, capture_point: str | None):
+    """The one forward pass: all graphs at once, in buckets of equal vertex count.
 
-    Returns (prediction, captures) where captures maps parameterized layer
-    index to the captured array ((n, width) before the readout, (width,)
-    after). forward() and forward_with_capture() both run through here so
-    their predictions are bitwise identical.
+    Each bucket stacks its G graphs' states into a (G, n, width) array, so
+    every layer is one stacked matmul; the readout leaves (G, 1, width), and
+    the dense layers after it stay per-graph products. Returns (predictions,
+    captures). With a capture point, captures maps each parameterized layer
+    index to its pre-activations: a list of per-graph (n, width) arrays
+    before the readout, one (len(graphs), width) array after it.
     """
-    if graph.feature_dim != model.input_dim:
-        raise DimensionMismatchError(
-            f"graph feature_dim {graph.feature_dim} != model input dim {model.input_dim}"
-        )
-    h = graph.features
-    per_vertex = True
-    adj = None
-    captures: dict[int, np.ndarray] = {}
+    input_dim = model.input_dim
+    for g in graphs:
+        if g.feature_dim != input_dim:
+            raise DimensionMismatchError(
+                f"graph feature_dim {g.feature_dim} != model input dim {input_dim}"
+            )
+    predictions = np.empty(len(graphs))
+    captures: dict[int, list | np.ndarray] = {}
 
-    def record(i, z):
-        if capture_point is not None:
-            captures[i] = np.array(z)
+    def record(i, z, index, per_vertex):
+        if capture_point is None:
+            return
+        if not per_vertex:
+            captures.setdefault(i, np.empty((len(graphs), z.shape[2])))[index] = z[:, 0, :]
+            return
+        values = captures.setdefault(i, [None] * len(graphs))
+        for k, zk in zip(index.tolist(), z):
+            values[k] = zk
 
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, Embedding):
+    for index in vertex_count_buckets(graphs):
+        members = [graphs[k] for k in index]
+        h = np.stack([g.features for g in members])
+        per_vertex = True
+        adj = None
+        for i, layer in enumerate(model.layers):
+            if isinstance(layer, MeanReadout):
+                h = h.mean(axis=1, keepdims=True)
+                per_vertex = False
+                continue
+            if isinstance(layer, GraphConv):
+                if adj is None:
+                    adj = normalized_adjacency(members)
+                h = adj @ h
             z = h @ layer.params.weight.T
-            record(i, z)
-            h = z
-        elif isinstance(layer, GraphConv):
-            if not per_vertex:
-                raise ModelFormatError("graph-conv layer after readout")
-            if adj is None:
-                adj = normalized_adjacency(graph)
-            z = (adj @ h) @ layer.params.weight.T
             if layer.params.bias is not None:
                 z = z + layer.params.bias
-            z = _capture_bn(record, i, z, layer.batch_norm, capture_point)
-            h = np.maximum(z, 0.0)
-        elif isinstance(layer, MeanReadout):
-            h = h.mean(axis=0)
-            per_vertex = False
-        elif isinstance(layer, Dense):
-            if per_vertex:
-                z = h @ layer.params.weight.T
-            else:
-                z = layer.params.weight @ h
-            if layer.params.bias is not None:
-                z = z + layer.params.bias
-            z = _capture_bn(record, i, z, layer.batch_norm, capture_point)
-            h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        else:
-            raise ModelFormatError(f"unknown layer type {type(layer).__name__}")
-    out = np.asarray(h)
-    if out.size != 1:
-        raise DimensionMismatchError(
-            f"model output has {out.size} entries; the regression head must be scalar"
-        )
-    return float(out.reshape(-1)[0]), captures
+            bn = getattr(layer, "batch_norm", None)
+            post = z if bn is None else bn.apply(z)
+            record(i, z if capture_point == PRE_BN else post, index, per_vertex)
+            relu = isinstance(layer, GraphConv) or getattr(layer, "activation", None) == "relu"
+            h = np.maximum(post, 0.0) if relu else post
+        if h.shape[1] * h.shape[2] != 1:
+            raise DimensionMismatchError(
+                f"model output has {h.shape[1] * h.shape[2]} entries; "
+                "the regression head must be scalar"
+            )
+        predictions[index] = h[:, 0, 0]
+    return predictions, captures
 
 
-def _capture_bn(record, index, z, bn, capture_point):
-    """Record z before or after BN per capture_point, then return the post-BN value."""
-    if bn is None:
-        record(index, z)
-        return z
-    if capture_point == PRE_BN:
-        record(index, z)
-        z = bn.apply(z)
-    else:
-        z = bn.apply(z)
-        record(index, z)
-    return z
+def predict(model: GcnModel, graphs) -> np.ndarray:
+    """The model's scalar prediction for each graph of a sequence, in order."""
+    return _evaluate(model, graphs, capture_point=None)[0]
 
 
 def forward(model: GcnModel, graph: Graph) -> float:
     """Evaluate the model on one graph and return the scalar prediction."""
-    pred, _ = _evaluate(model, graph, capture_point=None)
-    return pred
+    return float(predict(model, (graph,))[0])
 
 
 def forward_with_capture(
@@ -366,36 +377,29 @@ def forward_with_capture(
     """
     if capture_point not in CAPTURE_POINTS:
         raise InvalidSpecError(f"capture_point must be one of {CAPTURE_POINTS}")
-    predictions = np.empty(batch.sample_size)
-    raw: dict[int, list[np.ndarray]] = {i: [] for i in model.parameterized_indices()}
-    for k, graph in enumerate(batch.graphs):
-        pred, captures = _evaluate(model, graph, capture_point)
-        predictions[k] = pred
-        for i, z in captures.items():
-            raw[i].append(z)
+    predictions, captures = _evaluate(model, batch.graphs, capture_point)
     samples: dict[int, ActivationSample] = {}
-    for i, values in raw.items():
-        if values[0].ndim == 2:
+    for i, values in captures.items():
+        if isinstance(values, list):
             samples[i] = ActivationSample(batch=batch, graph_values=tuple(values))
         else:
-            samples[i] = ActivationSample(batch=batch, readout_values=np.stack(values))
+            samples[i] = ActivationSample(batch=batch, readout_values=values)
     return predictions, samples
 
 
 def evaluate_mae(model: GcnModel, dataset: Dataset) -> float:
     """Mean absolute error of the model's predictions against dataset targets."""
-    errors = []
     for i, g in enumerate(dataset.graphs):
         if g.target is None:
             raise InvalidSpecError(f"graph {i} has no target; cannot evaluate MAE")
-        errors.append(abs(forward(model, g) - g.target))
-    return float(np.mean(errors))
+    targets = np.array([g.target for g in dataset.graphs], dtype=np.float64)
+    return float(np.mean(np.abs(predict(model, dataset.graphs) - targets)))
 
 
 def label_with_model(model: GcnModel, dataset: Dataset) -> Dataset:
     """Relabel every graph's target with the model's own prediction (teacher labels)."""
     graphs = tuple(
-        replace(g, target=forward(model, g)) for g in dataset.graphs
+        replace(g, target=float(p)) for g, p in zip(dataset.graphs, predict(model, dataset.graphs))
     )
     return Dataset(graphs=graphs, feature_dim=dataset.feature_dim)
 

@@ -1,10 +1,11 @@
 """Reference implementations the library is checked against.
 
 Each states one quantity the plain way, for one instance: an exhaustive
-minimum over permutation couplings for exact EMD, and the EFD, QE and FGW
-neuron costs for one pair of neurons on one input graph. A neuron's
-evidence on a graph is one value per vertex; both neurons of a pair are
-read on the same graph, so the two value vectors share its structure.
+minimum over permutation couplings for exact EMD, the EFD, QE and FGW
+neuron costs for one pair of neurons on one input graph, and the forward
+pass of one model on one graph. A neuron's evidence on a graph is one
+value per vertex; both neurons of a pair are read on the same graph, so the
+two value vectors share its structure.
 """
 
 import itertools
@@ -12,8 +13,13 @@ import itertools
 import numpy as np
 
 from gcnfuse import (
+    PRE_BN,
+    Dense,
+    Embedding,
     FgwProblem,
     Graph,
+    GraphConv,
+    MeanReadout,
     TransportPlan,
     fgw_distance,
     shortest_path_structure,
@@ -78,3 +84,58 @@ def pairwise_fgw(graph: Graph, values_a, values_b, trade_off: float) -> float:
         alpha=uniform_weights(a.size), beta=uniform_weights(b.size),
     ))
     return distance
+
+
+def per_graph_adjacency(graph: Graph) -> np.ndarray:
+    """Symmetric-degree-normalized adjacency with self-connections, one edge at a time."""
+    n = graph.num_vertices
+    deg = np.ones(n)
+    for u, v in graph.edges:
+        deg[u] += 1.0
+        deg[v] += 1.0
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    A = np.zeros((n, n))
+    A[np.arange(n), np.arange(n)] = inv_sqrt * inv_sqrt
+    for u, v in graph.edges:
+        A[u, v] = inv_sqrt[u] * inv_sqrt[v]
+        A[v, u] = inv_sqrt[v] * inv_sqrt[u]
+    return A
+
+
+def per_graph_forward(model, graph: Graph, capture_point: str | None):
+    """(prediction, captures) of the model on one graph, one layer after another.
+
+    captures maps each parameterized layer index to its pre-activation:
+    (n, width) before the readout, (width,) after it, the value before or
+    after batch norm as capture_point says.
+    """
+    h = graph.features
+    per_vertex = True
+    captures = {}
+
+    def affine_bn(i, z, layer):
+        if layer.params.bias is not None:
+            z = z + layer.params.bias
+        post = z if layer.batch_norm is None else layer.batch_norm.apply(z)
+        if capture_point is not None:
+            captures[i] = np.array(z if capture_point == PRE_BN else post)
+        return post
+
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, Embedding):
+            h = h @ layer.params.weight.T
+            if capture_point is not None:
+                captures[i] = np.array(h)
+        elif isinstance(layer, GraphConv):
+            z = (per_graph_adjacency(graph) @ h) @ layer.params.weight.T
+            h = np.maximum(affine_bn(i, z, layer), 0.0)
+        elif isinstance(layer, MeanReadout):
+            h = h.mean(axis=0)
+            per_vertex = False
+        elif isinstance(layer, Dense):
+            z = h @ layer.params.weight.T if per_vertex else layer.params.weight @ h
+            z = affine_bn(i, z, layer)
+            h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    out = np.asarray(h)
+    assert out.size == 1, "the regression head must be scalar"
+    return float(out.reshape(-1)[0]), captures

@@ -239,6 +239,22 @@ def test_out_of_range_repeats_and_noise_rejected(fx, tmp_path, command, flags, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, option", [
+    (["--samples", 4, "--fgw-samples", 0], "--fgw-samples"),
+    (["--samples", 0], "--samples"),
+], ids=["fgw-samples", "samples"])
+def test_grid_rejects_sample_size_below_one_before_any_cell(fx, tmp_path, flags, option):
+    # a bad FGW size must not cost the cells that run before the FGW column
+    out = tmp_path / "grid.csv"
+    result = run("grid", "--a", fx["a"], "--b", fx["b"], "--data", fx["data"],
+                 "--repeats", 1, "--out", out, *flags)
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert f"'{option}'" in result.output
+    assert ": ok" not in result.output
+    assert not out.exists()
+
+
 class TestVanillaCommand:
     def test_identical_models_keep_their_mae(self, workdir, fx):
         out = workdir / "vanilla.json"

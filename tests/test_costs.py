@@ -253,6 +253,82 @@ class TestBuildCostMatrix:
 
 
 
+def mixed_batch(seed, width):
+    """Graphs of 1 to 9 vertices, edgeless ones among them, and `width` values per vertex."""
+    rng = np.random.default_rng(seed)
+    graphs, values = [], []
+    for n in (1, 3, 9, 3, 5, 1, 7, 4, 9, 2):
+        density = 0.0 if n == 4 else 0.5
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        graphs.append(make_graph(n, edges=edges))
+        values.append(rng.standard_normal((n, width)) * 3.0 + 1.0)
+    return FusionBatch(graphs=tuple(graphs)), values
+
+
+class TestGemmFormCosts:
+    """The matrix-product expansions against the per-pair oracles, entry by entry."""
+
+    def _pair(self, seed, na=5, nb=4):
+        batch, values = mixed_batch(seed, na + nb)
+        acts_a = ActivationSample(batch=batch, graph_values=tuple(v[:, :na] for v in values))
+        acts_b = ActivationSample(batch=batch, graph_values=tuple(v[:, na:] for v in values))
+        return acts_a, acts_b
+
+    @staticmethod
+    def _oracle(acts_a, acts_b, pair_fn):
+        return np.array([[sum(pair_fn(g, va, vb)
+                              for (g, va), (_, vb) in zip(neuron_values(acts_a, i),
+                                                          neuron_values(acts_b, j)))
+                          for j in range(acts_b.width)] for i in range(acts_a.width)])
+
+    @pytest.mark.parametrize("kind", ["efd", "qe"])
+    def test_activation_costs_match_pairwise_oracles(self, kind):
+        acts_a, acts_b = self._pair(seed=40)
+        pair_fn = {"efd": lambda g, x, y: pairwise_efd(x, y, 0.3),
+                   "qe": lambda g, x, y: pairwise_qe(g, x, y, 0.3)}[kind]
+        C = build_cost_matrix(acts_a, acts_b, CostSpec(kind=kind, lam=0.3))
+        np.testing.assert_allclose(C, self._oracle(acts_a, acts_b, pair_fn), rtol=1e-12, atol=0)
+
+    def test_weight_cost_matches_direct_norms(self):
+        rng = np.random.default_rng(41)
+        a = DenseParams(weight=rng.standard_normal((6, 5)) * 4.0, bias=rng.standard_normal(6))
+        b = DenseParams(weight=rng.standard_normal((3, 5)), bias=rng.standard_normal(3))
+        rows_a = np.concatenate([a.weight, a.bias[:, None]], axis=1)
+        rows_b = np.concatenate([b.weight, b.bias[:, None]], axis=1)
+        expected = [[pairwise_efd(ra, rb, 1.0) for rb in rows_b] for ra in rows_a]
+        np.testing.assert_allclose(weight_cost_matrix(a, b), expected, rtol=1e-12, atol=0)
+
+    def test_duplicated_neurons_cost_exactly_zero(self):
+        # B holds copies of A's neurons 3 and 0 (as columns 0 and 2) in arrays of its own
+        acts_a, acts_b = self._pair(seed=42)
+        dup = ActivationSample(batch=acts_b.batch, graph_values=tuple(
+            np.stack([va[:, 3], vb[:, 1], va[:, 0], vb[:, 3]], axis=1)
+            for va, vb in zip(acts_a.graph_values, acts_b.graph_values)))
+        C = build_cost_matrix(acts_a, dup, CostSpec(kind="efd", lam=0.3))
+        assert C[3, 0] == 0.0 and C[0, 2] == 0.0
+        assert np.all(np.delete(C.ravel(), [3 * 4 + 0, 0 * 4 + 2]) > 0.0)
+        # QE keeps each neuron's own edge energy; the vertex term alone cancels
+        C = build_cost_matrix(acts_a, dup, CostSpec(kind="qe", lam=0.0))
+        assert C[3, 0] == 0.0 and C[0, 2] == 0.0
+        qe = lambda g, x, y: pairwise_qe(g, x, y, 0.3)
+        np.testing.assert_allclose(build_cost_matrix(acts_a, dup, CostSpec(kind="qe", lam=0.3)),
+                                   self._oracle(acts_a, dup, qe), rtol=1e-12, atol=0)
+        readout = ActivationSample(batch=acts_a.batch, readout_values=np.stack(
+            [v[0] for v in acts_a.graph_values]))
+        copies = ActivationSample(batch=acts_a.batch, readout_values=np.array(
+            readout.readout_values[:, ::-1]))
+        C = build_cost_matrix(readout, copies, CostSpec(kind="efd"))
+        assert np.array_equal(np.diag(C[:, ::-1]), np.zeros(5))
+
+    def test_duplicated_weight_rows_cost_exactly_zero(self):
+        rng = np.random.default_rng(43)
+        a = DenseParams(weight=rng.standard_normal((4, 6)) * 10.0, bias=rng.standard_normal(4))
+        b = DenseParams(weight=np.array(a.weight[[2, 0]]), bias=np.array(a.bias[[2, 0]]))
+        C = weight_cost_matrix(a, b)
+        assert C[2, 0] == 0.0 and C[0, 1] == 0.0
+        assert np.count_nonzero(C) == C.size - 2
+
+
 class TestWeightCostMatrix:
     def test_identical_layers_zero_diagonal(self):
         rng = np.random.default_rng(17)

@@ -24,11 +24,14 @@ from gcnfuse import (
     emd,
     fgw_distance,
     forward,
+    forward_with_capture,
     fuse,
     label_with_model,
     load_dataset,
     load_model,
+    normalized_adjacency,
     permute_model,
+    predict,
     random_model,
     save_model,
     shortest_path_structure,
@@ -37,7 +40,7 @@ from gcnfuse import (
     uniform_weights,
     write_dataset,
 )
-from oracles import pairwise_fgw
+from oracles import pairwise_fgw, per_graph_adjacency, per_graph_forward
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -203,6 +206,52 @@ def test_dataset_file_round_trip_is_exact(count, min_vertices, extra_vertices, e
         assert got.edges == want.edges
         assert _bits(got.features) == _bits(want.features)
         assert got.target == want.target
+
+
+def _captured_bits(acts, k):
+    """Graph k's capture of every layer, as exact bytes."""
+    return {i: _bits(s.graph_values[k] if s.is_graph_valued else s.readout_values[k])
+            for i, s in acts.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    arch=st.sampled_from(["gcn", "gcn+bn", "mlp", "mlp+bn"]),
+    capture_point=st.sampled_from(["pre_bn", "post_bn"]),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=14),
+    edge_density=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_forward_equals_per_graph_oracle(arch, capture_point, sizes, edge_density, seed):
+    rng = np.random.default_rng(seed)
+    mlp = arch.startswith("mlp")
+    spec = ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=0 if mlp else 2, dense_layers=2,
+                    batch_norm=arch.endswith("+bn"))
+    model = random_model(spec, seed=seed)
+    graphs = []
+    for n in [1] * len(sizes) if mlp else sizes:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_density]
+        graphs.append(Graph(num_vertices=n, edges=tuple(edges),
+                            features=rng.standard_normal((n, 3))))
+
+    preds, acts = forward_with_capture(model, FusionBatch(graphs=tuple(graphs)), capture_point)
+
+    assert _bits(predict(model, graphs)) == _bits(preds)
+    for k, g in enumerate(graphs):
+        assert _bits(normalized_adjacency(g)) == _bits(per_graph_adjacency(g))
+        pred, captures = per_graph_forward(model, g, capture_point)
+        assert _bits(np.float64(forward(model, g))) == _bits(np.float64(pred))
+        assert _bits(preds[k:k + 1]) == _bits(np.array([pred]))
+        assert _captured_bits(acts, k) == {i: _bits(z) for i, z in captures.items()}
+    # another order, and a smaller batch, leave every graph's results as they were
+    for picked in (rng.permutation(len(graphs)), rng.permutation(len(graphs))[:len(graphs) // 2]):
+        if picked.size == 0:
+            continue
+        batch = FusionBatch(graphs=tuple(graphs[k] for k in picked))
+        preds_other, acts_other = forward_with_capture(model, batch, capture_point)
+        assert _bits(preds_other) == _bits(preds[picked])
+        for pos, k in enumerate(picked):
+            assert _captured_bits(acts_other, pos) == _captured_bits(acts, k)
 
 
 def _fgw_graph(kind, n):
