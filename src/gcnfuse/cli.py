@@ -35,7 +35,6 @@ from .models import (
     CAPTURE_POINTS,
     POST_BN,
     ArchSpec,
-    GcnModel,
     evaluate_mae,
     forward,
     label_with_model,
@@ -137,14 +136,6 @@ def _load_config_file(ctx: click.Context, config_path: str | None) -> None:
             ctx.params[param.name] = param.type_cast_value(ctx, text)
 
 
-def _load_pair(a: str, b: str, swap: bool) -> tuple[GcnModel, GcnModel]:
-    model_a = load_model(a)
-    model_b = load_model(b)
-    if swap:
-        model_a, model_b = model_b, model_a
-    return model_a, model_b
-
-
 def _require_targets(dataset: Dataset, what: str) -> None:
     if any(g.target is None for g in dataset.graphs):
         raise click.ClickException(f"{what} needs a dataset where every graph has a target")
@@ -182,7 +173,7 @@ samples_option = click.option("--samples", type=click.IntRange(min=1), default=3
                               help="Activation sample size per fusion run.")
 capture_option = click.option("--capture", type=click.Choice(list(CAPTURE_POINTS)), default=POST_BN,
                               show_default=True, help="Capture pre-activations before or after batch norm.")
-seed_option = click.option("--seed", type=int, default=0, show_default=True)
+seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 repeats_option = click.option("--repeats", type=click.IntRange(min=1), default=5, show_default=True,
                               help="Fusion repeats per configuration (seed + r each).")
 format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
@@ -223,7 +214,6 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 @click.option("--interpolation", type=float, default=0.5, show_default=True,
               help="Weight on the anchor when averaging.")
 @seed_option
-@click.option("--swap", is_flag=True, help="Swap the roles: align b onto anchor a.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default="fused.model.json",
               show_default=True, help="Where to write the fused model.")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
@@ -234,11 +224,11 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 @click.pass_context
 @_guard
 def cmd_fuse(ctx, a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, samples,
-             capture, interpolation, seed, swap, out_path, trace_path, dump_dir, config_path):
+             capture, interpolation, seed, out_path, trace_path, dump_dir, config_path):
     """Align one model to the other and average them."""
     _load_config_file(ctx, config_path)
     p = ctx.params
-    model_a, model_b = _load_pair(p["a_path"], p["b_path"], p["swap"])
+    model_a, model_b = load_model(p["a_path"]), load_model(p["b_path"])
     dataset = load_dataset(p["data_path"]) if p["data_path"] else None
     config = _fusion_config(p["solver"], p["cost_kind"], p["lam"], p["epsilon"], p["rho"],
                             p["samples"], p["capture"], p["seed"], p["interpolation"])
@@ -320,7 +310,7 @@ def cmd_grid(ctx, a_path, b_path, data_path, samples, fgw_samples, lam, rho, cap
     """Run the solver-by-cost grid ({emd, sinkhorn} x {efd, qe, fgw})."""
     _load_config_file(ctx, config_path)
     p = ctx.params
-    model_a, model_b = _load_pair(p["a_path"], p["b_path"], swap=False)
+    model_a, model_b = load_model(p["a_path"]), load_model(p["b_path"])
     dataset = load_dataset(p["data_path"])
     _require_targets(dataset, "grid")
     results = []
@@ -372,7 +362,7 @@ def cmd_sweep_samples(ctx, a_path, b_path, data_path, sizes, solver, cost_kind, 
         raise click.UsageError(f"--sizes must be comma-separated integers, got {p['sizes']!r}")
     if not size_list or any(s < 1 for s in size_list):
         raise click.UsageError("--sizes entries must be >= 1")
-    model_a, model_b = _load_pair(p["a_path"], p["b_path"], swap=False)
+    model_a, model_b = load_model(p["a_path"]), load_model(p["b_path"])
     dataset = load_dataset(p["data_path"])
     _require_targets(dataset, "sweep")
     results = []
@@ -410,7 +400,7 @@ def cmd_bn_compare(ctx, a_path, b_path, data_path, solver, cost_kind, lam, epsil
     """Fuse twice, capturing pre-activations before and after batch norm."""
     _load_config_file(ctx, config_path)
     p = ctx.params
-    model_a, model_b = _load_pair(p["a_path"], p["b_path"], swap=False)
+    model_a, model_b = load_model(p["a_path"]), load_model(p["b_path"])
     has_bn = any(getattr(l, "batch_norm", None) is not None for l in model_a.layers)
     if not has_bn:
         raise click.ClickException("models have no batch norm; the comparison is vacuous")

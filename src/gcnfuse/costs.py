@@ -48,9 +48,6 @@ FGW = "fgw"
 WEIGHT = "weight"
 COST_KINDS = (EFD, QE, FGW, WEIGHT)
 
-# Sinkhorn's entropy scale per cost kind; EFD tolerates a coarser epsilon
-DEFAULT_EPSILON = {EFD: 5e-4, QE: 5e-5, FGW: 5e-5, WEIGHT: 5e-4}
-
 
 @dataclass(frozen=True)
 class FgwCostSpec:
@@ -73,8 +70,8 @@ class CostSpec:
 
     kind is one of COST_KINDS; "weight" compares weight rows and needs no
     activations. lam weighs the EFD/QE terms. fgw holds the FGW settings:
-    left unset on kind "fgw" it takes FgwCostSpec(), and any other kind
-    rejects it.
+    left unset, kind "fgw" solves with FgwCostSpec(), and any other kind
+    rejects them.
     """
 
     kind: str
@@ -86,8 +83,6 @@ class CostSpec:
             raise InvalidSpecError(f"cost kind must be one of {COST_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidSpecError(f"lam must be in [0, 1], got {self.lam}")
-        if self.kind == FGW and self.fgw is None:
-            object.__setattr__(self, "fgw", FgwCostSpec())
         if self.kind != FGW and self.fgw is not None:
             raise InvalidSpecError("fgw settings are only for kind fgw")
 
@@ -104,9 +99,6 @@ def adjacency_structure(graph: Graph) -> np.ndarray:
 
 def shortest_path_structure(graph: Graph) -> np.ndarray:
     """Hop-count distances; disconnected pairs get (longest finite path + 1)."""
-    n = graph.num_vertices
-    if n == 1:
-        return np.zeros((1, 1))
     D = scipy.sparse.csgraph.shortest_path(
         scipy.sparse.csr_matrix(adjacency_structure(graph)), method="D", unweighted=True
     )
@@ -116,16 +108,9 @@ def shortest_path_structure(graph: Graph) -> np.ndarray:
 
 
 def _same_batch(acts_a: ActivationSample, acts_b: ActivationSample) -> bool:
-    if acts_a.batch is acts_b.batch or acts_a.batch.graphs is acts_b.batch.graphs:
-        return True
-    if acts_a.batch.sample_size != acts_b.batch.sample_size:
-        return False
-    for ga, gb in zip(acts_a.batch.graphs, acts_b.batch.graphs):
-        if ga is gb:
-            continue
-        if not ga.same_structure(gb) or not np.array_equal(ga.features, gb.features):
-            return False
-    return True
+    """Both captures ran on the same Graph objects, in the same order."""
+    ga, gb = acts_a.batch.graphs, acts_b.batch.graphs
+    return len(ga) == len(gb) and all(x is y for x, y in zip(ga, gb))
 
 
 def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: CostSpec) -> np.ndarray:
@@ -169,6 +154,7 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         return spec.lam * edge + (1.0 - spec.lam) * vertex
 
     # FGW
+    trade_off = (spec.fgw or FgwCostSpec()).trade_off
     C = np.zeros((na, nb))
     for k, graph in enumerate(graphs):
         va = acts_a.graph_values[k]
@@ -179,7 +165,7 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         features = (va.T[:, None, :, None] - vb.T[None, :, None, :]) ** 2
         distances, _ = fgw_distance(FgwProblem(
             structure_a=struct, structure_b=struct,
-            feature_cost=features.reshape(na * nb, n, n), trade_off=spec.fgw.trade_off,
+            feature_cost=features.reshape(na * nb, n, n), trade_off=trade_off,
             alpha=uniform_weights(n), beta=uniform_weights(n),
         ))
         C += distances.reshape(na, nb)

@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import DEFAULT_EPSILON, EFD, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
+from .costs import EFD, FGW, QE, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
 from .errors import DimensionMismatchError, InvalidSpecError
-from .graphs import Dataset, Graph, sample_batch
+from .graphs import Dataset, sample_batch
 from .models import (
     POST_BN,
     BatchNormParams,
@@ -63,10 +63,13 @@ SOLVER_EMD = "emd"
 SOLVER_SINKHORN = "sinkhorn"
 SOLVERS = (SOLVER_EMD, SOLVER_SINKHORN)
 
+# Sinkhorn's entropy scale per cost kind; EFD tolerates a coarser epsilon
+_DEFAULT_EPSILON = {EFD: 5e-4, QE: 5e-5, FGW: 5e-5, WEIGHT: 5e-4}
+
 
 def default_epsilon(cost_kind: str) -> float:
     """Sinkhorn's entropy scale for a cost kind when none is given."""
-    return DEFAULT_EPSILON[cost_kind]
+    return _DEFAULT_EPSILON[cost_kind]
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,9 @@ class FusionConfig:
 
     interpolation is the weight on the anchor (0.5 averages, 1.0 returns
     the anchor). A cost of kind "weight" takes the plans from aligned weight
-    rows instead of captured activations, so it needs no dataset. Left
-    unset, sinkhorn takes the cost kind's default_epsilon.
+    rows instead of captured activations, so it needs no dataset. An unset
+    sinkhorn stays None, and fuse() solves with the default_epsilon of the
+    cost kind it is given, so replacing cost alone also moves epsilon.
     """
 
     solver: str = SOLVER_EMD
@@ -94,9 +98,8 @@ class FusionConfig:
             raise InvalidSpecError("interpolation must be in [0, 1]")
         if self.sample_size < 1:
             raise InvalidSpecError("sample_size must be >= 1")
-        if self.sinkhorn is None:
-            object.__setattr__(self, "sinkhorn",
-                               SinkhornParams(epsilon=default_epsilon(self.cost.kind)))
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -243,6 +246,7 @@ def fuse(
         raise DimensionMismatchError("models must share an architecture to fuse")
 
     weight_cost = config.cost.kind == WEIGHT
+    sinkhorn = config.sinkhorn or SinkhornParams(epsilon=default_epsilon(config.cost.kind))
     if not weight_cost:
         if dataset is None or not dataset.graphs:
             raise InvalidSpecError("activation-based fusion needs a nonempty dataset")
@@ -277,7 +281,7 @@ def fuse(
             if config.solver == SOLVER_EMD:
                 plan = emd(alpha, beta, C)
             else:
-                plan = sinkhorn_unbalanced(alpha, beta, C, config.sinkhorn)
+                plan = sinkhorn_unbalanced(alpha, beta, C, sinkhorn)
                 if not plan.converged:
                     _log.warning(
                         "layer %d: sinkhorn plan unconverged after %d iterations, "
@@ -318,15 +322,9 @@ def vanilla_fuse(model_a: GcnModel, model_b: GcnModel, interpolation: float = 0.
     )
 
 
-def ensemble_predict(models: list[GcnModel], graphs) -> float | np.ndarray:
-    """Mean of the member predictions.
-
-    Takes one graph and gives a float, or a sequence of graphs and gives
-    one mean per graph, in order.
-    """
+def ensemble_predict(models: list[GcnModel], graphs) -> np.ndarray:
+    """Mean of the member predictions for each graph of a sequence, in order."""
     if not models:
         raise InvalidSpecError("ensemble needs at least one model")
-    if isinstance(graphs, Graph):
-        return float(ensemble_predict(models, (graphs,))[0])
     # one row per graph, so each mean sums its members in model order
     return np.stack([predict(m, graphs) for m in models], axis=1).mean(axis=1)

@@ -90,13 +90,6 @@ class Graph:
         index.setflags(write=False)
         return index
 
-    def degrees(self) -> np.ndarray:
-        """Vertex degrees counting the vertex itself, so an isolated vertex has degree 1."""
-        return 1.0 + np.bincount(self.edge_index.ravel(), minlength=self.num_vertices)
-
-    def same_structure(self, other: "Graph") -> bool:
-        return self.num_vertices == other.num_vertices and self.edges == other.edges
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -208,10 +208,6 @@ class GcnModel:
     def parameterized_indices(self) -> tuple[int, ...]:
         return tuple(i for i, l in enumerate(self.layers) if isinstance(l, _PARAMETERIZED))
 
-    @property
-    def is_mlp(self) -> bool:
-        return not any(isinstance(l, (GraphConv, MeanReadout)) for l in self.layers)
-
     def same_architecture(self, other: "GcnModel") -> bool:
         if len(self.layers) != len(other.layers):
             return False
@@ -274,16 +270,13 @@ class ActivationSample:
 
 
 def normalized_adjacency(graphs) -> np.ndarray:
-    """Symmetric-degree-normalized adjacency including self-connections.
+    """Symmetric-degree-normalized adjacencies, self-connections included.
 
-    Takes one graph and gives its (n, n) matrix, or a sequence of G graphs
-    that all have n vertices and gives their (G, n, n) stack. Entry (u, v)
-    is 1/sqrt(deg_u deg_v) for each edge and for u == v, degrees counting
-    the vertex itself; the entries are placed by fancy indexing over the
-    graphs' concatenated edge index.
+    Takes a sequence of G graphs that all have n vertices and gives their
+    (G, n, n) stack. Entry (u, v) is 1/sqrt(deg_u deg_v) for each edge and
+    for u == v, degrees counting the vertex itself; the entries are placed
+    by fancy indexing over the graphs' concatenated edge index.
     """
-    if isinstance(graphs, Graph):
-        return normalized_adjacency((graphs,))[0]
     n = graphs[0].num_vertices
     owner, u, v = edge_owners(graphs)
     ends = np.concatenate([owner * n + u, owner * n + v])

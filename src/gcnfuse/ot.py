@@ -502,14 +502,13 @@ def _gromov_linearized(C1: np.ndarray, C2: np.ndarray, T: np.ndarray) -> np.ndar
 def fused_objective(problem: FgwProblem, T: np.ndarray) -> float | np.ndarray:
     """trade_off * <F,T> + (1 - trade_off) * sum (C1_ik - C2_jl)^2 T_ij T_kl.
 
-    A float for one instance and plan; one objective per instance when the
-    problem or T is a stack.
+    A float (np.float64) for one instance and plan; one objective per
+    instance when the problem or T is a stack.
     """
     feature = np.sum(problem.feature_cost * T, axis=(-2, -1))
     structure = np.sum(_gromov_linearized(problem.structure_a, problem.structure_b, T) * T,
                        axis=(-2, -1))
-    obj = problem.trade_off * feature + (1.0 - problem.trade_off) * structure
-    return float(obj) if obj.ndim == 0 else obj
+    return problem.trade_off * feature + (1.0 - problem.trade_off) * structure
 
 
 def _fgw_fixed_points(problem: FgwProblem):

@@ -3,12 +3,15 @@
 perfbench/tracer.py times the library by swapping the functions it lists in
 WRAPPED, and it skips a name it cannot find without a word, so a renamed or
 deleted function would silently zero that layer's metrics. This test turns
-that into a failure. The package also ships no public name that only tests
-call: reference implementations live in tests/oracles.py.
+that into a failure. The package also ships no public name, and no public
+method or property of a public class, that only tests call: reference
+implementations live in tests/oracles.py.
 """
 
 import ast
+import functools
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -37,7 +40,8 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def test_every_public_name_is_used_outside_tests():
+def _names_used_outside_tests() -> set[str]:
+    """Every name and attribute name the package modules and perfbench read."""
     package = ROOT / "src" / "gcnfuse"
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     sources += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
@@ -48,4 +52,22 @@ def test_every_public_name_is_used_outside_tests():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_used_outside_tests():
+    used = _names_used_outside_tests()
     assert sorted(set(gcnfuse.__all__) - used) == []
+
+
+def test_every_public_member_is_used_outside_tests():
+    used = _names_used_outside_tests()
+    members = (property, functools.cached_property, staticmethod, classmethod)
+    unused = [
+        f"{name}.{attr}"
+        for name in gcnfuse.__all__ if inspect.isclass(cls := getattr(gcnfuse, name))
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, members))
+        and attr not in used
+    ]
+    assert sorted(unused) == []

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gcnfuse import FusionConfig, ensemble_predict, evaluate_mae, fuse, load_dataset, load_model
+from gcnfuse import (FusionConfig, GraphConv, MeanReadout, ensemble_predict, evaluate_mae, fuse,
+                     load_dataset, load_model)
 from gcnfuse import fusion, models
 from gcnfuse.cli import main
 
@@ -73,12 +74,29 @@ class TestGenFixtures:
             assert (tmp_path / "one" / name).read_bytes() == \
                    (tmp_path / "two" / name).read_bytes()
 
+    def test_noisy_twin_changes_only_model_b(self, tmp_path):
+        result = run("gen-fixtures", "--out-dir", tmp_path / "exact", *GEN_ARGS)
+        assert result.exit_code == 0, result.output
+        for d in ("noisy", "noisy_again"):
+            result = run("gen-fixtures", "--out-dir", tmp_path / d, *GEN_ARGS, "--noise", 0.1)
+            assert result.exit_code == 0, result.output
+            gap = parse_float(result.output, "twin max |prediction difference| on 20 graphs: ")
+            assert gap > 0
+        for name in FIXTURE_FILES:
+            assert (tmp_path / "noisy" / name).read_bytes() == \
+                   (tmp_path / "noisy_again" / name).read_bytes()
+        for name in ("model_a.json", "dataset.jsonl"):
+            assert (tmp_path / "noisy" / name).read_bytes() == \
+                   (tmp_path / "exact" / name).read_bytes()
+        assert (tmp_path / "noisy" / "model_b.json").read_bytes() != \
+               (tmp_path / "exact" / "model_b.json").read_bytes()
+
     def test_mlp_mode_forces_single_vertex(self, tmp_path):
         result = run("gen-fixtures", "--out-dir", tmp_path / "m", "--arch", "mlp",
                      "--hidden", "5", "--count", "10", "--seed", "3")
         assert result.exit_code == 0, result.output
         model = load_model(tmp_path / "m" / "model_a.json")
-        assert model.is_mlp
+        assert not any(isinstance(l, (GraphConv, MeanReadout)) for l in model.layers)
         data = load_dataset(tmp_path / "m" / "dataset.jsonl")
         assert all(g.num_vertices == 1 for g in data.graphs)
 
@@ -239,6 +257,30 @@ def test_out_of_range_repeats_and_noise_rejected(fx, tmp_path, command, flags, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, config", [
+    ("fuse", ["--seed", -1], None),
+    ("grid", ["--seed", -1], None),
+    ("gen-fixtures", ["--seed", -1], None),
+    ("fuse", [], {"seed": -1}),
+], ids=["fuse", "grid", "gen-fixtures", "fuse-config"])
+def test_negative_seed_rejected(fx, tmp_path, command, flags, config):
+    out = tmp_path / "out"
+    if command == "gen-fixtures":
+        args = ["--out-dir", out, *GEN_ARGS]
+    else:
+        args = ["--a", fx["a"], "--b", fx["b"], "--data", fx["data"], "--out", out]
+    if config is not None:
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        args += ["--config", config_path]
+    result = run(command, *args, *flags)
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert "Traceback" not in result.output
+    assert "'--seed'" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, option", [
     (["--samples", 4, "--fgw-samples", 0], "--fgw-samples"),
     (["--samples", 0], "--samples"),
@@ -312,6 +354,23 @@ class TestGridCommand:
         records = json.loads(out.read_text())
         assert len(records) == 6
         assert {r["solver"] for r in records} == {"emd", "sinkhorn"}
+
+    def test_failed_cells_keep_their_rows(self, tmp_path):
+        # 1000 samples exceed the 400 graphs, so only the 2-sample FGW cells run
+        result = run("gen-fixtures", "--out-dir", tmp_path / "fx", "--seed", 0)
+        assert result.exit_code == 0, result.output
+        d, out = tmp_path / "fx", tmp_path / "grid.csv"
+        result = run("grid", "--a", d / "model_a.json", "--b", d / "model_b.json",
+                     "--data", d / "dataset.jsonl", "--samples", 1000, "--fgw-samples", 2,
+                     "--repeats", 1, "--out", out)
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert ("grid cells failed: emd-efd, emd-qe, sinkhorn-efd, sinkhorn-qe"
+                in result.output)
+        _, rows = read_csv(out)
+        assert len(rows) == 6
+        assert sorted((r[0], r[1]) for r in rows if r[-1] == "failed") == [
+            ("emd", "efd"), ("emd", "qe"), ("sinkhorn", "efd"), ("sinkhorn", "qe")]
 
 
 class TestSweepSamplesCommand:
@@ -414,6 +473,6 @@ class TestEnsembleCommand:
         mae = parse_float(result.output, "ensemble MAE (2 models): ")
         models = [load_model(fx["a"]), load_model(other)]
         dataset = load_dataset(fx["data"])
-        expected = float(np.mean([abs(ensemble_predict(models, g) - g.target)
+        expected = float(np.mean([abs(ensemble_predict(models, [g])[0] - g.target)
                                   for g in dataset.graphs]))
         assert mae == expected

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -158,8 +160,19 @@ class TestCostSpec:
     def test_fgw_settings_paired_with_kind(self):
         with pytest.raises(InvalidSpecError):
             CostSpec(kind="efd", fgw=FgwCostSpec())
-        assert CostSpec(kind="fgw").fgw == FgwCostSpec()
-        assert CostSpec(kind="fgw", fgw=FgwCostSpec(trade_off=0.9)).fgw.trade_off == 0.9
+        # left unset, the FGW settings cost bitwise like their explicit defaults
+        model_a = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                        dense_layers=2), seed=40)
+        model_b = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                        dense_layers=2), seed=41)
+        graphs = random_graphs(3, 2, seed=42)
+        acts_a, acts_b = captured_acts(model_a, graphs)[1], captured_acts(model_b, graphs)[1]
+        unset = build_cost_matrix(acts_a, acts_b, CostSpec(kind="fgw"))
+        assert np.array_equal(unset, build_cost_matrix(acts_a, acts_b, fgw_spec()))
+        assert not np.array_equal(unset, build_cost_matrix(acts_a, acts_b, fgw_spec(trade_off=0.9)))
+
+    def test_replacing_the_kind_keeps_no_fgw_settings(self):
+        assert replace(CostSpec(kind="fgw"), kind="qe") == CostSpec(kind="qe")
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpecError):

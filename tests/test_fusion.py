@@ -1,8 +1,10 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gcnfuse import fusion
 from gcnfuse import (
     ArchSpec,
     BatchNormParams,
@@ -44,6 +46,22 @@ def hidden_perms(model, seed):
     return [rng.permutation(w) for w in widths]
 
 
+def second_model():
+    """Another model of small_regression_setup's architecture, so plans are not trivial."""
+    return random_model(ArchSpec(feature_dim=4, hidden_dim=6, gc_layers=1, dense_layers=2,
+                                 batch_norm=True), seed=4)
+
+
+def assert_same_fusion(run_x, run_y):
+    """Two fuse() results agree bit for bit: the fused models and every layer's plan and cost."""
+    (fused_x, trace_x), (fused_y, trace_y) = run_x, run_y
+    assert_models_equal(fused_x, fused_y)
+    assert trace_x.report() == trace_y.report()
+    for layer_x, layer_y in zip(trace_x.layers, trace_y.layers, strict=True):
+        assert np.array_equal(layer_x.plan.coupling, layer_y.plan.coupling)
+        assert np.array_equal(layer_x.cost, layer_y.cost)
+
+
 def max_rel_prediction_gap(model_x, model_y, graphs):
     worst = 0.0
     for g in graphs:
@@ -68,13 +86,40 @@ class TestFusionConfig:
         with pytest.raises(InvalidSpecError):
             FusionConfig(sample_size=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSpecError, match="seed"):
+            FusionConfig(seed=-1)
+
     @pytest.mark.parametrize("kind", ["efd", "qe", "fgw", "weight"])
-    def test_unset_settings_follow_the_cost_kind(self, kind):
-        config = FusionConfig(solver="sinkhorn", cost=CostSpec(kind=kind))
-        assert config.sinkhorn == SinkhornParams(epsilon=default_epsilon(kind))
-        assert config.cost.fgw == (FgwCostSpec() if kind == "fgw" else None)
-        explicit = SinkhornParams(epsilon=1e-2, rho_alpha=2.0, rho_beta=3.0)
-        assert FusionConfig(cost=CostSpec(kind=kind), sinkhorn=explicit).sinkhorn is explicit
+    def test_unset_settings_follow_the_cost_kind(self, small_regression_setup, kind):
+        dataset, model = small_regression_setup
+        other = second_model()
+        unset = FusionConfig(solver="sinkhorn", cost=CostSpec(kind=kind), sample_size=8)
+        assert unset.sinkhorn is None and unset.cost.fgw is None
+        explicit = FusionConfig(
+            solver="sinkhorn", sample_size=8,
+            cost=CostSpec(kind=kind, fgw=FgwCostSpec() if kind == "fgw" else None),
+            sinkhorn=SinkhornParams(epsilon=default_epsilon(kind)))
+        assert_same_fusion(fuse(model, other, dataset, unset),
+                           fuse(model, other, dataset, explicit))
+
+    def test_replacing_the_cost_moves_the_default_epsilon(self, small_regression_setup,
+                                                          monkeypatch):
+        dataset, model = small_regression_setup
+        other = second_model()
+        solve, epsilons = fusion.sinkhorn_unbalanced, []
+
+        def recorded(alpha, beta, cost, params):
+            epsilons.append(params.epsilon)
+            return solve(alpha, beta, cost, params)
+
+        monkeypatch.setattr(fusion, "sinkhorn_unbalanced", recorded)
+        replaced = replace(FusionConfig(solver="sinkhorn", sample_size=8), cost=CostSpec(kind="qe"))
+        got = fuse(model, other, dataset, replaced)
+        assert set(epsilons) == {5e-5}
+        explicit = FusionConfig(solver="sinkhorn", sample_size=8, cost=CostSpec(kind="qe"),
+                                sinkhorn=SinkhornParams(epsilon=5e-5))
+        assert_same_fusion(got, fuse(model, other, dataset, explicit))
 
     def test_per_cost_epsilon_defaults(self):
         assert default_epsilon("efd") == 5e-4
@@ -374,11 +419,11 @@ class TestBaselines:
     def test_ensemble_single_model(self):
         model = constant_model(1.5)
         g = single_vertex_graphs([[0.0]])[0]
-        assert ensemble_predict([model], g) == forward(model, g)
+        assert ensemble_predict([model], [g])[0] == forward(model, g)
 
     def test_ensemble_two_models_average(self):
         g = single_vertex_graphs([[0.0]])[0]
-        assert ensemble_predict([constant_model(1.0), constant_model(3.0)], g) == 2.0
+        assert ensemble_predict([constant_model(1.0), constant_model(3.0)], [g])[0] == 2.0
 
     def test_ensemble_recomputed_mean(self):
         rng = np.random.default_rng(32)
@@ -386,11 +431,11 @@ class TestBaselines:
                                         dense_layers=1), seed=s) for s in (1, 2, 3)]
         g = make_graph(3, edges=[(0, 1), (1, 2)], values=rng.standard_normal((3, 3)))
         expected = np.mean([forward(m, g) for m in models])
-        assert ensemble_predict(models, g) == pytest.approx(expected, rel=1e-15)
+        assert ensemble_predict(models, [g])[0] == pytest.approx(expected, rel=1e-15)
 
     def test_ensemble_empty_rejected(self):
         with pytest.raises(InvalidSpecError):
-            ensemble_predict([], single_vertex_graphs([[0.0]])[0])
+            ensemble_predict([], single_vertex_graphs([[0.0]]))
 
 
 class TestOtVersusVanilla:

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from gcnfuse import ot
 from gcnfuse import (
     DimensionMismatchError,
     FgwProblem,
@@ -258,6 +261,29 @@ class TestSinkhorn:
         # some instances need Newton steps, so the history checks are not vacuous
         assert max(iterations) >= 5
 
+    @pytest.mark.parametrize("seed", [520, 2515])
+    def test_sweep_fallback_closes_the_gap(self, seed, monkeypatch):
+        # tiny epsilon against large rho: here a Newton step stops passing the
+        # line search before the gap is certified, and only a Sinkhorn sweep
+        # closes it (without the sweep these solves end unconverged)
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        C = rng.random((n, m))
+        epsilon = 10 ** rng.uniform(-6, -4)
+        rho = 10 ** rng.uniform(2, 4)
+        params = SinkhornParams(epsilon=epsilon, rho_alpha=rho, rho_beta=rho)
+        sweep, steps = ot._sweep_step, []
+
+        def recorded(*args):
+            steps.append(sweep(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(ot, "_sweep_step", recorded)
+        plan = sinkhorn_unbalanced(uniform_weights(n), uniform_weights(m), C, params)
+        assert plan.converged
+        assert plan.gap <= params.tol
+        assert any(step is not None for step in steps)
+
 
 class TestFgw:
     def _problem(self, rng, n, m=None, trade_off=0.5, **kw):
@@ -301,12 +327,29 @@ class TestFgw:
                              trade_off=0.5,
                              alpha=uniform_weights(3), beta=uniform_weights(3))
         d, _ = fgw_distance(problem)
-        import itertools
         bound = min(
             fused_objective(problem, np.eye(3)[list(p)] / 3.0)
             for p in itertools.permutations(range(3))
         )
         assert 0.0 <= d <= bound + 1e-8
+
+    def test_mirrored_pass_finds_the_best_permutation(self):
+        # a 4-cycle with hop distances on both sides: every run of the problem
+        # itself stops at 0.5, and only the runs on its transpose reach the
+        # optimum over all 24 permutation couplings
+        S = np.array([[0.0, 1.0, 2.0, 1.0], [1.0, 0.0, 1.0, 2.0],
+                      [2.0, 1.0, 0.0, 1.0], [1.0, 2.0, 1.0, 0.0]])
+        va = np.array([2.0, 2.0, 0.0, 0.0])
+        vb = np.array([1.0, 2.0, 2.0, 1.0])
+        problem = FgwProblem(structure_a=S, structure_b=S,
+                             feature_cost=(va[:, None] - vb[None, :]) ** 2, trade_off=0.5,
+                             alpha=uniform_weights(4), beta=uniform_weights(4))
+        best = min(fused_objective(problem, np.eye(4)[list(p)] / 4.0)
+                   for p in itertools.permutations(range(4)))
+        forward, _, _ = ot._fgw_fixed_points(problem)
+        assert best == 0.25
+        assert min(fused_objective(problem, T[0]) for T in forward) == 0.5
+        assert fgw_distance(problem)[0] == best
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
