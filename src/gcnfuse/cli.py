@@ -96,44 +96,42 @@ def _write_results(path: Path, results: list[ExperimentResult], fmt: str) -> Non
     path.write_text(buf.getvalue())
 
 
-def _raise_on_failures(results: list[ExperimentResult], what: str) -> None:
-    failures = [r.label for r in results if r.failed]
+def _finish(results: list[ExperimentResult], out_path: str, fmt: str, failed: str, count_rows=True):
+    """Write the result table, report it, and exit nonzero naming any failed cells."""
+    _write_results(Path(out_path), results, fmt)
+    click.echo(f"wrote {out_path} ({len(results)} rows)" if count_rows else f"wrote {out_path}")
+    failures = sorted(r.label for r in results if r.failed)
     if failures:
-        raise click.ClickException(f"{what} failed: " + ", ".join(sorted(failures)))
+        raise click.ClickException(f"{failed} failed: " + ", ".join(failures))
 
 
-def _load_config_file(ctx: click.Context, config_path: str | None) -> None:
-    """Fill parameters from a JSON config file; explicit flags win.
+def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make a JSON config file's values the command's defaults; explicit flags win.
 
-    Each value goes through its option's click type as the text it would
-    have on the command line, so "8" and 8 both act like --samples 8, and a
-    value the flag would reject (1.5 for an integer, "xml" for a choice)
-    fails with the option named.
+    Each value reaches its option as the text it would have on the command
+    line, so "8" and 8 both act like --samples 8, and a value the flag would
+    reject (1.5 for an integer, "xml" for a choice) fails with the option named.
     """
-    if config_path is None:
+    if path is None:
         return
     try:
-        values = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.ClickException(f"cannot read config file: {exc}")
+        values = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise click.ClickException(f"cannot read config file {path}: {exc}")
     if not isinstance(values, dict):
         raise click.ClickException("config file must hold a JSON object of flag values")
     # map option spellings (--cost) to parameters (cost_kind)
-    aliases: dict[str, click.Parameter] = {}
-    for param in ctx.command.params:
-        aliases[param.name] = param
-        for opt in param.opts:
-            aliases[opt.lstrip("-").replace("-", "_")] = param
+    aliases = {spelling.lstrip("-").replace("-", "_"): p
+               for p in ctx.command.params for spelling in (p.name, *p.opts)}
+    defaults = {}
     for name, value in values.items():
-        param = aliases.get(name.replace("-", "_"))
-        if param is None or param.name == "config_path":
+        target = aliases.get(name.replace("-", "_"))
+        if target is None or target is param:
             raise click.ClickException(f"config file sets unknown option {name!r}")
         if value is None or isinstance(value, (list, dict)):
-            raise click.BadParameter(f"{json.dumps(value)} is not a flag value", ctx, param)
-        source = ctx.get_parameter_source(param.name)
-        if source is not None and source.name != "COMMANDLINE":
-            text = value if isinstance(value, str) else json.dumps(value)
-            ctx.params[param.name] = param.type_cast_value(ctx, text)
+            raise click.BadParameter(f"{json.dumps(value)} is not a flag value", ctx, target)
+        defaults[target.name] = value if isinstance(value, str) else json.dumps(value)
+    ctx.default_map = defaults
 
 
 def _require_targets(dataset: Dataset, what: str) -> None:
@@ -142,14 +140,14 @@ def _require_targets(dataset: Dataset, what: str) -> None:
 
 
 def _guard(fn):
-    """Translate pipeline failures into clean nonzero exits."""
+    """Translate pipeline failures and unwritable paths into clean nonzero exits."""
     import functools
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except GcnFuseError as exc:
+        except (GcnFuseError, OSError) as exc:
             raise click.ClickException(str(exc))
     return wrapper
 
@@ -159,16 +157,35 @@ def main():
     """Fuse graph convolutional networks (or MLPs) by optimal transport."""
 
 
-solver_option = click.option("--solver", type=click.Choice(list(SOLVERS)), default=SOLVER_EMD,
-                             show_default=True, help="Transport solver for each layer.")
-cost_option = click.option("--cost", "cost_kind", type=click.Choice([EFD, QE, FGW, WEIGHT]),
-                           default=EFD, show_default=True, help="Ground-cost kind between neurons.")
+def _options(*decorators):
+    """Stack click decorators as one, in the order given."""
+    def apply(fn):
+        for decorator in reversed(decorators):
+            fn = decorator(fn)
+        return fn
+    return apply
+
+
+_IN_FILE = click.Path(exists=True, dir_okay=False)
+pair_options = _options(
+    click.option("--a", "a_path", required=True, type=_IN_FILE, help="Model to align."),
+    click.option("--b", "b_path", required=True, type=_IN_FILE, help="Anchor model (ordering kept)."),
+)
+data_option = click.option("--data", "data_path", required=True, type=_IN_FILE)
 lam_option = click.option("--lam", type=float, default=0.2, show_default=True,
                           help="Weight inside the EFD/QE costs.")
-epsilon_option = click.option("--epsilon", type=float, default=None,
-                              help="Sinkhorn entropy scale; defaults per cost (5e-4 efd/weight, 5e-5 qe/fgw).")
 rho_option = click.option("--rho", type=float, default=1.0, show_default=True,
                           help="Sinkhorn marginal-relaxation scale.")
+fusion_options = _options(
+    click.option("--solver", type=click.Choice(list(SOLVERS)), default=SOLVER_EMD,
+                 show_default=True, help="Transport solver for each layer."),
+    click.option("--cost", "cost_kind", type=click.Choice([EFD, QE, FGW, WEIGHT]), default=EFD,
+                 show_default=True, help="Ground-cost kind between neurons."),
+    lam_option,
+    click.option("--epsilon", type=float, default=None,
+                 help="Sinkhorn entropy scale; defaults per cost (5e-4 efd/weight, 5e-5 qe/fgw)."),
+    rho_option,
+)
 samples_option = click.option("--samples", type=click.IntRange(min=1), default=340, show_default=True,
                               help="Activation sample size per fusion run.")
 capture_option = click.option("--capture", type=click.Choice(list(CAPTURE_POINTS)), default=POST_BN,
@@ -178,8 +195,9 @@ repeats_option = click.option("--repeats", type=click.IntRange(min=1), default=5
                               help="Fusion repeats per configuration (seed + r each).")
 format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                              show_default=True)
-config_option = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                             default=None, help="JSON file of option values; explicit flags win.")
+config_option = click.option("--config", type=_IN_FILE, is_eager=True, expose_value=False,
+                             callback=_read_config,
+                             help="JSON file of option values, required ones too; explicit flags win.")
 
 
 def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
@@ -198,17 +216,10 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 
 
 @main.command("fuse")
-@click.option("--a", "a_path", required=True, type=click.Path(exists=True, dir_okay=False),
-              help="Model to align.")
-@click.option("--b", "b_path", required=True, type=click.Path(exists=True, dir_okay=False),
-              help="Anchor model (ordering kept).")
-@click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False), default=None,
+@pair_options
+@click.option("--data", "data_path", type=_IN_FILE, default=None,
               help="Dataset for activation sampling and MAE (optional with --cost weight).")
-@solver_option
-@cost_option
-@lam_option
-@epsilon_option
-@rho_option
+@fusion_options
 @samples_option
 @capture_option
 @click.option("--interpolation", type=float, default=0.5, show_default=True,
@@ -221,48 +232,43 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 @click.option("--dump-costs", "dump_dir", type=click.Path(file_okay=False), default=None,
               help="Directory for the per-layer cost matrices of this fusion run, as CSV.")
 @config_option
-@click.pass_context
 @_guard
-def cmd_fuse(ctx, a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, samples,
-             capture, interpolation, seed, out_path, trace_path, dump_dir, config_path):
+def cmd_fuse(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, samples,
+             capture, interpolation, seed, out_path, trace_path, dump_dir):
     """Align one model to the other and average them."""
-    _load_config_file(ctx, config_path)
-    p = ctx.params
-    model_a, model_b = load_model(p["a_path"]), load_model(p["b_path"])
-    dataset = load_dataset(p["data_path"]) if p["data_path"] else None
-    config = _fusion_config(p["solver"], p["cost_kind"], p["lam"], p["epsilon"], p["rho"],
-                            p["samples"], p["capture"], p["seed"], p["interpolation"])
+    model_a, model_b = load_model(a_path), load_model(b_path)
+    dataset = load_dataset(data_path) if data_path else None
+    config = _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
+                            interpolation)
     t0 = time.perf_counter()
     fused, trace = fuse(model_a, model_b, dataset, config)
     elapsed = time.perf_counter() - t0
-    save_model(fused, p["out_path"])
-    if p["trace_path"]:
-        Path(p["trace_path"]).write_text(trace.report() + "\n")
-    if p["dump_dir"]:
-        dump_dir = Path(p["dump_dir"])
+    save_model(fused, out_path)
+    if trace_path:
+        Path(trace_path).write_text(trace.report() + "\n")
+    if dump_dir:
+        dump_dir = Path(dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
         for layer in trace.layers:
             if not layer.is_identity:
                 np.savetxt(dump_dir / f"layer_{layer.layer_index}_cost.csv", layer.cost,
                            delimiter=",")
-    click.echo(f"wrote {p['out_path']} ({len(trace.layers)} aligned layers, {elapsed:.2f}s)")
+    click.echo(f"wrote {out_path} ({len(trace.layers)} aligned layers, {elapsed:.2f}s)")
     click.echo(trace.report())
     if dataset is not None and all(g.target is not None for g in dataset.graphs):
         click.echo(f"fused MAE: {evaluate_mae(fused, dataset)!r}")
 
 
 @main.command("vanilla")
-@click.option("--a", "a_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--b", "b_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@pair_options
+@click.option("--data", "data_path", type=_IN_FILE, default=None)
 @click.option("--interpolation", type=float, default=0.5, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default="vanilla.model.json",
               show_default=True)
 @_guard
 def cmd_vanilla(a_path, b_path, data_path, interpolation, out_path):
     """Average the two models elementwise with no alignment."""
-    model_a = load_model(a_path)
-    model_b = load_model(b_path)
+    model_a, model_b = load_model(a_path), load_model(b_path)
     fused = vanilla_fuse(model_a, model_b, interpolation)
     save_model(fused, out_path)
     click.echo(f"wrote {out_path}")
@@ -272,26 +278,37 @@ def cmd_vanilla(a_path, b_path, data_path, interpolation, out_path):
         click.echo(f"vanilla MAE: {evaluate_mae(fused, dataset)!r}")
 
 
-def _run_repeats(model_a, model_b, dataset, config_template: FusionConfig,
-                 repeats: int, seed: int, label: str, config_row: dict) -> ExperimentResult:
-    maes = []
-    t0 = time.perf_counter()
-    try:
-        for r in range(repeats):
-            config = replace(config_template, seed=seed + r)
-            fused, _ = fuse(model_a, model_b, dataset, config)
-            maes.append(evaluate_mae(fused, dataset))
-    except GcnFuseError as exc:
-        return ExperimentResult(label=label, config=config_row, maes=tuple(maes),
-                                wall_clock=time.perf_counter() - t0, error=str(exc))
-    return ExperimentResult(label=label, config=config_row, maes=tuple(maes),
-                            wall_clock=time.perf_counter() - t0)
+def _run_cells(a_path, b_path, data_path, what, repeats, cells, needs_batch_norm=False, progress=False):
+    """Load the inputs once, then fuse each (label, row, config) cell `repeats` times.
+
+    Repeat r runs at the config's seed + r. A cell whose fusion fails keeps
+    its row, marked failed. `cells` may be a generator: each cell is built
+    only when the one before it has run.
+    """
+    model_a, model_b = load_model(a_path), load_model(b_path)
+    if needs_batch_norm and all(getattr(l, "batch_norm", None) is None for l in model_a.layers):
+        raise click.ClickException("models have no batch norm; the comparison is vacuous")
+    dataset = load_dataset(data_path)
+    _require_targets(dataset, what)
+    results = []
+    for label, row, config in cells:
+        maes, error, t0 = [], None, time.perf_counter()
+        try:
+            for r in range(repeats):
+                fused, _ = fuse(model_a, model_b, dataset, replace(config, seed=config.seed + r))
+                maes.append(evaluate_mae(fused, dataset))
+        except GcnFuseError as exc:
+            error = str(exc)
+        wall_clock = time.perf_counter() - t0
+        results.append(ExperimentResult(label, row, tuple(maes), wall_clock, error))
+        if progress:
+            click.echo(f"{label}: {'ok' if error is None else 'failed'} ({wall_clock:.2f}s)")
+    return results
 
 
 @main.command("grid")
-@click.option("--a", "a_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--b", "b_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@pair_options
+@data_option
 @samples_option
 @click.option("--fgw-samples", type=click.IntRange(min=1), default=32, show_default=True,
               help="Sample size for the FGW column.")
@@ -303,89 +320,56 @@ def _run_repeats(model_a, model_b, dataset, config_template: FusionConfig,
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default="grid.csv", show_default=True)
 @format_option
 @config_option
-@click.pass_context
 @_guard
-def cmd_grid(ctx, a_path, b_path, data_path, samples, fgw_samples, lam, rho, capture,
-             repeats, seed, out_path, fmt, config_path):
+def cmd_grid(a_path, b_path, data_path, samples, fgw_samples, lam, rho, capture, repeats, seed,
+             out_path, fmt):
     """Run the solver-by-cost grid ({emd, sinkhorn} x {efd, qe, fgw})."""
-    _load_config_file(ctx, config_path)
-    p = ctx.params
-    model_a, model_b = load_model(p["a_path"]), load_model(p["b_path"])
-    dataset = load_dataset(p["data_path"])
-    _require_targets(dataset, "grid")
-    results = []
-    for solver in (SOLVER_EMD, SOLVER_SINKHORN):
-        for cost_kind in (EFD, QE, FGW):
-            cell_samples = p["fgw_samples"] if cost_kind == FGW else p["samples"]
-            config = _fusion_config(solver, cost_kind, p["lam"], None, p["rho"],
-                                    cell_samples, p["capture"], p["seed"])
-            row = {"solver": solver, "cost": cost_kind,
-                   "epsilon": config.sinkhorn.epsilon, "lam": p["lam"],
-                   "samples": cell_samples, "repeats": p["repeats"]}
-            result = _run_repeats(model_a, model_b, dataset, config,
-                                  p["repeats"], p["seed"], f"{solver}-{cost_kind}", row)
-            results.append(result)
-            status = "failed" if result.failed else "ok"
-            click.echo(f"{result.label}: {status} ({result.wall_clock:.2f}s)")
-    _write_results(Path(p["out_path"]), results, p["fmt"])
-    click.echo(f"wrote {p['out_path']} ({len(results)} rows)")
-    _raise_on_failures(results, "grid cells")
+    def cells():
+        for solver in (SOLVER_EMD, SOLVER_SINKHORN):
+            for cost_kind in (EFD, QE, FGW):
+                n = fgw_samples if cost_kind == FGW else samples
+                config = _fusion_config(solver, cost_kind, lam, None, rho, n, capture, seed)
+                row = {"solver": solver, "cost": cost_kind, "epsilon": config.sinkhorn.epsilon,
+                       "lam": lam, "samples": n, "repeats": repeats}
+                yield f"{solver}-{cost_kind}", row, config
+
+    results = _run_cells(a_path, b_path, data_path, "grid", repeats, cells(), progress=True)
+    _finish(results, out_path, fmt, "grid cells")
 
 
 @main.command("sweep-samples")
-@click.option("--a", "a_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--b", "b_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@pair_options
+@data_option
 @click.option("--sizes", default="1,8,64", show_default=True,
               help="Comma-separated sample sizes to sweep.")
-@solver_option
-@cost_option
-@lam_option
-@epsilon_option
-@rho_option
+@fusion_options
 @capture_option
 @repeats_option
 @seed_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default="sweep.csv", show_default=True)
 @format_option
 @config_option
-@click.pass_context
 @_guard
-def cmd_sweep_samples(ctx, a_path, b_path, data_path, sizes, solver, cost_kind, lam, epsilon,
-                      rho, capture, repeats, seed, out_path, fmt, config_path):
+def cmd_sweep_samples(a_path, b_path, data_path, sizes, solver, cost_kind, lam, epsilon, rho,
+                      capture, repeats, seed, out_path, fmt):
     """Sweep the activation sample size and record MAE per size."""
-    _load_config_file(ctx, config_path)
-    p = ctx.params
     try:
-        size_list = sorted({int(s) for s in p["sizes"].split(",") if s.strip()})
+        size_list = sorted({int(s) for s in sizes.split(",") if s.strip()})
     except ValueError:
-        raise click.UsageError(f"--sizes must be comma-separated integers, got {p['sizes']!r}")
+        raise click.UsageError(f"--sizes must be comma-separated integers, got {sizes!r}")
     if not size_list or any(s < 1 for s in size_list):
         raise click.UsageError("--sizes entries must be >= 1")
-    model_a, model_b = load_model(p["a_path"]), load_model(p["b_path"])
-    dataset = load_dataset(p["data_path"])
-    _require_targets(dataset, "sweep")
-    results = []
-    for size in size_list:
-        config = _fusion_config(p["solver"], p["cost_kind"], p["lam"], p["epsilon"], p["rho"],
-                                size, p["capture"], p["seed"])
-        row = {"sample_size": size, "repeats": p["repeats"]}
-        results.append(_run_repeats(model_a, model_b, dataset, config,
-                                    p["repeats"], p["seed"], f"size-{size}", row))
-    _write_results(Path(p["out_path"]), results, p["fmt"])
-    click.echo(f"wrote {p['out_path']} ({len(results)} rows)")
-    _raise_on_failures(results, "sweep points")
+    cells = ((f"size-{n}", {"sample_size": n, "repeats": repeats},
+              _fusion_config(solver, cost_kind, lam, epsilon, rho, n, capture, seed))
+             for n in size_list)
+    results = _run_cells(a_path, b_path, data_path, "sweep", repeats, cells)
+    _finish(results, out_path, fmt, "sweep points")
 
 
 @main.command("bn-compare")
-@click.option("--a", "a_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--b", "b_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@solver_option
-@cost_option
-@lam_option
-@epsilon_option
-@rho_option
+@pair_options
+@data_option
+@fusion_options
 @samples_option
 @repeats_option
 @seed_option
@@ -393,32 +377,19 @@ def cmd_sweep_samples(ctx, a_path, b_path, data_path, sizes, solver, cost_kind, 
               show_default=True)
 @format_option
 @config_option
-@click.pass_context
 @_guard
-def cmd_bn_compare(ctx, a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho,
-                   samples, repeats, seed, out_path, fmt, config_path):
+def cmd_bn_compare(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, samples,
+                   repeats, seed, out_path, fmt):
     """Fuse twice, capturing pre-activations before and after batch norm."""
-    _load_config_file(ctx, config_path)
-    p = ctx.params
-    model_a, model_b = load_model(p["a_path"]), load_model(p["b_path"])
-    has_bn = any(getattr(l, "batch_norm", None) is not None for l in model_a.layers)
-    if not has_bn:
-        raise click.ClickException("models have no batch norm; the comparison is vacuous")
-    dataset = load_dataset(p["data_path"])
-    _require_targets(dataset, "bn comparison")
-    results = []
-    for capture in CAPTURE_POINTS:
-        config = _fusion_config(p["solver"], p["cost_kind"], p["lam"], p["epsilon"], p["rho"],
-                                p["samples"], capture, p["seed"])
-        row = {"capture_point": capture, "repeats": p["repeats"]}
-        results.append(_run_repeats(model_a, model_b, dataset, config,
-                                    p["repeats"], p["seed"], capture, row))
+    cells = ((capture, {"capture_point": capture, "repeats": repeats},
+              _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed))
+             for capture in CAPTURE_POINTS)
+    results = _run_cells(a_path, b_path, data_path, "bn comparison", repeats, cells,
+                         needs_batch_norm=True)
     for r in sorted(results, key=lambda r: r.label):
         if not r.failed:
             click.echo(f"{r.label}: mean MAE {r.mean!r} (std {r.std!r})")
-    _write_results(Path(p["out_path"]), results, p["fmt"])
-    click.echo(f"wrote {p['out_path']}")
-    _raise_on_failures(results, "runs")
+    _finish(results, out_path, fmt, "runs", count_rows=False)
 
 
 @main.command("gen-fixtures")
@@ -444,8 +415,6 @@ def cmd_bn_compare(ctx, a_path, b_path, data_path, solver, cost_kind, lam, epsil
 def cmd_gen_fixtures(out_dir, arch, feature_dim, hidden, gc_layers, dense_layers, batch_norm,
                      count, min_vertices, max_vertices, density, noise, teacher_labels, seed):
     """Write a random model, a permuted twin, and a matching dataset."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     if arch == "mlp":
         gc_layers = 0
@@ -466,6 +435,9 @@ def cmd_gen_fixtures(out_dir, arch, feature_dim, hidden, gc_layers, dense_layers
     if teacher_labels:
         dataset = label_with_model(model_a, dataset)
 
+    # the directory appears only once every value has been accepted
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(model_a, out / "model_a.json")
     save_model(model_b, out / "model_b.json")
     (out / "permutations.json").write_text(
@@ -481,8 +453,8 @@ def cmd_gen_fixtures(out_dir, arch, feature_dim, hidden, gc_layers, dense_layers
 
 
 @main.command("eval")
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--model", "model_path", required=True, type=_IN_FILE)
+@data_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Append (model, dataset, mae) to this CSV.")
 @_guard
@@ -499,10 +471,9 @@ def cmd_eval(model_path, data_path, out_path):
 
 
 @main.command("ensemble")
-@click.option("--model", "model_paths", required=True, multiple=True,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--model", "model_paths", required=True, multiple=True, type=_IN_FILE,
               help="Repeat for each ensemble member.")
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@data_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Append (models, dataset, mae) to this CSV.")
 @_guard

@@ -159,28 +159,31 @@ def load_dataset(path: str | Path) -> Dataset:
     feature_dim: int | None = None
     vocab: int | None = None
     graphs: list[Graph] = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
-            try:
-                if not isinstance(rec, dict):
-                    raise DatasetFormatError("record is not a JSON object")
-                if "n" in rec:
-                    graphs.append(_parse_graph_record(rec, feature_dim, vocab))
+    try:
+        with path.open() as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
                     continue
-                # header record
-                if "feature_dim" in rec:
-                    feature_dim = _integer(rec["feature_dim"], "feature_dim")
-                if "vocab" in rec:
-                    vocab = _integer(rec["vocab"], "vocab")
-            except (DatasetFormatError, ValueError, TypeError, KeyError, OverflowError) as exc:
-                raise DatasetFormatError(f"record {lineno}: {exc}") from exc
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
+                try:
+                    if not isinstance(rec, dict):
+                        raise DatasetFormatError("record is not a JSON object")
+                    if "n" in rec:
+                        graphs.append(_parse_graph_record(rec, feature_dim, vocab))
+                        continue
+                    # header record
+                    if "feature_dim" in rec:
+                        feature_dim = _integer(rec["feature_dim"], "feature_dim")
+                    if "vocab" in rec:
+                        vocab = _integer(rec["vocab"], "vocab")
+                except (DatasetFormatError, ValueError, TypeError, KeyError, OverflowError) as exc:
+                    raise DatasetFormatError(f"record {lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # raised by the line reads, never by a record
+        raise DatasetFormatError(f"{path}: not readable as text ({exc})") from exc
     if not graphs:
         raise DatasetFormatError(f"empty dataset: {path}")
     if feature_dim is None:

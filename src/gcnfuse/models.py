@@ -615,7 +615,7 @@ def load_model(path: str | Path) -> GcnModel:
     """Read a model file, rejecting unknown schemas, layer kinds, or bad values."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("layers", []), list):
         raise ModelFormatError(f"{path}: a model file holds one JSON object with a layer list")

@@ -91,6 +91,17 @@ class TestGenFixtures:
         assert (tmp_path / "noisy" / "model_b.json").read_bytes() != \
                (tmp_path / "exact" / "model_b.json").read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        ["--count", 0], ["--hidden", 0], ["--density", 2], ["--min-vertices", 0],
+        ["--dense-layers", 0], ["--feature-dim", 0],
+    ], ids=["count", "hidden", "density", "min-vertices", "dense-layers", "feature-dim"])
+    def test_invalid_value_creates_no_directory(self, tmp_path, flags):
+        out = tmp_path / "g"
+        result = run("gen-fixtures", "--out-dir", out, *GEN_ARGS, *flags)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert not out.exists()
+
     def test_mlp_mode_forces_single_vertex(self, tmp_path):
         result = run("gen-fixtures", "--out-dir", tmp_path / "m", "--arch", "mlp",
                      "--hidden", "5", "--count", "10", "--seed", "3")
@@ -187,6 +198,26 @@ class TestFuseCommand:
                      "--config", config, "--out", explicit)
         assert result.exit_code == 0, result.output
         assert explicit.exists()
+
+    def test_config_file_sets_every_value_like_flags(self, fx, tmp_path):
+        values = {"solver": "sinkhorn", "cost": "qe", "lam": 0.3, "epsilon": 1e-4, "rho": 2.0,
+                  "samples": 6, "capture": "pre_bn", "interpolation": 0.25, "seed": 3}
+        outputs = {}
+        for how in ("config", "flags"):
+            out, trace = tmp_path / f"{how}.model.json", tmp_path / f"{how}.trace.txt"
+            given = {"a": fx["a"], "b": fx["b"], "data": fx["data"], **values,
+                     "out": out, "trace": trace}
+            if how == "config":
+                config = tmp_path / "run.json"
+                config.write_text(json.dumps({k: str(v) if isinstance(v, Path) else v
+                                              for k, v in given.items()}))
+                result = run("fuse", "--config", config)
+            else:
+                result = run("fuse", *[a for k, v in given.items() for a in (f"--{k}", v)])
+            assert result.exit_code == 0, result.output
+            outputs[how] = out.read_bytes(), trace.read_text()
+        assert outputs["config"] == outputs["flags"]
+        assert "sinkhorn" in outputs["config"][1]
 
     @pytest.mark.parametrize("command, values, option", [
         ("fuse", {"samples": "8"}, None),  # acts like --samples 8
@@ -295,6 +326,40 @@ def test_grid_rejects_sample_size_below_one_before_any_cell(fx, tmp_path, flags,
     assert f"'{option}'" in result.output
     assert ": ok" not in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["eval-data", "eval-model", "fuse-config"])
+def test_undecodable_input_exits_cleanly(fx, tmp_path, which):
+    bad = tmp_path / "utf16.bin"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00\n\x00")
+    args = {"eval-data": ["eval", "--model", fx["a"], "--data", bad],
+            "eval-model": ["eval", "--model", bad, "--data", fx["data"]],
+            "fuse-config": ["fuse", "--a", fx["a"], "--b", fx["b"], "--data", fx["data"],
+                            "--config", bad, "--out", tmp_path / "out"]}[which]
+    result = run(*args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert "Traceback" not in result.output
+    assert str(bad) in result.output
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fuse", "--out"), ("fuse", "--trace"), ("vanilla", "--out"), ("eval", "--out"),
+    ("sweep-samples", "--out"),
+], ids=["fuse-out", "fuse-trace", "vanilla", "eval", "sweep-samples"])
+def test_output_in_missing_directory_exits_cleanly(fx, tmp_path, command, flag):
+    missing = tmp_path / "nodir" / "out.txt"
+    pair = ["--a", fx["a"], "--b", fx["b"]]
+    args = {"fuse": [*pair, "--data", fx["data"], "--samples", 4,
+                     "--out", tmp_path / "fused.json"],
+            "vanilla": pair,
+            "eval": ["--model", fx["a"], "--data", fx["data"]],
+            "sweep-samples": [*pair, "--data", fx["data"], "--sizes", 2, "--repeats", 1]}[command]
+    result = run(command, *args, flag, missing)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert "Traceback" not in result.output
+    assert str(missing) in result.output
 
 
 class TestVanillaCommand:

@@ -47,6 +47,10 @@ for cell in emd:efd sinkhorn:qe emd:weight sinkhorn:weight emd:fgw:2 emd:fgw:8; 
     run "$name" fuse $pair --solver "$solver" --cost "$cost" $extra \
         --out "$name.model.json" --trace "$name.trace.txt" --dump-costs "$name.costs"
 done
+# the same options from a --config file; the pair stays on flags
+printf '{"solver": "sinkhorn", "cost": "efd", "samples": 64, "out": "fuse-config.model.json"}\n' \
+    > fuse-config.json
+run fuse-config fuse $pair --config fuse-config.json --trace fuse-config.trace.txt
 run grid grid $pair --repeats 2 --out grid.csv
 run bn-compare bn-compare $pair --out bn_compare.csv
 run sweep-samples sweep-samples $pair --out sweep.csv
