@@ -166,6 +166,18 @@ def _options(*decorators):
     return apply
 
 
+def _check_out_dir(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
+    """Stop before any input is read when an output file's directory does not exist."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise click.ClickException(f"cannot write {path}: {Path(path).parent} is not a directory")
+    return path
+
+
+def out_option(*decls, **kwargs):
+    """An output-file option; its directory is checked while the options are parsed."""
+    return click.option(*decls, type=click.Path(dir_okay=False), callback=_check_out_dir, **kwargs)
+
+
 _IN_FILE = click.Path(exists=True, dir_okay=False)
 pair_options = _options(
     click.option("--a", "a_path", required=True, type=_IN_FILE, help="Model to align."),
@@ -225,10 +237,9 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 @click.option("--interpolation", type=float, default=0.5, show_default=True,
               help="Weight on the anchor when averaging.")
 @seed_option
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default="fused.model.json",
-              show_default=True, help="Where to write the fused model.")
-@click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
-              help="Write the per-layer alignment report here.")
+@out_option("--out", "out_path", default="fused.model.json", show_default=True,
+            help="Where to write the fused model.")
+@out_option("--trace", "trace_path", default=None, help="Write the per-layer alignment report here.")
 @click.option("--dump-costs", "dump_dir", type=click.Path(file_okay=False), default=None,
               help="Directory for the per-layer cost matrices of this fusion run, as CSV.")
 @config_option
@@ -263,8 +274,7 @@ def cmd_fuse(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, sa
 @pair_options
 @click.option("--data", "data_path", type=_IN_FILE, default=None)
 @click.option("--interpolation", type=float, default=0.5, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default="vanilla.model.json",
-              show_default=True)
+@out_option("--out", "out_path", default="vanilla.model.json", show_default=True)
 @_guard
 def cmd_vanilla(a_path, b_path, data_path, interpolation, out_path):
     """Average the two models elementwise with no alignment."""
@@ -317,7 +327,7 @@ def _run_cells(a_path, b_path, data_path, what, repeats, cells, needs_batch_norm
 @capture_option
 @repeats_option
 @seed_option
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default="grid.csv", show_default=True)
+@out_option("--out", "out_path", default="grid.csv", show_default=True)
 @format_option
 @config_option
 @_guard
@@ -346,7 +356,7 @@ def cmd_grid(a_path, b_path, data_path, samples, fgw_samples, lam, rho, capture,
 @capture_option
 @repeats_option
 @seed_option
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default="sweep.csv", show_default=True)
+@out_option("--out", "out_path", default="sweep.csv", show_default=True)
 @format_option
 @config_option
 @_guard
@@ -373,8 +383,7 @@ def cmd_sweep_samples(a_path, b_path, data_path, sizes, solver, cost_kind, lam, 
 @samples_option
 @repeats_option
 @seed_option
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default="bn_compare.csv",
-              show_default=True)
+@out_option("--out", "out_path", default="bn_compare.csv", show_default=True)
 @format_option
 @config_option
 @_guard
@@ -455,8 +464,7 @@ def cmd_gen_fixtures(out_dir, arch, feature_dim, hidden, gc_layers, dense_layers
 @main.command("eval")
 @click.option("--model", "model_path", required=True, type=_IN_FILE)
 @data_option
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
-              help="Append (model, dataset, mae) to this CSV.")
+@out_option("--out", "out_path", default=None, help="Append (model, dataset, mae) to this CSV.")
 @_guard
 def cmd_eval(model_path, data_path, out_path):
     """Report a model's mean absolute error on a dataset."""
@@ -474,8 +482,7 @@ def cmd_eval(model_path, data_path, out_path):
 @click.option("--model", "model_paths", required=True, multiple=True, type=_IN_FILE,
               help="Repeat for each ensemble member.")
 @data_option
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
-              help="Append (models, dataset, mae) to this CSV.")
+@out_option("--out", "out_path", default=None, help="Append (models, dataset, mae) to this CSV.")
 @_guard
 def cmd_ensemble(model_paths, data_path, out_path):
     """Report the MAE of the prediction average of several models."""

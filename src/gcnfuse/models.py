@@ -16,12 +16,12 @@ inference mode from stored running statistics; nothing here trains.
 
 One private evaluator runs every forward pass (forward, predict,
 forward_with_capture, evaluate_mae, label_with_model). It groups the graphs
-by vertex count and runs each group as one stack: features (G, n, f),
-normalized adjacencies (G, n, n) placed from the group's edge index, and
-each layer as a stacked matmul. After the readout the state is (G, 1, d),
-so the dense layers stay one product per graph. A graph's results
-therefore do not depend on which other graphs share its batch: forward on
-one graph gives the same bits as its entry in any batch.
+by vertex count and holds each group's vertex states as one (G·n, d) array,
+so each affine map is one 2-D product; only the normalized adjacencies
+(G, n, n) act per graph. After the readout the state is one (len(graphs), d)
+array. BLAS picks kernels by shape, so a graph's bits depend on its batch:
+one batch always gives the same bits, and two batches agree to rounding
+(within 2e-15 of a layer's largest value; the tests allow 1e-12).
 """
 
 from __future__ import annotations
@@ -108,7 +108,11 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.gamma * (x - self.running_mean) / np.sqrt(self.running_var + self.epsilon) + self.beta_shift
+        out = x - self.running_mean
+        out *= self.gamma
+        out /= np.sqrt(self.running_var + self.epsilon)
+        out += self.beta_shift
+        return out
 
 
 @dataclass(frozen=True)
@@ -209,21 +213,12 @@ class GcnModel:
         return tuple(i for i, l in enumerate(self.layers) if isinstance(l, _PARAMETERIZED))
 
     def same_architecture(self, other: "GcnModel") -> bool:
-        if len(self.layers) != len(other.layers):
-            return False
-        for a, b in zip(self.layers, other.layers):
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, _PARAMETERIZED):
-                if a.params.weight.shape != b.params.weight.shape:
-                    return False
-                if (a.params.bias is None) != (b.params.bias is None):
-                    return False
-                bn_a = getattr(a, "batch_norm", None)
-                bn_b = getattr(b, "batch_norm", None)
-                if (bn_a is None) != (bn_b is None):
-                    return False
-        return True
+        def shape(l):
+            if not isinstance(l, _PARAMETERIZED):
+                return type(l)
+            return (type(l), l.params.weight.shape, l.params.bias is None,
+                    getattr(l, "batch_norm", None) is None)
+        return [shape(l) for l in self.layers] == [shape(l) for l in other.layers]
 
     def summary(self) -> str:
         parts = []
@@ -292,61 +287,67 @@ def normalized_adjacency(graphs) -> np.ndarray:
 def _evaluate(model: GcnModel, graphs, capture_point: str | None):
     """The one forward pass: all graphs at once, in buckets of equal vertex count.
 
-    Each bucket stacks its G graphs' states into a (G, n, width) array, so
-    every layer is one stacked matmul; the readout leaves (G, 1, width), and
-    the dense layers after it stay per-graph products. Returns (predictions,
-    captures). With a capture point, captures maps each parameterized layer
-    index to its pre-activations: a list of per-graph (n, width) arrays
-    before the readout, one (len(graphs), width) array after it.
+    A bucket's G graphs hold their vertex states as one (G·n, width) array,
+    so each affine map is one 2-D product; a graph convolution first applies
+    the bucket's (G, n, n) adjacencies to a (G, n, width) view. The readout
+    writes each bucket's means into one (len(graphs), width) array in graph
+    order, which each later layer maps with one product. Returns
+    (predictions, captures). With a capture point, captures maps each
+    parameterized layer index to its pre-activations: a list of per-graph
+    (n, width) views before the readout, one (len(graphs), width) array after.
     """
     input_dim = model.input_dim
     for g in graphs:
         if g.feature_dim != input_dim:
             raise DimensionMismatchError(
-                f"graph feature_dim {g.feature_dim} != model input dim {input_dim}"
-            )
-    predictions = np.empty(len(graphs))
+                f"graph feature_dim {g.feature_dim} != model input dim {input_dim}")
+    layers = model.layers
+    split = next((i for i, l in enumerate(layers) if isinstance(l, MeanReadout)), len(layers))
+    # the state width at the readout (the output width for a model without one)
+    width = next((l.params.out_dim for l in reversed(layers[:split])
+                  if isinstance(l, _PARAMETERIZED)), input_dim)
+    pooled = np.empty((len(graphs), width))
     captures: dict[int, list | np.ndarray] = {}
-
-    def record(i, z, index, per_vertex):
-        if capture_point is None:
-            return
-        if not per_vertex:
-            captures.setdefault(i, np.empty((len(graphs), z.shape[2])))[index] = z[:, 0, :]
-            return
-        values = captures.setdefault(i, [None] * len(graphs))
-        for k, zk in zip(index.tolist(), z):
-            values[k] = zk
-
     for index in vertex_count_buckets(graphs):
         members = [graphs[k] for k in index]
-        h = np.stack([g.features for g in members])
-        per_vertex = True
+        G, n = len(members), members[0].num_vertices
+        h = np.concatenate([g.features for g in members])
         adj = None
-        for i, layer in enumerate(model.layers):
-            if isinstance(layer, MeanReadout):
-                h = h.mean(axis=1, keepdims=True)
-                per_vertex = False
-                continue
+        for i, layer in enumerate(layers[:split]):
             if isinstance(layer, GraphConv):
-                if adj is None:
-                    adj = normalized_adjacency(members)
-                h = adj @ h
-            z = h @ layer.params.weight.T
-            if layer.params.bias is not None:
-                z = z + layer.params.bias
-            bn = getattr(layer, "batch_norm", None)
-            post = z if bn is None else bn.apply(z)
-            record(i, z if capture_point == PRE_BN else post, index, per_vertex)
-            relu = isinstance(layer, GraphConv) or getattr(layer, "activation", None) == "relu"
-            h = np.maximum(post, 0.0) if relu else post
-        if h.shape[1] * h.shape[2] != 1:
+                adj = normalized_adjacency(members) if adj is None else adj
+                h = (adj @ h.reshape(G, n, -1)).reshape(G * n, -1)
+            h, z = _affine(layer, h, capture_point)
+            if z is not None:
+                values = captures.setdefault(i, [None] * len(graphs))
+                for k, zk in zip(index.tolist(), z.reshape(G, n, -1)):
+                    values[k] = zk
+        if split == len(layers) and n > 1:
             raise DimensionMismatchError(
-                f"model output has {h.shape[1] * h.shape[2]} entries; "
-                "the regression head must be scalar"
-            )
-        predictions[index] = h[:, 0, 0]
-    return predictions, captures
+                f"model output has {n * width} entries; the regression head must be scalar")
+        # the readout; without one, each graph is one vertex, whose mean keeps its bits
+        pooled[index] = h.reshape(G, n, -1).mean(axis=1)
+    h = pooled
+    for i, layer in enumerate(layers[split + 1:], start=split + 1):
+        h, z = _affine(layer, h, capture_point)
+        if z is not None:
+            captures[i] = z
+    if h.shape[1] != 1:
+        raise DimensionMismatchError(
+            f"model output has {h.shape[1]} entries; the regression head must be scalar")
+    return h[:, 0].copy(), captures  # not a view of the head's capture
+
+
+def _affine(layer, h: np.ndarray, capture_point: str | None):
+    """One parameterized layer on (rows, width) states: (output, capture or None)."""
+    z = h @ layer.params.weight.T
+    if layer.params.bias is not None:
+        z += layer.params.bias
+    bn = getattr(layer, "batch_norm", None)
+    post = z if bn is None else bn.apply(z)
+    captured = None if capture_point is None else (z if capture_point == PRE_BN else post)
+    relu = isinstance(layer, GraphConv) or getattr(layer, "activation", None) == "relu"
+    return (np.maximum(post, 0.0) if relu else post), captured
 
 
 def predict(model: GcnModel, graphs) -> np.ndarray:
@@ -371,13 +372,9 @@ def forward_with_capture(
     if capture_point not in CAPTURE_POINTS:
         raise InvalidSpecError(f"capture_point must be one of {CAPTURE_POINTS}")
     predictions, captures = _evaluate(model, batch.graphs, capture_point)
-    samples: dict[int, ActivationSample] = {}
-    for i, values in captures.items():
-        if isinstance(values, list):
-            samples[i] = ActivationSample(batch=batch, graph_values=tuple(values))
-        else:
-            samples[i] = ActivationSample(batch=batch, readout_values=values)
-    return predictions, samples
+    return predictions, {
+        i: ActivationSample(batch=batch, graph_values=tuple(values)) if isinstance(values, list)
+        else ActivationSample(batch=batch, readout_values=values) for i, values in captures.items()}
 
 
 def evaluate_mae(model: GcnModel, dataset: Dataset) -> float:

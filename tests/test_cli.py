@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from gcnfuse import (FusionConfig, GraphConv, MeanReadout, ensemble_predict, evaluate_mae, fuse,
                      load_dataset, load_model)
-from gcnfuse import fusion, models
+from gcnfuse import cli, fusion, models
 from gcnfuse.cli import main
 
 
@@ -362,6 +362,40 @@ def test_output_in_missing_directory_exits_cleanly(fx, tmp_path, command, flag):
     assert str(missing) in result.output
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("fuse", "--out"), ("fuse", "--trace"), ("fuse", "config"), ("vanilla", "--out"),
+    ("grid", "--out"), ("sweep-samples", "--out"), ("bn-compare", "--out"), ("eval", "--out"),
+    ("ensemble", "--out"),
+], ids=["fuse-out", "fuse-trace", "fuse-config", "vanilla", "grid", "sweep-samples",
+        "bn-compare", "eval", "ensemble"])
+def test_missing_output_directory_stops_before_any_work(fx, tmp_path, monkeypatch, command, flag):
+    # every command loads a model first, so no load means no cell ran and nothing was fused
+    loaded, fused = [], []
+    monkeypatch.setattr(cli, "load_model", lambda path: loaded.append(path) or load_model(path))
+    monkeypatch.setattr(cli, "fuse", lambda *args: fused.append(args) or fuse(*args))
+    missing = tmp_path / "nodir" / "out.txt"
+    pair = ["--a", fx["a"], "--b", fx["b"], "--data", fx["data"]]
+    args = {"fuse": [*pair, "--samples", 4, "--out", tmp_path / "fused.json"],
+            "vanilla": pair,
+            "grid": [*pair, "--samples", 4, "--fgw-samples", 1, "--repeats", 1],
+            "sweep-samples": [*pair, "--sizes", 2, "--repeats", 1],
+            "bn-compare": [*pair, "--samples", 4, "--repeats", 1],
+            "eval": ["--model", fx["a"], "--data", fx["data"]],
+            "ensemble": ["--model", fx["a"], "--model", fx["b"], "--data", fx["data"]]}[command]
+    if flag == "config":
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"trace": str(missing)}))
+        args += ["--config", config]
+    else:
+        args += [flag, missing]
+    result = run(command, *args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert str(missing) in result.output
+    assert loaded == [] and fused == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.json"] if flag == "config" else [])
+
+
 class TestVanillaCommand:
     def test_identical_models_keep_their_mae(self, workdir, fx):
         out = workdir / "vanilla.json"
@@ -538,6 +572,6 @@ class TestEnsembleCommand:
         mae = parse_float(result.output, "ensemble MAE (2 models): ")
         models = [load_model(fx["a"]), load_model(other)]
         dataset = load_dataset(fx["data"])
-        expected = float(np.mean([abs(ensemble_predict(models, [g])[0] - g.target)
-                                  for g in dataset.graphs]))
+        targets = np.array([g.target for g in dataset.graphs])
+        expected = float(np.mean(np.abs(ensemble_predict(models, dataset.graphs) - targets)))
         assert mae == expected

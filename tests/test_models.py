@@ -38,6 +38,7 @@ from conftest import (
     single_vertex_graphs,
     tiny_gcn,
 )
+from oracles import per_graph_forward
 
 
 def random_graphs(count, feature_dim, seed, max_vertices=6):
@@ -91,6 +92,19 @@ class TestLayerValidation:
         x = np.array([[3.0], [7.0]])
         expected = 2.0 * (x - 1.0) / np.sqrt(4.0) + 0.5
         assert np.allclose(bn.apply(x), expected)
+
+    def test_bn_apply_is_the_written_out_formula_and_keeps_its_input(self):
+        rng = np.random.default_rng(3)
+        bn = BatchNormParams(gamma=rng.uniform(0.5, 1.5, 6), beta_shift=rng.standard_normal(6),
+                             running_mean=rng.standard_normal(6),
+                             running_var=rng.uniform(0.5, 1.5, 6), epsilon=1e-5)
+        x = rng.standard_normal((40, 6))
+        before = x.copy()
+        out = bn.apply(x)
+        expected = (bn.gamma * (x - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
+                    + bn.beta_shift)
+        assert out.tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()
 
 
 class TestModelValidation:
@@ -188,7 +202,7 @@ class TestCapture:
         for a, b in zip(pre[0].graph_values, post[0].graph_values):
             assert np.allclose(b, a - m)
 
-    def test_predictions_bitwise_equal_forward(self):
+    def test_predictions_match_per_graph_forward(self):
         spec = ArchSpec(feature_dim=3, hidden_dim=5, gc_layers=2, dense_layers=2,
                         batch_norm=True)
         model = random_model(spec, seed=4)
@@ -196,7 +210,23 @@ class TestCapture:
         batch = FusionBatch(graphs=tuple(graphs))
         preds, _ = forward_with_capture(model, batch)
         for k, g in enumerate(graphs):
-            assert preds[k] == forward(model, g)
+            pred, _ = per_graph_forward(model, g, None)
+            assert abs(preds[k] - pred) <= 1e-12 * max(1.0, abs(pred))
+
+    def test_captures_survive_the_batch_norm_and_relu(self):
+        spec = ArchSpec(feature_dim=3, hidden_dim=8, gc_layers=2, dense_layers=2,
+                        batch_norm=True)
+        model = random_model(spec, seed=6)
+        batch = FusionBatch(graphs=tuple(random_graphs(6, 3, seed=7)))
+        _, pre = forward_with_capture(model, batch, "pre_bn")
+        _, post = forward_with_capture(model, batch, "post_bn")
+        for i in (1, 2):  # the two graph-conv layers, each followed by BN and ReLU
+            bn = model.layers[i].batch_norm
+            for z, after in zip(pre[i].graph_values, post[i].graph_values):
+                expected = (bn.gamma * (z - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
+                            + bn.beta_shift)
+                assert np.any(expected < 0)  # an in-place ReLU would have zeroed these
+                assert after.tobytes() == expected.tobytes()
 
     def test_bad_capture_point(self):
         model = tiny_gcn([[1.0]], [0.0])

@@ -208,24 +208,42 @@ def test_dataset_file_round_trip_is_exact(count, min_vertices, extra_vertices, e
         assert got.target == want.target
 
 
+def _captured(acts, k):
+    """Graph k's capture of every layer."""
+    return {i: s.graph_values[k] if s.is_graph_valued else s.readout_values[k]
+            for i, s in acts.items()}
+
+
 def _captured_bits(acts, k):
     """Graph k's capture of every layer, as exact bytes."""
-    return {i: _bits(s.graph_values[k] if s.is_graph_valued else s.readout_values[k])
-            for i, s in acts.items()}
+    return {i: _bits(v) for i, v in _captured(acts, k).items()}
+
+
+def _close(got, want):
+    """Equal shapes, and every entry within 1e-12 of max(1, the largest |want| entry)."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    return got.shape == want.shape and float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+
+
+def _all_close(got: dict, want: dict):
+    return got.keys() == want.keys() and all(_close(got[i], want[i]) for i in want)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(
     arch=st.sampled_from(["gcn", "gcn+bn", "mlp", "mlp+bn"]),
     capture_point=st.sampled_from(["pre_bn", "post_bn"]),
+    hidden=st.sampled_from([4, 64, 256]),
     sizes=st.lists(st.integers(1, 9), min_size=1, max_size=14),
     edge_density=st.sampled_from([0.0, 0.3, 1.0]),
     seed=st.integers(0, 2**16),
 )
-def test_batched_forward_equals_per_graph_oracle(arch, capture_point, sizes, edge_density, seed):
+def test_batched_forward_equals_per_graph_oracle(arch, capture_point, hidden, sizes, edge_density,
+                                                 seed):
     rng = np.random.default_rng(seed)
     mlp = arch.startswith("mlp")
-    spec = ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=0 if mlp else 2, dense_layers=2,
+    spec = ArchSpec(feature_dim=3, hidden_dim=hidden, gc_layers=0 if mlp else 2, dense_layers=2,
                     batch_norm=arch.endswith("+bn"))
     model = random_model(spec, seed=seed)
     graphs = []
@@ -233,25 +251,33 @@ def test_batched_forward_equals_per_graph_oracle(arch, capture_point, sizes, edg
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_density]
         graphs.append(Graph(num_vertices=n, edges=tuple(edges),
                             features=rng.standard_normal((n, 3))))
+    batch = FusionBatch(graphs=tuple(graphs))
 
-    preds, acts = forward_with_capture(model, FusionBatch(graphs=tuple(graphs)), capture_point)
+    preds, acts = forward_with_capture(model, batch, capture_point)
 
+    # the same batch gives the same bits, whichever entry point and however often
     assert _bits(predict(model, graphs)) == _bits(preds)
+    preds_again, acts_again = forward_with_capture(model, batch, capture_point)
+    assert _bits(preds_again) == _bits(preds)
+    for k in range(len(graphs)):
+        assert _captured_bits(acts_again, k) == _captured_bits(acts, k)
+    # BLAS picks its kernels by shape, so a graph's bits depend on its batch;
+    # a batch agrees with the one-graph-at-a-time oracle to rounding
     for k, g in enumerate(graphs):
         assert _bits(normalized_adjacency([g])[0]) == _bits(per_graph_adjacency(g))
         pred, captures = per_graph_forward(model, g, capture_point)
         assert _bits(np.float64(forward(model, g))) == _bits(np.float64(pred))
-        assert _bits(preds[k:k + 1]) == _bits(np.array([pred]))
-        assert _captured_bits(acts, k) == {i: _bits(z) for i, z in captures.items()}
-    # another order, and a smaller batch, leave every graph's results as they were
+        assert _close(preds[k], pred)
+        assert _all_close(_captured(acts, k), captures)
+    # another order, and a smaller batch
     for picked in (rng.permutation(len(graphs)), rng.permutation(len(graphs))[:len(graphs) // 2]):
         if picked.size == 0:
             continue
-        batch = FusionBatch(graphs=tuple(graphs[k] for k in picked))
-        preds_other, acts_other = forward_with_capture(model, batch, capture_point)
-        assert _bits(preds_other) == _bits(preds[picked])
+        preds_other, acts_other = forward_with_capture(
+            model, FusionBatch(graphs=tuple(graphs[k] for k in picked)), capture_point)
+        assert _close(preds_other, preds[picked])
         for pos, k in enumerate(picked):
-            assert _captured_bits(acts_other, pos) == _captured_bits(acts, k)
+            assert _all_close(_captured(acts_other, pos), _captured(acts, k))
 
 
 def _fgw_graph(kind, n):

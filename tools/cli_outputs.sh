@@ -1,8 +1,8 @@
 #!/bin/sh
 # Run the gcnfuse CLI of source tree TREE over a fixed set of commands and
-# keep everything it writes under OUT: fixtures (GCN and MLP), fused and
-# averaged models, traces, dumped cost matrices, result tables, evaluation
-# rows, and each command's console output.
+# keep everything it writes under OUT: fixtures (GCN, MLP and a hidden-64
+# GCN), fused and averaged models, traces, dumped cost matrices, result
+# tables, evaluation rows, and each command's console output.
 #
 #   tools/cli_outputs.sh TREE OUT
 #
@@ -30,7 +30,7 @@ run() {
 
 mkdir -p console
 # eval and ensemble append to their --out; start those files afresh
-rm -f eval.csv ensemble.csv
+rm -f eval.csv eval-wide.csv ensemble.csv
 run gen-fixtures gen-fixtures --out-dir fx --seed 0
 pair="--a fx/model_a.json --b fx/model_b.json --data fx/dataset.jsonl"
 # each cell is SOLVER:COST, or SOLVER:COST:SAMPLES to set --samples
@@ -62,3 +62,9 @@ run ensemble ensemble --model fx/model_a.json --model fx/model_b.json \
 run gen-fixtures-mlp gen-fixtures --out-dir fx-mlp --arch mlp --seed 0
 run fuse-mlp fuse --a fx-mlp/model_a.json --b fx-mlp/model_b.json --data fx-mlp/dataset.jsonl \
     --out fuse-mlp.model.json --trace fuse-mlp.trace.txt --dump-costs fuse-mlp.costs
+# the wide path: hidden 64, where each per-vertex layer is one blocked GEMM per bucket
+run gen-fixtures-wide gen-fixtures --out-dir fx-wide --hidden 64 --seed 0
+run fuse-wide fuse --a fx-wide/model_a.json --b fx-wide/model_b.json --data fx-wide/dataset.jsonl \
+    --solver emd --cost efd --out fuse-wide.model.json --trace fuse-wide.trace.txt \
+    --dump-costs fuse-wide.costs
+run eval-wide eval --model fuse-wide.model.json --data fx-wide/dataset.jsonl --out eval-wide.csv
