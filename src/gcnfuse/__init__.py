@@ -63,7 +63,6 @@ from .models import (
     GraphConv,
     MeanReadout,
     evaluate_mae,
-    forward,
     forward_with_capture,
     label_with_model,
     load_model,
@@ -100,7 +99,7 @@ __all__ = [
     "TransportPlan", "WEIGHT", "adjacency_structure", "align_batchnorm",
     "align_layer_incoming", "align_layer_outgoing", "build_cost_matrix",
     "default_epsilon", "emd", "ensemble_predict", "evaluate_mae",
-    "fgw_distance", "forward", "forward_with_capture", "fuse",
+    "fgw_distance", "forward_with_capture", "fuse",
     "fused_objective", "identity_plan", "label_with_model", "load_dataset",
     "load_model", "normalized_adjacency", "permute_model", "perturb_model",
     "predict", "random_model", "sample_batch", "save_model",

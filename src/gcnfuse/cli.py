@@ -36,11 +36,11 @@ from .models import (
     POST_BN,
     ArchSpec,
     evaluate_mae,
-    forward,
     label_with_model,
     load_model,
     permute_model,
     perturb_model,
+    predict,
     random_model,
     save_model,
 )
@@ -454,8 +454,10 @@ def cmd_gen_fixtures(out_dir, arch, feature_dim, hidden, gc_layers, dense_layers
     )
     write_dataset(dataset, out / "dataset.jsonl")
 
+    # one graph per call: a graph's bits depend on its batch
     check = max(
-        abs(forward(model_a, g) - forward(model_b, g)) for g in dataset.graphs[: min(count, 20)]
+        float(abs(predict(model_a, (g,))[0] - predict(model_b, (g,))[0]))
+        for g in dataset.graphs[: min(count, 20)]
     )
     click.echo(f"wrote model_a.json model_b.json permutations.json dataset.jsonl to {out}")
     click.echo(f"twin max |prediction difference| on {min(count, 20)} graphs: {check!r}")

@@ -1,31 +1,9 @@
 """Layer-wise model fusion by optimal transport.
 
-One model (A) is aligned to an anchor (B) one layer at a time: a transport
-plan T couples A's neurons (rows) to B's (columns). fuse() runs one loop
-over the layers, and each parameterized layer takes one step: align A's
-incoming weights by the previous plan, build the layer's cost matrix (from
-those aligned weights for a weight cost, otherwise from activations
-captured once before the loop), solve it for T, then map A's outgoing
-weights and batch norm by T and interpolate with B's. A's parameters are
-pushed through
-
-    incoming:  W_hat   = W_A @ (T_prev / beta_prev)
-    outgoing:  W_tilde = (T / beta).T @ W_hat,   b_tilde = (T / beta).T @ b
-
-and averaged with the anchor's. beta = T^T 1 is the mass the plan gives
-each anchor neuron, so every column of T / beta sums to 1 and A's neurons
-are mapped by the barycentric average the plan assigns to that anchor
-neuron. An unbalanced (Sinkhorn) plan that keeps little mass therefore
-does not shrink the aligned parameters; a column with no mass at all maps
-to zero. The scaled transport T / beta is applied as a division, not a
-multiplication by m: for a permutation plan (1/m) P the nonzero entries
-become exactly 1.0 (x / x is exact in IEEE), so aligning by a recovered
-permutation is entrywise exact, which the self-fusion and
-permutation-recovery guarantees rely on.
-
-Batch norm vectors ride along with the owning layer's plan; the mean
-readout has no parameters and just propagates the previous plan; the
-output layer is never transported (its plan is the identity by contract).
+fuse() aligns one model (A) to an anchor (B) with models.align_model, which
+holds the alignment algebra, solving each layer's transport plan on a cost
+between A's and B's neurons; then it averages the aligned parameters with
+B's, the step vanilla_fuse takes without alignment.
 """
 
 from __future__ import annotations
@@ -45,6 +23,11 @@ from .models import (
     GcnModel,
     MeanReadout,
     _rebuild,
+    # the align_* primitives are re-exported; the package imports them from here
+    align_batchnorm,
+    align_layer_incoming,
+    align_layer_outgoing,
+    align_model,
     forward_with_capture,
     predict,
 )
@@ -152,55 +135,6 @@ class AlignmentTrace:
         return worst
 
 
-def _scaled_transport(plan: TransportPlan) -> np.ndarray:
-    """T / beta with beta = T^T 1; exact (entries become x/x) for permutation plans.
-
-    A column with zero mass stays zero instead of becoming 0/0.
-    """
-    T = plan.coupling
-    mass = T.sum(axis=0)
-    return T / np.where(mass > 0, mass, 1.0)[None, :]
-
-
-def align_layer_incoming(weights: DenseParams, t_prev: TransportPlan) -> DenseParams:
-    """W_hat = W @ T_prev / beta_prev: re-express columns in anchor order."""
-    S = _scaled_transport(t_prev)
-    if weights.in_dim != S.shape[0]:
-        raise DimensionMismatchError(
-            f"weight in_dim {weights.in_dim} != plan rows {S.shape[0]}"
-        )
-    return DenseParams(weight=weights.weight @ S, bias=weights.bias)
-
-
-def align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan) -> DenseParams:
-    """W_tilde = (T / beta).T @ W_hat; the bias moves with the rows."""
-    S = _scaled_transport(t_curr)
-    if weights.out_dim != S.shape[0]:
-        raise DimensionMismatchError(
-            f"weight out_dim {weights.out_dim} != plan rows {S.shape[0]}"
-        )
-    bias = None if weights.bias is None else S.T @ weights.bias
-    return DenseParams(weight=S.T @ weights.weight, bias=bias)
-
-
-def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormParams:
-    """Map all four BN vectors by (T / beta).T; no plan of its own.
-
-    t_prev is the plan of the affine layer the batch norm sits behind. The
-    map has nonnegative entries, so running_var stays nonnegative.
-    """
-    S = _scaled_transport(t_prev)
-    if bn.dim != S.shape[0]:
-        raise DimensionMismatchError(f"bn dim {bn.dim} != plan rows {S.shape[0]}")
-    return BatchNormParams(
-        gamma=S.T @ bn.gamma,
-        beta_shift=S.T @ bn.beta_shift,
-        running_mean=S.T @ bn.running_mean,
-        running_var=S.T @ bn.running_var,
-        epsilon=bn.epsilon,
-    )
-
-
 def _interpolate(a: np.ndarray, b: np.ndarray, weight_on_b: float) -> np.ndarray:
     return weight_on_b * b + (1.0 - weight_on_b) * a
 
@@ -220,10 +154,18 @@ def _interpolate_bn(a: BatchNormParams, b: BatchNormParams, t: float) -> BatchNo
     )
 
 
-def _interpolate_layer(layer_b, params_a: DenseParams, bn_a: BatchNormParams | None, t: float):
-    """A layer of layer_b's type whose parameters interpolate A's (aligned) and B's; t weighs B."""
-    fused_bn = None if bn_a is None else _interpolate_bn(bn_a, layer_b.batch_norm, t)
-    return _rebuild(layer_b, _interpolate_params(params_a, layer_b.params, t), fused_bn)
+def _interpolate_models(layers_a, model_b: GcnModel, weight_on_b: float, name: str) -> GcnModel:
+    """A's layers (aligned or not) averaged with the anchor's; weight_on_b weighs B."""
+    new_layers = []
+    for layer_a, layer_b in zip(layers_a, model_b.layers):
+        if isinstance(layer_a, MeanReadout):
+            new_layers.append(MeanReadout())
+            continue
+        bn_a = getattr(layer_a, "batch_norm", None)
+        fused_bn = None if bn_a is None else _interpolate_bn(bn_a, layer_b.batch_norm, weight_on_b)
+        params = _interpolate_params(layer_a.params, layer_b.params, weight_on_b)
+        new_layers.append(_rebuild(layer_b, params, fused_bn))
+    return GcnModel(layers=tuple(new_layers), name=name)
 
 
 def fuse(
@@ -236,11 +178,13 @@ def fuse(
 
     Activation costs sample config.sample_size graphs from the dataset
     (seeded) and capture both models' pre-activations on them once; a
-    weight cost needs no data. Every parameterized layer then takes the one
-    step the module docstring describes, the output layer with the identity
-    plan and no cost. An unconverged Sinkhorn plan logs a warning on the
-    "gcnfuse" logger. Returns the fused model plus a per-layer trace of the
-    plans and the read-only cost matrices they were solved on.
+    weight cost needs no data. models.align_model then aligns A layer by
+    layer and asks for each plan in turn: the output layer's is the identity
+    with no cost, every other one is solved on the layer's cost matrix. The
+    aligned parameters are interpolated with B's. An unconverged Sinkhorn
+    plan logs a warning on the "gcnfuse" logger. Returns the fused model
+    plus a per-layer trace of the plans and the read-only cost matrices
+    they were solved on.
     """
     if not model_a.same_architecture(model_b):
         raise DimensionMismatchError("models must share an architecture to fuse")
@@ -255,24 +199,14 @@ def fuse(
         _, acts_b = forward_with_capture(model_b, batch, config.capture_point)
 
     output_index = model_a.parameterized_indices()[-1]
-    new_layers = []
     traces = []
-    t_prev: TransportPlan | None = None
-    for i, layer_a in enumerate(model_a.layers):
-        layer_b = model_b.layers[i]
-        if isinstance(layer_a, MeanReadout):
-            # no parameters; the previous plan flows through to the dense head
-            new_layers.append(MeanReadout())
-            continue
-        params_a = layer_a.params
-        if t_prev is not None:
-            params_a = align_layer_incoming(params_a, t_prev)
 
+    def plan_for(i: int, params_a: DenseParams) -> TransportPlan:
         if i == output_index:
             plan, C = identity_plan(uniform_weights(params_a.out_dim)), None
         else:
             if weight_cost:
-                C = weight_cost_matrix(params_a, layer_b.params)
+                C = weight_cost_matrix(params_a, model_b.layers[i].params)
             else:
                 C = build_cost_matrix(acts_a[i], acts_b[i], config.cost)
             C.setflags(write=False)
@@ -287,18 +221,12 @@ def fuse(
                         "layer %d: sinkhorn plan unconverged after %d iterations, "
                         "relative duality gap %.3g", i, plan.iterations, plan.gap,
                     )
-
-        params_a = align_layer_outgoing(params_a, plan)
-        bn_a = getattr(layer_a, "batch_norm", None)
-        if bn_a is not None:
-            bn_a = align_batchnorm(bn_a, plan)
-        new_layers.append(_interpolate_layer(layer_b, params_a, bn_a, config.interpolation))
         traces.append(LayerTrace(layer_index=i, plan=plan, solver=config.solver, cost=C))
-        t_prev = plan
+        return plan
 
-    fused = GcnModel(
-        layers=tuple(new_layers),
-        name=f"fused({model_a.name or 'a'},{model_b.name or 'b'})",
+    fused = _interpolate_models(
+        align_model(model_a, plan_for), model_b, config.interpolation,
+        f"fused({model_a.name or 'a'},{model_b.name or 'b'})",
     )
     return fused, AlignmentTrace(layers=tuple(traces))
 
@@ -309,17 +237,8 @@ def vanilla_fuse(model_a: GcnModel, model_b: GcnModel, interpolation: float = 0.
         raise InvalidSpecError("interpolation must be in [0, 1]")
     if not model_a.same_architecture(model_b):
         raise DimensionMismatchError("models must share an architecture to fuse")
-    new_layers = []
-    for layer_a, layer_b in zip(model_a.layers, model_b.layers):
-        if isinstance(layer_a, MeanReadout):
-            new_layers.append(MeanReadout())
-            continue
-        new_layers.append(_interpolate_layer(
-            layer_b, layer_a.params, getattr(layer_a, "batch_norm", None), interpolation))
-    return GcnModel(
-        layers=tuple(new_layers),
-        name=f"vanilla({model_a.name or 'a'},{model_b.name or 'b'})",
-    )
+    return _interpolate_models(model_a.layers, model_b, interpolation,
+                               f"vanilla({model_a.name or 'a'},{model_b.name or 'b'})")
 
 
 def ensemble_predict(models: list[GcnModel], graphs) -> np.ndarray:

@@ -14,7 +14,7 @@ The graph-convolution update for vertex i is
 with degrees counting the vertex itself. Batch norm always runs in
 inference mode from stored running statistics; nothing here trains.
 
-One private evaluator runs every forward pass (forward, predict,
+One private evaluator runs every forward pass (predict,
 forward_with_capture, evaluate_mae, label_with_model). It groups the graphs
 by vertex count and holds each group's vertex states as one (G·n, d) array,
 so each affine map is one 2-D product; only the normalized adjacencies
@@ -34,7 +34,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpecError, ModelFormatError
-from .graphs import Dataset, FusionBatch, Graph, edge_owners, vertex_count_buckets
+from .graphs import Dataset, FusionBatch, edge_owners, vertex_count_buckets
+from .ot import TransportPlan, identity_plan, uniform_weights
 
 PRE_BN = "pre_bn"
 POST_BN = "post_bn"
@@ -355,11 +356,6 @@ def predict(model: GcnModel, graphs) -> np.ndarray:
     return _evaluate(model, graphs, capture_point=None)[0]
 
 
-def forward(model: GcnModel, graph: Graph) -> float:
-    """Evaluate the model on one graph and return the scalar prediction."""
-    return float(predict(model, (graph,))[0])
-
-
 def forward_with_capture(
     model: GcnModel, batch: FusionBatch, capture_point: str = POST_BN
 ) -> tuple[np.ndarray, dict[int, ActivationSample]]:
@@ -402,13 +398,12 @@ def permute_model(model: GcnModel, permutations) -> GcnModel:
     place). Row k of the permuted layer is row perm[k] of the original; the
     following layer's columns, its bias, and any BN vectors move along.
     """
-    param_idx = model.parameterized_indices()
-    hidden = param_idx[:-1]
+    *hidden, head = model.parameterized_indices()
     if len(permutations) != len(hidden):
         raise InvalidSpecError(
             f"need {len(hidden)} permutations (one per hidden layer), got {len(permutations)}"
         )
-    perms: dict[int, np.ndarray] = {}
+    plans: dict[int, TransportPlan] = {}
     for layer_i, perm in zip(hidden, permutations):
         p = np.asarray(perm, dtype=np.int64)
         width = model.layers[layer_i].params.out_dim
@@ -416,33 +411,12 @@ def permute_model(model: GcnModel, permutations) -> GcnModel:
             raise InvalidSpecError(
                 f"layer {layer_i}: permutation is not a bijection on 0..{width - 1}"
             )
-        perms[layer_i] = p
-
-    new_layers: list[Layer] = []
-    prev_perm: np.ndarray | None = None
-    for i, layer in enumerate(model.layers):
-        if not isinstance(layer, _PARAMETERIZED):
-            new_layers.append(layer)
-            continue
-        row_perm = perms.get(i)
-        W = layer.params.weight
-        if prev_perm is not None:
-            W = W[:, prev_perm]
-        if row_perm is not None:
-            W = W[row_perm, :]
-        bias = layer.params.bias
-        if bias is not None and row_perm is not None:
-            bias = bias[row_perm]
-        bn = getattr(layer, "batch_norm", None)
-        if bn is not None and row_perm is not None:
-            bn = BatchNormParams(
-                gamma=bn.gamma[row_perm], beta_shift=bn.beta_shift[row_perm],
-                running_mean=bn.running_mean[row_perm], running_var=bn.running_var[row_perm],
-                epsilon=bn.epsilon,
-            )
-        new_layers.append(_rebuild(layer, DenseParams(weight=W, bias=bias), bn))
-        prev_perm = row_perm
-    return GcnModel(layers=tuple(new_layers), name=model.name + "+perm", seed=model.seed)
+        T = np.zeros((width, width))
+        T[p, np.arange(width)] = 1.0 / width
+        plans[layer_i] = TransportPlan(coupling=T, objective=0.0)
+    plans[head] = identity_plan(uniform_weights(model.layers[head].params.out_dim))
+    layers = align_model(model, lambda i, params: plans[i])
+    return GcnModel(layers=layers, name=model.name + "+perm", seed=model.seed)
 
 
 def perturb_model(model: GcnModel, scale: float, seed: int) -> GcnModel:
@@ -483,6 +457,90 @@ def _rebuild(layer, params: DenseParams, bn: BatchNormParams | None) -> Layer:
     if isinstance(layer, GraphConv):
         return GraphConv(params=params, batch_norm=bn)
     return Dense(params=params, batch_norm=bn, activation=layer.activation)
+
+
+def _scaled_transport(plan: TransportPlan) -> np.ndarray:
+    """T / beta with beta = T^T 1; a column with no mass stays zero (see align_model)."""
+    T = plan.coupling
+    mass = T.sum(axis=0)
+    return T / np.where(mass > 0, mass, 1.0)[None, :]
+
+
+def align_layer_incoming(weights: DenseParams, t_prev: TransportPlan) -> DenseParams:
+    """W_hat = W @ T_prev / beta_prev: re-express columns in anchor order."""
+    S = _scaled_transport(t_prev)
+    if weights.in_dim != S.shape[0]:
+        raise DimensionMismatchError(
+            f"weight in_dim {weights.in_dim} != plan rows {S.shape[0]}"
+        )
+    return DenseParams(weight=weights.weight @ S, bias=weights.bias)
+
+
+def align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan) -> DenseParams:
+    """W_tilde = (T / beta).T @ W_hat; the bias moves with the rows."""
+    S = _scaled_transport(t_curr)
+    if weights.out_dim != S.shape[0]:
+        raise DimensionMismatchError(
+            f"weight out_dim {weights.out_dim} != plan rows {S.shape[0]}"
+        )
+    bias = None if weights.bias is None else S.T @ weights.bias
+    return DenseParams(weight=S.T @ weights.weight, bias=bias)
+
+
+def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormParams:
+    """Map all four BN vectors by (T / beta).T; no plan of its own.
+
+    t_prev is the plan of the affine layer the batch norm sits behind. The
+    map has nonnegative entries, so running_var stays nonnegative.
+    """
+    S = _scaled_transport(t_prev)
+    if bn.dim != S.shape[0]:
+        raise DimensionMismatchError(f"bn dim {bn.dim} != plan rows {S.shape[0]}")
+    return BatchNormParams(
+        gamma=S.T @ bn.gamma,
+        beta_shift=S.T @ bn.beta_shift,
+        running_mean=S.T @ bn.running_mean,
+        running_var=S.T @ bn.running_var,
+        epsilon=bn.epsilon,
+    )
+
+
+def align_model(model: GcnModel, plan_for) -> tuple[Layer, ...]:
+    """The model's layers with its neurons carried onto another model's, layer by layer.
+
+    A transport plan T couples this model's neurons (rows) to the other
+    model's (columns). For each parameterized layer i the incoming weights
+    are aligned by the previous plan, plan_for(i, those parameters) gives
+    layer i's plan, and the outgoing weights, bias and batch norm move by it:
+
+        incoming:  W_hat   = W @ (T_prev / beta_prev)
+        outgoing:  W_tilde = (T / beta).T @ W_hat,   b_tilde = (T / beta).T @ b
+
+    beta = T^T 1, so each column of T / beta sums to 1: a target neuron gets
+    the barycentre of the neurons the plan sends it, and a plan that keeps
+    little mass (unbalanced Sinkhorn) does not shrink the parameters; a
+    column with no mass maps to zero. T / beta is a division, so a
+    permutation plan (1/m) P gives exact ones (x / x) and changes no value.
+    The mean readout passes the previous plan on.
+    """
+    layers: list[Layer] = []
+    t_prev: TransportPlan | None = None
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, MeanReadout):
+            # no parameters; the previous plan flows through to the dense head
+            layers.append(layer)
+            continue
+        params = layer.params
+        if t_prev is not None:
+            params = align_layer_incoming(params, t_prev)
+        plan = plan_for(i, params)
+        params = align_layer_outgoing(params, plan)
+        bn = getattr(layer, "batch_norm", None)
+        if bn is not None:
+            bn = align_batchnorm(bn, plan)
+        layers.append(_rebuild(layer, params, bn))
+        t_prev = plan
+    return tuple(layers)
 
 
 @dataclass(frozen=True)

@@ -62,19 +62,15 @@ def uniform_weights(n: int) -> np.ndarray:
 class TransportPlan:
     """A coupling with its objective and solver diagnostics.
 
-    ``objective`` is <coupling, cost> for the linear solvers and the fused
-    objective for fgw_distance. ``history`` carries per-iteration objective
-    values where the solver is iterative (the full unbalanced functional for
-    Sinkhorn, the fused objective for FGW). ``gap`` is the relative duality
-    gap (P - D) / max(1, |P|) of the returned plan where the solver
-    certifies one (Sinkhorn), else None.
+    ``objective`` is <coupling, cost>. ``gap`` is the relative duality gap
+    (P - D) / max(1, |P|) of the returned plan where the solver certifies
+    one (Sinkhorn), else None.
     """
 
     coupling: np.ndarray
     objective: float
     converged: bool = True
     iterations: int = 0
-    history: tuple[float, ...] = ()
     gap: float | None = None
 
     def __post_init__(self):
@@ -195,8 +191,7 @@ class SinkhornParams:
     rho_beta scale the KL penalties on the two marginals. tol is the
     relative duality gap the solve must certify: it stops once
     P(T) - D(f, g) <= tol * max(1, |P(T)|), with P the unbalanced objective
-    and D its dual. The solve records the unbalanced objective of every
-    iteration in the plan's history.
+    and D its dual.
     """
 
     epsilon: float
@@ -381,8 +376,8 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
     and does not raise P. Every iteration ends with the closed-form
     translation step along (f + lam, g - lam), which leaves T unchanged.
     If no Newton step passes, one Sinkhorn sweep is taken instead, again
-    only if it does not raise P; otherwise the solve stops. So the history
-    is non-increasing (up to rounding of P). The Newton step follows
+    only if it does not raise P; otherwise the solve stops. So P is
+    non-increasing (up to its rounding). The Newton step follows
     Brauer, Clason, Lorenz & Wirth, "A Sinkhorn-Newton method for entropic
     optimal transport" (2017); the translation step follows Sejourne,
     Vialard & Peyre, "Faster unbalanced optimal transport: translation
@@ -406,7 +401,6 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
     T = dual.plan(f, g)
     P = dual.primal(T)
     D = dual.value(T, f, g)
-    history = [P]
     # the start sweep is the first iteration
     iterations = 1
     while _relative_gap(P, D) + _ROUNDING > params.tol and iterations < params.max_iters:
@@ -418,12 +412,10 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
         # the translation leaves T, and with it P, unchanged
         f, g = dual.translate(f, g)
         D = dual.value(T, f, g)
-        history.append(P)
     gap = _relative_gap(P, D)
     return TransportPlan(
         coupling=T, objective=float(np.sum(T * C)),
-        converged=gap + _ROUNDING <= params.tol, iterations=iterations, history=tuple(history),
-        gap=gap,
+        converged=gap + _ROUNDING <= params.tol, iterations=iterations, gap=gap,
     )
 
 
@@ -515,16 +507,17 @@ def _fgw_fixed_points(problem: FgwProblem):
     """The fixed point from every start on every instance of the problem.
 
     Run s * P + p is instance p from start s; it leaves the array once its plan
-    moves less than _FGW_TOL. Returns plans (S, P, n, m), converged and steps (S, P).
+    moves less than _FGW_TOL. Returns the plans (S, P, n, m).
     """
     Ca, Cb, a, b = problem.structure_a, problem.structure_b, problem.alpha, problem.beta
     F = problem.feature_cost.reshape((-1,) + problem.feature_cost.shape[-2:])
     starts = [np.outer(a, b)] + ([np.diag(a)] if a.size == b.size and np.array_equal(a, b) else [])
     P = F.shape[0]
     T = np.repeat(np.array(starts), P, axis=0)
-    iterations = np.zeros(len(T), dtype=int)
     active = np.arange(len(T))
-    while active.size and iterations.max() < _FGW_MAX_ITERS:
+    for _ in range(_FGW_MAX_ITERS):
+        if not active.size:
+            break
         current = T[active]
         lin = problem.trade_off * F[active % P]
         if problem.trade_off < 1.0:
@@ -535,13 +528,11 @@ def _fgw_fixed_points(problem: FgwProblem):
             T[active] = _assignment_coupling(a, lin)
         else:
             T[active] = [emd(a, b, C).coupling for C in lin]
-        iterations[active] += 1
         active = active[~(np.max(np.abs(T[active] - current), axis=(1, 2)) < _FGW_TOL)]
-    converged = ~np.isin(np.arange(len(T)), active)
-    return T.reshape((-1,) + F.shape), converged.reshape(-1, P), iterations.reshape(-1, P)
+    return T.reshape((-1,) + F.shape)
 
 
-def fgw_distance(problem: FgwProblem) -> tuple[float, TransportPlan] | tuple[np.ndarray, np.ndarray]:
+def fgw_distance(problem: FgwProblem) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-point iteration on the linearized fused cost, over one instance or a stack.
 
     Each step solves linear OT on trade_off * feature_cost
@@ -552,19 +543,14 @@ def fgw_distance(problem: FgwProblem) -> tuple[float, TransportPlan] | tuple[np.
     the first run of least fused objective wins; so identity and symmetry
     hold by construction. Each pass steps all its runs as one array, in a
     single instance's operation order, so every result is bitwise that
-    instance's alone. Returns (distance, TransportPlan) for an (n, m)
-    problem, (distances (P,), couplings (P, n, m)) for a stack.
+    instance's alone. Returns (distances (P,), couplings (P, n, m)); an
+    (n, m) problem is a stack of one.
     """
     runs = []
     for mirror, posed in enumerate((problem, problem.transposed())):
-        for T, converged, iterations in zip(*_fgw_fixed_points(posed)):
+        for T in _fgw_fixed_points(posed):
             T = T.swapaxes(1, 2) if mirror else T
-            runs.append((fused_objective(problem, T), T, converged, iterations))
+            runs.append((fused_objective(problem, T), T))
     best = np.argmin([run[0] for run in runs], axis=0), np.arange(len(runs[0][0]))
-    obj, T, converged, iterations = (np.array(field)[best] for field in zip(*runs))
-    distance = np.maximum(obj, 0.0)
-    if problem.feature_cost.ndim == 3:
-        return distance, T
-    plan = TransportPlan(coupling=T[0], objective=float(distance[0]), converged=bool(converged[0]),
-                         iterations=int(iterations[0]), history=(float(distance[0]),))
-    return plan.objective, plan
+    obj, T = (np.array(field)[best] for field in zip(*runs))
+    return np.maximum(obj, 0.0), T

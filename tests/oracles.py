@@ -2,8 +2,9 @@
 
 Each states one quantity the plain way, for one instance: an exhaustive
 minimum over permutation couplings for exact EMD, the EFD, QE and FGW
-neuron costs for one pair of neurons on one input graph, and the forward
-pass of one model on one graph. A neuron's evidence on a graph is one
+neuron costs for one pair of neurons on one input graph, the forward
+pass of one model on one graph, and a hidden-neuron permutation of a model
+by index gathers. A neuron's evidence on a graph is one
 value per vertex; both neurons of a pair are read on the same graph, so the
 two value vectors share its structure.
 """
@@ -14,9 +15,12 @@ import numpy as np
 
 from gcnfuse import (
     PRE_BN,
+    BatchNormParams,
     Dense,
+    DenseParams,
     Embedding,
     FgwProblem,
+    GcnModel,
     Graph,
     GraphConv,
     MeanReadout,
@@ -78,7 +82,7 @@ def pairwise_fgw(graph: Graph, values_a, values_b, trade_off: float) -> float:
     a = np.asarray(values_a, dtype=float)
     b = np.asarray(values_b, dtype=float)
     structure = shortest_path_structure(graph)
-    distance, _ = fgw_distance(FgwProblem(
+    (distance,), _ = fgw_distance(FgwProblem(
         structure_a=structure, structure_b=structure,
         feature_cost=(a[:, None] - b[None, :]) ** 2, trade_off=trade_off,
         alpha=uniform_weights(a.size), beta=uniform_weights(b.size),
@@ -139,3 +143,45 @@ def per_graph_forward(model, graph: Graph, capture_point: str | None):
     out = np.asarray(h)
     assert out.size == 1, "the regression head must be scalar"
     return float(out.reshape(-1)[0]), captures
+
+
+def gather_permute_model(model, permutations):
+    """permute_model by index gathers, for valid permutations.
+
+    Row k of hidden layer i becomes row perm[k]; the next parameterized
+    layer's columns, the bias and any BN vectors move along; the output
+    layer's rows stay in place.
+    """
+    hidden = model.parameterized_indices()[:-1]
+    perms = {i: np.asarray(p, dtype=np.int64) for i, p in zip(hidden, permutations)}
+    layers = []
+    prev = None
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, MeanReadout):
+            layers.append(layer)
+            continue
+        rows = perms.get(i)
+        W = layer.params.weight
+        if prev is not None:
+            W = W[:, prev]
+        if rows is not None:
+            W = W[rows, :]
+        bias = layer.params.bias
+        if bias is not None and rows is not None:
+            bias = bias[rows]
+        bn = getattr(layer, "batch_norm", None)
+        if bn is not None and rows is not None:
+            bn = BatchNormParams(
+                gamma=bn.gamma[rows], beta_shift=bn.beta_shift[rows],
+                running_mean=bn.running_mean[rows], running_var=bn.running_var[rows],
+                epsilon=bn.epsilon,
+            )
+        params = DenseParams(weight=W, bias=bias)
+        if isinstance(layer, Embedding):
+            layers.append(Embedding(params=params))
+        elif isinstance(layer, GraphConv):
+            layers.append(GraphConv(params=params, batch_norm=bn))
+        else:
+            layers.append(Dense(params=params, batch_norm=bn, activation=layer.activation))
+        prev = rows
+    return GcnModel(layers=tuple(layers), name=model.name + "+perm", seed=model.seed)

@@ -26,11 +26,11 @@ from gcnfuse import (
     align_layer_outgoing,
     emd,
     evaluate_mae,
-    forward,
     fuse,
     label_with_model,
     permute_model,
     perturb_model,
+    predict,
     random_model,
     sinkhorn_unbalanced,
     synthesize_dataset,
@@ -139,14 +139,14 @@ def test_criterion_3_fgw_identity_and_symmetry(report):
             structure_a=Sa, structure_b=Sa,
             feature_cost=(va[:, None] - va[None, :]) ** 2,
             trade_off=0.5, alpha=uniform_weights(na), beta=uniform_weights(na))
-        d_self, _ = fgw_distance(self_problem)
+        d_self = fgw_distance(self_problem)[0][0]
         worst_identity = max(worst_identity, abs(d_self))
         forward_problem = FgwProblem(
             structure_a=Sa, structure_b=Sb,
             feature_cost=(va[:, None] - vb[None, :]) ** 2,
             trade_off=0.5, alpha=uniform_weights(na), beta=uniform_weights(nb))
-        d_ab, _ = fgw_distance(forward_problem)
-        d_ba, _ = fgw_distance(forward_problem.transposed())
+        d_ab = fgw_distance(forward_problem)[0][0]
+        d_ba = fgw_distance(forward_problem.transposed())[0][0]
         worst_asymmetry = max(worst_asymmetry, abs(d_ab - d_ba))
     elapsed = time.perf_counter() - t0
     ok = worst_identity <= 1e-8 and worst_asymmetry <= 1e-8 and elapsed < 30.0
@@ -183,8 +183,8 @@ def test_criterion_4_permutation_recovery_end_to_end(report):
                             feature_dim=4)
         held_out = synthesize_dataset(gen, seed=3000 + seed)
         for g in held_out.graphs:
-            ref = forward(model, g)
-            rel = abs(forward(fused, g) - ref) / max(abs(ref), 1e-9)
+            ref = predict(model, (g,))[0]
+            rel = abs(predict(fused, (g,))[0] - ref) / max(abs(ref), 1e-9)
             worst_rel = max(worst_rel, rel)
         for layer, p in zip(trace.layers, perms):
             n = len(p)

@@ -3,12 +3,15 @@
 perfbench/tracer.py times the library by swapping the functions it lists in
 WRAPPED, and it skips a name it cannot find without a word, so a renamed or
 deleted function would silently zero that layer's metrics. This test turns
-that into a failure. The package also ships no public name, and no public
-method or property of a public class, that only tests call: reference
-implementations live in tests/oracles.py.
+that into a failure. The package also ships no public name, no public
+method or property of a public class, and no dataclass field of one, that
+only tests call or read: reference implementations live in tests/oracles.py.
+Members and fields are matched by name only, so one that shares its name
+with a used member of another class passes.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib.util
 import inspect
@@ -40,18 +43,23 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def _names_used_outside_tests() -> set[str]:
-    """Every name and attribute name the package modules and perfbench read."""
+def _nodes_outside_tests():
+    """Every ast node of the package modules and of perfbench, tests left out."""
     package = ROOT / "src" / "gcnfuse"
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     sources += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
-    used = set()
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _names_used_outside_tests() -> set[str]:
+    """Every name and attribute name the package modules and perfbench read."""
+    used = set()
+    for node in _nodes_outside_tests():
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
     return used
 
 
@@ -71,3 +79,15 @@ def test_every_public_member_is_used_outside_tests():
         and attr not in used
     ]
     assert sorted(unused) == []
+
+
+def test_every_public_field_is_read_outside_tests():
+    # a field counts only when read as an attribute; a constructor keyword does not
+    read = {node.attr for node in _nodes_outside_tests() if isinstance(node, ast.Attribute)}
+    unread = [
+        f"{name}.{f.name}"
+        for name in gcnfuse.__all__
+        if inspect.isclass(cls := getattr(gcnfuse, name)) and dataclasses.is_dataclass(cls)
+        for f in dataclasses.fields(cls) if f.name not in read
+    ]
+    assert sorted(unread) == []

@@ -23,10 +23,10 @@ from gcnfuse import (
     default_epsilon,
     ensemble_predict,
     evaluate_mae,
-    forward,
     fuse,
     label_with_model,
     permute_model,
+    predict,
     random_model,
     synthesize_dataset,
     vanilla_fuse,
@@ -65,7 +65,7 @@ def assert_same_fusion(run_x, run_y):
 def max_rel_prediction_gap(model_x, model_y, graphs):
     worst = 0.0
     for g in graphs:
-        a, b = forward(model_x, g), forward(model_y, g)
+        a, b = predict(model_x, (g,))[0], predict(model_y, (g,))[0]
         worst = max(worst, abs(a - b) / max(abs(a), 1e-12))
     return worst
 
@@ -358,7 +358,7 @@ class TestFuse:
                               sinkhorn=SinkhornParams(epsilon=5e-5),
                               sample_size=8, seed=0)
         fused, _ = fuse(model, model, dataset, config)
-        gap = max(abs(forward(fused, g) - forward(model, g)) for g in dataset.graphs)
+        gap = max(abs(predict(fused, (g,))[0] - predict(model, (g,))[0]) for g in dataset.graphs)
         assert gap < 1e-3
 
     def test_mlp_twin_recovery(self):
@@ -409,7 +409,7 @@ class TestBaselines:
         mid = vanilla_fuse(a, b, interpolation=0.5)
         assert np.array_equal(mid.layers[1].params.bias, [2.0])
         g = single_vertex_graphs([[0.0]])[0]
-        assert forward(mid, g) == 2.0
+        assert predict(mid, (g,))[0] == 2.0
 
     def test_vanilla_architecture_mismatch(self, small_regression_setup):
         _, model = small_regression_setup
@@ -419,7 +419,7 @@ class TestBaselines:
     def test_ensemble_single_model(self):
         model = constant_model(1.5)
         g = single_vertex_graphs([[0.0]])[0]
-        assert ensemble_predict([model], [g])[0] == forward(model, g)
+        assert ensemble_predict([model], [g])[0] == predict(model, (g,))[0]
 
     def test_ensemble_two_models_average(self):
         g = single_vertex_graphs([[0.0]])[0]
@@ -430,7 +430,7 @@ class TestBaselines:
         models = [random_model(ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=1,
                                         dense_layers=1), seed=s) for s in (1, 2, 3)]
         g = make_graph(3, edges=[(0, 1), (1, 2)], values=rng.standard_normal((3, 3)))
-        expected = np.mean([forward(m, g) for m in models])
+        expected = np.mean([predict(m, (g,))[0] for m in models])
         assert ensemble_predict(models, [g])[0] == pytest.approx(expected, rel=1e-15)
 
     def test_ensemble_empty_rejected(self):

@@ -19,13 +19,13 @@ from gcnfuse import (
     MeanReadout,
     ModelFormatError,
     evaluate_mae,
-    forward,
     forward_with_capture,
     label_with_model,
     load_model,
     normalized_adjacency,
     permute_model,
     perturb_model,
+    predict,
     random_model,
     save_model,
     synthesize_dataset,
@@ -134,19 +134,19 @@ class TestForward:
         # deg = 1, so normalization is the identity: ReLU(2*3 + 1) = 7
         model = GcnModel(layers=(GraphConv(params=DenseParams(weight=[[2.0]], bias=[1.0])),))
         g = make_graph(1, values=[[3.0]])
-        assert forward(model, g) == 7.0
+        assert predict(model, (g,))[0] == 7.0
 
     def test_zero_inputs_zero_biases_give_zero(self):
         model = tiny_gcn([[2.0]], [0.0], head_weight=[[5.0]])
         g = path_graph(3)  # all-zero features
-        assert forward(model, g) == 0.0
+        assert predict(model, (g,))[0] == 0.0
 
     def test_two_vertex_path_hand_value(self):
         # deg_u = deg_v = 2; normalized aggregation averages the endpoints:
         # agg = (1/sqrt 2)(1/sqrt 2 * 1 + 1/sqrt 2 * 5) = 3; z = 3*3 - 1 = 8
         model = tiny_gcn([[3.0]], [-1.0])
         g = make_graph(2, edges=[(0, 1)], values=[[1.0], [5.0]])
-        assert forward(model, g) == pytest.approx(8.0, abs=1e-12)
+        assert predict(model, (g,))[0] == pytest.approx(8.0, abs=1e-12)
 
     def test_normalized_adjacency_values(self):
         g = make_graph(2, edges=[(0, 1)])
@@ -155,7 +155,7 @@ class TestForward:
     def test_feature_dim_mismatch(self):
         model = tiny_gcn([[1.0]], [0.0])
         with pytest.raises(DimensionMismatchError):
-            forward(model, make_graph(2, feature_dim=3))
+            predict(model, (make_graph(2, feature_dim=3),))
 
     def test_mlp_matches_plain_arithmetic(self):
         rng = np.random.default_rng(0)
@@ -167,7 +167,7 @@ class TestForward:
         ))
         x = rng.standard_normal(3)
         g = make_graph(1, values=[x.tolist()])
-        assert forward(model, g) == pytest.approx((W2 @ (W1 @ x) + b2)[0], rel=1e-12)
+        assert predict(model, (g,))[0] == pytest.approx((W2 @ (W1 @ x) + b2)[0], rel=1e-12)
 
 
 class TestCapture:
@@ -255,7 +255,7 @@ class TestEvaluateMae:
         ds = synthesize_dataset(spec, seed=10)
         model = random_model(ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=1,
                                       dense_layers=2), seed=11)
-        direct = np.mean([abs(forward(model, g) - g.target) for g in ds.graphs])
+        direct = np.mean([abs(predict(model, (g,))[0] - g.target) for g in ds.graphs])
         assert evaluate_mae(model, ds) == pytest.approx(direct, rel=1e-15)
 
     def test_missing_target_rejected(self):
@@ -281,7 +281,7 @@ class TestPermuteModel:
         perms = [rng.permutation(5) for _ in range(len(model.parameterized_indices()) - 1)]
         twin = permute_model(model, perms)
         for g in random_graphs(100, 3, seed=15):
-            a, b = forward(model, g), forward(twin, g)
+            a, b = predict(model, (g,))[0], predict(twin, (g,))[0]
             assert b == pytest.approx(a, rel=1e-6, abs=1e-9)
 
     def test_two_neuron_swap_moves_rows_and_columns(self):

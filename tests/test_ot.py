@@ -26,6 +26,30 @@ def random_instance(rng, n, m=None):
     return uniform_weights(n), uniform_weights(m), rng.random((n, m))
 
 
+def record_objectives(monkeypatch) -> list[float]:
+    """Record P per iteration of Sinkhorn solves: the start, then each step taken.
+
+    Clear the list between solves. Both step kinds take the current P as
+    argument p_at and return
+    (f, g, T, P) when they are taken, None when they are not.
+    """
+    objectives = []
+
+    def recorded(step, p_at):
+        def wrapper(*args):
+            if not objectives:
+                objectives.append(args[p_at])
+            result = step(*args)
+            if result is not None:
+                objectives.append(result[3])
+            return result
+        return wrapper
+
+    monkeypatch.setattr(ot, "_newton_step", recorded(ot._newton_step, 4))
+    monkeypatch.setattr(ot, "_sweep_step", recorded(ot._sweep_step, 2))
+    return objectives
+
+
 def random_structure(rng, n):
     S = rng.random((n, n))
     S = S + S.T
@@ -175,16 +199,17 @@ class TestSinkhorn:
         assert np.all(np.isfinite(plan.coupling))
         assert np.all(plan.coupling >= 0)
 
-    def test_objective_history_non_increasing(self):
+    def test_objective_history_non_increasing(self, monkeypatch):
         # exact block minimizations; holds whenever exp(-C/eps) never underflows
         rng = np.random.default_rng(7)
         a, b, C = random_instance(rng, 6)
         params = SinkhornParams(epsilon=0.05)
+        history = record_objectives(monkeypatch)
         plan = sinkhorn_unbalanced(a, b, C, params)
-        hist = np.array(plan.history)
+        hist = np.array(history)
         assert len(hist) > 1
         assert np.all(np.diff(hist) <= 1e-10)
-        assert plan.history[-1] == pytest.approx(
+        assert history[-1] == pytest.approx(
             unbalanced_objective(plan.coupling, a, b, C, params), rel=1e-9)
 
     def test_nonconvergence_reports_flag(self):
@@ -242,21 +267,23 @@ class TestSinkhorn:
             assert plan.gap <= params.tol
 
     @pytest.mark.parametrize("epsilon", [5e-4, 5e-5])
-    def test_converges_at_fusion_scale_costs(self, epsilon):
+    def test_converges_at_fusion_scale_costs(self, epsilon, monkeypatch):
         # the fusion layers' regime: costs in [10, 1000) against rho = 1, so the
         # optimal plan keeps only about exp(-C/2) of its mass
         a = uniform_weights(16)
         iterations = []
+        history = record_objectives(monkeypatch)
         for seed in range(10):
             C = np.random.default_rng(seed).uniform(10.0, 1000.0, size=(16, 16))
             params = SinkhornParams(epsilon=epsilon)
+            history.clear()
             plan = sinkhorn_unbalanced(a, a, C, params)
             assert plan.converged
             assert plan.iterations < 200
             competitor = emd(a, a, C).coupling
             assert (unbalanced_objective(plan.coupling, a, a, C, params)
                     <= unbalanced_objective(competitor, a, a, C, params))
-            assert np.all(np.diff(plan.history) <= 1e-12)
+            assert np.all(np.diff(history) <= 1e-12)
             iterations.append(plan.iterations)
         # some instances need Newton steps, so the history checks are not vacuous
         assert max(iterations) >= 5
@@ -306,14 +333,15 @@ class TestFgw:
             problem = FgwProblem(structure_a=S, structure_b=S, feature_cost=F,
                                  trade_off=0.5,
                                  alpha=uniform_weights(n), beta=uniform_weights(n))
-            d, plan = fgw_distance(problem)
+            (d,), (T,) = fgw_distance(problem)
             assert d <= 1e-8
+            plan = TransportPlan(coupling=T, objective=d)
             assert plan.marginal_error(problem.alpha, problem.beta) <= 1e-9
 
     def test_trade_off_one_reduces_to_emd(self):
         rng = np.random.default_rng(12)
         problem = self._problem(rng, 5, trade_off=1.0)
-        d, _ = fgw_distance(problem)
+        (d,), _ = fgw_distance(problem)
         exact = emd(problem.alpha, problem.beta, problem.feature_cost)
         assert d == pytest.approx(exact.objective, abs=1e-12)
 
@@ -326,7 +354,7 @@ class TestFgw:
         problem = FgwProblem(structure_a=S, structure_b=S, feature_cost=F,
                              trade_off=0.5,
                              alpha=uniform_weights(3), beta=uniform_weights(3))
-        d, _ = fgw_distance(problem)
+        (d,), _ = fgw_distance(problem)
         bound = min(
             fused_objective(problem, np.eye(3)[list(p)] / 3.0)
             for p in itertools.permutations(range(3))
@@ -346,25 +374,26 @@ class TestFgw:
                              alpha=uniform_weights(4), beta=uniform_weights(4))
         best = min(fused_objective(problem, np.eye(4)[list(p)] / 4.0)
                    for p in itertools.permutations(range(4)))
-        forward, _, _ = ot._fgw_fixed_points(problem)
+        forward = ot._fgw_fixed_points(problem)
         assert best == 0.25
         assert min(fused_objective(problem, T[0]) for T in forward) == 0.5
-        assert fgw_distance(problem)[0] == best
+        assert fgw_distance(problem)[0][0] == best
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             problem = self._problem(rng, int(rng.integers(2, 6)))
-            d_ab, _ = fgw_distance(problem)
-            d_ba, _ = fgw_distance(problem.transposed())
+            (d_ab,), _ = fgw_distance(problem)
+            (d_ba,), _ = fgw_distance(problem.transposed())
             assert abs(d_ab - d_ba) <= 1e-8
 
     def test_rectangular_instances_solve(self):
         rng = np.random.default_rng(14)
         problem = self._problem(rng, 4, m=6)
-        d, plan = fgw_distance(problem)
+        (d,), (T,) = fgw_distance(problem)
         assert d >= 0.0
-        assert plan.coupling.shape == (4, 6)
+        assert T.shape == (4, 6)
+        plan = TransportPlan(coupling=T, objective=d)
         assert plan.marginal_error(problem.alpha, problem.beta) <= 1e-9
 
     def test_structure_validation(self):

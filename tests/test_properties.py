@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcnfuse import (
     ActivationSample,
@@ -23,7 +23,6 @@ from gcnfuse import (
     build_cost_matrix,
     emd,
     fgw_distance,
-    forward,
     forward_with_capture,
     fuse,
     label_with_model,
@@ -40,7 +39,7 @@ from gcnfuse import (
     uniform_weights,
     write_dataset,
 )
-from oracles import pairwise_fgw, per_graph_adjacency, per_graph_forward
+from oracles import gather_permute_model, pairwise_fgw, per_graph_adjacency, per_graph_forward
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -74,7 +73,7 @@ def test_emd_fusion_recovers_planted_permutation(hidden, batch_norm, gc_layers,
         assert np.array_equal(layer.plan.coupling, expected)
     assert trace.layers[-1].is_identity
     for g in dataset.graphs:
-        a, f = forward(model, g), forward(fused, g)
+        a, f = predict(model, (g,))[0], predict(fused, (g,))[0]
         assert abs(f - a) <= 1e-9 * max(abs(a), 1e-12)
 
 
@@ -154,6 +153,39 @@ def _layer_bits(layer):
         None if bn is None else (_bits(bn.gamma), _bits(bn.beta_shift), _bits(bn.running_mean),
                                  _bits(bn.running_var), bn.epsilon),
     )
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    feature_dim=st.integers(1, 4),
+    hidden=st.integers(1, 64),
+    batch_norm=st.booleans(),
+    gc_layers=st.integers(0, 2),  # 0 builds an MLP
+    dense_layers=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+# at width 49, (1/49) * 49 != 1.0: a plan scaled by multiplication would not be exact
+@example(feature_dim=2, hidden=49, batch_norm=True, gc_layers=1, dense_layers=2, seed=0)
+def test_permute_model_equals_gather_reference(feature_dim, hidden, batch_norm, gc_layers,
+                                               dense_layers, seed):
+    # permute_model aligns by permutation plans; every value must come out as the gathers give it
+    spec = ArchSpec(feature_dim=feature_dim, hidden_dim=hidden, gc_layers=gc_layers,
+                    dense_layers=dense_layers, batch_norm=batch_norm)
+    model = random_model(spec, seed=seed, name="m")
+    rng = np.random.default_rng(seed + 1)
+    perms = [rng.permutation(model.layers[i].params.out_dim)
+             for i in model.parameterized_indices()[:-1]]
+
+    permuted = permute_model(model, perms)
+    reference = gather_permute_model(model, perms)
+
+    assert [_layer_bits(l) for l in permuted.layers] == [_layer_bits(l) for l in reference.layers]
+    assert (permuted.name, permuted.seed) == (reference.name, reference.seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(permuted, Path(tmp) / "permuted.json")
+        save_model(reference, Path(tmp) / "reference.json")
+        assert ((Path(tmp) / "permuted.json").read_bytes()
+                == (Path(tmp) / "reference.json").read_bytes())
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -266,7 +298,7 @@ def test_batched_forward_equals_per_graph_oracle(arch, capture_point, hidden, si
     for k, g in enumerate(graphs):
         assert _bits(normalized_adjacency([g])[0]) == _bits(per_graph_adjacency(g))
         pred, captures = per_graph_forward(model, g, capture_point)
-        assert _bits(np.float64(forward(model, g))) == _bits(np.float64(pred))
+        assert _bits(np.float64(predict(model, (g,))[0])) == _bits(np.float64(pred))
         assert _close(preds[k], pred)
         assert _all_close(_captured(acts, k), captures)
     # another order, and a smaller batch
@@ -398,9 +430,9 @@ def test_stacked_fgw_distance_equals_its_slices(graph_a, graph_b, instances, sty
 
     assert distances.shape == (instances,) and couplings.shape == (instances, n, m)
     for p in range(instances):
-        d, plan = fgw_distance(problem(F[p]))
+        (d,), (coupling,) = fgw_distance(problem(F[p]))
         assert _bits(np.float64(d)) == _bits(distances[p])
-        assert _bits(plan.coupling) == _bits(couplings[p])
+        assert _bits(coupling) == _bits(couplings[p])
         d_ref, coupling_ref = _reference_fgw(problem(F[p]))
         assert _bits(np.float64(d)) == _bits(np.float64(d_ref))
-        assert _bits(plan.coupling) == _bits(coupling_ref)
+        assert _bits(coupling) == _bits(coupling_ref)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Run the gcnfuse CLI of source tree TREE over a fixed set of commands and
-# keep everything it writes under OUT: fixtures (GCN, MLP and a hidden-64
-# GCN), fused and averaged models, traces, dumped cost matrices, result
-# tables, evaluation rows, and each command's console output.
+# keep everything it writes under OUT: fixtures (GCN, MLP, a hidden-64 GCN
+# and a noisy GCN twin without batch norm), fused and averaged models,
+# traces, dumped cost matrices, result tables, evaluation rows, and each
+# command's console output.
 #
 #   tools/cli_outputs.sh TREE OUT
 #
@@ -68,3 +69,8 @@ run fuse-wide fuse --a fx-wide/model_a.json --b fx-wide/model_b.json --data fx-w
     --solver emd --cost efd --out fuse-wide.model.json --trace fuse-wide.trace.txt \
     --dump-costs fuse-wide.costs
 run eval-wide eval --model fuse-wide.model.json --data fx-wide/dataset.jsonl --out eval-wide.csv
+# a noisy twin without batch norm: permute_model then perturb_model, and alignment with no BN
+run gen-fixtures-noisy gen-fixtures --out-dir fx-noisy --noise 0.05 --no-bn --gc-layers 1 --seed 3
+run fuse-noisy fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
+    --data fx-noisy/dataset.jsonl --solver emd --cost weight --out fuse-noisy.model.json \
+    --trace fuse-noisy.trace.txt
