@@ -344,6 +344,25 @@ def test_undecodable_input_exits_cleanly(fx, tmp_path, which):
 
 
 @pytest.mark.parametrize("command, flag", [
+    ("fuse", "--out"), ("fuse", "--trace"), ("vanilla", "--out"), ("eval", "--out"),
+    ("sweep-samples", "--out"),
+], ids=["fuse-out", "fuse-trace", "vanilla", "eval", "sweep-samples"])
+def test_output_in_missing_directory_exits_cleanly(fx, tmp_path, command, flag):
+    missing = tmp_path / "nodir" / "out.txt"
+    pair = ["--a", fx["a"], "--b", fx["b"]]
+    args = {"fuse": [*pair, "--data", fx["data"], "--samples", 4,
+                     "--out", tmp_path / "fused.json"],
+            "vanilla": pair,
+            "eval": ["--model", fx["a"], "--data", fx["data"]],
+            "sweep-samples": [*pair, "--data", fx["data"], "--sizes", 2, "--repeats", 1]}[command]
+    result = run(command, *args, flag, missing)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert "Traceback" not in result.output
+    assert str(missing) in result.output
+
+
+@pytest.mark.parametrize("command, flag", [
     ("fuse", "--out"), ("fuse", "--trace"), ("fuse", "config"), ("vanilla", "--out"),
     ("grid", "--out"), ("sweep-samples", "--out"), ("bn-compare", "--out"), ("eval", "--out"),
     ("ensemble", "--out"),
