@@ -167,7 +167,7 @@ def _options(*decorators):
 
 
 def _check_out_dir(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
-    """Stop before any input is read when an output file's directory does not exist."""
+    """Stop before any input is read when an output's parent directory does not exist."""
     if path is not None and not Path(path).parent.is_dir():
         raise click.ClickException(f"cannot write {path}: {Path(path).parent} is not a directory")
     return path
@@ -240,7 +240,7 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 @out_option("--out", "out_path", default="fused.model.json", show_default=True,
             help="Where to write the fused model.")
 @out_option("--trace", "trace_path", default=None, help="Write the per-layer alignment report here.")
-@click.option("--dump-costs", "dump_dir", type=click.Path(file_okay=False), default=None,
+@click.option("--dump-costs", "dump_dir", type=click.Path(file_okay=False), callback=_check_out_dir,
               help="Directory for the per-layer cost matrices of this fusion run, as CSV.")
 @config_option
 @_guard
@@ -259,7 +259,7 @@ def cmd_fuse(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, sa
         Path(trace_path).write_text(trace.report() + "\n")
     if dump_dir:
         dump_dir = Path(dump_dir)
-        dump_dir.mkdir(parents=True, exist_ok=True)
+        dump_dir.mkdir(exist_ok=True)
         for layer in trace.layers:
             if not layer.is_identity:
                 np.savetxt(dump_dir / f"layer_{layer.layer_index}_cost.csv", layer.cost,

@@ -19,8 +19,8 @@ one matrix product instead of an (n_a, n_b, vertices) difference tensor:
 
 - QE: one product over the batch's concatenated vertices, one over the
   rows its edges gather, each edge in both orientations;
-- EFD: one stacked product per group of graphs with the same vertex count,
-  since the square root is taken per graph;
+- EFD: one stacked product per capture bucket (the graphs of one vertex
+  count), since the square root is taken per graph;
 - after the readout, and in weight_cost_matrix (weight rows, bias appended,
   no activations): one product.
 
@@ -38,7 +38,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .errors import DimensionMismatchError, InvalidSpecError
-from .graphs import Graph, edge_owners, vertex_count_buckets
+from .graphs import Graph, edge_owners
 from .models import ActivationSample, DenseParams
 from .ot import FgwProblem, fgw_distance, uniform_weights
 
@@ -133,18 +133,17 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
     graphs = acts_a.batch.graphs
     na, nb = acts_a.width, acts_b.width
     if spec.kind == EFD:
-        # the square root is per graph, so one stacked product per vertex count
+        # the square root is per graph, so one stacked product per bucket
         C = np.zeros((na, nb))
-        for index in vertex_count_buckets(graphs):
-            D = _squared_distances(np.stack([acts_a.graph_values[k] for k in index]),
-                                   np.stack([acts_b.graph_values[k] for k in index]))
+        for (_, stack_a), (_, stack_b) in zip(acts_a.buckets, acts_b.buckets):
+            D = _squared_distances(stack_a, stack_b)
             D *= spec.lam
             C += np.sqrt(D, out=D).sum(axis=0)
         return C
     if spec.kind == QE:
         # one product over the batch's vertices, one over its edges' endpoint rows
-        va = np.concatenate(acts_a.graph_values)
-        vb = np.concatenate(acts_b.graph_values)
+        va = np.concatenate(_per_graph(acts_a))
+        vb = np.concatenate(_per_graph(acts_b))
         owner, u, w = edge_owners(graphs)
         offset = np.cumsum([0] + [g.num_vertices for g in graphs[:-1]])[owner]
         u, w = u + offset, w + offset
@@ -156,9 +155,7 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
     # FGW
     trade_off = (spec.fgw or FgwCostSpec()).trade_off
     C = np.zeros((na, nb))
-    for k, graph in enumerate(graphs):
-        va = acts_a.graph_values[k]
-        vb = acts_b.graph_values[k]
+    for graph, va, vb in zip(graphs, _per_graph(acts_a), _per_graph(acts_b)):
         # one stacked FGW instance per neuron pair (i, j), all sharing the graph
         struct = shortest_path_structure(graph)
         n = graph.num_vertices
@@ -170,6 +167,13 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         ))
         C += distances.reshape(na, nb)
     return C
+
+
+def _per_graph(acts: ActivationSample) -> list[np.ndarray]:
+    """Each batch graph's (n, width) capture, in batch order: views into the buckets."""
+    views = [values for _, stack in acts.buckets for values in stack]
+    order = np.argsort(np.concatenate([index for index, _ in acts.buckets]))
+    return [views[k] for k in order]
 
 
 def weight_cost_matrix(layer_a: DenseParams, layer_b: DenseParams) -> np.ndarray:

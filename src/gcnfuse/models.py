@@ -241,28 +241,28 @@ class GcnModel:
 class ActivationSample:
     """One layer's pre-activation capture over a fusion batch, neuron-major.
 
-    Layers evaluated on per-vertex state store one array of shape
-    (num_vertices, width) per input graph; layers after the readout store a
-    single (sample_size, width) array of per-graph scalars.
+    Per-vertex layers keep the evaluator's buckets: one (index, values) pair
+    per vertex count n, ascending, index holding the batch positions of the
+    G graphs with n vertices in batch order and values their (G, n, width)
+    stack. Layers after the readout store one (sample_size, width) array.
     """
 
     batch: FusionBatch
-    graph_values: tuple[np.ndarray, ...] | None = None
+    buckets: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
     readout_values: np.ndarray | None = None
 
     def __post_init__(self):
-        if (self.graph_values is None) == (self.readout_values is None):
-            raise InvalidSpecError("exactly one of graph_values/readout_values must be set")
+        if (self.buckets is None) == (self.readout_values is None):
+            raise InvalidSpecError("exactly one of buckets/readout_values must be set")
 
     @property
     def is_graph_valued(self) -> bool:
-        return self.graph_values is not None
+        return self.buckets is not None
 
     @property
     def width(self) -> int:
-        if self.graph_values is not None:
-            return self.graph_values[0].shape[1]
-        return self.readout_values.shape[1]
+        values = self.readout_values if self.buckets is None else self.buckets[0][1]
+        return values.shape[-1]  # the last axis in either layout
 
 
 def normalized_adjacency(graphs) -> np.ndarray:
@@ -294,8 +294,8 @@ def _evaluate(model: GcnModel, graphs, capture_point: str | None):
     writes each bucket's means into one (len(graphs), width) array in graph
     order, which each later layer maps with one product. Returns
     (predictions, captures). With a capture point, captures maps each
-    parameterized layer index to its pre-activations: a list of per-graph
-    (n, width) views before the readout, one (len(graphs), width) array after.
+    parameterized layer index to its pre-activations: (index, (G, n, width)
+    view) per bucket before the readout, one (len(graphs), width) array after.
     """
     input_dim = model.input_dim
     for g in graphs:
@@ -320,9 +320,7 @@ def _evaluate(model: GcnModel, graphs, capture_point: str | None):
                 h = (adj @ h.reshape(G, n, -1)).reshape(G * n, -1)
             h, z = _affine(layer, h, capture_point)
             if z is not None:
-                values = captures.setdefault(i, [None] * len(graphs))
-                for k, zk in zip(index.tolist(), z.reshape(G, n, -1)):
-                    values[k] = zk
+                captures.setdefault(i, []).append((index, z.reshape(G, n, -1)))
         if split == len(layers) and n > 1:
             raise DimensionMismatchError(
                 f"model output has {n * width} entries; the regression head must be scalar")
@@ -369,7 +367,7 @@ def forward_with_capture(
         raise InvalidSpecError(f"capture_point must be one of {CAPTURE_POINTS}")
     predictions, captures = _evaluate(model, batch.graphs, capture_point)
     return predictions, {
-        i: ActivationSample(batch=batch, graph_values=tuple(values)) if isinstance(values, list)
+        i: ActivationSample(batch=batch, buckets=tuple(values)) if isinstance(values, list)
         else ActivationSample(batch=batch, readout_values=values) for i, values in captures.items()}
 
 

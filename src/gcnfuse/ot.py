@@ -201,10 +201,10 @@ class SinkhornParams:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.rho_alpha <= 0 or self.rho_beta <= 0:
-            raise InvalidSpecError("epsilon and rho values must be > 0")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise InvalidSpecError("tol must be > 0 and max_iters >= 1")
+        if not all(0 < v < np.inf for v in (self.epsilon, self.rho_alpha, self.rho_beta, self.tol)):
+            raise InvalidSpecError("epsilon, rho values and tol must be finite and > 0")
+        if self.max_iters < 1:
+            raise InvalidSpecError("max_iters must be >= 1")
 
 
 def _generalized_kl(x: np.ndarray, y: np.ndarray) -> float:

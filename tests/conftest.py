@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gcnfuse import (
+    ActivationSample,
     ArchSpec,
     Dense,
     DenseParams,
@@ -15,6 +16,7 @@ from gcnfuse import (
     label_with_model,
     random_model,
 )
+from gcnfuse.graphs import vertex_count_buckets
 
 
 def make_graph(n, edges=(), values=None, feature_dim=1, target=None):
@@ -33,6 +35,20 @@ def graph_values(values, edges=()):
     """(graph, values): one neuron's value at each vertex of a graph with these edges."""
     values = np.asarray(values, dtype=float)
     return make_graph(values.size, edges=edges), values
+
+
+def sample_from_graphs(batch, values):
+    """A per-vertex ActivationSample from one (n, width) array per batch graph, in batch order."""
+    return ActivationSample(batch=batch, buckets=tuple(
+        (index, np.stack([values[k] for k in index])) for index in vertex_count_buckets(batch.graphs)))
+
+
+def graph_capture(acts, k):
+    """Batch graph k's (n, width) values in a per-vertex ActivationSample."""
+    for index, stack in acts.buckets:
+        if k in index:
+            return stack[np.flatnonzero(index == k)[0]]
+    raise IndexError(f"batch position {k} is in no bucket")
 
 
 def single_vertex_graphs(xs, targets=None):

@@ -363,11 +363,11 @@ def test_output_in_missing_directory_exits_cleanly(fx, tmp_path, command, flag):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("fuse", "--out"), ("fuse", "--trace"), ("fuse", "config"), ("vanilla", "--out"),
-    ("grid", "--out"), ("sweep-samples", "--out"), ("bn-compare", "--out"), ("eval", "--out"),
-    ("ensemble", "--out"),
-], ids=["fuse-out", "fuse-trace", "fuse-config", "vanilla", "grid", "sweep-samples",
-        "bn-compare", "eval", "ensemble"])
+    ("fuse", "--out"), ("fuse", "--trace"), ("fuse", "--dump-costs"), ("fuse", "config"),
+    ("vanilla", "--out"), ("grid", "--out"), ("sweep-samples", "--out"), ("bn-compare", "--out"),
+    ("eval", "--out"), ("ensemble", "--out"),
+], ids=["fuse-out", "fuse-trace", "fuse-dump-costs", "fuse-config", "vanilla", "grid",
+        "sweep-samples", "bn-compare", "eval", "ensemble"])
 def test_missing_output_directory_stops_before_any_work(fx, tmp_path, monkeypatch, command, flag):
     # every command loads a model first, so no load means no cell ran and nothing was fused
     loaded, fused = [], []
@@ -395,6 +395,24 @@ def test_missing_output_directory_stops_before_any_work(fx, tmp_path, monkeypatc
     assert str(missing) in result.output
     assert loaded == [] and fused == []
     assert sorted(p.name for p in tmp_path.iterdir()) == (["run.json"] if flag == "config" else [])
+
+
+@pytest.mark.parametrize("args", [
+    ("--solver", "sinkhorn", "--epsilon", "nan"), ("--solver", "sinkhorn", "--epsilon", "inf"),
+    ("--solver", "sinkhorn", "--rho", "nan"), ("--solver", "sinkhorn", "--rho", "inf"),
+    ("--solver", "emd", "--epsilon", "nan"),
+], ids=["sinkhorn-epsilon-nan", "sinkhorn-epsilon-inf", "sinkhorn-rho-nan", "sinkhorn-rho-inf",
+        "emd-epsilon-nan"])
+def test_non_finite_sinkhorn_values_stop_before_fusing(fx, tmp_path, monkeypatch, args):
+    fused = []
+    monkeypatch.setattr(cli, "fuse", lambda *a: fused.append(a) or fuse(*a))
+    result = run("fuse", "--a", fx["a"], "--b", fx["b"], "--data", fx["data"], "--samples", 4,
+                 *args, "--out", tmp_path / "fused.json")
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert "Traceback" not in result.output
+    assert "finite" in result.output
+    assert fused == [] and not (tmp_path / "fused.json").exists()
 
 
 class TestVanillaCommand:

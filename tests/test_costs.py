@@ -21,7 +21,7 @@ from gcnfuse import (
     uniform_weights,
     weight_cost_matrix,
 )
-from conftest import graph_values, make_graph, path_graph
+from conftest import graph_capture, graph_values, make_graph, path_graph, sample_from_graphs
 from oracles import pairwise_efd, pairwise_fgw, pairwise_qe
 
 
@@ -31,7 +31,7 @@ def fgw_spec(**kw):
 
 def neuron_values(acts, neuron):
     """(graph, one neuron's value per vertex) per batch graph, for the pairwise_* oracles."""
-    return [(g, vals[:, neuron]) for g, vals in zip(acts.batch.graphs, acts.graph_values)]
+    return [(g, graph_capture(acts, k)[:, neuron]) for k, g in enumerate(acts.batch.graphs)]
 
 
 def captured_acts(model, graphs, capture="post_bn"):
@@ -235,7 +235,7 @@ class TestBuildCostMatrix:
         perm = np.array([2, 0, 3, 1])
         permuted = ActivationSample(
             batch=acts_a[1].batch,
-            graph_values=tuple(v[:, perm] for v in acts_a[1].graph_values),
+            buckets=tuple((index, v[:, :, perm]) for index, v in acts_a[1].buckets),
         )
         C_perm = build_cost_matrix(permuted, acts_b[1], spec)
         assert np.array_equal(C_perm, C[perm, :])
@@ -283,8 +283,8 @@ class TestGemmFormCosts:
 
     def _pair(self, seed, na=5, nb=4):
         batch, values = mixed_batch(seed, na + nb)
-        acts_a = ActivationSample(batch=batch, graph_values=tuple(v[:, :na] for v in values))
-        acts_b = ActivationSample(batch=batch, graph_values=tuple(v[:, na:] for v in values))
+        acts_a = sample_from_graphs(batch, [v[:, :na] for v in values])
+        acts_b = sample_from_graphs(batch, [v[:, na:] for v in values])
         return acts_a, acts_b
 
     @staticmethod
@@ -314,9 +314,10 @@ class TestGemmFormCosts:
     def test_duplicated_neurons_cost_exactly_zero(self):
         # B holds copies of A's neurons 3 and 0 (as columns 0 and 2) in arrays of its own
         acts_a, acts_b = self._pair(seed=42)
-        dup = ActivationSample(batch=acts_b.batch, graph_values=tuple(
-            np.stack([va[:, 3], vb[:, 1], va[:, 0], vb[:, 3]], axis=1)
-            for va, vb in zip(acts_a.graph_values, acts_b.graph_values)))
+        per_graph = [(graph_capture(acts_a, k), graph_capture(acts_b, k))
+                     for k in range(acts_a.batch.sample_size)]
+        dup = sample_from_graphs(acts_b.batch, [
+            np.stack([va[:, 3], vb[:, 1], va[:, 0], vb[:, 3]], axis=1) for va, vb in per_graph])
         C = build_cost_matrix(acts_a, dup, CostSpec(kind="efd", lam=0.3))
         assert C[3, 0] == 0.0 and C[0, 2] == 0.0
         assert np.all(np.delete(C.ravel(), [3 * 4 + 0, 0 * 4 + 2]) > 0.0)
@@ -327,7 +328,7 @@ class TestGemmFormCosts:
         np.testing.assert_allclose(build_cost_matrix(acts_a, dup, CostSpec(kind="qe", lam=0.3)),
                                    self._oracle(acts_a, dup, qe), rtol=1e-12, atol=0)
         readout = ActivationSample(batch=acts_a.batch, readout_values=np.stack(
-            [v[0] for v in acts_a.graph_values]))
+            [va[0] for va, _ in per_graph]))
         copies = ActivationSample(batch=acts_a.batch, readout_values=np.array(
             readout.readout_values[:, ::-1]))
         C = build_cost_matrix(readout, copies, CostSpec(kind="efd"))

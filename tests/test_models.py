@@ -33,6 +33,7 @@ from gcnfuse import (
 from conftest import (
     assert_models_equal,
     constant_model,
+    graph_capture,
     make_graph,
     path_graph,
     single_vertex_graphs,
@@ -178,8 +179,8 @@ class TestCapture:
         _, post = forward_with_capture(model, batch, "post_bn")
         for i in pre:
             if pre[i].is_graph_valued:
-                for a, b in zip(pre[i].graph_values, post[i].graph_values):
-                    assert np.array_equal(a, b)
+                for k in range(batch.sample_size):
+                    assert np.array_equal(graph_capture(pre[i], k), graph_capture(post[i], k))
             else:
                 assert np.array_equal(pre[i].readout_values, post[i].readout_values)
 
@@ -189,7 +190,7 @@ class TestCapture:
         batch = FusionBatch(graphs=(make_graph(1, values=[[3.0]]),))
         preds, acts = forward_with_capture(model, batch)
         assert preds[0] == 7.0
-        assert acts[0].graph_values[0][0, 0] == 7.0
+        assert graph_capture(acts[0], 0)[0, 0] == 7.0
 
     def test_post_bn_subtracts_running_mean(self):
         m = 2.5
@@ -199,7 +200,8 @@ class TestCapture:
         batch = FusionBatch(graphs=tuple(random_graphs(4, 1, seed=2)))
         _, pre = forward_with_capture(model, batch, "pre_bn")
         _, post = forward_with_capture(model, batch, "post_bn")
-        for a, b in zip(pre[0].graph_values, post[0].graph_values):
+        for k in range(batch.sample_size):
+            a, b = graph_capture(pre[0], k), graph_capture(post[0], k)
             assert np.allclose(b, a - m)
 
     def test_predictions_match_per_graph_forward(self):
@@ -222,11 +224,31 @@ class TestCapture:
         _, post = forward_with_capture(model, batch, "post_bn")
         for i in (1, 2):  # the two graph-conv layers, each followed by BN and ReLU
             bn = model.layers[i].batch_norm
-            for z, after in zip(pre[i].graph_values, post[i].graph_values):
+            for k in range(batch.sample_size):
+                z, after = graph_capture(pre[i], k), graph_capture(post[i], k)
                 expected = (bn.gamma * (z - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
                             + bn.beta_shift)
                 assert np.any(expected < 0)  # an in-place ReLU would have zeroed these
                 assert after.tobytes() == expected.tobytes()
+
+    def test_buckets_partition_the_batch(self):
+        spec = ArchSpec(feature_dim=2, hidden_dim=4, gc_layers=2, dense_layers=2,
+                        batch_norm=True)
+        model = random_model(spec, seed=8)
+        rng = np.random.default_rng(9)
+        counts = (5, 1, 3, 5, 1)  # vertex counts out of order
+        graphs = tuple(make_graph(n, edges=[(u, u + 1) for u in range(n - 1)],
+                                  values=rng.standard_normal((n, 2))) for n in counts)
+        _, acts = forward_with_capture(model, FusionBatch(graphs=graphs))
+        for i in (0, 1, 2):  # embedding and both graph convolutions
+            buckets = acts[i].buckets
+            # counts ascend, each batch position appears once, batch order within a bucket
+            assert [index.tolist() for index, _ in buckets] == [[1, 4], [2], [0, 3]]
+            assert [stack.shape for _, stack in buckets] == [(2, 1, 4), (1, 3, 4), (2, 5, 4)]
+            assert acts[i].readout_values is None
+        for i, width in ((4, 4), (5, 1)):  # the dense layer and the head, after the readout
+            assert not acts[i].is_graph_valued
+            assert acts[i].readout_values.shape == (len(counts), width)
 
     def test_bad_capture_point(self):
         model = tiny_gcn([[1.0]], [0.0])

@@ -252,6 +252,10 @@ class TestSinkhorn:
             SinkhornParams(epsilon=0.1, rho_alpha=-1.0)
         with pytest.raises(InvalidSpecError):
             SinkhornParams(epsilon=0.1, tol=0.0)
+        for bad in (np.nan, np.inf):
+            for field in ("epsilon", "rho_alpha", "rho_beta", "tol"):
+                with pytest.raises(InvalidSpecError):
+                    SinkhornParams(**{"epsilon": 0.1, field: bad})
 
     def test_converges_quickly_at_large_rho(self):
         # acceptance criterion 2's regime: near-balanced, eps = 1e-3 mean C

@@ -10,7 +10,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from gcnfuse import (
-    ActivationSample,
     ArchSpec,
     CostSpec,
     FgwCostSpec,
@@ -39,6 +38,7 @@ from gcnfuse import (
     uniform_weights,
     write_dataset,
 )
+from conftest import graph_capture, sample_from_graphs
 from oracles import gather_permute_model, pairwise_fgw, per_graph_adjacency, per_graph_forward
 
 
@@ -242,7 +242,7 @@ def test_dataset_file_round_trip_is_exact(count, min_vertices, extra_vertices, e
 
 def _captured(acts, k):
     """Graph k's capture of every layer."""
-    return {i: s.graph_values[k] if s.is_graph_valued else s.readout_values[k]
+    return {i: graph_capture(s, k) if s.is_graph_valued else s.readout_values[k]
             for i, s in acts.items()}
 
 
@@ -386,14 +386,15 @@ def test_fgw_cost_matrix_is_the_sum_of_pairwise_fgw(graphs, na, nb, style, trade
     batch = FusionBatch(graphs=tuple(_fgw_graph(kind, n) for kind, n in graphs))
     # one pool per graph, so duplicated columns tie across the two sides too
     values = [_fgw_values(rng, style, (g.num_vertices, na + nb)) for g in batch.graphs]
-    acts_a = ActivationSample(batch=batch, graph_values=tuple(v[:, :na] for v in values))
-    acts_b = ActivationSample(batch=batch, graph_values=tuple(v[:, na:] for v in values))
+    acts_a = sample_from_graphs(batch, [v[:, :na] for v in values])
+    acts_b = sample_from_graphs(batch, [v[:, na:] for v in values])
     spec = CostSpec(kind="fgw", fgw=FgwCostSpec(trade_off=trade_off))
 
     C = build_cost_matrix(acts_a, acts_b, spec)
 
     expected = np.zeros((na, nb))
-    for g, va, vb in zip(batch.graphs, acts_a.graph_values, acts_b.graph_values):
+    for k, g in enumerate(batch.graphs):
+        va, vb = graph_capture(acts_a, k), graph_capture(acts_b, k)
         for i in range(na):
             for j in range(nb):
                 expected[i, j] += pairwise_fgw(g, va[:, i], vb[:, j], trade_off)

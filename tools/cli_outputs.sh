@@ -52,6 +52,9 @@ done
 printf '{"solver": "sinkhorn", "cost": "efd", "samples": 64, "out": "fuse-config.model.json"}\n' \
     > fuse-config.json
 run fuse-config fuse $pair --config fuse-config.json --trace fuse-config.trace.txt
+# pre-batch-norm captures through QE, which reads each graph's capture back in batch order
+run fuse-pre-bn-qe fuse $pair --capture pre_bn --cost qe --out fuse-pre-bn-qe.model.json \
+    --trace fuse-pre-bn-qe.trace.txt --dump-costs fuse-pre-bn-qe.costs
 run grid grid $pair --repeats 2 --out grid.csv
 run bn-compare bn-compare $pair --out bn_compare.csv
 run sweep-samples sweep-samples $pair --out sweep.csv
@@ -68,6 +71,9 @@ run gen-fixtures-wide gen-fixtures --out-dir fx-wide --hidden 64 --seed 0
 run fuse-wide fuse --a fx-wide/model_a.json --b fx-wide/model_b.json --data fx-wide/dataset.jsonl \
     --solver emd --cost efd --out fuse-wide.model.json --trace fuse-wide.trace.txt \
     --dump-costs fuse-wide.costs
+run fuse-wide-qe fuse --a fx-wide/model_a.json --b fx-wide/model_b.json \
+    --data fx-wide/dataset.jsonl --solver emd --cost qe --out fuse-wide-qe.model.json \
+    --dump-costs fuse-wide-qe.costs
 run eval-wide eval --model fuse-wide.model.json --data fx-wide/dataset.jsonl --out eval-wide.csv
 # a noisy twin without batch norm: permute_model then perturb_model, and alignment with no BN
 run gen-fixtures-noisy gen-fixtures --out-dir fx-noisy --noise 0.05 --no-bn --gc-layers 1 --seed 3
