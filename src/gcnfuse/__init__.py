@@ -12,7 +12,6 @@ from .costs import (
     WEIGHT,
     CostSpec,
     FgwCostSpec,
-    adjacency_structure,
     build_cost_matrix,
     shortest_path_structure,
     weight_cost_matrix,
@@ -96,7 +95,7 @@ __all__ = [
     "GeneratorSpec", "Graph", "GraphConv", "InvalidSpecError", "LayerTrace",
     "MeanReadout", "ModelFormatError", "NumericalError", "POST_BN", "PRE_BN",
     "QE", "SOLVER_EMD", "SOLVER_SINKHORN", "SinkhornParams", "SolverError",
-    "TransportPlan", "WEIGHT", "adjacency_structure", "align_batchnorm",
+    "TransportPlan", "WEIGHT", "align_batchnorm",
     "align_layer_incoming", "align_layer_outgoing", "build_cost_matrix",
     "default_epsilon", "emd", "ensemble_predict", "evaluate_mae",
     "fgw_distance", "forward_with_capture", "fuse",

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -47,62 +47,36 @@ from .models import (
 from .ot import SinkhornParams
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """One grid/sweep cell: config snapshot, per-repeat MAEs, timing."""
-
-    label: str
-    config: dict
-    maes: tuple[float, ...]
-    wall_clock: float
-    error: str | None = None
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.maes))
-
-    @property
-    def std(self) -> float:
-        # population std; a single repeat reports 0
-        return float(np.std(self.maes))
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _write_results(path: Path, results: list[ExperimentResult], fmt: str) -> None:
-    """One row per result, sorted: its config values, then mean_mae, std_mae and status."""
-    keys = list(results[0].config)
-    rows = [[r.config[k] for k in keys] + (["", "", "failed"] if r.failed else [r.mean, r.std, "ok"])
-            for r in results]
-    rows.sort(key=lambda row: row[:len(keys)])
-    header = keys + ["mean_mae", "std_mae", "status"]
+def _write_results(path: Path, rows: list[dict], fmt: str) -> None:
+    """Write the rows as CSV or JSON, sorted by the cell columns (all but the last three)."""
+    header = list(rows[0])
+    rows = sorted(rows, key=lambda row: [row[k] for k in header[:-3]])
     if fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        path.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([_fmt(row[k]) for k in header])
     path.write_text(buf.getvalue())
 
 
-def _finish(results: list[ExperimentResult], out_path: str, fmt: str, failed: str, count_rows=True):
+def _finish(rows: list[dict], failed: dict[str, str], out_path: str, fmt: str, what: str,
+            count_rows=True):
     """Write the result table, report it, and exit nonzero naming any failed cells."""
-    _write_results(Path(out_path), results, fmt)
-    click.echo(f"wrote {out_path} ({len(results)} rows)" if count_rows else f"wrote {out_path}")
-    failures = sorted(r.label for r in results if r.failed)
-    if failures:
-        raise click.ClickException(f"{failed} failed: " + ", ".join(failures))
+    _write_results(Path(out_path), rows, fmt)
+    click.echo(f"wrote {out_path} ({len(rows)} rows)" if count_rows else f"wrote {out_path}")
+    if failed:
+        for label in sorted(failed):
+            click.echo(f"{label}: {failed[label]}", err=True)
+        raise click.ClickException(f"{what} failed: " + ", ".join(sorted(failed)))
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -291,29 +265,33 @@ def cmd_vanilla(a_path, b_path, data_path, interpolation, out_path):
 def _run_cells(a_path, b_path, data_path, what, repeats, cells, needs_batch_norm=False, progress=False):
     """Load the inputs once, then fuse each (label, row, config) cell `repeats` times.
 
-    Repeat r runs at the config's seed + r. A cell whose fusion fails keeps
-    its row, marked failed. `cells` may be a generator: each cell is built
-    only when the one before it has run.
+    Repeat r runs at the config's seed + r. Each cell's row gains mean_mae,
+    std_mae (population std) and status; a cell whose fusion fails keeps its
+    row with "", "" and "failed". Returns the rows and each failed label's
+    error message. `cells` may be a generator: each cell is built only when
+    the one before it has run.
     """
     model_a, model_b = load_model(a_path), load_model(b_path)
     if needs_batch_norm and all(getattr(l, "batch_norm", None) is None for l in model_a.layers):
         raise click.ClickException("models have no batch norm; the comparison is vacuous")
     dataset = load_dataset(data_path)
     _require_targets(dataset, what)
-    results = []
+    rows, failed = [], {}
     for label, row, config in cells:
-        maes, error, t0 = [], None, time.perf_counter()
+        maes, t0 = [], time.perf_counter()
         try:
             for r in range(repeats):
                 fused, _ = fuse(model_a, model_b, dataset, replace(config, seed=config.seed + r))
                 maes.append(evaluate_mae(fused, dataset))
         except GcnFuseError as exc:
-            error = str(exc)
-        wall_clock = time.perf_counter() - t0
-        results.append(ExperimentResult(label, row, tuple(maes), wall_clock, error))
+            failed[label] = str(exc)
+            rows.append({**row, "mean_mae": "", "std_mae": "", "status": "failed"})
+        else:
+            rows.append({**row, "mean_mae": float(np.mean(maes)), "std_mae": float(np.std(maes)),
+                         "status": "ok"})
         if progress:
-            click.echo(f"{label}: {'ok' if error is None else 'failed'} ({wall_clock:.2f}s)")
-    return results
+            click.echo(f"{label}: {rows[-1]['status']} ({time.perf_counter() - t0:.2f}s)")
+    return rows, failed
 
 
 @main.command("grid")
@@ -343,8 +321,8 @@ def cmd_grid(a_path, b_path, data_path, samples, fgw_samples, lam, rho, capture,
                        "lam": lam, "samples": n, "repeats": repeats}
                 yield f"{solver}-{cost_kind}", row, config
 
-    results = _run_cells(a_path, b_path, data_path, "grid", repeats, cells(), progress=True)
-    _finish(results, out_path, fmt, "grid cells")
+    rows, failed = _run_cells(a_path, b_path, data_path, "grid", repeats, cells(), progress=True)
+    _finish(rows, failed, out_path, fmt, "grid cells")
 
 
 @main.command("sweep-samples")
@@ -372,8 +350,8 @@ def cmd_sweep_samples(a_path, b_path, data_path, sizes, solver, cost_kind, lam, 
     cells = ((f"size-{n}", {"sample_size": n, "repeats": repeats},
               _fusion_config(solver, cost_kind, lam, epsilon, rho, n, capture, seed))
              for n in size_list)
-    results = _run_cells(a_path, b_path, data_path, "sweep", repeats, cells)
-    _finish(results, out_path, fmt, "sweep points")
+    rows, failed = _run_cells(a_path, b_path, data_path, "sweep", repeats, cells)
+    _finish(rows, failed, out_path, fmt, "sweep points")
 
 
 @main.command("bn-compare")
@@ -393,12 +371,13 @@ def cmd_bn_compare(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, r
     cells = ((capture, {"capture_point": capture, "repeats": repeats},
               _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed))
              for capture in CAPTURE_POINTS)
-    results = _run_cells(a_path, b_path, data_path, "bn comparison", repeats, cells,
-                         needs_batch_norm=True)
-    for r in sorted(results, key=lambda r: r.label):
-        if not r.failed:
-            click.echo(f"{r.label}: mean MAE {r.mean!r} (std {r.std!r})")
-    _finish(results, out_path, fmt, "runs", count_rows=False)
+    rows, failed = _run_cells(a_path, b_path, data_path, "bn comparison", repeats, cells,
+                              needs_batch_norm=True)
+    for row in sorted(rows, key=lambda row: row["capture_point"]):
+        if row["status"] == "ok":
+            click.echo(f"{row['capture_point']}: mean MAE {row['mean_mae']!r} "
+                       f"(std {row['std_mae']!r})")
+    _finish(rows, failed, out_path, fmt, "runs", count_rows=False)
 
 
 @main.command("gen-fixtures")

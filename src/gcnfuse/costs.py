@@ -87,21 +87,13 @@ class CostSpec:
             raise InvalidSpecError("fgw settings are only for kind fgw")
 
 
-def adjacency_structure(graph: Graph) -> np.ndarray:
-    """0/1 adjacency matrix; zero diagonal."""
-    n = graph.num_vertices
-    A = np.zeros((n, n))
+def shortest_path_structure(graph: Graph) -> np.ndarray:
+    """Hop-count distances; disconnected pairs get (longest finite path + 1)."""
+    A = np.zeros((graph.num_vertices, graph.num_vertices))
     u, v = graph.edge_index
     A[u, v] = 1.0
     A[v, u] = 1.0
-    return A
-
-
-def shortest_path_structure(graph: Graph) -> np.ndarray:
-    """Hop-count distances; disconnected pairs get (longest finite path + 1)."""
-    D = scipy.sparse.csgraph.shortest_path(
-        scipy.sparse.csr_matrix(adjacency_structure(graph)), method="D", unweighted=True
-    )
+    D = scipy.sparse.csgraph.shortest_path(scipy.sparse.csr_matrix(A), method="D", unweighted=True)
     finite = D[np.isfinite(D)]
     D[~np.isfinite(D)] = finite.max() + 1.0
     return D

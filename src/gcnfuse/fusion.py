@@ -9,7 +9,7 @@ B's, the step vanilla_fuse takes without alignment.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import DimensionMismatchError, InvalidSpecError
 from .graphs import Dataset, sample_batch
 from .models import (
     POST_BN,
-    BatchNormParams,
     DenseParams,
     GcnModel,
     MeanReadout,
@@ -135,23 +134,13 @@ class AlignmentTrace:
         return worst
 
 
-def _interpolate(a: np.ndarray, b: np.ndarray, weight_on_b: float) -> np.ndarray:
-    return weight_on_b * b + (1.0 - weight_on_b) * a
-
-
-def _interpolate_params(a: DenseParams, b: DenseParams, t: float) -> DenseParams:
-    bias = None if a.bias is None else _interpolate(a.bias, b.bias, t)
-    return DenseParams(weight=_interpolate(a.weight, b.weight, t), bias=bias)
-
-
-def _interpolate_bn(a: BatchNormParams, b: BatchNormParams, t: float) -> BatchNormParams:
-    return BatchNormParams(
-        gamma=_interpolate(a.gamma, b.gamma, t),
-        beta_shift=_interpolate(a.beta_shift, b.beta_shift, t),
-        running_mean=_interpolate(a.running_mean, b.running_mean, t),
-        running_var=_interpolate(a.running_var, b.running_var, t),
-        epsilon=t * b.epsilon + (1.0 - t) * a.epsilon,
-    )
+def _interpolate(a, b, t: float):
+    """t * b + (1 - t) * a in each field of a DenseParams or BatchNormParams; None stays None."""
+    values = {}
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        values[f.name] = None if x is None else t * y + (1.0 - t) * x
+    return type(a)(**values)
 
 
 def _interpolate_models(layers_a, model_b: GcnModel, weight_on_b: float, name: str) -> GcnModel:
@@ -162,8 +151,8 @@ def _interpolate_models(layers_a, model_b: GcnModel, weight_on_b: float, name: s
             new_layers.append(MeanReadout())
             continue
         bn_a = getattr(layer_a, "batch_norm", None)
-        fused_bn = None if bn_a is None else _interpolate_bn(bn_a, layer_b.batch_norm, weight_on_b)
-        params = _interpolate_params(layer_a.params, layer_b.params, weight_on_b)
+        fused_bn = None if bn_a is None else _interpolate(bn_a, layer_b.batch_norm, weight_on_b)
+        params = _interpolate(layer_a.params, layer_b.params, weight_on_b)
         new_layers.append(_rebuild(layer_b, params, fused_bn))
     return GcnModel(layers=tuple(new_layers), name=name)
 

@@ -27,7 +27,7 @@ one batch always gives the same bits, and two batches agree to rounding
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Union
 
@@ -244,7 +244,9 @@ class ActivationSample:
     Per-vertex layers keep the evaluator's buckets: one (index, values) pair
     per vertex count n, ascending, index holding the batch positions of the
     G graphs with n vertices in batch order and values their (G, n, width)
-    stack. Layers after the readout store one (sample_size, width) array.
+    stack. The buckets partition the batch: their indices list each batch
+    position once, and every stack has len(index) rows and the same width.
+    Layers after the readout store one (sample_size, width) array.
     """
 
     batch: FusionBatch
@@ -254,6 +256,17 @@ class ActivationSample:
     def __post_init__(self):
         if (self.buckets is None) == (self.readout_values is None):
             raise InvalidSpecError("exactly one of buckets/readout_values must be set")
+        n = self.batch.sample_size
+        if self.buckets is None:
+            if self.readout_values.ndim != 2 or len(self.readout_values) != n:
+                raise InvalidSpecError(f"readout_values must be a ({n}, width) array")
+            return
+        indices = [index for index, _ in self.buckets]
+        if not indices or not np.array_equal(np.sort(np.concatenate(indices)), np.arange(n)):
+            raise InvalidSpecError(f"buckets must list each of the {n} batch positions once")
+        if (any(stack.ndim != 3 or len(stack) != len(index) for index, stack in self.buckets)
+                or len({stack.shape[-1] for _, stack in self.buckets}) != 1):
+            raise InvalidSpecError("each bucket needs a (len(index), n, width) stack of one width")
 
     @property
     def is_graph_valued(self) -> bool:
@@ -494,13 +507,8 @@ def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormPara
     S = _scaled_transport(t_prev)
     if bn.dim != S.shape[0]:
         raise DimensionMismatchError(f"bn dim {bn.dim} != plan rows {S.shape[0]}")
-    return BatchNormParams(
-        gamma=S.T @ bn.gamma,
-        beta_shift=S.T @ bn.beta_shift,
-        running_mean=S.T @ bn.running_mean,
-        running_var=S.T @ bn.running_var,
-        epsilon=bn.epsilon,
-    )
+    vectors = {f.name: getattr(bn, f.name) for f in fields(bn)}
+    return replace(bn, **{k: S.T @ v for k, v in vectors.items() if isinstance(v, np.ndarray)})
 
 
 def align_model(model: GcnModel, plan_for) -> tuple[Layer, ...]:
@@ -612,23 +620,22 @@ _SCHEMA = "gcnfuse-model/1"
 def _bn_to_json(bn: BatchNormParams | None):
     if bn is None:
         return None
-    return {
-        "gamma": bn.gamma.tolist(),
-        "beta_shift": bn.beta_shift.tolist(),
-        "running_mean": bn.running_mean.tolist(),
-        "running_var": bn.running_var.tolist(),
-        "epsilon": bn.epsilon,
-    }
+    return {f.name: np.asarray(getattr(bn, f.name)).tolist() for f in fields(bn)}
 
 
 def _bn_from_json(obj) -> BatchNormParams | None:
     if obj is None:
         return None
-    return BatchNormParams(
-        gamma=obj["gamma"], beta_shift=obj["beta_shift"],
-        running_mean=obj["running_mean"], running_var=obj["running_var"],
-        epsilon=obj["epsilon"],
-    )
+    # a missing key raises KeyError; an extra one is ignored
+    return BatchNormParams(**{f.name: obj[f.name] for f in fields(BatchNormParams)})
+
+
+def _affine_to_json(kind: str, layer) -> dict:
+    """The record keys a graph convolution and a dense layer share, in file order."""
+    bias = layer.params.bias
+    return {"kind": kind, "weight": layer.params.weight.tolist(),
+            "bias": None if bias is None else bias.tolist(),
+            "batch_norm": _bn_to_json(layer.batch_norm)}
 
 
 def save_model(model: GcnModel, path: str | Path) -> None:
@@ -638,22 +645,11 @@ def save_model(model: GcnModel, path: str | Path) -> None:
         if isinstance(layer, Embedding):
             layers.append({"kind": "embedding", "weight": layer.params.weight.tolist()})
         elif isinstance(layer, GraphConv):
-            layers.append({
-                "kind": "graph_conv",
-                "weight": layer.params.weight.tolist(),
-                "bias": None if layer.params.bias is None else layer.params.bias.tolist(),
-                "batch_norm": _bn_to_json(layer.batch_norm),
-            })
+            layers.append(_affine_to_json("graph_conv", layer))
         elif isinstance(layer, MeanReadout):
             layers.append({"kind": "mean_readout"})
         elif isinstance(layer, Dense):
-            layers.append({
-                "kind": "dense",
-                "weight": layer.params.weight.tolist(),
-                "bias": None if layer.params.bias is None else layer.params.bias.tolist(),
-                "batch_norm": _bn_to_json(layer.batch_norm),
-                "activation": layer.activation,
-            })
+            layers.append({**_affine_to_json("dense", layer), "activation": layer.activation})
     doc = {
         "schema": _SCHEMA,
         "name": model.name,

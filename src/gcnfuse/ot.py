@@ -83,20 +83,12 @@ class TransportPlan:
         T.setflags(write=False)
         object.__setattr__(self, "coupling", T)
 
-    @property
-    def row_marginal(self) -> np.ndarray:
-        return self.coupling.sum(axis=1)
-
-    @property
-    def col_marginal(self) -> np.ndarray:
-        return self.coupling.sum(axis=0)
-
     def marginal_error(self, alpha, beta) -> float:
         a = np.asarray(alpha, dtype=np.float64)
         b = np.asarray(beta, dtype=np.float64)
         return float(max(
-            np.max(np.abs(self.row_marginal - a)),
-            np.max(np.abs(self.col_marginal - b)),
+            np.max(np.abs(self.coupling.sum(axis=1) - a)),
+            np.max(np.abs(self.coupling.sum(axis=0) - b)),
         ))
 
     def as_permutation(self) -> np.ndarray | None:

@@ -6,8 +6,9 @@ deleted function would silently zero that layer's metrics. This test turns
 that into a failure. The package also ships no public name, no public
 method or property of a public class, and no dataclass field of one, that
 only tests call or read: reference implementations live in tests/oracles.py.
-Members and fields are matched by name only, so one that shares its name
-with a used member of another class passes.
+A method or property counts as used only when code outside its own class
+body reads it. Members and fields are still matched by name only, so one
+that shares its name with a used member of another class passes.
 """
 
 import ast
@@ -43,24 +44,40 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def _nodes_outside_tests():
-    """Every ast node of the package modules and of perfbench, tests left out."""
+def _sources_outside_tests() -> list[Path]:
+    """The package modules and perfbench, tests left out."""
     package = ROOT / "src" / "gcnfuse"
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     sources += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
-    for path in sources:
+    return sources
+
+
+def _nodes_outside_tests():
+    """Every ast node of the package modules and of perfbench, tests left out."""
+    for path in _sources_outside_tests():
         yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _reads_with_enclosing_class() -> set[tuple[Path, str | None, str]]:
+    """(source path, enclosing class name or None, name) for every name and attribute read."""
+    reads = set()
+
+    def visit(node, path, owner):
+        if isinstance(node, ast.Name):
+            reads.add((path, owner, node.id))
+        elif isinstance(node, ast.Attribute):
+            reads.add((path, owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, node.name if isinstance(node, ast.ClassDef) else owner)
+
+    for path in _sources_outside_tests():
+        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
+    return reads
 
 
 def _names_used_outside_tests() -> set[str]:
     """Every name and attribute name the package modules and perfbench read."""
-    used = set()
-    for node in _nodes_outside_tests():
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    return used
+    return {name for _, _, name in _reads_with_enclosing_class()}
 
 
 def test_every_public_name_is_used_outside_tests():
@@ -69,14 +86,19 @@ def test_every_public_name_is_used_outside_tests():
 
 
 def test_every_public_member_is_used_outside_tests():
-    used = _names_used_outside_tests()
+    reads = _reads_with_enclosing_class()
+
+    def used_outside_own_class(cls, attr):
+        home = (Path(inspect.getsourcefile(cls)).resolve(), cls.__name__)
+        return any(read == attr and (path, owner) != home for path, owner, read in reads)
+
     members = (property, functools.cached_property, staticmethod, classmethod)
     unused = [
         f"{name}.{attr}"
         for name in gcnfuse.__all__ if inspect.isclass(cls := getattr(gcnfuse, name))
         for attr, value in vars(cls).items()
         if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, members))
-        and attr not in used
+        and not used_outside_own_class(cls, attr)
     ]
     assert sorted(unused) == []
 

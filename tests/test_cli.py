@@ -485,6 +485,11 @@ class TestGridCommand:
         assert isinstance(result.exception, SystemExit)
         assert ("grid cells failed: emd-efd, emd-qe, sinkhorn-efd, sinkhorn-qe"
                 in result.output)
+        # each failed cell's reason, before the summary
+        summary = result.output.index("grid cells failed")
+        for label in ("emd-efd", "emd-qe", "sinkhorn-efd", "sinkhorn-qe"):
+            reason = result.output.find(f"{label}: sample_size 1000 out of range 1..400")
+            assert 0 <= reason < summary
         _, rows = read_csv(out)
         assert len(rows) == 6
         assert sorted((r[0], r[1]) for r in rows if r[-1] == "failed") == [

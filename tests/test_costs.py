@@ -12,7 +12,6 @@ from gcnfuse import (
     FgwCostSpec,
     FusionBatch,
     InvalidSpecError,
-    adjacency_structure,
     build_cost_matrix,
     emd,
     forward_with_capture,
@@ -116,11 +115,6 @@ class TestPairwiseQe:
 
 
 class TestStructures:
-    def test_adjacency(self):
-        g = path_graph(3)
-        assert np.array_equal(adjacency_structure(g),
-                              [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-
     def test_shortest_path_on_path_graph(self):
         g = path_graph(3)
         assert np.array_equal(shortest_path_structure(g),

@@ -411,6 +411,28 @@ class TestBaselines:
         g = single_vertex_graphs([[0.0]])[0]
         assert predict(mid, (g,))[0] == 2.0
 
+    def test_vanilla_interpolates_every_field(self):
+        # t * b + (1 - t) * a in each parameter field, batch-norm epsilon included
+        t = 0.3
+        spec = ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=1, dense_layers=2, batch_norm=True)
+        a, b = random_model(spec, seed=40), random_model(spec, seed=41)
+        gc = b.layers[1]
+        gc = replace(gc, batch_norm=replace(gc.batch_norm, epsilon=1e-3))
+        b = replace(b, layers=(b.layers[0], gc, *b.layers[2:]))
+        fused = vanilla_fuse(a, b, interpolation=t)
+        mix = lambda x, y: t * y + (1.0 - t) * x
+        bn_a, bn_b, bn = (m.layers[1].batch_norm for m in (a, b, fused))
+        assert bn.epsilon == mix(1e-5, 1e-3)
+        for name in ("gamma", "beta_shift", "running_mean", "running_var"):
+            assert np.array_equal(getattr(bn, name), mix(getattr(bn_a, name), getattr(bn_b, name)))
+        for i in a.parameterized_indices():
+            pa, pb, pf = (m.layers[i].params for m in (a, b, fused))
+            assert np.array_equal(pf.weight, mix(pa.weight, pb.weight))
+            if pa.bias is None:  # the embedding
+                assert pf.bias is None
+            else:
+                assert np.array_equal(pf.bias, mix(pa.bias, pb.bias))
+
     def test_vanilla_architecture_mismatch(self, small_regression_setup):
         _, model = small_regression_setup
         with pytest.raises(DimensionMismatchError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gcnfuse import (
+    ActivationSample,
     ArchSpec,
     BatchNormParams,
     Dataset,
@@ -250,6 +251,41 @@ class TestCapture:
             assert not acts[i].is_graph_valued
             assert acts[i].readout_values.shape == (len(counts), width)
 
+    @staticmethod
+    def _capture(seed):
+        spec = ArchSpec(feature_dim=2, hidden_dim=4, gc_layers=1, dense_layers=2)
+        graphs = tuple(path_graph(n, feature_dim=2) for n in (3, 2, 3))
+        return forward_with_capture(random_model(spec, seed=seed), FusionBatch(graphs=graphs))[1]
+
+    def test_partial_bucket_list_rejected(self):
+        acts = self._capture(seed=10)[1]
+        assert [index.tolist() for index, _ in acts.buckets] == [[1], [0, 2]]
+        with pytest.raises(InvalidSpecError, match="each of the 3 batch positions once"):
+            ActivationSample(batch=acts.batch, buckets=acts.buckets[:1])
+
+    def test_position_listed_twice_rejected(self):
+        acts = self._capture(seed=11)[1]
+        (small, small_stack), (large, large_stack) = acts.buckets
+        twice = ((small, small_stack), (np.array([0, 0]), large_stack))
+        with pytest.raises(InvalidSpecError, match="each of the 3 batch positions once"):
+            ActivationSample(batch=acts.batch, buckets=twice)
+
+    def test_stack_rows_and_width_checked(self):
+        acts = self._capture(seed=11)[1]
+        (small, small_stack), (large, large_stack) = acts.buckets
+        short = ((small, small_stack), (large, large_stack[:1]))
+        narrow = ((small, small_stack[:, :, :2]), (large, large_stack))
+        for buckets in (short, narrow):
+            with pytest.raises(InvalidSpecError, match="one width"):
+                ActivationSample(batch=acts.batch, buckets=buckets)
+
+    def test_wrong_readout_row_count_rejected(self):
+        acts = self._capture(seed=12)[3]  # the dense layer after the readout
+        assert acts.readout_values.shape == (3, 4)
+        for values in (acts.readout_values[:2], acts.readout_values[0]):
+            with pytest.raises(InvalidSpecError, match=r"\(3, width\) array"):
+                ActivationSample(batch=acts.batch, readout_values=values)
+
     def test_bad_capture_point(self):
         model = tiny_gcn([[1.0]], [0.0])
         batch = FusionBatch(graphs=(path_graph(2),))
@@ -454,6 +490,22 @@ class TestModelIo:
         doc["layers"][1]["batch_norm"]["epsilon"] = 10 ** 400  # too large for a float
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="layer 1"):
+            load_model(p)
+
+    def test_batchnorm_keys_missing_or_extra(self, tmp_path):
+        model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                      dense_layers=1, batch_norm=True), seed=28)
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        assert list(doc["layers"][1]["batch_norm"]) == [
+            "gamma", "beta_shift", "running_mean", "running_var", "epsilon"]
+        doc["layers"][1]["batch_norm"]["momentum"] = 0.9  # not a field; ignored
+        p.write_text(json.dumps(doc))
+        assert_models_equal(load_model(p), model)
+        del doc["layers"][1]["batch_norm"]["running_var"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="layer 1: 'running_var'"):
             load_model(p)
 
     def test_unknown_schema_rejected(self, tmp_path):

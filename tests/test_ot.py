@@ -60,8 +60,8 @@ def random_structure(rng, n):
 class TestTransportPlan:
     def test_marginals(self):
         plan = TransportPlan(coupling=np.array([[0.5, 0.0], [0.25, 0.25]]), objective=0.0)
-        assert np.allclose(plan.row_marginal, [0.5, 0.5])
-        assert np.allclose(plan.col_marginal, [0.75, 0.25])
+        assert np.allclose(plan.coupling.sum(axis=1), [0.5, 0.5])
+        assert np.allclose(plan.coupling.sum(axis=0), [0.75, 0.25])
 
     def test_as_permutation(self):
         perm_plan = TransportPlan(coupling=np.array([[0.0, 0.5], [0.5, 0.0]]), objective=0.0)

@@ -55,10 +55,15 @@ run fuse-config fuse $pair --config fuse-config.json --trace fuse-config.trace.t
 # pre-batch-norm captures through QE, which reads each graph's capture back in batch order
 run fuse-pre-bn-qe fuse $pair --capture pre_bn --cost qe --out fuse-pre-bn-qe.model.json \
     --trace fuse-pre-bn-qe.trace.txt --dump-costs fuse-pre-bn-qe.costs
+# interpolation off the midpoint, field by field, batch-norm epsilon included
+run fuse-weight-0.3 fuse $pair --cost weight --interpolation 0.3 \
+    --out fuse-weight-0.3.model.json --trace fuse-weight-0.3.trace.txt
 run grid grid $pair --repeats 2 --out grid.csv
 run bn-compare bn-compare $pair --out bn_compare.csv
+run bn-compare-json bn-compare $pair --format json --out bn_compare.json
 run sweep-samples sweep-samples $pair --out sweep.csv
 run vanilla vanilla $pair --out vanilla.model.json
+run vanilla-0.3 vanilla $pair --interpolation 0.3 --out vanilla-0.3.model.json
 run eval eval --model fuse-emd-efd.model.json --data fx/dataset.jsonl --out eval.csv
 run ensemble ensemble --model fx/model_a.json --model fx/model_b.json \
     --data fx/dataset.jsonl --out ensemble.csv
