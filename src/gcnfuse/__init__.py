@@ -13,7 +13,6 @@ from .costs import (
     CostSpec,
     FgwCostSpec,
     build_cost_matrix,
-    shortest_path_structure,
     weight_cost_matrix,
 )
 from .errors import (
@@ -65,7 +64,6 @@ from .models import (
     forward_with_capture,
     label_with_model,
     load_model,
-    normalized_adjacency,
     permute_model,
     perturb_model,
     predict,
@@ -100,9 +98,8 @@ __all__ = [
     "default_epsilon", "emd", "ensemble_predict", "evaluate_mae",
     "fgw_distance", "forward_with_capture", "fuse",
     "fused_objective", "identity_plan", "label_with_model", "load_dataset",
-    "load_model", "normalized_adjacency", "permute_model", "perturb_model",
+    "load_model", "permute_model", "perturb_model",
     "predict", "random_model", "sample_batch", "save_model",
-    "shortest_path_structure",
     "sinkhorn_unbalanced", "synthesize_dataset", "unbalanced_objective",
     "uniform_weights", "vanilla_fuse", "weight_cost_matrix", "write_dataset",
 ]

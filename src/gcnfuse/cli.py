@@ -471,7 +471,7 @@ def cmd_ensemble(model_paths, data_path, out_path):
     dataset = load_dataset(data_path)
     _require_targets(dataset, "ensemble eval")
     targets = np.array([g.target for g in dataset.graphs])
-    mae = float(np.mean(np.abs(ensemble_predict(models, dataset.graphs) - targets)))
+    mae = float(np.mean(np.abs(ensemble_predict(models, dataset) - targets)))
     click.echo(f"ensemble MAE ({len(models)} models): {mae!r}")
     if out_path:
         _append_csv_row(Path(out_path), ["models", "dataset", "mae"],

@@ -17,16 +17,16 @@ i's graph k against neuron j's graph k) for all neuron pairs at once. Every
 summed squared difference is expanded as |a|^2 + |b|^2 - 2 a.b, so it takes
 one matrix product instead of an (n_a, n_b, vertices) difference tensor:
 
-- QE: one product over the batch's concatenated vertices, one over the
-  rows its edges gather, each edge in both orientations;
-- EFD: one stacked product per capture bucket (the graphs of one vertex
-  count), since the square root is taken per graph;
+- QE: per capture bucket (the graphs of one vertex count), one product of
+  the (G·n, width) views for the vertex term, one with links @ B for the edge;
+- EFD: one stacked product per capture bucket, since the square root is
+  taken per graph;
 - after the readout, and in weight_cost_matrix (weight rows, bias appended,
   no activations): one product.
 
 An entry the expansion cancels to near zero is recomputed from the direct
-differences, so identical neurons cost exactly 0. FGW runs one stacked
-fgw_distance per batch graph.
+differences of the two neurons, so identical neurons cost exactly 0. FGW
+runs one stacked fgw_distance per batch graph, on its kept hop distances.
 """
 
 from __future__ import annotations
@@ -34,11 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .errors import DimensionMismatchError, InvalidSpecError
-from .graphs import Graph, edge_owners
 from .models import ActivationSample, DenseParams
 from .ot import FgwProblem, fgw_distance, uniform_weights
 
@@ -87,18 +84,6 @@ class CostSpec:
             raise InvalidSpecError("fgw settings are only for kind fgw")
 
 
-def shortest_path_structure(graph: Graph) -> np.ndarray:
-    """Hop-count distances; disconnected pairs get (longest finite path + 1)."""
-    A = np.zeros((graph.num_vertices, graph.num_vertices))
-    u, v = graph.edge_index
-    A[u, v] = 1.0
-    A[v, u] = 1.0
-    D = scipy.sparse.csgraph.shortest_path(scipy.sparse.csr_matrix(A), method="D", unweighted=True)
-    finite = D[np.isfinite(D)]
-    D[~np.isfinite(D)] = finite.max() + 1.0
-    return D
-
-
 def _same_batch(acts_a: ActivationSample, acts_b: ActivationSample) -> bool:
     """Both captures ran on the same Graph objects, in the same order."""
     ga, gb = acts_a.batch.graphs, acts_b.batch.graphs
@@ -122,7 +107,6 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
     if not acts_a.is_graph_valued:
         return _squared_distances(acts_a.readout_values[None], acts_b.readout_values[None])[0]
 
-    graphs = acts_a.batch.graphs
     na, nb = acts_a.width, acts_b.width
     if spec.kind == EFD:
         # the square root is per graph, so one stacked product per bucket
@@ -133,23 +117,14 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
             C += np.sqrt(D, out=D).sum(axis=0)
         return C
     if spec.kind == QE:
-        # one product over the batch's vertices, one over its edges' endpoint rows
-        va = np.concatenate(_per_graph(acts_a))
-        vb = np.concatenate(_per_graph(acts_b))
-        owner, u, w = edge_owners(graphs)
-        offset = np.cumsum([0] + [g.num_vertices for g in graphs[:-1]])[owner]
-        u, w = u + offset, w + offset
-        edge = _squared_distances(va[np.concatenate([u, w])][None],
-                                  vb[np.concatenate([w, u])][None])[0]
-        vertex = _squared_distances(va[None], vb[None])[0]
-        return spec.lam * edge + (1.0 - spec.lam) * vertex
+        return _quadratic_energy(acts_a, acts_b, spec.lam)
 
     # FGW
     trade_off = (spec.fgw or FgwCostSpec()).trade_off
     C = np.zeros((na, nb))
-    for graph, va, vb in zip(graphs, _per_graph(acts_a), _per_graph(acts_b)):
+    for graph, va, vb in zip(acts_a.batch.graphs, _per_graph(acts_a), _per_graph(acts_b)):
         # one stacked FGW instance per neuron pair (i, j), all sharing the graph
-        struct = shortest_path_structure(graph)
+        struct = graph.hop_distances
         n = graph.num_vertices
         features = (va.T[:, None, :, None] - vb.T[None, :, None, :]) ** 2
         distances, _ = fgw_distance(FgwProblem(
@@ -191,29 +166,70 @@ _CANCELLATION = 1e-3
 _RECOMPUTE_BLOCK = 1 << 20
 
 
+def _quadratic_energy(acts_a: ActivationSample, acts_b: ActivationSample, lam: float) -> np.ndarray:
+    """lam * edge term + (1 - lam) * vertex term, each a Gram expansion summed over the buckets.
+
+    The edge term sums over directed edges (u, w): its norms count a vertex
+    once per edge end, and its a.b is A^T (links @ B).
+    """
+    na, nb = acts_a.width, acts_b.width
+    views = [(bucket.links, a.reshape(-1, na), b.reshape(-1, nb))
+             for bucket, (_, a), (_, b) in zip(acts_a.batch.layout, acts_a.buckets, acts_b.buckets)]
+    sq_a = sq_b = cross = rows = 0.0  # index 0 (columns :nb of cross): the vertex term; 1: edges
+    for links, A, B in views:
+        weights = np.stack([np.ones(len(A)), links.sum(axis=2).reshape(-1)])
+        sq_a, sq_b, rows = sq_a + weights @ (A * A), sq_b + weights @ (B * B), rows + weights.sum(axis=1)
+        linked = (links @ B.reshape(len(links), -1, nb)).reshape(-1, nb)
+        cross = cross + A.T @ np.concatenate([B, linked], axis=1)
+
+    def vertex_sums(_, i, j):
+        return sum(np.einsum("vk,vk->k", d, d) for d in (A[:, i] - B[:, j] for _, A, B in views))
+
+    def edge_sums(_, i, j):
+        total = 0.0
+        for links, A, B in views:
+            g, u, w = np.nonzero(links)
+            d = A[(g * links.shape[1] + u)[:, None], i] - B[(g * links.shape[1] + w)[:, None], j]
+            total = total + np.einsum("ek,ek->k", d, d)
+        return total
+
+    def term(t, sums):
+        D = sq_a[t][:, None] + sq_b[t][None, :] - 2.0 * cross[:, t * nb:(t + 1) * nb]
+        return _recompute_cancelled(D[None], sq_a[t][None], sq_b[t][None], int(rows[t]), sums)[0]
+
+    return lam * term(1, edge_sums) + (1.0 - lam) * term(0, vertex_sums)
+
+
 def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Summed squared differences between columns: (G, V, na) and (G, V, nb) -> (G, na, nb).
 
-    Entry (g, i, j) is |a_i|^2 + |b_j|^2 - 2 a_i . b_j over A[g] and B[g],
-    one stacked matrix product (A gains the rows |a|^2 and 1, B the rows 1
-    and |b|^2) in place of a (na, nb, V) difference tensor. An entry that
-    cancels to within _CANCELLATION of |a_i|^2 + |b_j|^2 is recomputed as
-    the sum of its squared differences, so identical columns cost exactly
-    0 and no entry is negative.
+    Entry (g, i, j) is |a_i|^2 + |b_j|^2 - 2 a_i . b_j over A[g] and B[g]: one stacked
+    product (A gains the rows |a|^2 and 1, B the rows 1 and |b|^2), no difference tensor.
     """
     sq_a = np.einsum("gvi,gvi->gi", A, A)
     sq_b = np.einsum("gvj,gvj->gj", B, B)
     left = np.concatenate([-2.0 * A, sq_a[:, None], np.ones_like(sq_a[:, None])], axis=1)
     right = np.concatenate([B, np.ones_like(sq_b[:, None]), sq_b[:, None]], axis=1)
-    D = left.transpose(0, 2, 1) @ right
+
+    def direct(g, i, j):
+        diff = A[g, :, i] - B[g, :, j]
+        return np.einsum("kv,kv->k", diff, diff)
+
+    return _recompute_cancelled(left.transpose(0, 2, 1) @ right, sq_a, sq_b, A.shape[1], direct)
+
+
+def _recompute_cancelled(D, sq_a: np.ndarray, sq_b: np.ndarray, rows: int, direct) -> np.ndarray:
+    """D (G, na, nb) with each entry that cancels to within _CANCELLATION of sq_a + sq_b recomputed.
+
+    direct(g, i, j) sums the squared differences of index arrays of such entries,
+    _RECOMPUTE_BLOCK // rows at a time (rows: the differences one entry sums).
+    """
     # a cheap bound per stack picks the candidates, then the exact test
     bound = _CANCELLATION * (sq_a.max(axis=1) + sq_b.max(axis=1))
     g, i, j = np.unravel_index(np.flatnonzero(D <= bound[:, None, None]), D.shape)
     near = D[g, i, j] <= _CANCELLATION * (sq_a[g, i] + sq_b[g, j])
     g, i, j = g[near], i[near], j[near]
-    step = max(1, _RECOMPUTE_BLOCK // max(1, A.shape[1]))
-    for s in range(0, g.size, step):
-        gs, is_, js = g[s:s + step], i[s:s + step], j[s:s + step]
-        diff = A[gs, :, is_] - B[gs, :, js]
-        D[gs, is_, js] = np.einsum("kv,kv->k", diff, diff)
+    step = max(1, _RECOMPUTE_BLOCK // max(1, rows))
+    for k in (slice(s, s + step) for s in range(0, g.size, step)):
+        D[g[k], i[k], j[k]] = direct(g[k], i[k], j[k])
     return D

@@ -231,7 +231,7 @@ def vanilla_fuse(model_a: GcnModel, model_b: GcnModel, interpolation: float = 0.
 
 
 def ensemble_predict(models: list[GcnModel], graphs) -> np.ndarray:
-    """Mean of the member predictions for each graph of a sequence, in order."""
+    """Mean of the member predictions for each graph, in order; graphs as predict takes them."""
     if not models:
         raise InvalidSpecError("ensemble needs at least one model")
     # one row per graph, so each mean sums its members in model order

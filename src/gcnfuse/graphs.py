@@ -20,8 +20,9 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse.csgraph
 
-from .errors import DatasetFormatError, InvalidSpecError
+from .errors import DatasetFormatError, DimensionMismatchError, InvalidSpecError
 
 
 def _frozen_array(values, dtype=np.float64, ndim: int | None = None) -> np.ndarray:
@@ -90,6 +91,16 @@ class Graph:
         index.setflags(write=False)
         return index
 
+    @cached_property
+    def hop_distances(self) -> np.ndarray:
+        """Read-only hop counts between vertices; disconnected pairs get (longest finite path + 1)."""
+        u, v = self.edge_index
+        A = scipy.sparse.csr_matrix((np.ones(u.size), (u, v)), shape=(self.num_vertices,) * 2)
+        D = scipy.sparse.csgraph.shortest_path(A, method="D", directed=False, unweighted=True)
+        D[np.isinf(D)] = D[np.isfinite(D)].max() + 1.0
+        D.setflags(write=False)
+        return D
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -108,6 +119,11 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.graphs)
+
+    @cached_property
+    def layout(self) -> tuple[Bucket, ...]:
+        """The graphs' bucket_layout, built on first use and kept."""
+        return bucket_layout(self.graphs)
 
 
 @dataclass(frozen=True)
@@ -130,23 +146,50 @@ class FusionBatch:
     def sample_size(self) -> int:
         return len(self.graphs)
 
+    @cached_property
+    def layout(self) -> tuple[Bucket, ...]:
+        """The graphs' bucket_layout, built on first use and kept."""
+        return bucket_layout(self.graphs)
 
-def vertex_count_buckets(graphs) -> list[np.ndarray]:
-    """Group graphs by vertex count: the positions of the graphs with n vertices, per n.
 
-    Counts ascend, and each bucket lists its graphs in their given order.
-    """
+@dataclass(frozen=True)
+class Bucket:
+    """The G graphs of one vertex count n in read-only arrays: positions (ascending), (G·n, d)
+    features, (G, n, n) 0/1 links, and (G, n, n) normalized adjacencies, 1/sqrt(deg_u deg_v)
+    on each edge and u == v, degrees counting the vertex itself."""
+
+    index: np.ndarray
+    features: np.ndarray
+    links: np.ndarray
+    adjacency: np.ndarray
+
+    @property
+    def num_vertices(self) -> int:
+        return self.links.shape[1]
+
+
+def bucket_layout(graphs) -> tuple[Bucket, ...]:
+    """One Bucket per vertex count, ascending: what a forward pass needs of the graphs."""
+    if len({g.features.shape[1] for g in graphs}) > 1:
+        raise DimensionMismatchError("the graphs disagree on feature_dim")
     groups: dict[int, list[int]] = {}
     for k, g in enumerate(graphs):
         groups.setdefault(g.num_vertices, []).append(k)
-    return [np.array(groups[n]) for n in sorted(groups)]
-
-
-def edge_owners(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(owner, u, v) over every edge of the graphs in order; owner is the graph's position."""
-    owner = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])
-    u, v = np.concatenate([g.edge_index for g in graphs], axis=1)
-    return owner, u, v
+    layout = []
+    for n in sorted(groups):
+        members = [graphs[k] for k in groups[n]]
+        owner = np.repeat(np.arange(len(members)), [len(g.edges) for g in members])
+        u, v = np.concatenate([g.edge_index for g in members], axis=1)
+        links = np.zeros((len(members), n, n))
+        links[owner, u, v] = links[owner, v, u] = 1.0
+        inv_sqrt = 1.0 / np.sqrt(1.0 + links.sum(axis=2))
+        # inv_sqrt[u] * 1 * inv_sqrt[v] on each edge and the diagonal, exact zeros elsewhere
+        adjacency = inv_sqrt[:, :, None] * (links + np.eye(n)) * inv_sqrt[:, None, :]
+        arrays = (np.array(groups[n]), np.concatenate([g.features for g in members]), links, adjacency)
+        for array in arrays:
+            array.setflags(write=False)
+        layout.append(Bucket(*arrays))
+    return tuple(layout)
 
 
 def load_dataset(path: str | Path) -> Dataset:

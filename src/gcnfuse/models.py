@@ -15,12 +15,13 @@ with degrees counting the vertex itself. Batch norm always runs in
 inference mode from stored running statistics; nothing here trains.
 
 One private evaluator runs every forward pass (predict,
-forward_with_capture, evaluate_mae, label_with_model). It groups the graphs
-by vertex count and holds each group's vertex states as one (G·n, d) array,
-so each affine map is one 2-D product; only the normalized adjacencies
-(G, n, n) act per graph. After the readout the state is one (len(graphs), d)
-array. BLAS picks kernels by shape, so a graph's bits depend on its batch:
-one batch always gives the same bits, and two batches agree to rounding
+forward_with_capture, evaluate_mae, label_with_model) on the graphs'
+bucket_layout, which a Dataset or FusionBatch builds once and keeps. It
+holds each vertex-count bucket's states as one (G·n, d) array, so each
+affine map is one 2-D product; only the normalized adjacencies (G, n, n)
+act per graph. After the readout the state is one (len(graphs), d) array.
+BLAS picks kernels by shape, so a graph's bits depend on its batch: one
+batch always gives the same bits, and two batches agree to rounding
 (within 2e-15 of a layer's largest value; the tests allow 1e-12).
 """
 
@@ -34,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpecError, ModelFormatError
-from .graphs import Dataset, FusionBatch, edge_owners, vertex_count_buckets
+from .graphs import Dataset, FusionBatch, bucket_layout
 from .ot import TransportPlan, identity_plan, uniform_weights
 
 PRE_BN = "pre_bn"
@@ -92,9 +93,10 @@ class BatchNormParams:
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        for name in ("gamma", "beta_shift", "running_mean", "running_var"):
+        vectors = [f.name for f in fields(self) if f.name != "epsilon"]
+        for name in vectors:
             object.__setattr__(self, name, _array(getattr(self, name), 1))
-        dims = {getattr(self, n).shape[0] for n in ("gamma", "beta_shift", "running_mean", "running_var")}
+        dims = {getattr(self, name).shape[0] for name in vectors}
         if len(dims) != 1:
             raise DimensionMismatchError(f"batch-norm vectors disagree on dim: {dims}")
         if np.any(self.running_var < 0):
@@ -242,11 +244,9 @@ class ActivationSample:
     """One layer's pre-activation capture over a fusion batch, neuron-major.
 
     Per-vertex layers keep the evaluator's buckets: one (index, values) pair
-    per vertex count n, ascending, index holding the batch positions of the
-    G graphs with n vertices in batch order and values their (G, n, width)
-    stack. The buckets partition the batch: their indices list each batch
-    position once, and every stack has len(index) rows and the same width.
-    Layers after the readout store one (sample_size, width) array.
+    per bucket of batch.layout, in its order, with that bucket's batch
+    positions and the (G, n, width) stack of its G graphs of n vertices, every
+    stack of one width. Layers after the readout store one (sample_size, width) array.
     """
 
     batch: FusionBatch
@@ -261,12 +261,17 @@ class ActivationSample:
             if self.readout_values.ndim != 2 or len(self.readout_values) != n:
                 raise InvalidSpecError(f"readout_values must be a ({n}, width) array")
             return
-        indices = [index for index, _ in self.buckets]
-        if not indices or not np.array_equal(np.sort(np.concatenate(indices)), np.arange(n)):
-            raise InvalidSpecError(f"buckets must list each of the {n} batch positions once")
-        if (any(stack.ndim != 3 or len(stack) != len(index) for index, stack in self.buckets)
+        layout = self.batch.layout
+        if len(self.buckets) != len(layout) or not all(
+                index is bucket.index or np.array_equal(index, bucket.index)
+                for (index, _), bucket in zip(self.buckets, layout)):
+            raise InvalidSpecError(f"buckets must list each of the {n} batch positions once, "
+                                   "grouped by vertex count as batch.layout groups them")
+        if (any(stack.shape[:-1] != (len(bucket.index), bucket.num_vertices)
+                for (_, stack), bucket in zip(self.buckets, layout))
                 or len({stack.shape[-1] for _, stack in self.buckets}) != 1):
-            raise InvalidSpecError("each bucket needs a (len(index), n, width) stack of one width")
+            raise InvalidSpecError("each bucket needs a (G, n, width) stack of one width "
+                                   "for its G graphs of n vertices")
 
     @property
     def is_graph_valued(self) -> bool:
@@ -278,59 +283,34 @@ class ActivationSample:
         return values.shape[-1]  # the last axis in either layout
 
 
-def normalized_adjacency(graphs) -> np.ndarray:
-    """Symmetric-degree-normalized adjacencies, self-connections included.
+def _evaluate(model: GcnModel, layout, capture_point: str | None):
+    """The one forward pass: all graphs of a bucket_layout at once.
 
-    Takes a sequence of G graphs that all have n vertices and gives their
-    (G, n, n) stack. Entry (u, v) is 1/sqrt(deg_u deg_v) for each edge and
-    for u == v, degrees counting the vertex itself; the entries are placed
-    by fancy indexing over the graphs' concatenated edge index.
-    """
-    n = graphs[0].num_vertices
-    owner, u, v = edge_owners(graphs)
-    ends = np.concatenate([owner * n + u, owner * n + v])
-    inv_sqrt = 1.0 / np.sqrt(1.0 + np.bincount(ends, minlength=len(graphs) * n).reshape(-1, n))
-    A = np.zeros((len(graphs), n, n))
-    diag = np.arange(n)
-    A[:, diag, diag] = inv_sqrt * inv_sqrt
-    A[owner, u, v] = inv_sqrt[owner, u] * inv_sqrt[owner, v]
-    A[owner, v, u] = inv_sqrt[owner, v] * inv_sqrt[owner, u]
-    return A
-
-
-def _evaluate(model: GcnModel, graphs, capture_point: str | None):
-    """The one forward pass: all graphs at once, in buckets of equal vertex count.
-
-    A bucket's G graphs hold their vertex states as one (G·n, width) array,
-    so each affine map is one 2-D product; a graph convolution first applies
-    the bucket's (G, n, n) adjacencies to a (G, n, width) view. The readout
-    writes each bucket's means into one (len(graphs), width) array in graph
-    order, which each later layer maps with one product. Returns
-    (predictions, captures). With a capture point, captures maps each
-    parameterized layer index to its pre-activations: (index, (G, n, width)
-    view) per bucket before the readout, one (len(graphs), width) array after.
+    A bucket's G graphs hold their states as one (G·n, width) array, which a
+    graph convolution views as (G, n, width) for the bucket's adjacencies. The
+    readout writes each bucket's means into one (graph count, width) array in
+    graph order for the later layers. Returns (predictions, captures); with a
+    capture point, captures maps each parameterized layer index to its
+    pre-activations: (index, (G, n, width) view) per bucket before the
+    readout, one (graph count, width) array after.
     """
     input_dim = model.input_dim
-    for g in graphs:
-        if g.feature_dim != input_dim:
-            raise DimensionMismatchError(
-                f"graph feature_dim {g.feature_dim} != model input dim {input_dim}")
+    if layout and layout[0].features.shape[1] != input_dim:  # one feature_dim per layout
+        raise DimensionMismatchError(
+            f"graph feature_dim {layout[0].features.shape[1]} != model input dim {input_dim}")
     layers = model.layers
     split = next((i for i, l in enumerate(layers) if isinstance(l, MeanReadout)), len(layers))
     # the state width at the readout (the output width for a model without one)
     width = next((l.params.out_dim for l in reversed(layers[:split])
                   if isinstance(l, _PARAMETERIZED)), input_dim)
-    pooled = np.empty((len(graphs), width))
+    pooled = np.empty((sum(len(bucket.index) for bucket in layout), width))
     captures: dict[int, list | np.ndarray] = {}
-    for index in vertex_count_buckets(graphs):
-        members = [graphs[k] for k in index]
-        G, n = len(members), members[0].num_vertices
-        h = np.concatenate([g.features for g in members])
-        adj = None
+    for bucket in layout:
+        index, h = bucket.index, bucket.features
+        G, n = len(index), bucket.num_vertices
         for i, layer in enumerate(layers[:split]):
             if isinstance(layer, GraphConv):
-                adj = normalized_adjacency(members) if adj is None else adj
-                h = (adj @ h.reshape(G, n, -1)).reshape(G * n, -1)
+                h = (bucket.adjacency @ h.reshape(G, n, -1)).reshape(G * n, -1)
             h, z = _affine(layer, h, capture_point)
             if z is not None:
                 captures.setdefault(i, []).append((index, z.reshape(G, n, -1)))
@@ -363,8 +343,9 @@ def _affine(layer, h: np.ndarray, capture_point: str | None):
 
 
 def predict(model: GcnModel, graphs) -> np.ndarray:
-    """The model's scalar prediction for each graph of a sequence, in order."""
-    return _evaluate(model, graphs, capture_point=None)[0]
+    """Each graph's scalar prediction, in order; a Dataset or FusionBatch lends its kept layout."""
+    layout = graphs.layout if isinstance(graphs, (Dataset, FusionBatch)) else bucket_layout(graphs)
+    return _evaluate(model, layout, capture_point=None)[0]
 
 
 def forward_with_capture(
@@ -378,7 +359,7 @@ def forward_with_capture(
     """
     if capture_point not in CAPTURE_POINTS:
         raise InvalidSpecError(f"capture_point must be one of {CAPTURE_POINTS}")
-    predictions, captures = _evaluate(model, batch.graphs, capture_point)
+    predictions, captures = _evaluate(model, batch.layout, capture_point)
     return predictions, {
         i: ActivationSample(batch=batch, buckets=tuple(values)) if isinstance(values, list)
         else ActivationSample(batch=batch, readout_values=values) for i, values in captures.items()}
@@ -390,13 +371,13 @@ def evaluate_mae(model: GcnModel, dataset: Dataset) -> float:
         if g.target is None:
             raise InvalidSpecError(f"graph {i} has no target; cannot evaluate MAE")
     targets = np.array([g.target for g in dataset.graphs], dtype=np.float64)
-    return float(np.mean(np.abs(predict(model, dataset.graphs) - targets)))
+    return float(np.mean(np.abs(predict(model, dataset) - targets)))
 
 
 def label_with_model(model: GcnModel, dataset: Dataset) -> Dataset:
     """Relabel every graph's target with the model's own prediction (teacher labels)."""
     graphs = tuple(
-        replace(g, target=float(p)) for g, p in zip(dataset.graphs, predict(model, dataset.graphs))
+        replace(g, target=float(p)) for g, p in zip(dataset.graphs, predict(model, dataset))
     )
     return Dataset(graphs=graphs, feature_dim=dataset.feature_dim)
 
@@ -676,19 +657,14 @@ def load_model(path: str | Path) -> GcnModel:
             kind = rec.get("kind")
             if kind == "embedding":
                 layers.append(Embedding(params=DenseParams(weight=rec["weight"])))
-            elif kind == "graph_conv":
-                layers.append(GraphConv(
-                    params=DenseParams(weight=rec["weight"], bias=rec.get("bias")),
-                    batch_norm=_bn_from_json(rec.get("batch_norm")),
-                ))
+            elif kind in ("graph_conv", "dense"):
+                params = DenseParams(weight=rec["weight"], bias=rec.get("bias"))
+                bn = _bn_from_json(rec.get("batch_norm"))
+                layers.append(GraphConv(params=params, batch_norm=bn) if kind == "graph_conv" else
+                              Dense(params=params, batch_norm=bn,
+                                    activation=rec.get("activation", "relu")))
             elif kind == "mean_readout":
                 layers.append(MeanReadout())
-            elif kind == "dense":
-                layers.append(Dense(
-                    params=DenseParams(weight=rec["weight"], bias=rec.get("bias")),
-                    batch_norm=_bn_from_json(rec.get("batch_norm")),
-                    activation=rec.get("activation", "relu"),
-                ))
             else:
                 raise ModelFormatError(f"unknown layer kind {kind!r}")
         except (ModelFormatError, DimensionMismatchError,

@@ -16,7 +16,6 @@ from gcnfuse import (
     label_with_model,
     random_model,
 )
-from gcnfuse.graphs import vertex_count_buckets
 
 
 def make_graph(n, edges=(), values=None, feature_dim=1, target=None):
@@ -40,7 +39,7 @@ def graph_values(values, edges=()):
 def sample_from_graphs(batch, values):
     """A per-vertex ActivationSample from one (n, width) array per batch graph, in batch order."""
     return ActivationSample(batch=batch, buckets=tuple(
-        (index, np.stack([values[k] for k in index])) for index in vertex_count_buckets(batch.graphs)))
+        (b.index, np.stack([values[k] for k in b.index])) for b in batch.layout))
 
 
 def graph_capture(acts, k):

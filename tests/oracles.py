@@ -2,11 +2,11 @@
 
 Each states one quantity the plain way, for one instance: an exhaustive
 minimum over permutation couplings for exact EMD, the EFD, QE and FGW
-neuron costs for one pair of neurons on one input graph, the forward
-pass of one model on one graph, and a hidden-neuron permutation of a model
-by index gathers. A neuron's evidence on a graph is one
-value per vertex; both neurons of a pair are read on the same graph, so the
-two value vectors share its structure.
+neuron costs for one pair of neurons on one input graph (and QE summed over
+a batch for every pair), the forward pass of one model on one graph, and a
+hidden-neuron permutation of a model by index gathers. A neuron's evidence
+on a graph is one value per vertex; both neurons of a pair are read on the
+same graph, so the two value vectors share its structure.
 """
 
 import itertools
@@ -26,7 +26,6 @@ from gcnfuse import (
     MeanReadout,
     TransportPlan,
     fgw_distance,
-    shortest_path_structure,
     uniform_weights,
 )
 
@@ -77,11 +76,22 @@ def pairwise_qe(graph: Graph, values_a, values_b, lam: float) -> float:
     return float(lam * edge_term + (1.0 - lam) * vertex_term)
 
 
+def qe_matrix(graphs, values_a, values_b, lam: float) -> np.ndarray:
+    """QE between every pair of neurons over a batch: pairwise_qe summed over the graphs.
+
+    values_a[k] and values_b[k] are graph k's (n, width) values.
+    """
+    na, nb = values_a[0].shape[1], values_b[0].shape[1]
+    return np.array([[sum(pairwise_qe(g, va[:, i], vb[:, j], lam)
+                          for g, va, vb in zip(graphs, values_a, values_b))
+                      for j in range(nb)] for i in range(na)])
+
+
 def pairwise_fgw(graph: Graph, values_a, values_b, trade_off: float) -> float:
     """FGW distance between the two value vectors on the graph's hop distances."""
     a = np.asarray(values_a, dtype=float)
     b = np.asarray(values_b, dtype=float)
-    structure = shortest_path_structure(graph)
+    structure = graph.hop_distances
     (distance,), _ = fgw_distance(FgwProblem(
         structure_a=structure, structure_b=structure,
         feature_cost=(a[:, None] - b[None, :]) ** 2, trade_off=trade_off,

@@ -38,7 +38,6 @@ from gcnfuse import (
     vanilla_fuse,
 )
 from gcnfuse.cli import main
-from gcnfuse.costs import shortest_path_structure
 from gcnfuse.ot import fgw_distance
 from conftest import assert_models_equal, make_graph
 from oracles import brute_force_ot
@@ -127,7 +126,7 @@ def test_criterion_3_fgw_identity_and_symmetry(report):
         edges = [(i, j) for i in range(size) for j in range(i + 1, size)
                  if rng.random() < 0.5]
         graph = make_graph(size, edges=edges)
-        return rng.standard_normal(size), shortest_path_structure(graph)
+        return rng.standard_normal(size), graph.hop_distances
 
     worst_identity = 0.0
     worst_asymmetry = 0.0

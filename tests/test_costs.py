@@ -16,7 +16,6 @@ from gcnfuse import (
     emd,
     forward_with_capture,
     random_model,
-    shortest_path_structure,
     uniform_weights,
     weight_cost_matrix,
 )
@@ -117,17 +116,17 @@ class TestPairwiseQe:
 class TestStructures:
     def test_shortest_path_on_path_graph(self):
         g = path_graph(3)
-        assert np.array_equal(shortest_path_structure(g),
+        assert np.array_equal(g.hop_distances,
                               [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
     def test_disconnected_pairs_capped(self):
         g = make_graph(3, edges=[(0, 1)])
-        D = shortest_path_structure(g)
+        D = g.hop_distances
         # longest finite distance is 1, so unreachable pairs get 2
         assert D[0, 2] == 2.0 and D[2, 0] == 2.0
 
     def test_single_vertex(self):
-        assert np.array_equal(shortest_path_structure(make_graph(1)), [[0.0]])
+        assert np.array_equal(make_graph(1).hop_distances, [[0.0]])
 
 
 class TestPairwiseFgw:
@@ -327,6 +326,25 @@ class TestGemmFormCosts:
             readout.readout_values[:, ::-1]))
         C = build_cost_matrix(readout, copies, CostSpec(kind="efd"))
         assert np.array_equal(np.diag(C[:, ::-1]), np.zeros(5))
+
+    def test_neurons_constant_on_each_graph_cost_exactly_zero(self):
+        # a(u) == a(w) on every edge, so QE(a, a) is 0 at any lam, the edge term included
+        batch, values = mixed_batch(seed=44, width=3)
+        constant = [np.broadcast_to(v[:1], v.shape) for v in values]
+        acts = sample_from_graphs(batch, constant)
+        copies = sample_from_graphs(batch, [np.array(v[:, ::-1]) for v in constant])
+        for lam in (0.0, 0.3, 1.0):
+            C = build_cost_matrix(acts, copies, CostSpec(kind="qe", lam=lam))
+            assert np.all(np.diag(C[:, ::-1]) == 0.0)
+            assert np.count_nonzero(C) == C.size - 3
+        # nearly constant: the expansion cancels, and the recompute pairs each edge's two ends
+        rng = np.random.default_rng(45)
+        near = [v + 1e-6 * rng.standard_normal(v.shape) for v in constant]
+        acts = sample_from_graphs(batch, near)
+        copies = sample_from_graphs(batch, [np.array(v[:, ::-1]) for v in near])
+        qe = lambda g, x, y: pairwise_qe(g, x, y, 0.3)
+        np.testing.assert_allclose(build_cost_matrix(acts, copies, CostSpec(kind="qe", lam=0.3)),
+                                   self._oracle(acts, copies, qe), rtol=1e-12, atol=0)
 
     def test_duplicated_weight_rows_cost_exactly_zero(self):
         rng = np.random.default_rng(43)

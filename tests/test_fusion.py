@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gcnfuse import fusion
+from gcnfuse import fusion, graphs
 from gcnfuse import (
     ArchSpec,
     BatchNormParams,
@@ -317,6 +317,18 @@ class TestFuse:
                               sample_size=2 if cost_kind == "fgw" else 8, seed=0)
         fused, _ = fuse(model, twin, dataset, config)
         assert evaluate_mae(fused, dataset) <= evaluate_mae(vanilla_fuse(model, twin), dataset)
+
+    def test_one_layout_build_per_graph_collection(self, small_regression_setup, monkeypatch):
+        # the batch's layout serves both captures and the QE costs; the dataset's every evaluation
+        dataset, model = small_regression_setup
+        builds = []
+        build = graphs.bucket_layout
+        monkeypatch.setattr(graphs, "bucket_layout", lambda gs: builds.append(len(gs)) or build(gs))
+        twin = permute_model(model, hidden_perms(model, seed=31))
+        fused, _ = fuse(model, twin, dataset, FusionConfig(cost=CostSpec(kind="qe"), sample_size=8))
+        assert builds == [8]
+        maes = [evaluate_mae(fused, dataset) for _ in range(2)]
+        assert builds == [8, len(dataset)] and maes[0] == maes[1]
 
     def test_self_fusion_returns_anchor_exactly(self, small_regression_setup):
         dataset, model = small_regression_setup

@@ -6,6 +6,7 @@ import pytest
 from gcnfuse import (
     DatasetFormatError,
     Dataset,
+    DimensionMismatchError,
     FusionBatch,
     GeneratorSpec,
     Graph,
@@ -43,6 +44,62 @@ class TestGraph:
         g = make_graph(2, values=[[1.0], [2.0]])
         with pytest.raises(ValueError):
             g.features[0, 0] = 9.0
+
+    def test_hop_distances_kept_and_read_only(self):
+        g = make_graph(4, edges=[(0, 1), (1, 2)])
+        D = g.hop_distances
+        assert g.hop_distances is D
+        assert np.array_equal(D, [[0, 1, 2, 3], [1, 0, 1, 3], [2, 1, 0, 3], [3, 3, 3, 0]])
+        with pytest.raises(ValueError):
+            D[0, 1] = 5.0
+
+
+class TestLayout:
+    @staticmethod
+    def _dataset():
+        spec = GeneratorSpec(count=14, min_vertices=1, max_vertices=5, edge_density=0.5,
+                             feature_dim=2)
+        return synthesize_dataset(spec, seed=4)
+
+    def test_buckets_stack_the_graphs(self):
+        ds = self._dataset()
+        layout = ds.layout
+        assert [b.num_vertices for b in layout] == sorted({g.num_vertices for g in ds.graphs})
+        assert sorted(np.concatenate([b.index for b in layout]).tolist()) == list(range(len(ds)))
+        for bucket in layout:
+            n = bucket.num_vertices
+            assert bucket.index.tolist() == sorted(bucket.index.tolist())
+            for pos, k in enumerate(bucket.index):
+                g = ds.graphs[k]
+                assert g.num_vertices == n
+                assert np.array_equal(bucket.features[pos * n:(pos + 1) * n], g.features)
+                links = np.zeros((n, n))
+                for u, v in g.edges:
+                    links[u, v] = links[v, u] = 1.0
+                assert np.array_equal(bucket.links[pos], links)
+                inv_sqrt = 1.0 / np.sqrt(1.0 + links.sum(axis=1))
+                np.testing.assert_allclose(bucket.adjacency[pos],
+                                           (links + np.eye(n)) * np.outer(inv_sqrt, inv_sqrt),
+                                           rtol=1e-15, atol=0)
+
+    def test_layout_kept_and_read_only(self):
+        ds = self._dataset()
+        batch = sample_batch(ds, 6, seed=1)
+        for collection in (ds, batch):
+            layout = collection.layout
+            assert collection.layout is layout
+            for bucket in layout:
+                for array in (bucket.index, bucket.features, bucket.links, bucket.adjacency):
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array.flat[0] = 1
+
+    def test_feature_dims_must_agree(self):
+        graphs = (make_graph(2, feature_dim=3), make_graph(2, feature_dim=2))
+        with pytest.raises(DimensionMismatchError, match="feature_dim"):
+            FusionBatch(graphs=graphs).layout
+        with pytest.raises(DimensionMismatchError, match="feature_dim"):
+            FusionBatch(graphs=(graphs[0], make_graph(3, feature_dim=2))).layout
 
 
 class TestDataset:

@@ -23,7 +23,6 @@ from gcnfuse import (
     forward_with_capture,
     label_with_model,
     load_model,
-    normalized_adjacency,
     permute_model,
     perturb_model,
     predict,
@@ -31,6 +30,7 @@ from gcnfuse import (
     save_model,
     synthesize_dataset,
 )
+from gcnfuse.graphs import bucket_layout
 from conftest import (
     assert_models_equal,
     constant_model,
@@ -152,7 +152,7 @@ class TestForward:
 
     def test_normalized_adjacency_values(self):
         g = make_graph(2, edges=[(0, 1)])
-        assert np.allclose(normalized_adjacency([g])[0], [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(bucket_layout((g,))[0].adjacency[0], [[0.5, 0.5], [0.5, 0.5]])
 
     def test_feature_dim_mismatch(self):
         model = tiny_gcn([[1.0]], [0.0])
@@ -269,6 +269,18 @@ class TestCapture:
         twice = ((small, small_stack), (np.array([0, 0]), large_stack))
         with pytest.raises(InvalidSpecError, match="each of the 3 batch positions once"):
             ActivationSample(batch=acts.batch, buckets=twice)
+
+    def test_bucket_of_another_vertex_count_rejected(self):
+        acts = self._capture(seed=13)[1]
+        (small, small_stack), (large, large_stack) = acts.buckets
+        # every position once, but graph 0 (3 vertices) named for the 2-vertex stack
+        relabelled = ((np.array([0]), small_stack), (np.array([1, 2]), large_stack))
+        with pytest.raises(InvalidSpecError, match="grouped by vertex count"):
+            ActivationSample(batch=acts.batch, buckets=relabelled)
+        # the layout's positions, with each stack of the other vertex count
+        swapped = ((small, large_stack[:1]), (large, np.concatenate([small_stack, small_stack])))
+        with pytest.raises(InvalidSpecError, match="for its G graphs of n vertices"):
+            ActivationSample(batch=acts.batch, buckets=swapped)
 
     def test_stack_rows_and_width_checked(self):
         acts = self._capture(seed=11)[1]

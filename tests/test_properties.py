@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from gcnfuse import (
     ArchSpec,
     CostSpec,
+    Dataset,
     FgwCostSpec,
     FgwProblem,
     FusionBatch,
@@ -27,19 +28,19 @@ from gcnfuse import (
     label_with_model,
     load_dataset,
     load_model,
-    normalized_adjacency,
     permute_model,
     predict,
     random_model,
     save_model,
-    shortest_path_structure,
     sinkhorn_unbalanced,
     synthesize_dataset,
     uniform_weights,
     write_dataset,
 )
+from gcnfuse.graphs import bucket_layout
 from conftest import graph_capture, sample_from_graphs
-from oracles import gather_permute_model, pairwise_fgw, per_graph_adjacency, per_graph_forward
+from oracles import (gather_permute_model, pairwise_fgw, per_graph_adjacency, per_graph_forward,
+                     qe_matrix)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -293,10 +294,17 @@ def test_batched_forward_equals_per_graph_oracle(arch, capture_point, hidden, si
     assert _bits(preds_again) == _bits(preds)
     for k in range(len(graphs)):
         assert _captured_bits(acts_again, k) == _captured_bits(acts, k)
+    # a Dataset's kept layout, read twice, and one built for a fresh tuple give the same bits
+    dataset = Dataset(graphs=tuple(graphs), feature_dim=3)
+    for again in (dataset, dataset, tuple(graphs)):
+        assert _bits(predict(model, again)) == _bits(preds)
+    for bucket in batch.layout:
+        for k, adjacency in zip(bucket.index, bucket.adjacency):
+            assert _bits(adjacency) == _bits(per_graph_adjacency(graphs[k]))
     # BLAS picks its kernels by shape, so a graph's bits depend on its batch;
     # a batch agrees with the one-graph-at-a-time oracle to rounding
     for k, g in enumerate(graphs):
-        assert _bits(normalized_adjacency([g])[0]) == _bits(per_graph_adjacency(g))
+        assert _bits(bucket_layout((g,))[0].adjacency[0]) == _bits(per_graph_adjacency(g))
         pred, captures = per_graph_forward(model, g, capture_point)
         assert _bits(np.float64(predict(model, (g,))[0])) == _bits(np.float64(pred))
         assert _close(preds[k], pred)
@@ -310,6 +318,45 @@ def test_batched_forward_equals_per_graph_oracle(arch, capture_point, hidden, si
         assert _close(preds_other, preds[picked])
         for pos, k in enumerate(picked):
             assert _all_close(_captured(acts_other, pos), _captured(acts, k))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    arch=st.sampled_from(["gcn", "gcn+bn", "mlp+bn"]),
+    capture_point=st.sampled_from(["pre_bn", "post_bn"]),
+    sizes=st.lists(st.integers(1, 7), min_size=1, max_size=10),
+    edge_density=st.sampled_from([0.0, 0.4, 1.0]),
+    lam=st.sampled_from([0.0, 0.2, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_qe_from_buckets_equals_per_edge_oracle(arch, capture_point, sizes, edge_density, lam,
+                                                seed):
+    rng = np.random.default_rng(seed)
+    mlp = arch.startswith("mlp")
+    spec = ArchSpec(feature_dim=3, hidden_dim=5, gc_layers=0 if mlp else 2, dense_layers=2,
+                    batch_norm=arch.endswith("+bn"))
+    graphs = []
+    for k, n in enumerate([1] * len(sizes) if mlp else sizes):
+        linked = n - k % 2  # in every other graph the last vertex stays isolated
+        edges = [(u, v) for u in range(linked) for v in range(u + 1, linked)
+                 if rng.random() < edge_density]
+        graphs.append(Graph(num_vertices=n, edges=tuple(edges),
+                            features=rng.standard_normal((n, 3))))
+    batch = FusionBatch(graphs=tuple(graphs))
+    _, acts_a = forward_with_capture(random_model(spec, seed=seed), batch, capture_point)
+    _, acts_b = forward_with_capture(random_model(spec, seed=seed + 1), batch, capture_point)
+    cost = CostSpec(kind="qe", lam=lam)
+    for i in (i for i, sample in acts_a.items() if sample.is_graph_valued):
+        values_a = [graph_capture(acts_a[i], k) for k in range(len(graphs))]
+        values_b = [graph_capture(acts_b[i], k) for k in range(len(graphs))]
+        np.testing.assert_allclose(build_cost_matrix(acts_a[i], acts_b[i], cost),
+                                   qe_matrix(graphs, values_a, values_b, lam), rtol=1e-12, atol=0)
+        # copies of A's neurons in reverse order, in arrays of their own
+        copies = [np.array(v[:, ::-1]) for v in values_a]
+        C = build_cost_matrix(acts_a[i], sample_from_graphs(batch, copies), cost)
+        np.testing.assert_allclose(C, qe_matrix(graphs, values_a, copies, lam), rtol=1e-12, atol=0)
+        if lam == 0.0 or not any(g.edges for g in graphs):
+            assert np.all(np.diag(C[:, ::-1]) == 0.0)
 
 
 def _fgw_graph(kind, n):
@@ -414,8 +461,8 @@ def test_fgw_cost_matrix_is_the_sum_of_pairwise_fgw(graphs, na, nb, style, trade
 def test_stacked_fgw_distance_equals_its_slices(graph_a, graph_b, instances, style, trade_off,
                                                 uniform, seed):
     rng = np.random.default_rng(seed)
-    Ca = shortest_path_structure(_fgw_graph(*graph_a))
-    Cb = shortest_path_structure(_fgw_graph(*graph_b))
+    Ca = _fgw_graph(*graph_a).hop_distances
+    Cb = _fgw_graph(*graph_b).hop_distances
     n, m = Ca.shape[0], Cb.shape[0]
     F = _fgw_values(rng, style, (n, m, instances)).transpose(2, 0, 1) ** 2
     if uniform:

@@ -52,7 +52,7 @@ done
 printf '{"solver": "sinkhorn", "cost": "efd", "samples": 64, "out": "fuse-config.model.json"}\n' \
     > fuse-config.json
 run fuse-config fuse $pair --config fuse-config.json --trace fuse-config.trace.txt
-# pre-batch-norm captures through QE, which reads each graph's capture back in batch order
+# pre-batch-norm captures through QE, which reads the capture buckets as they are
 run fuse-pre-bn-qe fuse $pair --capture pre_bn --cost qe --out fuse-pre-bn-qe.model.json \
     --trace fuse-pre-bn-qe.trace.txt --dump-costs fuse-pre-bn-qe.costs
 # interpolation off the midpoint, field by field, batch-norm epsilon included
@@ -71,6 +71,10 @@ run ensemble ensemble --model fx/model_a.json --model fx/model_b.json \
 run gen-fixtures-mlp gen-fixtures --out-dir fx-mlp --arch mlp --seed 0
 run fuse-mlp fuse --a fx-mlp/model_a.json --b fx-mlp/model_b.json --data fx-mlp/dataset.jsonl \
     --out fuse-mlp.model.json --trace fuse-mlp.trace.txt --dump-costs fuse-mlp.costs
+# QE on single-vertex buckets, where every graph is edgeless
+run fuse-mlp-qe fuse --a fx-mlp/model_a.json --b fx-mlp/model_b.json --data fx-mlp/dataset.jsonl \
+    --cost qe --out fuse-mlp-qe.model.json --trace fuse-mlp-qe.trace.txt \
+    --dump-costs fuse-mlp-qe.costs
 # the wide path: hidden 64, where each per-vertex layer is one blocked GEMM per bucket
 run gen-fixtures-wide gen-fixtures --out-dir fx-wide --hidden 64 --seed 0
 run fuse-wide fuse --a fx-wide/model_a.json --b fx-wide/model_b.json --data fx-wide/dataset.jsonl \
