@@ -470,8 +470,7 @@ def cmd_ensemble(model_paths, data_path, out_path):
     models = [load_model(p) for p in model_paths]
     dataset = load_dataset(data_path)
     _require_targets(dataset, "ensemble eval")
-    targets = np.array([g.target for g in dataset.graphs])
-    mae = float(np.mean(np.abs(ensemble_predict(models, dataset) - targets)))
+    mae = float(np.mean(np.abs(ensemble_predict(models, dataset) - dataset.targets)))
     click.echo(f"ensemble MAE ({len(models)} models): {mae!r}")
     if out_path:
         _append_csv_row(Path(out_path), ["models", "dataset", "mae"],

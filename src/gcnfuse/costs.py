@@ -86,6 +86,8 @@ class CostSpec:
 
 def _same_batch(acts_a: ActivationSample, acts_b: ActivationSample) -> bool:
     """Both captures ran on the same Graph objects, in the same order."""
+    if acts_a.batch is acts_b.batch:  # the two captures of one fuse
+        return True
     ga, gb = acts_a.batch.graphs, acts_b.batch.graphs
     return len(ga) == len(gb) and all(x is y for x, y in zip(ga, gb))
 

@@ -125,6 +125,17 @@ class Dataset:
         """The graphs' bucket_layout, built on first use and kept."""
         return bucket_layout(self.graphs)
 
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """The graphs' targets as a read-only array, built on first use and kept.
+
+        A graph without a target raises InvalidSpecError on every read.
+        """
+        for i, g in enumerate(self.graphs):
+            if g.target is None:
+                raise InvalidSpecError(f"graph {i} has no target; cannot evaluate MAE")
+        return _frozen_array([g.target for g in self.graphs])
+
 
 @dataclass(frozen=True)
 class FusionBatch:

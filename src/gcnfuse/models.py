@@ -84,7 +84,18 @@ class DenseParams:
 
 @dataclass(frozen=True)
 class BatchNormParams:
-    """Inference-mode batch norm: x -> gamma * (x - mean) / sqrt(var + eps) + shift."""
+    """Inference-mode batch norm, a fixed per-channel affine map kept folded.
+
+    The record stores the running statistics, and construction folds them
+    once into read-only vectors (not fields, so not saved or interpolated):
+
+        scale = gamma / sqrt(running_var + epsilon)
+        shift = beta_shift - running_mean * scale
+
+    apply(x) is x * scale + shift, which equals
+    gamma * (x - running_mean) / sqrt(running_var + epsilon) + beta_shift up to
+    rounding. A record whose scale or shift is not finite is rejected.
+    """
 
     gamma: np.ndarray
     beta_shift: np.ndarray
@@ -105,16 +116,23 @@ class BatchNormParams:
             raise ModelFormatError("batch-norm epsilon must be finite and >= 0")
         if np.any(self.running_var + self.epsilon <= 0):
             raise ModelFormatError("running_var + epsilon must be > 0 everywhere")
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+            shift = self.beta_shift - self.running_mean * scale
+        if not np.isfinite(shift).all():  # an infinite scale makes the shift inf or NaN too
+            raise ModelFormatError("batch-norm scale or shift is not finite")
+        for name, folded in (("scale", scale), ("shift", shift)):
+            folded.setflags(write=False)
+            object.__setattr__(self, name, folded)
 
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        out = x - self.running_mean
-        out *= self.gamma
-        out /= np.sqrt(self.running_var + self.epsilon)
-        out += self.beta_shift
+        """x * scale + shift over the last axis, as a new array."""
+        out = x * self.scale
+        out += self.shift
         return out
 
 
@@ -367,10 +385,7 @@ def forward_with_capture(
 
 def evaluate_mae(model: GcnModel, dataset: Dataset) -> float:
     """Mean absolute error of the model's predictions against dataset targets."""
-    for i, g in enumerate(dataset.graphs):
-        if g.target is None:
-            raise InvalidSpecError(f"graph {i} has no target; cannot evaluate MAE")
-    targets = np.array([g.target for g in dataset.graphs], dtype=np.float64)
+    targets = dataset.targets  # first: a missing target fails before any forward pass
     return float(np.mean(np.abs(predict(model, dataset) - targets)))
 
 

@@ -79,6 +79,25 @@ class TestLayerValidation:
             BatchNormParams(gamma=[1.0], beta_shift=[0.0], running_mean=[0.0],
                             running_var=[1.0], epsilon=value)
 
+    @pytest.mark.parametrize("gamma, mean", [(1e300, 0.0), (1.0, 1e300)],
+                             ids=["scale-overflows", "shift-overflows"])
+    def test_bn_non_finite_fold_rejected(self, tmp_path, gamma, mean):
+        # sqrt(1e-320) is about 1e-160, so the folded scale or shift passes 1e308
+        with pytest.raises(ModelFormatError, match="scale or shift is not finite"):
+            BatchNormParams(gamma=[gamma], beta_shift=[0.0], running_mean=[mean],
+                            running_var=[1e-320], epsilon=0.0)
+        model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                      dense_layers=1, batch_norm=True), seed=27)
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        bn = doc["layers"][1]["batch_norm"]
+        bn["gamma"][0], bn["running_mean"][0], bn["running_var"][0] = gamma, mean, 1e-320
+        bn["epsilon"] = 0.0
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="layer 1: batch-norm scale or shift"):
+            load_model(p)
+
     def test_bn_negative_var_rejected(self):
         with pytest.raises(ModelFormatError):
             BatchNormParams(gamma=[1], beta_shift=[0], running_mean=[0],
@@ -103,8 +122,9 @@ class TestLayerValidation:
         x = rng.standard_normal((40, 6))
         before = x.copy()
         out = bn.apply(x)
-        expected = (bn.gamma * (x - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
-                    + bn.beta_shift)
+        # the folded form, computed from the stored fields
+        scale = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)
+        expected = x * scale + (bn.beta_shift - bn.running_mean * scale)
         assert out.tobytes() == expected.tobytes()
         assert x.tobytes() == before.tobytes()
 
@@ -227,8 +247,7 @@ class TestCapture:
             bn = model.layers[i].batch_norm
             for k in range(batch.sample_size):
                 z, after = graph_capture(pre[i], k), graph_capture(post[i], k)
-                expected = (bn.gamma * (z - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
-                            + bn.beta_shift)
+                expected = z * bn.scale + bn.shift  # the folded batch norm
                 assert np.any(expected < 0)  # an in-place ReLU would have zeroed these
                 assert after.tobytes() == expected.tobytes()
 
@@ -332,6 +351,26 @@ class TestEvaluateMae:
         ds = Dataset(graphs=(make_graph(2, feature_dim=1),), feature_dim=1)
         with pytest.raises(InvalidSpecError):
             evaluate_mae(constant_model(0.0), ds)
+
+    def test_targets_kept_read_only_and_checked_on_every_call(self, monkeypatch):
+        import gcnfuse.graphs as graphs_module
+        ds = Dataset(graphs=tuple(single_vertex_graphs([[0.0], [0.0]], targets=[1.0, -2.0])),
+                     feature_dim=1)
+        builds = []
+        frozen = graphs_module._frozen_array
+        monkeypatch.setattr(graphs_module, "_frozen_array",
+                            lambda *args, **kwargs: builds.append(1) or frozen(*args, **kwargs))
+        for _ in range(2):
+            assert evaluate_mae(constant_model(0.0), ds) == 1.5
+        targets = ds.targets
+        assert ds.targets is targets and builds == [1]
+        assert targets.tolist() == [1.0, -2.0] and not targets.flags.writeable
+        with pytest.raises(ValueError):
+            targets[0] = 0.0
+        unlabeled = Dataset(graphs=(*ds.graphs, make_graph(2, feature_dim=1)), feature_dim=1)
+        for _ in range(2):
+            with pytest.raises(InvalidSpecError, match="graph 2 has no target"):
+                evaluate_mae(constant_model(0.0), unlabeled)
 
 
 class TestPermuteModel:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gcnfuse import (
     ArchSpec,
+    BatchNormParams,
     CostSpec,
     Dataset,
     FgwCostSpec,
@@ -41,6 +42,44 @@ from gcnfuse.graphs import bucket_layout
 from conftest import graph_capture, sample_from_graphs
 from oracles import (gather_permute_model, pairwise_fgw, per_graph_adjacency, per_graph_forward,
                      qe_matrix)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    dim=st.integers(1, 8),
+    rows=st.integers(1, 20),
+    gamma_exp=st.floats(-3, 3),
+    var_exp=st.floats(-8, 6),
+    epsilon=st.sampled_from([0.0, 1e-5, 1e-3]),
+    mean_exp=st.floats(-3, 3),
+    spread_exp=st.floats(-10, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_folded_batch_norm_is_the_textbook_formula_to_rounding(dim, rows, gamma_exp, var_exp,
+                                                               epsilon, mean_exp, spread_exp, seed):
+    """apply's x * scale + shift against gamma * (x - mean) / sqrt(var + eps) + beta.
+
+    Each side rounds each term a few times: the folded scale carries at most
+    3.5 units in the last place (u = eps / 2), x * scale and mean * scale one
+    more each, and the two sums one each; the written-out formula about as
+    many. Both errors scale with the terms' magnitudes, not with the output,
+    which cancels when x is near the mean. So the stated bound is
+    8 * eps * (|scale| * (|x| + |mean|) + |beta|), 16 u, with margin over the
+    roughly 12 u the count gives.
+    """
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=(3, dim))
+    bn = BatchNormParams(gamma=signs[0] * 10.0 ** (gamma_exp + rng.uniform(-1, 1, dim)),
+                         beta_shift=signs[1] * 10.0 ** (mean_exp + rng.uniform(-1, 1, dim)),
+                         running_mean=signs[2] * 10.0 ** (mean_exp + rng.uniform(-1, 1, dim)),
+                         running_var=10.0 ** (var_exp + rng.uniform(-1, 1, dim)),
+                         epsilon=epsilon)
+    # rows near the running mean, where the written-out (x - mean) cancels
+    x = bn.running_mean + 10.0 ** spread_exp * rng.standard_normal((rows, dim))
+    reference = (bn.gamma * (x - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
+                 + bn.beta_shift)
+    magnitude = np.abs(bn.scale) * (np.abs(x) + np.abs(bn.running_mean)) + np.abs(bn.beta_shift)
+    assert np.all(np.abs(bn.apply(x) - reference) <= 8 * np.finfo(float).eps * magnitude)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

@@ -31,7 +31,7 @@ run() {
 
 mkdir -p console
 # eval and ensemble append to their --out; start those files afresh
-rm -f eval.csv eval-wide.csv ensemble.csv
+rm -f eval.csv eval-mlp.csv eval-wide.csv ensemble.csv
 run gen-fixtures gen-fixtures --out-dir fx --seed 0
 pair="--a fx/model_a.json --b fx/model_b.json --data fx/dataset.jsonl"
 # each cell is SOLVER:COST, or SOLVER:COST:SAMPLES to set --samples
@@ -71,6 +71,8 @@ run ensemble ensemble --model fx/model_a.json --model fx/model_b.json \
 run gen-fixtures-mlp gen-fixtures --out-dir fx-mlp --arch mlp --seed 0
 run fuse-mlp fuse --a fx-mlp/model_a.json --b fx-mlp/model_b.json --data fx-mlp/dataset.jsonl \
     --out fuse-mlp.model.json --trace fuse-mlp.trace.txt --dump-costs fuse-mlp.costs
+# batch norm on dense layers, which only the MLP form has
+run eval-mlp eval --model fuse-mlp.model.json --data fx-mlp/dataset.jsonl --out eval-mlp.csv
 # QE on single-vertex buckets, where every graph is edgeless
 run fuse-mlp-qe fuse --a fx-mlp/model_a.json --b fx-mlp/model_b.json --data fx-mlp/dataset.jsonl \
     --cost qe --out fuse-mlp-qe.model.json --trace fuse-mlp-qe.trace.txt \
