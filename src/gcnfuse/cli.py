@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from .costs import EFD, FGW, QE, WEIGHT, CostSpec
-from .errors import GcnFuseError
+from .errors import GcnFuseError, InvalidSpecError
 from .fusion import (
     SOLVER_EMD,
     SOLVER_SINKHORN,
@@ -108,8 +108,15 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     ctx.default_map = defaults
 
 
+def _has_targets(dataset: Dataset) -> bool:
+    try:
+        return dataset.targets is not None
+    except InvalidSpecError:
+        return False
+
+
 def _require_targets(dataset: Dataset, what: str) -> None:
-    if any(g.target is None for g in dataset.graphs):
+    if not _has_targets(dataset):
         raise click.ClickException(f"{what} needs a dataset where every graph has a target")
 
 
@@ -240,7 +247,7 @@ def cmd_fuse(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, sa
                            delimiter=",")
     click.echo(f"wrote {out_path} ({len(trace.layers)} aligned layers, {elapsed:.2f}s)")
     click.echo(trace.report())
-    if dataset is not None and all(g.target is not None for g in dataset.graphs):
+    if dataset is not None and _has_targets(dataset):
         click.echo(f"fused MAE: {evaluate_mae(fused, dataset)!r}")
 
 

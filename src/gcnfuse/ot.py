@@ -14,7 +14,8 @@ Three solvers:
 - fgw_distance: fused Gromov-Wasserstein via fixed-point iteration over a
   linearized cost, multi-started and solved in both directions so identity
   and symmetry hold tightly; one array kernel over a stack of instances,
-  with uniform square steps solved by linear assignment directly.
+  with uniform square steps solved by linear assignment directly, each start's
+  first step built once per stack and a run scored only where its plan is new.
 
 All solvers are pure functions of their inputs.
 """
@@ -506,21 +507,24 @@ def _fgw_fixed_points(problem: FgwProblem):
     starts = [np.outer(a, b)] + ([np.diag(a)] if a.size == b.size and np.array_equal(a, b) else [])
     P = F.shape[0]
     T = np.repeat(np.array(starts), P, axis=0)
-    active = np.arange(len(T))
-    for _ in range(_FGW_MAX_ITERS):
+
+    def linearized(feature, plans):
+        lin = problem.trade_off * feature
+        if problem.trade_off < 1.0:
+            lin = lin + (1.0 - problem.trade_off) * _gromov_linearized(Ca, Cb, plans)
+        # tiny negatives from cancellation would trip emd's cost validator
+        return np.maximum(lin, 0.0)
+
+    uniform, active = _uniform_square(a, b), np.arange(len(T))
+    for step in range(_FGW_MAX_ITERS):
         if not active.size:
             break
         current = T[active]
-        lin = problem.trade_off * F[active % P]
-        if problem.trade_off < 1.0:
-            lin = lin + (1.0 - problem.trade_off) * _gromov_linearized(Ca, Cb, current)
-        # tiny negatives from cancellation would trip emd's cost validator
-        lin = np.maximum(lin, 0.0)
-        if _uniform_square(a, b):
-            T[active] = _assignment_coupling(a, lin)
-        else:
-            T[active] = [emd(a, b, C).coupling for C in lin]
-        active = active[~(np.max(np.abs(T[active] - current), axis=(1, 2)) < _FGW_TOL)]
+        lin = linearized(F[active % P], current) if step else np.broadcast_to(
+            linearized(F, np.array(starts)[:, None]), (len(starts),) + F.shape).reshape(T.shape)
+        T[active] = new = (_assignment_coupling(a, lin) if uniform
+                           else np.array([emd(a, b, C).coupling for C in lin]))
+        active = active[~(np.max(np.abs(new - current), axis=(1, 2)) < _FGW_TOL)]
     return T.reshape((-1,) + F.shape)
 
 
@@ -533,16 +537,29 @@ def fgw_distance(problem: FgwProblem) -> tuple[np.ndarray, np.ndarray]:
     _FGW_TOL or after _FGW_MAX_ITERS steps. Runs start from the product and
     (when square) identity couplings, on the problem and its transpose, and
     the first run of least fused objective wins; so identity and symmetry
-    hold by construction. Each pass steps all its runs as one array, in a
-    single instance's operation order, so every result is bitwise that
-    instance's alone. Returns (distances (P,), couplings (P, n, m)); an
-    (n, m) problem is a stack of one.
+    hold by construction. The first step is built once per start. A run
+    whose plan repeats an earlier run's on an instance takes that run's
+    objective there; one that repeats earlier runs on every instance is not
+    scored. Each pass steps all its runs as one array, in a single instance's
+    operation order, so every result is bitwise that instance's alone.
+    Returns (distances (P,), couplings (P, n, m)); an (n, m) problem is a
+    stack of one.
     """
-    runs = []
-    for mirror, posed in enumerate((problem, problem.transposed())):
-        for T in _fgw_fixed_points(posed):
-            T = T.swapaxes(1, 2) if mirror else T
-            runs.append((fused_objective(problem, T), T))
-    best = np.argmin([run[0] for run in runs], axis=0), np.arange(len(runs[0][0]))
-    obj, T = (np.array(field)[best] for field in zip(*runs))
-    return np.maximum(obj, 0.0), T
+    fixed = [_fgw_fixed_points(problem), _fgw_fixed_points(problem.transposed())]
+    # a mirrored run is scored on a transposed view of the plan its pass solved
+    runs = [*fixed[0], *np.swapaxes(fixed[1], -1, -2)]
+    plans = np.array(runs)
+    R, P = plans.shape[:2]
+    # first[r, p]: the earliest run with run r's plan on instance p. Runs of the two
+    # sides count only for assignment plans, whose sums round alike in either layout
+    side = np.arange(R) // len(fixed[0]) * (not _uniform_square(problem.alpha, problem.beta))
+    first = np.repeat(np.arange(R)[:, None], P, axis=1)
+    for r in range(R):
+        for q in reversed(range(r)):
+            first[r, (plans[r] == plans[q]).all(axis=(-2, -1)) & (side[q] == side[r])] = q
+    obj = np.empty((R, P))
+    for r in np.unique(first):
+        obj[r] = fused_objective(problem, runs[r])
+    obj = obj[first, np.arange(P)]
+    best = np.argmin(obj, axis=0), np.arange(P)
+    return np.maximum(obj[best], 0.0), plans[best]

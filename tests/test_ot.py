@@ -383,6 +383,30 @@ class TestFgw:
         assert min(fused_objective(problem, T[0]) for T in forward) == 0.5
         assert fgw_distance(problem)[0][0] == best
 
+    def test_stack_with_repeated_plans_equals_its_slices(self):
+        # one instance twice, then a self-instance: with a zero-diagonal feature
+        # cost, all four runs (two starts, two directions) end at one plan
+        S = np.array([[0.0, 1.0, 2.0, 1.0], [1.0, 0.0, 1.0, 2.0],
+                      [2.0, 1.0, 0.0, 1.0], [1.0, 2.0, 1.0, 0.0]])
+        va = np.array([0.0, 1.0, 3.0, 6.0])
+        vb = np.array([2.0, 0.0, 5.0, 1.0])
+        other, own = (va[:, None] - vb[None, :]) ** 2, (va[:, None] - va[None, :]) ** 2
+
+        def problem(feature_cost):
+            return FgwProblem(structure_a=S, structure_b=S, feature_cost=feature_cost,
+                              trade_off=0.5, alpha=uniform_weights(4), beta=uniform_weights(4))
+
+        stacked = problem(np.array([other, other, own]))
+        runs = np.concatenate([ot._fgw_fixed_points(stacked),
+                               ot._fgw_fixed_points(stacked.transposed()).swapaxes(-1, -2)])
+        assert len({T.tobytes() for T in runs[:, 2]}) == 1
+        distances, couplings = fgw_distance(stacked)
+        for p, feature_cost in enumerate((other, other, own)):
+            (d,), (T,) = fgw_distance(problem(feature_cost))
+            assert distances[p].tobytes() == d.tobytes()
+            assert couplings[p].tobytes() == T.tobytes()
+        assert distances[2] == 0.0 and np.array_equal(couplings[2], np.eye(4) / 4)
+
     def test_symmetry(self):
         rng = np.random.default_rng(13)
         for _ in range(5):

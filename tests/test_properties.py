@@ -523,3 +523,43 @@ def test_stacked_fgw_distance_equals_its_slices(graph_a, graph_b, instances, sty
         d_ref, coupling_ref = _reference_fgw(problem(F[p]))
         assert _bits(np.float64(d)) == _bits(np.float64(d_ref))
         assert _bits(coupling) == _bits(coupling_ref)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    graph_a=st.tuples(FGW_GRAPH_KINDS, st.integers(7, 9)),
+    graph_b=st.one_of(st.none(), st.tuples(FGW_GRAPH_KINDS, st.integers(7, 9))),
+    instances=st.integers(1, 4),
+    style=FGW_VALUE_STYLES,
+    trade_off=st.sampled_from([0.0, 0.5, 1.0]),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# a forward and a mirrored run end at one plan, which the two layouts round to two objectives
+@example(graph_a=("cycle", 8), graph_b=("disconnected", 7), instances=1, style="integer",
+         trade_off=0.0, uniform=False, seed=1)
+def test_fgw_at_workload_sizes_equals_reference_slices(graph_a, graph_b, instances, style,
+                                                       trade_off, uniform, seed):
+    """At 7-9 vertices; graph_b None poses both sides on graph_a, as the FGW cost does."""
+    rng = np.random.default_rng(seed)
+    Ca = _fgw_graph(*graph_a).hop_distances
+    Cb = Ca if graph_b is None else _fgw_graph(*graph_b).hop_distances
+    n, m = Ca.shape[0], Cb.shape[0]
+    # squared differences of vertex values, the FGW cost's feature term
+    va, vb = _fgw_values(rng, style, (n, instances)), _fgw_values(rng, style, (m, instances))
+    F = (va.T[:, :, None] - vb.T[:, None, :]) ** 2
+    if uniform:
+        a, b = uniform_weights(n), uniform_weights(m)
+    else:
+        a, b = _histogram(rng, n), _histogram(rng, m)
+
+    def problem(feature_cost):
+        return FgwProblem(structure_a=Ca, structure_b=Cb, feature_cost=feature_cost,
+                          trade_off=trade_off, alpha=a, beta=b)
+
+    distances, couplings = fgw_distance(problem(F))
+
+    for p in range(instances):
+        d_ref, coupling_ref = _reference_fgw(problem(F[p]))
+        assert _bits(distances[p]) == _bits(np.float64(d_ref))
+        assert _bits(couplings[p]) == _bits(coupling_ref)

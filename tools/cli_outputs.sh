@@ -34,8 +34,9 @@ mkdir -p console
 rm -f eval.csv eval-mlp.csv eval-wide.csv ensemble.csv
 run gen-fixtures gen-fixtures --out-dir fx --seed 0
 pair="--a fx/model_a.json --b fx/model_b.json --data fx/dataset.jsonl"
-# each cell is SOLVER:COST, or SOLVER:COST:SAMPLES to set --samples
-for cell in emd:efd sinkhorn:qe emd:weight sinkhorn:weight emd:fgw:2 emd:fgw:8; do
+# each cell is SOLVER:COST, or SOLVER:COST:SAMPLES to set --samples; 32 is the
+# grid's FGW sample count
+for cell in emd:efd sinkhorn:qe emd:weight sinkhorn:weight emd:fgw:2 emd:fgw:8 emd:fgw:32; do
     solver=${cell%%:*}
     rest=${cell#*:}
     cost=${rest%%:*}
@@ -91,3 +92,8 @@ run gen-fixtures-noisy gen-fixtures --out-dir fx-noisy --noise 0.05 --no-bn --gc
 run fuse-noisy fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
     --data fx-noisy/dataset.jsonl --solver emd --cost weight --out fuse-noisy.model.json \
     --trace fuse-noisy.trace.txt
+# FGW on the noisy twin, whose activations differ, so its plans are not the exact twin's
+run fuse-noisy-fgw fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
+    --data fx-noisy/dataset.jsonl --solver emd --cost fgw --samples 8 \
+    --out fuse-noisy-fgw.model.json --trace fuse-noisy-fgw.trace.txt \
+    --dump-costs fuse-noisy-fgw.costs
