@@ -19,8 +19,10 @@ one matrix product instead of an (n_a, n_b, vertices) difference tensor:
 
 - QE: per capture bucket (the graphs of one vertex count), one product of
   the (G·n, width) views for the vertex term, one with links @ B for the edge;
-- EFD: one stacked product per capture bucket, since the square root is
-  taken per graph;
+- EFD: per capture bucket, one stacked product per chunk of its graphs,
+  since the square root is taken per graph. Each chunk fills one L2-sized
+  product buffer, reused across chunks and buckets, and the roots are
+  summed in bucket order;
 - after the readout, and in weight_cost_matrix (weight rows, bias appended,
   no activations): one product.
 
@@ -111,12 +113,22 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
 
     na, nb = acts_a.width, acts_b.width
     if spec.kind == EFD:
-        # the square root is per graph, so one stacked product per bucket
-        C = np.zeros((na, nb))
+        # the square root is per graph: each bucket streams through one reused L2-sized
+        # product buffer, and the roots add graph by graph in bucket order, as .sum(axis=0)
+        step = max(1, _EFD_CHUNK // (na * nb))
+        most = min(step, max(len(stack) for _, stack in acts_a.buckets))
+        product, mask = np.empty((most, na, nb)), np.empty((most, na, nb), dtype=bool)
+        C, total = np.zeros((na, nb)), np.empty((na, nb))
         for (_, stack_a), (_, stack_b) in zip(acts_a.buckets, acts_b.buckets):
-            D = _squared_distances(stack_a, stack_b)
-            D *= spec.lam
-            C += np.sqrt(D, out=D).sum(axis=0)
+            for chunk, D in enumerate(_squared_distance_chunks(stack_a, stack_b, step, product, mask)):
+                D *= spec.lam
+                np.sqrt(D, out=D)
+                if chunk == 0:
+                    D.sum(axis=0, out=total)
+                else:
+                    for d in D:
+                        total += d
+            C += total
         return C
     if spec.kind == QE:
         return _quadratic_energy(acts_a, acts_b, spec.lam)
@@ -166,6 +178,8 @@ def weight_cost_matrix(layer_a: DenseParams, layer_b: DenseParams) -> np.ndarray
 _CANCELLATION = 1e-3
 # Difference entries one recompute pass may hold in memory.
 _RECOMPUTE_BLOCK = 1 << 20
+# Entries of one EFD chunk's product (1 MB of float64, within L2).
+_EFD_CHUNK = 1 << 17
 
 
 def _quadratic_energy(acts_a: ActivationSample, acts_b: ActivationSample, lam: float) -> np.ndarray:
@@ -203,32 +217,46 @@ def _quadratic_energy(acts_a: ActivationSample, acts_b: ActivationSample, lam: f
 
 
 def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Summed squared differences between columns: (G, V, na) and (G, V, nb) -> (G, na, nb).
+    """Summed squared differences between columns: (G, V, na) and (G, V, nb) -> (G, na, nb)."""
+    shape = (len(A), A.shape[2], B.shape[2])
+    return next(_squared_distance_chunks(A, B, len(A), np.empty(shape), np.empty(shape, dtype=bool)))
+
+
+def _squared_distance_chunks(A: np.ndarray, B: np.ndarray, step: int, product: np.ndarray,
+                             mask: np.ndarray):
+    """_squared_distances step graphs at a time, each chunk a (k, na, nb) view of product.
 
     Entry (g, i, j) is |a_i|^2 + |b_j|^2 - 2 a_i . b_j over A[g] and B[g]: one stacked
     product (A gains the rows |a|^2 and 1, B the rows 1 and |b|^2), no difference tensor.
+    mask is a bool buffer of product's shape for the candidate test.
     """
     sq_a = np.einsum("gvi,gvi->gi", A, A)
     sq_b = np.einsum("gvj,gvj->gj", B, B)
     left = np.concatenate([-2.0 * A, sq_a[:, None], np.ones_like(sq_a[:, None])], axis=1)
     right = np.concatenate([B, np.ones_like(sq_b[:, None]), sq_b[:, None]], axis=1)
+    for s in range(0, len(A), step):
+        k = min(step, len(A) - s)
 
-    def direct(g, i, j):
-        diff = A[g, :, i] - B[g, :, j]
-        return np.einsum("kv,kv->k", diff, diff)
+        def direct(g, i, j):
+            diff = A[g + s, :, i] - B[g + s, :, j]
+            return np.einsum("kv,kv->k", diff, diff)
 
-    return _recompute_cancelled(left.transpose(0, 2, 1) @ right, sq_a, sq_b, A.shape[1], direct)
+        D = np.matmul(left[s:s + k].transpose(0, 2, 1), right[s:s + k], out=product[:k])
+        yield _recompute_cancelled(D, sq_a[s:s + k], sq_b[s:s + k], A.shape[1], direct, mask[:k])
 
 
-def _recompute_cancelled(D, sq_a: np.ndarray, sq_b: np.ndarray, rows: int, direct) -> np.ndarray:
+def _recompute_cancelled(D, sq_a: np.ndarray, sq_b: np.ndarray, rows: int, direct,
+                         mask=None) -> np.ndarray:
     """D (G, na, nb) with each entry that cancels to within _CANCELLATION of sq_a + sq_b recomputed.
 
     direct(g, i, j) sums the squared differences of index arrays of such entries,
     _RECOMPUTE_BLOCK // rows at a time (rows: the differences one entry sums).
+    mask, when given, is a bool buffer of D's shape for the candidate test.
     """
     # a cheap bound per stack picks the candidates, then the exact test
     bound = _CANCELLATION * (sq_a.max(axis=1) + sq_b.max(axis=1))
-    g, i, j = np.unravel_index(np.flatnonzero(D <= bound[:, None, None]), D.shape)
+    candidates = np.less_equal(D, bound[:, None, None], out=mask)
+    g, i, j = np.unravel_index(np.flatnonzero(candidates), D.shape)
     near = D[g, i, j] <= _CANCELLATION * (sq_a[g, i] + sq_b[g, j])
     g, i, j = g[near], i[near], j[near]
     step = max(1, _RECOMPUTE_BLOCK // max(1, rows))

@@ -466,22 +466,26 @@ class FgwProblem:
         return M
 
     def transposed(self) -> "FgwProblem":
-        return FgwProblem(
+        """The mirrored instance, from arrays this problem validated, with no check run again."""
+        mirror = object.__new__(FgwProblem)
+        vars(mirror).update(
             structure_a=self.structure_b, structure_b=self.structure_a,
             feature_cost=np.swapaxes(self.feature_cost, -1, -2), trade_off=self.trade_off,
             alpha=self.beta, beta=self.alpha,
         )
+        return mirror
 
 
 def _gromov_linearized(C1: np.ndarray, C2: np.ndarray, T: np.ndarray) -> np.ndarray:
     """tens[i,j] = sum_kl (C1[i,k] - C2[j,l])^2 T[k,l], using T's actual marginals.
 
     T may be a (P, n, m) stack: each slice gets a single T's operations, in order.
+    C2 is symmetric, so (C1 @ T) @ C2 is (C1 @ T) @ C2.T without a transposed operand.
     """
     row = T.sum(axis=-1)
     col = T.sum(axis=-2)
     return ((C1 ** 2) @ row[..., None] + np.swapaxes((C2 ** 2) @ col[..., None], -1, -2)
-            - 2.0 * (C1 @ T) @ C2.T)
+            - 2.0 * (C1 @ T) @ C2)
 
 
 def fused_objective(problem: FgwProblem, T: np.ndarray) -> float | np.ndarray:

@@ -3,7 +3,8 @@
 Each states one quantity the plain way, for one instance: an exhaustive
 minimum over permutation couplings for exact EMD, the EFD, QE and FGW
 neuron costs for one pair of neurons on one input graph (and QE summed over
-a batch for every pair), the forward pass of one model on one graph, and a
+a batch for every pair), EFD summed over a batch with each vertex-count
+bucket as one whole stack, the forward pass of one model on one graph, and a
 hidden-neuron permutation of a model by index gathers. A neuron's evidence
 on a graph is one value per vertex; both neurons of a pair are read on the
 same graph, so the two value vectors share its structure.
@@ -28,6 +29,7 @@ from gcnfuse import (
     fgw_distance,
     uniform_weights,
 )
+from gcnfuse.costs import _recompute_cancelled
 
 
 def brute_force_ot(alpha, beta, cost) -> TransportPlan:
@@ -58,6 +60,30 @@ def pairwise_efd(values_a, values_b, lam: float) -> float:
     """Euclidean distance between the two value vectors, scaled by sqrt(lam)."""
     diff = np.asarray(values_a, dtype=float) - np.asarray(values_b, dtype=float)
     return float(np.sqrt(lam * np.sum(diff * diff)))
+
+
+def whole_bucket_efd(acts_a, acts_b, lam: float) -> np.ndarray:
+    """EFD over a batch, each capture bucket costed as one (G, na, nb) stack.
+
+    One augmented stacked product per bucket, its cancelled entries recomputed
+    by _recompute_cancelled, then *= lam, the square root and .sum(axis=0)
+    over the whole stack: the arithmetic a streamed build must reproduce bit for bit.
+    """
+    C = np.zeros((acts_a.width, acts_b.width))
+    for (_, A), (_, B) in zip(acts_a.buckets, acts_b.buckets):
+        sq_a = np.einsum("gvi,gvi->gi", A, A)
+        sq_b = np.einsum("gvj,gvj->gj", B, B)
+        left = np.concatenate([-2.0 * A, sq_a[:, None], np.ones_like(sq_a[:, None])], axis=1)
+        right = np.concatenate([B, np.ones_like(sq_b[:, None]), sq_b[:, None]], axis=1)
+
+        def direct(g, i, j, A=A, B=B):
+            diff = A[g, :, i] - B[g, :, j]
+            return np.einsum("kv,kv->k", diff, diff)
+
+        D = _recompute_cancelled(left.transpose(0, 2, 1) @ right, sq_a, sq_b, A.shape[1], direct)
+        D *= lam
+        C += np.sqrt(D, out=D).sum(axis=0)
+    return C
 
 
 def pairwise_qe(graph: Graph, values_a, values_b, lam: float) -> float:

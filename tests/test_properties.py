@@ -38,10 +38,11 @@ from gcnfuse import (
     uniform_weights,
     write_dataset,
 )
+from gcnfuse import costs
 from gcnfuse.graphs import bucket_layout
 from conftest import graph_capture, sample_from_graphs
 from oracles import (gather_permute_model, pairwise_fgw, per_graph_adjacency, per_graph_forward,
-                     qe_matrix)
+                     qe_matrix, whole_bucket_efd)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -396,6 +397,44 @@ def test_qe_from_buckets_equals_per_edge_oracle(arch, capture_point, sizes, edge
         np.testing.assert_allclose(C, qe_matrix(graphs, values_a, copies, lam), rtol=1e-12, atol=0)
         if lam == 0.0 or not any(g.edges for g in graphs):
             assert np.all(np.diag(C[:, ::-1]) == 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    # (na, nb): a chunk holds 512, 10, 2 or 1 graphs, and one 400 x 400 graph exceeds it
+    widths=st.sampled_from([(16, 16), (128, 96), (256, 256), (300, 64), (400, 400)]),
+    counts=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    lam=st.sampled_from([0.2, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(widths=(256, 256), counts=[1, 2, 5, 9], lam=0.2, seed=0)
+@example(widths=(400, 400), counts=[3, 1], lam=1.0, seed=1)
+def test_streamed_efd_equals_whole_bucket_oracle(widths, counts, lam, seed):
+    """The chunked EFD build gives the whole-bucket stack's bits, chunk boundaries included."""
+    rng = np.random.default_rng(seed)
+    na, nb = widths
+    step = max(1, costs._EFD_CHUNK // (na * nb))
+    graphs, values_a, values_b = [], [], []
+    for n, count in enumerate(counts, start=1):  # bucket n: count graphs of n vertices
+        for g in range(count):
+            a = rng.standard_normal((n, na)) * 10.0 ** rng.integers(-3, 4)
+            b = rng.standard_normal((n, nb)) * 10.0 ** rng.integers(-3, 4)
+            if g % step in (0, step - 1) or g == count - 1 or rng.random() < 0.3:
+                # a chunk's first or last graph: a duplicated neuron, a near-duplicate
+                # and all-zero columns on both sides
+                b[:, 0] = a[:, -1]
+                b[:, 1] = a[:, 0] * (1.0 + 1e-9)
+                a[:, 1] = 0.0
+                b[:, 2] = 0.0
+            graphs.append(Graph(num_vertices=n, edges=(), features=np.zeros((n, 1))))
+            values_a.append(a)
+            values_b.append(b)
+    batch = FusionBatch(graphs=tuple(graphs))
+    acts_a, acts_b = sample_from_graphs(batch, values_a), sample_from_graphs(batch, values_b)
+    C = build_cost_matrix(acts_a, acts_b, CostSpec(kind="efd", lam=lam))
+    assert _bits(C) == _bits(whole_bucket_efd(acts_a, acts_b, lam))
+    if all(np.array_equal(b[:, 0], a[:, -1]) for a, b in zip(values_a, values_b)):
+        assert C[-1, 0] == 0.0  # A's last neuron is B's first on every graph
 
 
 def _fgw_graph(kind, n):

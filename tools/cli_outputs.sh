@@ -1,6 +1,6 @@
 #!/bin/sh
 # Run the gcnfuse CLI of source tree TREE over a fixed set of commands and
-# keep everything it writes under OUT: fixtures (GCN, MLP, a hidden-64 GCN
+# keep everything it writes under OUT: fixtures (GCN, MLP, hidden-64 and hidden-256 GCNs
 # and a noisy GCN twin without batch norm), fused and averaged models,
 # traces, dumped cost matrices, result tables, evaluation rows, and each
 # command's console output.
@@ -87,6 +87,11 @@ run fuse-wide-qe fuse --a fx-wide/model_a.json --b fx-wide/model_b.json \
     --data fx-wide/dataset.jsonl --solver emd --cost qe --out fuse-wide-qe.model.json \
     --dump-costs fuse-wide-qe.costs
 run eval-wide eval --model fuse-wide.model.json --data fx-wide/dataset.jsonl --out eval-wide.csv
+# hidden 256, where an EFD chunk holds 2 graphs, so every bucket crosses many chunk boundaries
+run gen-fixtures-256 gen-fixtures --out-dir fx-256 --hidden 256 --seed 0
+run fuse-256-efd fuse --a fx-256/model_a.json --b fx-256/model_b.json \
+    --data fx-256/dataset.jsonl --solver emd --cost efd --out fuse-256-efd.model.json \
+    --dump-costs fuse-256-efd.costs
 # a noisy twin without batch norm: permute_model then perturb_model, and alignment with no BN
 run gen-fixtures-noisy gen-fixtures --out-dir fx-noisy --noise 0.05 --no-bn --gc-layers 1 --seed 3
 run fuse-noisy fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
