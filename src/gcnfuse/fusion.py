@@ -15,7 +15,7 @@ import numpy as np
 
 from .costs import EFD, FGW, QE, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
 from .errors import DimensionMismatchError, InvalidSpecError
-from .graphs import Dataset, sample_batch
+from .graphs import Dataset, FusionBatch, sample_batch
 from .models import (
     POST_BN,
     DenseParams,
@@ -234,5 +234,7 @@ def ensemble_predict(models: list[GcnModel], graphs) -> np.ndarray:
     """Mean of the member predictions for each graph, in order; graphs as predict takes them."""
     if not models:
         raise InvalidSpecError("ensemble needs at least one model")
+    if graphs and not isinstance(graphs, (Dataset, FusionBatch)):
+        graphs = FusionBatch(graphs=graphs)  # laid out once for every member
     # one row per graph, so each mean sums its members in model order
     return np.stack([predict(m, graphs) for m in models], axis=1).mean(axis=1)

@@ -126,6 +126,14 @@ class Dataset:
         return bucket_layout(self.graphs)
 
     @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each graph's bucket in layout and its row in that bucket, by dataset position."""
+        bucket_of, row_of = np.empty((2, len(self)), dtype=np.intp)
+        for b, bucket in enumerate(self.layout):
+            bucket_of[bucket.index], row_of[bucket.index] = b, np.arange(len(bucket.index))
+        return bucket_of, row_of
+
+    @cached_property
     def targets(self) -> np.ndarray:
         """The graphs' targets as a read-only array, built on first use and kept.
 
@@ -159,7 +167,7 @@ class FusionBatch:
 
     @cached_property
     def layout(self) -> tuple[Bucket, ...]:
-        """The graphs' bucket_layout, built on first use and kept."""
+        """The graphs' bucket_layout, kept: built on first use, or gathered by sample_batch."""
         return bucket_layout(self.graphs)
 
 
@@ -173,6 +181,10 @@ class Bucket:
     features: np.ndarray
     links: np.ndarray
     adjacency: np.ndarray
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:
@@ -196,10 +208,8 @@ def bucket_layout(graphs) -> tuple[Bucket, ...]:
         inv_sqrt = 1.0 / np.sqrt(1.0 + links.sum(axis=2))
         # inv_sqrt[u] * 1 * inv_sqrt[v] on each edge and the diagonal, exact zeros elsewhere
         adjacency = inv_sqrt[:, :, None] * (links + np.eye(n)) * inv_sqrt[:, None, :]
-        arrays = (np.array(groups[n]), np.concatenate([g.features for g in members]), links, adjacency)
-        for array in arrays:
-            array.setflags(write=False)
-        layout.append(Bucket(*arrays))
+        layout.append(Bucket(np.array(groups[n]), np.concatenate([g.features for g in members]),
+                             links, adjacency))
     return tuple(layout)
 
 
@@ -297,14 +307,31 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def sample_batch(dataset: Dataset, sample_size: int, seed: int) -> FusionBatch:
-    """Draw ``sample_size`` graphs without replacement, deterministically per seed."""
+    """Draw ``sample_size`` graphs without replacement, deterministically per seed.
+
+    The batch keeps its graphs' rows of the dataset's layout, gathered bucket by bucket in
+    batch order: every layout value is per graph, so these are the bits bucket_layout builds.
+    """
     if not 1 <= sample_size <= len(dataset):
         raise InvalidSpecError(
             f"sample_size {sample_size} out of range 1..{len(dataset)}"
         )
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(dataset), size=sample_size, replace=False)
-    return FusionBatch(graphs=tuple(dataset.graphs[i] for i in idx))
+    batch = FusionBatch(graphs=tuple(map(dataset.graphs.__getitem__, idx.tolist())))
+    bucket_of, row_of = dataset._slots
+    order = np.argsort(bucket_of[idx], kind="stable")  # batch positions by bucket, ascending
+    rows = row_of[idx[order]]
+    bounds = np.searchsorted(bucket_of[idx[order]], np.arange(len(dataset.layout) + 1)).tolist()
+    layout = []
+    for bucket, lo, hi in zip(dataset.layout, bounds, bounds[1:]):
+        if lo < hi:
+            take, d = rows[lo:hi], bucket.features.shape[1]
+            features = bucket.features.reshape(-1, bucket.num_vertices, d).take(take, axis=0)
+            layout.append(Bucket(order[lo:hi], features.reshape(-1, d),
+                                 bucket.links.take(take, axis=0), bucket.adjacency.take(take, axis=0)))
+    vars(batch).update(layout=tuple(layout))
+    return batch
 
 
 @dataclass(frozen=True)

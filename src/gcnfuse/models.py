@@ -16,10 +16,12 @@ inference mode from stored running statistics; nothing here trains.
 
 One private evaluator runs every forward pass (predict,
 forward_with_capture, evaluate_mae, label_with_model) on the graphs'
-bucket_layout, which a Dataset or FusionBatch builds once and keeps. It
-holds each vertex-count bucket's states as one (G·n, d) array, so each
-affine map is one 2-D product; only the normalized adjacencies (G, n, n)
-act per graph. After the readout the state is one (len(graphs), d) array.
+bucket_layout, which a Dataset builds once and keeps; a batch from
+sample_batch gathers its graphs' rows from that kept layout, and a
+FusionBatch made from graphs builds its own. The evaluator holds each
+vertex-count bucket's states as one (G·n, d) array, so each affine map is
+one 2-D product; only the normalized adjacencies (G, n, n) act per graph.
+After the readout the state is one (len(graphs), d) array.
 BLAS picks kernels by shape, so a graph's bits depend on its batch: one
 batch always gives the same bits, and two batches agree to rounding
 (within 2e-15 of a layer's largest value; the tests allow 1e-12).
@@ -386,6 +388,8 @@ def forward_with_capture(
 def evaluate_mae(model: GcnModel, dataset: Dataset) -> float:
     """Mean absolute error of the model's predictions against dataset targets."""
     targets = dataset.targets  # first: a missing target fails before any forward pass
+    if not len(targets):
+        raise InvalidSpecError("cannot evaluate MAE on an empty dataset")
     return float(np.mean(np.abs(predict(model, dataset) - targets)))
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gcnfuse import fusion, graphs
+from gcnfuse import fusion, graphs, models
 from gcnfuse import (
     ArchSpec,
     BatchNormParams,
@@ -319,16 +319,17 @@ class TestFuse:
         assert evaluate_mae(fused, dataset) <= evaluate_mae(vanilla_fuse(model, twin), dataset)
 
     def test_one_layout_build_per_graph_collection(self, small_regression_setup, monkeypatch):
-        # the batch's layout serves both captures and the QE costs; the dataset's every evaluation
+        # the dataset's layout is built once and serves every evaluation; the sampled batch
+        # gathers its rows from it, and that layout serves both captures and the QE costs
         dataset, model = small_regression_setup
         builds = []
         build = graphs.bucket_layout
         monkeypatch.setattr(graphs, "bucket_layout", lambda gs: builds.append(len(gs)) or build(gs))
         twin = permute_model(model, hidden_perms(model, seed=31))
         fused, _ = fuse(model, twin, dataset, FusionConfig(cost=CostSpec(kind="qe"), sample_size=8))
-        assert builds == [8]
+        assert builds == [len(dataset)]
         maes = [evaluate_mae(fused, dataset) for _ in range(2)]
-        assert builds == [8, len(dataset)] and maes[0] == maes[1]
+        assert builds == [len(dataset)] and maes[0] == maes[1]
 
     def test_self_fusion_returns_anchor_exactly(self, small_regression_setup):
         dataset, model = small_regression_setup
@@ -466,6 +467,20 @@ class TestBaselines:
         g = make_graph(3, edges=[(0, 1), (1, 2)], values=rng.standard_normal((3, 3)))
         expected = np.mean([predict(m, (g,))[0] for m in models])
         assert ensemble_predict(models, [g])[0] == pytest.approx(expected, rel=1e-15)
+
+    def test_ensemble_lays_a_graph_sequence_out_once(self, small_regression_setup, monkeypatch):
+        # every member is evaluated on one layout, with the bits of its own predict
+        dataset, model = small_regression_setup
+        members = [model, permute_model(model, hidden_perms(model, seed=5)), second_model()]
+        sequence = list(dataset.graphs[:12])
+        expected = np.stack([predict(m, sequence) for m in members], axis=1).mean(axis=1)
+        builds = []
+        for module in (graphs, models):  # models calls its own import for plain sequences
+            build = module.bucket_layout
+            monkeypatch.setattr(module, "bucket_layout",
+                                lambda gs, build=build: builds.append(len(gs)) or build(gs))
+        got = ensemble_predict(members, sequence)
+        assert builds == [12] and got.tobytes() == expected.tobytes()
 
     def test_ensemble_empty_rejected(self):
         with pytest.raises(InvalidSpecError):

@@ -352,6 +352,12 @@ class TestEvaluateMae:
         with pytest.raises(InvalidSpecError):
             evaluate_mae(constant_model(0.0), ds)
 
+    def test_empty_dataset_rejected_before_any_forward_pass(self, monkeypatch):
+        import gcnfuse.models as models_module
+        monkeypatch.setattr(models_module, "_evaluate", lambda *args: pytest.fail("evaluated"))
+        with pytest.raises(InvalidSpecError, match="empty dataset"):
+            evaluate_mae(constant_model(0.0, feature_dim=4), Dataset(graphs=(), feature_dim=4))
+
     def test_targets_kept_read_only_and_checked_on_every_call(self, monkeypatch):
         import gcnfuse.graphs as graphs_module
         ds = Dataset(graphs=tuple(single_vertex_graphs([[0.0], [0.0]], targets=[1.0, -2.0])),

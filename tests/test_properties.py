@@ -32,6 +32,7 @@ from gcnfuse import (
     permute_model,
     predict,
     random_model,
+    sample_batch,
     save_model,
     sinkhorn_unbalanced,
     synthesize_dataset,
@@ -435,6 +436,57 @@ def test_streamed_efd_equals_whole_bucket_oracle(widths, counts, lam, seed):
     assert _bits(C) == _bits(whole_bucket_efd(acts_a, acts_b, lam))
     if all(np.array_equal(b[:, 0], a[:, -1]) for a, b in zip(values_a, values_b)):
         assert C[-1, 0] == 0.0  # A's last neuron is B's first on every graph
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=16),
+    feature_dim=st.integers(1, 4),
+    edge_density=st.sampled_from([0.0, 0.4, 1.0]),
+    middle=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@example(sizes=list(range(1, 10)) * 2, feature_dim=3, edge_density=0.4, middle=0.3, seed=0)
+def test_sampled_batch_gathers_the_bits_bucket_layout_builds(sizes, feature_dim, edge_density,
+                                                               middle, seed):
+    """A sampled batch's layout, gathered from its dataset's, is the one its graphs would build.
+
+    Sample sizes 1, a middle k and the whole dataset leave some vertex counts out of the
+    batch and shuffle the rest; captures and every activation cost keep their bits too.
+    """
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for n in sizes:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_density]
+        graphs.append(Graph(num_vertices=n, edges=tuple(edges),
+                            features=rng.standard_normal((n, feature_dim))))
+    dataset = Dataset(graphs=tuple(graphs), feature_dim=feature_dim)
+    spec = ArchSpec(feature_dim=feature_dim, hidden_dim=3, gc_layers=2, dense_layers=1,
+                    batch_norm=True)
+    model_a, model_b = random_model(spec, seed=seed), random_model(spec, seed=seed + 1)
+    for k in (1, 1 + round(middle * (len(dataset) - 1)), len(dataset)):
+        batch = sample_batch(dataset, k, seed)
+        built = bucket_layout(batch.graphs)
+        assert len(batch.layout) == len(built)
+        for got, want in zip(batch.layout, built):
+            for name in ("index", "features", "links", "adjacency"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert (_bits(g), g.flags.writeable) == (_bits(w), w.flags.writeable)
+        plain = FusionBatch(graphs=batch.graphs)
+        captures = []  # (the sampled batch's, the plain batch's) per model
+        for model in (model_a, model_b):
+            (preds, acts), (plain_preds, plain_acts) = (forward_with_capture(model, b)
+                                                        for b in (batch, plain))
+            assert _bits(preds) == _bits(plain_preds)
+            for pos in range(k):
+                assert _captured_bits(acts, pos) == _captured_bits(plain_acts, pos)
+            captures.append((acts, plain_acts))
+        (acts_a, plain_a), (acts_b, plain_b) = captures
+        for i in (i for i, sample in acts_a.items() if sample.is_graph_valued):
+            for cost in (CostSpec(kind="efd"), CostSpec(kind="qe"),
+                         CostSpec(kind="fgw", fgw=FgwCostSpec())):
+                assert (_bits(build_cost_matrix(acts_a[i], acts_b[i], cost))
+                        == _bits(build_cost_matrix(plain_a[i], plain_b[i], cost)))
 
 
 def _fgw_graph(kind, n):

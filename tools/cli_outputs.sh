@@ -35,8 +35,10 @@ rm -f eval.csv eval-mlp.csv eval-wide.csv ensemble.csv
 run gen-fixtures gen-fixtures --out-dir fx --seed 0
 pair="--a fx/model_a.json --b fx/model_b.json --data fx/dataset.jsonl"
 # each cell is SOLVER:COST, or SOLVER:COST:SAMPLES to set --samples; 32 is the
-# grid's FGW sample count
-for cell in emd:efd sinkhorn:qe emd:weight sinkhorn:weight emd:fgw:2 emd:fgw:8 emd:fgw:32; do
+# grid's FGW sample count, 400 the whole dataset as one batch (every bucket,
+# rows shuffled) and 1 a one-bucket batch
+for cell in emd:efd sinkhorn:qe emd:weight sinkhorn:weight emd:fgw:2 emd:fgw:8 emd:fgw:32 \
+        emd:efd:400 emd:qe:1; do
     solver=${cell%%:*}
     rest=${cell#*:}
     cost=${rest%%:*}
