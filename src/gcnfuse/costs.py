@@ -28,7 +28,7 @@ one matrix product instead of an (n_a, n_b, vertices) difference tensor:
 
 An entry the expansion cancels to near zero is recomputed from the direct
 differences of the two neurons, so identical neurons cost exactly 0. FGW
-runs one stacked fgw_distance per batch graph, on its kept hop distances.
+runs one stacked fgw_distance per batch graph, in batch order, on its kept hop distances.
 """
 
 from __future__ import annotations
@@ -109,17 +109,17 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         raise DimensionMismatchError("one side is per-vertex, the other post-readout")
 
     if not acts_a.is_graph_valued:
-        return _squared_distances(acts_a.readout_values[None], acts_b.readout_values[None])[0]
+        return _squared_distances(acts_a.values[None], acts_b.values[None])[0]
 
     na, nb = acts_a.width, acts_b.width
     if spec.kind == EFD:
         # the square root is per graph: each bucket streams through one reused L2-sized
         # product buffer, and the roots add graph by graph in bucket order, as .sum(axis=0)
         step = max(1, _EFD_CHUNK // (na * nb))
-        most = min(step, max(len(stack) for _, stack in acts_a.buckets))
+        most = min(step, max(len(stack) for stack in acts_a.values))
         product, mask = np.empty((most, na, nb)), np.empty((most, na, nb), dtype=bool)
         C, total = np.zeros((na, nb)), np.empty((na, nb))
-        for (_, stack_a), (_, stack_b) in zip(acts_a.buckets, acts_b.buckets):
+        for stack_a, stack_b in zip(acts_a.values, acts_b.values):
             for chunk, D in enumerate(_squared_distance_chunks(stack_a, stack_b, step, product, mask)):
                 D *= spec.lam
                 np.sqrt(D, out=D)
@@ -151,9 +151,9 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
 
 
 def _per_graph(acts: ActivationSample) -> list[np.ndarray]:
-    """Each batch graph's (n, width) capture, in batch order: views into the buckets."""
-    views = [values for _, stack in acts.buckets for values in stack]
-    order = np.argsort(np.concatenate([index for index, _ in acts.buckets]))
+    """Each batch graph's (n, width) capture, in batch order: views into the bucket stacks."""
+    views = [values for stack in acts.values for values in stack]
+    order = np.argsort(np.concatenate([bucket.index for bucket in acts.batch.layout]))
     return [views[k] for k in order]
 
 
@@ -190,7 +190,7 @@ def _quadratic_energy(acts_a: ActivationSample, acts_b: ActivationSample, lam: f
     """
     na, nb = acts_a.width, acts_b.width
     views = [(bucket.links, a.reshape(-1, na), b.reshape(-1, nb))
-             for bucket, (_, a), (_, b) in zip(acts_a.batch.layout, acts_a.buckets, acts_b.buckets)]
+             for bucket, a, b in zip(acts_a.batch.layout, acts_a.values, acts_b.values)]
     sq_a = sq_b = cross = rows = 0.0  # index 0 (columns :nb of cross): the vertex term; 1: edges
     for links, A, B in views:
         weights = np.stack([np.ones(len(A)), links.sum(axis=2).reshape(-1)])

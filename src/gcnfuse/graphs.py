@@ -173,9 +173,9 @@ class FusionBatch:
 
 @dataclass(frozen=True)
 class Bucket:
-    """The G graphs of one vertex count n in read-only arrays: positions (ascending), (G·n, d)
-    features, (G, n, n) 0/1 links, and (G, n, n) normalized adjacencies, 1/sqrt(deg_u deg_v)
-    on each edge and u == v, degrees counting the vertex itself."""
+    """The G graphs of one vertex count n in read-only arrays: batch positions (ascending) and,
+    stacked in that order, (G, n, d) features, (G, n, n) 0/1 links and (G, n, n) normalized
+    adjacencies, 1/sqrt(deg_u deg_v) on each edge and u == v, degrees counting the vertex itself."""
 
     index: np.ndarray
     features: np.ndarray
@@ -208,7 +208,7 @@ def bucket_layout(graphs) -> tuple[Bucket, ...]:
         inv_sqrt = 1.0 / np.sqrt(1.0 + links.sum(axis=2))
         # inv_sqrt[u] * 1 * inv_sqrt[v] on each edge and the diagonal, exact zeros elsewhere
         adjacency = inv_sqrt[:, :, None] * (links + np.eye(n)) * inv_sqrt[:, None, :]
-        layout.append(Bucket(np.array(groups[n]), np.concatenate([g.features for g in members]),
+        layout.append(Bucket(np.array(groups[n]), np.stack([g.features for g in members]),
                              links, adjacency))
     return tuple(layout)
 
@@ -287,6 +287,8 @@ def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -
             f"feature_dim {features.shape[1]} does not match header {feature_dim}"
         )
     target = rec.get("y")
+    if target is not None and (isinstance(target, bool) or not isinstance(target, (int, float))):
+        raise DatasetFormatError(f"target {target!r} is not a number")  # float() takes "2.5"
     return Graph(num_vertices=n, edges=edges, features=features, target=target)
 
 
@@ -325,11 +327,9 @@ def sample_batch(dataset: Dataset, sample_size: int, seed: int) -> FusionBatch:
     bounds = np.searchsorted(bucket_of[idx[order]], np.arange(len(dataset.layout) + 1)).tolist()
     layout = []
     for bucket, lo, hi in zip(dataset.layout, bounds, bounds[1:]):
-        if lo < hi:
-            take, d = rows[lo:hi], bucket.features.shape[1]
-            features = bucket.features.reshape(-1, bucket.num_vertices, d).take(take, axis=0)
-            layout.append(Bucket(order[lo:hi], features.reshape(-1, d),
-                                 bucket.links.take(take, axis=0), bucket.adjacency.take(take, axis=0)))
+        if lo < hi:  # one take per stacked array
+            layout.append(Bucket(order[lo:hi], *(stack.take(rows[lo:hi], axis=0) for stack in
+                                                 (bucket.features, bucket.links, bucket.adjacency))))
     vars(batch).update(layout=tuple(layout))
     return batch
 

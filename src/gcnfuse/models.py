@@ -21,7 +21,8 @@ sample_batch gathers its graphs' rows from that kept layout, and a
 FusionBatch made from graphs builds its own. The evaluator holds each
 vertex-count bucket's states as one (G·n, d) array, so each affine map is
 one 2-D product; only the normalized adjacencies (G, n, n) act per graph.
-After the readout the state is one (len(graphs), d) array.
+After the readout the state is one (len(graphs), d) array. Captures keep these
+shapes, one (G, n, width) stack per bucket, and leave positions to batch.layout.
 BLAS picks kernels by shape, so a graph's bits depend on its batch: one
 batch always gives the same bits, and two batches agree to rounding
 (within 2e-15 of a layer's largest value; the tests allow 1e-12).
@@ -114,8 +115,9 @@ class BatchNormParams:
             raise DimensionMismatchError(f"batch-norm vectors disagree on dim: {dims}")
         if np.any(self.running_var < 0):
             raise ModelFormatError("running_var entries must be >= 0")
-        if not 0 <= self.epsilon < np.inf:
-            raise ModelFormatError("batch-norm epsilon must be finite and >= 0")
+        if (isinstance(self.epsilon, bool) or not isinstance(self.epsilon, (int, float))
+                or not 0 <= self.epsilon < np.inf):
+            raise ModelFormatError(f"batch-norm epsilon {self.epsilon!r} is not a finite number >= 0")
         if np.any(self.running_var + self.epsilon <= 0):
             raise ModelFormatError("running_var + epsilon must be > 0 everywhere")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -157,10 +159,14 @@ class GraphConv:
     batch_norm: BatchNormParams | None = None
 
     def __post_init__(self):
-        if self.batch_norm is not None and self.batch_norm.dim != self.params.out_dim:
-            raise DimensionMismatchError(
-                f"batch-norm dim {self.batch_norm.dim} != out_dim {self.params.out_dim}"
-            )
+        _check_batch_norm_fits(self)
+
+
+def _check_batch_norm_fits(layer) -> None:
+    """A graph convolution's or dense layer's batch norm, when set, spans its out_dim."""
+    if layer.batch_norm is not None and layer.batch_norm.dim != layer.params.out_dim:
+        raise DimensionMismatchError(
+            f"batch-norm dim {layer.batch_norm.dim} != out_dim {layer.params.out_dim}")
 
 
 @dataclass(frozen=True)
@@ -179,10 +185,7 @@ class Dense:
     def __post_init__(self):
         if self.activation not in ("relu", "none"):
             raise ModelFormatError(f"unknown activation {self.activation!r}")
-        if self.batch_norm is not None and self.batch_norm.dim != self.params.out_dim:
-            raise DimensionMismatchError(
-                f"batch-norm dim {self.batch_norm.dim} != out_dim {self.params.out_dim}"
-            )
+        _check_batch_norm_fits(self)
 
 
 Layer = Union[Embedding, GraphConv, MeanReadout, Dense]
@@ -203,6 +206,10 @@ class GcnModel:
         object.__setattr__(self, "layers", layers)
         if not layers:
             raise ModelFormatError("model has no layers")
+        if not isinstance(self.name, str):
+            raise ModelFormatError(f"model name {self.name!r} is not a string")
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
+            raise ModelFormatError(f"model seed {self.seed!r} is not an integer")
         readouts = [i for i, l in enumerate(layers) if isinstance(l, MeanReadout)]
         if len(readouts) > 1:
             raise ModelFormatError("at most one mean-readout layer is allowed")
@@ -263,44 +270,34 @@ class GcnModel:
 class ActivationSample:
     """One layer's pre-activation capture over a fusion batch, neuron-major.
 
-    Per-vertex layers keep the evaluator's buckets: one (index, values) pair
-    per bucket of batch.layout, in its order, with that bucket's batch
-    positions and the (G, n, width) stack of its G graphs of n vertices, every
-    stack of one width. Layers after the readout store one (sample_size, width) array.
+    values: per vertex, a tuple of one (G, n, width) stack of one width per bucket of
+    batch.layout, in its order; after the readout, one (sample_size, width) array.
     """
 
     batch: FusionBatch
-    buckets: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
-    readout_values: np.ndarray | None = None
+    values: tuple[np.ndarray, ...] | np.ndarray
 
     def __post_init__(self):
-        if (self.buckets is None) == (self.readout_values is None):
-            raise InvalidSpecError("exactly one of buckets/readout_values must be set")
-        n = self.batch.sample_size
-        if self.buckets is None:
-            if self.readout_values.ndim != 2 or len(self.readout_values) != n:
-                raise InvalidSpecError(f"readout_values must be a ({n}, width) array")
-            return
-        layout = self.batch.layout
-        if len(self.buckets) != len(layout) or not all(
-                index is bucket.index or np.array_equal(index, bucket.index)
-                for (index, _), bucket in zip(self.buckets, layout)):
-            raise InvalidSpecError(f"buckets must list each of the {n} batch positions once, "
-                                   "grouped by vertex count as batch.layout groups them")
-        if (any(stack.shape[:-1] != (len(bucket.index), bucket.num_vertices)
-                for (_, stack), bucket in zip(self.buckets, layout))
-                or len({stack.shape[-1] for _, stack in self.buckets}) != 1):
-            raise InvalidSpecError("each bucket needs a (G, n, width) stack of one width "
-                                   "for its G graphs of n vertices")
+        values, size = self.values, self.batch.sample_size
+        if isinstance(values, np.ndarray):
+            if values.ndim != 2 or len(values) != size:
+                raise InvalidSpecError(f"post-readout values must be a ({size}, width) array")
+        # vertex counts differ between buckets, so a stack's (G, n) pins it to its bucket
+        elif not (isinstance(values, tuple) and len(values) == len(self.batch.layout)
+                  and all(isinstance(stack, np.ndarray)
+                          and stack.shape[:-1] == (len(bucket.index), bucket.num_vertices)
+                          for stack, bucket in zip(values, self.batch.layout))
+                  and len({stack.shape[-1] for stack in values}) == 1):
+            raise InvalidSpecError("values must be a post-readout array or a tuple of one (G, n, "
+                                   "width) stack of one width per bucket of batch.layout, in its order")
 
     @property
     def is_graph_valued(self) -> bool:
-        return self.buckets is not None
+        return isinstance(self.values, tuple)
 
     @property
     def width(self) -> int:
-        values = self.readout_values if self.buckets is None else self.buckets[0][1]
-        return values.shape[-1]  # the last axis in either layout
+        return (self.values[0] if self.is_graph_valued else self.values).shape[-1]
 
 
 def _evaluate(model: GcnModel, layout, capture_point: str | None):
@@ -311,13 +308,13 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
     readout writes each bucket's means into one (graph count, width) array in
     graph order for the later layers. Returns (predictions, captures); with a
     capture point, captures maps each parameterized layer index to its
-    pre-activations: (index, (G, n, width) view) per bucket before the
+    pre-activations: a list of one (G, n, width) view per bucket before the
     readout, one (graph count, width) array after.
     """
     input_dim = model.input_dim
-    if layout and layout[0].features.shape[1] != input_dim:  # one feature_dim per layout
+    if layout and layout[0].features.shape[2] != input_dim:  # one feature_dim per layout
         raise DimensionMismatchError(
-            f"graph feature_dim {layout[0].features.shape[1]} != model input dim {input_dim}")
+            f"graph feature_dim {layout[0].features.shape[2]} != model input dim {input_dim}")
     layers = model.layers
     split = next((i for i, l in enumerate(layers) if isinstance(l, MeanReadout)), len(layers))
     # the state width at the readout (the output width for a model without one)
@@ -326,19 +323,19 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
     pooled = np.empty((sum(len(bucket.index) for bucket in layout), width))
     captures: dict[int, list | np.ndarray] = {}
     for bucket in layout:
-        index, h = bucket.index, bucket.features
-        G, n = len(index), bucket.num_vertices
+        G, n, _ = bucket.features.shape
+        h = bucket.features.reshape(G * n, -1)
         for i, layer in enumerate(layers[:split]):
             if isinstance(layer, GraphConv):
                 h = (bucket.adjacency @ h.reshape(G, n, -1)).reshape(G * n, -1)
             h, z = _affine(layer, h, capture_point)
             if z is not None:
-                captures.setdefault(i, []).append((index, z.reshape(G, n, -1)))
+                captures.setdefault(i, []).append(z.reshape(G, n, -1))
         if split == len(layers) and n > 1:
             raise DimensionMismatchError(
                 f"model output has {n * width} entries; the regression head must be scalar")
         # the readout; without one, each graph is one vertex, whose mean keeps its bits
-        pooled[index] = h.reshape(G, n, -1).mean(axis=1)
+        pooled[bucket.index] = h.reshape(G, n, -1).mean(axis=1)
     h = pooled
     for i, layer in enumerate(layers[split + 1:], start=split + 1):
         h, z = _affine(layer, h, capture_point)
@@ -380,9 +377,8 @@ def forward_with_capture(
     if capture_point not in CAPTURE_POINTS:
         raise InvalidSpecError(f"capture_point must be one of {CAPTURE_POINTS}")
     predictions, captures = _evaluate(model, batch.layout, capture_point)
-    return predictions, {
-        i: ActivationSample(batch=batch, buckets=tuple(values)) if isinstance(values, list)
-        else ActivationSample(batch=batch, readout_values=values) for i, values in captures.items()}
+    return predictions, {i: ActivationSample(batch, tuple(v) if isinstance(v, list) else v)
+                         for i, v in captures.items()}
 
 
 def evaluate_mae(model: GcnModel, dataset: Dataset) -> float:

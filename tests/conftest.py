@@ -38,15 +38,15 @@ def graph_values(values, edges=()):
 
 def sample_from_graphs(batch, values):
     """A per-vertex ActivationSample from one (n, width) array per batch graph, in batch order."""
-    return ActivationSample(batch=batch, buckets=tuple(
-        (b.index, np.stack([values[k] for k in b.index])) for b in batch.layout))
+    return ActivationSample(batch=batch, values=tuple(
+        np.stack([values[k] for k in b.index]) for b in batch.layout))
 
 
 def graph_capture(acts, k):
     """Batch graph k's (n, width) values in a per-vertex ActivationSample."""
-    for index, stack in acts.buckets:
-        if k in index:
-            return stack[np.flatnonzero(index == k)[0]]
+    for bucket, stack in zip(acts.batch.layout, acts.values):
+        if k in bucket.index:
+            return stack[np.flatnonzero(bucket.index == k)[0]]
     raise IndexError(f"batch position {k} is in no bucket")
 
 

@@ -70,7 +70,7 @@ def whole_bucket_efd(acts_a, acts_b, lam: float) -> np.ndarray:
     over the whole stack: the arithmetic a streamed build must reproduce bit for bit.
     """
     C = np.zeros((acts_a.width, acts_b.width))
-    for (_, A), (_, B) in zip(acts_a.buckets, acts_b.buckets):
+    for A, B in zip(acts_a.values, acts_b.values):
         sq_a = np.einsum("gvi,gvi->gi", A, A)
         sq_b = np.einsum("gvj,gvj->gj", B, B)
         left = np.concatenate([-2.0 * A, sq_a[:, None], np.ones_like(sq_a[:, None])], axis=1)

@@ -228,7 +228,7 @@ class TestBuildCostMatrix:
         perm = np.array([2, 0, 3, 1])
         permuted = ActivationSample(
             batch=acts_a[1].batch,
-            buckets=tuple((index, v[:, :, perm]) for index, v in acts_a[1].buckets),
+            values=tuple(v[:, :, perm] for v in acts_a[1].values),
         )
         C_perm = build_cost_matrix(permuted, acts_b[1], spec)
         assert np.array_equal(C_perm, C[perm, :])
@@ -236,8 +236,8 @@ class TestBuildCostMatrix:
     def test_post_readout_degenerates_to_squared_difference(self):
         acts_a, acts_b = self._acts_pair(seed=10)
         dense_idx = 4  # emb, gc, readout, dense, head
-        A = acts_a[dense_idx].readout_values
-        B = acts_b[dense_idx].readout_values
+        A = acts_a[dense_idx].values
+        B = acts_b[dense_idx].values
         for kind in ("efd", "qe", "fgw"):
             C = build_cost_matrix(acts_a[dense_idx], acts_b[dense_idx],
                                   CostSpec(kind=kind, lam=0.2))
@@ -320,10 +320,9 @@ class TestGemmFormCosts:
         qe = lambda g, x, y: pairwise_qe(g, x, y, 0.3)
         np.testing.assert_allclose(build_cost_matrix(acts_a, dup, CostSpec(kind="qe", lam=0.3)),
                                    self._oracle(acts_a, dup, qe), rtol=1e-12, atol=0)
-        readout = ActivationSample(batch=acts_a.batch, readout_values=np.stack(
+        readout = ActivationSample(batch=acts_a.batch, values=np.stack(
             [va[0] for va, _ in per_graph]))
-        copies = ActivationSample(batch=acts_a.batch, readout_values=np.array(
-            readout.readout_values[:, ::-1]))
+        copies = ActivationSample(batch=acts_a.batch, values=np.array(readout.values[:, ::-1]))
         C = build_cost_matrix(readout, copies, CostSpec(kind="efd"))
         assert np.array_equal(np.diag(C[:, ::-1]), np.zeros(5))
 

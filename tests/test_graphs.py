@@ -72,7 +72,7 @@ class TestLayout:
             for pos, k in enumerate(bucket.index):
                 g = ds.graphs[k]
                 assert g.num_vertices == n
-                assert np.array_equal(bucket.features[pos * n:(pos + 1) * n], g.features)
+                assert np.array_equal(bucket.features[pos], g.features)
                 links = np.zeros((n, n))
                 for u, v in g.edges:
                     links[u, v] = links[v, u] = 1.0
@@ -159,12 +159,22 @@ class TestLoadDataset:
         {"n": 1, "x": [[float("nan")]]},
         {"n": 1, "x": [[0.0]], "y": float("inf")},
         {"n": 1, "x": [[0.0]], "y": 10 ** 400},  # too large for a float
+        {"n": 1, "x": [[0.0]], "y": "2.5"},  # not parsed to 2.5
+        {"n": 1, "x": [[0.0]], "y": True},  # not taken as 1.0
     ])
     def test_malformed_record_names_record(self, tmp_path, record):
         p = tmp_path / "d.jsonl"
         p.write_text(json.dumps({"vocab": 1}) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(DatasetFormatError, match="record 2"):
             load_dataset(p)
+
+    def test_integer_and_null_targets_load(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps({"n": 1, "x": [[0.0]], "y": 2}) + "\n"
+                     + json.dumps({"n": 1, "x": [[0.0]], "y": None}) + "\n")
+        first, second = load_dataset(p).graphs
+        assert type(first.target) is float and first.target == 2.0
+        assert second.target is None
 
     def test_invalid_json_names_line(self, tmp_path):
         p = tmp_path / "d.jsonl"

@@ -66,8 +66,18 @@ class TestLayerValidation:
     def test_bn_dim_checked(self):
         bn = BatchNormParams(gamma=[1, 1], beta_shift=[0, 0],
                              running_mean=[0, 0], running_var=[1, 1], epsilon=1e-5)
-        with pytest.raises(DimensionMismatchError):
-            GraphConv(params=DenseParams(weight=np.ones((3, 3))), batch_norm=bn)
+        for layer in (GraphConv, Dense):  # one rule and message for both
+            with pytest.raises(DimensionMismatchError, match=r"^batch-norm dim 2 != out_dim 3$"):
+                layer(params=DenseParams(weight=np.ones((3, 3))), batch_norm=bn)
+            assert layer(params=DenseParams(weight=np.ones((2, 3))), batch_norm=bn).batch_norm is bn
+
+    @pytest.mark.parametrize("epsilon", [True, False, "1e-5", None, [1e-5]])
+    def test_bn_epsilon_must_be_a_number(self, epsilon):
+        with pytest.raises(ModelFormatError, match="batch-norm epsilon .* is not a finite number"):
+            BatchNormParams(gamma=[1.0], beta_shift=[0.0], running_mean=[0.0],
+                            running_var=[1.0], epsilon=epsilon)
+        assert BatchNormParams(gamma=[1.0], beta_shift=[0.0], running_mean=[0.0],
+                               running_var=[1.0], epsilon=0).epsilon == 0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_parameters_rejected(self, value):
@@ -145,6 +155,17 @@ class TestModelValidation:
             GcnModel(layers=(GraphConv(params=DenseParams(weight=[[1.0]])),
                              MeanReadout(), MeanReadout()))
 
+    @pytest.mark.parametrize("name, seed, match", [
+        (5, None, "model name 5 is not a string"),
+        (None, None, "model name None is not a string"),
+        ("m", "x", "model seed 'x' is not an integer"),
+        ("m", True, "model seed True is not an integer"),
+        ("m", 1.0, "model seed 1.0 is not an integer"),
+    ])
+    def test_name_and_seed_types_checked(self, name, seed, match):
+        with pytest.raises(ModelFormatError, match=match):
+            GcnModel(layers=constant_model(1.0).layers, name=name, seed=seed)
+
     def test_dim_chain_checked(self):
         with pytest.raises(ModelFormatError, match="layer 1"):
             GcnModel(layers=(Embedding(params=DenseParams(weight=np.ones((3, 2)))),
@@ -203,7 +224,7 @@ class TestCapture:
                 for k in range(batch.sample_size):
                     assert np.array_equal(graph_capture(pre[i], k), graph_capture(post[i], k))
             else:
-                assert np.array_equal(pre[i].readout_values, post[i].readout_values)
+                assert np.array_equal(pre[i].values, post[i].values)
 
     def test_capture_is_pre_activation(self):
         # captured value is the affine output before ReLU: 2*3 + 1 = 7
@@ -259,16 +280,16 @@ class TestCapture:
         counts = (5, 1, 3, 5, 1)  # vertex counts out of order
         graphs = tuple(make_graph(n, edges=[(u, u + 1) for u in range(n - 1)],
                                   values=rng.standard_normal((n, 2))) for n in counts)
-        _, acts = forward_with_capture(model, FusionBatch(graphs=graphs))
+        batch = FusionBatch(graphs=graphs)
+        _, acts = forward_with_capture(model, batch)
+        # counts ascend, each batch position appears once, batch order within a bucket
+        assert [bucket.index.tolist() for bucket in batch.layout] == [[1, 4], [2], [0, 3]]
         for i in (0, 1, 2):  # embedding and both graph convolutions
-            buckets = acts[i].buckets
-            # counts ascend, each batch position appears once, batch order within a bucket
-            assert [index.tolist() for index, _ in buckets] == [[1, 4], [2], [0, 3]]
-            assert [stack.shape for _, stack in buckets] == [(2, 1, 4), (1, 3, 4), (2, 5, 4)]
-            assert acts[i].readout_values is None
+            assert acts[i].is_graph_valued and isinstance(acts[i].values, tuple)
+            assert [stack.shape for stack in acts[i].values] == [(2, 1, 4), (1, 3, 4), (2, 5, 4)]
         for i, width in ((4, 4), (5, 1)):  # the dense layer and the head, after the readout
             assert not acts[i].is_graph_valued
-            assert acts[i].readout_values.shape == (len(counts), width)
+            assert acts[i].values.shape == (len(counts), width)
 
     @staticmethod
     def _capture(seed):
@@ -278,44 +299,53 @@ class TestCapture:
 
     def test_partial_bucket_list_rejected(self):
         acts = self._capture(seed=10)[1]
-        assert [index.tolist() for index, _ in acts.buckets] == [[1], [0, 2]]
-        with pytest.raises(InvalidSpecError, match="each of the 3 batch positions once"):
-            ActivationSample(batch=acts.batch, buckets=acts.buckets[:1])
+        assert [bucket.index.tolist() for bucket in acts.batch.layout] == [[1], [0, 2]]
+        with pytest.raises(InvalidSpecError, match="per bucket of batch.layout"):
+            ActivationSample(batch=acts.batch, values=acts.values[:1])
 
     def test_position_listed_twice_rejected(self):
         acts = self._capture(seed=11)[1]
-        (small, small_stack), (large, large_stack) = acts.buckets
-        twice = ((small, small_stack), (np.array([0, 0]), large_stack))
-        with pytest.raises(InvalidSpecError, match="each of the 3 batch positions once"):
-            ActivationSample(batch=acts.batch, buckets=twice)
+        small_stack, large_stack = acts.values
+        # one bucket's stack given for both buckets, either way round
+        for twice in ((small_stack, small_stack), (large_stack, large_stack)):
+            with pytest.raises(InvalidSpecError, match="per bucket of batch.layout"):
+                ActivationSample(batch=acts.batch, values=twice)
 
     def test_bucket_of_another_vertex_count_rejected(self):
         acts = self._capture(seed=13)[1]
-        (small, small_stack), (large, large_stack) = acts.buckets
-        # every position once, but graph 0 (3 vertices) named for the 2-vertex stack
-        relabelled = ((np.array([0]), small_stack), (np.array([1, 2]), large_stack))
-        with pytest.raises(InvalidSpecError, match="grouped by vertex count"):
-            ActivationSample(batch=acts.batch, buckets=relabelled)
-        # the layout's positions, with each stack of the other vertex count
-        swapped = ((small, large_stack[:1]), (large, np.concatenate([small_stack, small_stack])))
-        with pytest.raises(InvalidSpecError, match="for its G graphs of n vertices"):
-            ActivationSample(batch=acts.batch, buckets=swapped)
+        small_stack, large_stack = acts.values
+        # the stacks swapped: each bucket's stack of the other graph and vertex counts
+        with pytest.raises(InvalidSpecError, match="in its order"):
+            ActivationSample(batch=acts.batch, values=(large_stack, small_stack))
+        # each bucket's graph count, but the other bucket's vertex count
+        swapped = (large_stack[:1], np.concatenate([small_stack, small_stack]))
+        with pytest.raises(InvalidSpecError, match=r"one \(G, n, width\) stack of one width"):
+            ActivationSample(batch=acts.batch, values=swapped)
 
     def test_stack_rows_and_width_checked(self):
         acts = self._capture(seed=11)[1]
-        (small, small_stack), (large, large_stack) = acts.buckets
-        short = ((small, small_stack), (large, large_stack[:1]))
-        narrow = ((small, small_stack[:, :, :2]), (large, large_stack))
-        for buckets in (short, narrow):
+        small_stack, large_stack = acts.values
+        short = (small_stack, large_stack[:1])
+        narrow = (small_stack[:, :, :2], large_stack)
+        for values in (short, narrow):
             with pytest.raises(InvalidSpecError, match="one width"):
-                ActivationSample(batch=acts.batch, buckets=buckets)
+                ActivationSample(batch=acts.batch, values=values)
+
+    def test_values_neither_tuple_nor_array_rejected(self):
+        acts = self._capture(seed=14)
+        per_vertex, readout = acts[1], acts[3]
+        assert ActivationSample(batch=per_vertex.batch, values=tuple(per_vertex.values)).width == 4
+        for values in (list(per_vertex.values), readout.values.tolist(), None, 1.0,
+                       {0: per_vertex.values[0]}, tuple(v.tolist() for v in per_vertex.values)):
+            with pytest.raises(InvalidSpecError, match="values must be a post-readout array or a tuple"):
+                ActivationSample(batch=per_vertex.batch, values=values)
 
     def test_wrong_readout_row_count_rejected(self):
         acts = self._capture(seed=12)[3]  # the dense layer after the readout
-        assert acts.readout_values.shape == (3, 4)
-        for values in (acts.readout_values[:2], acts.readout_values[0]):
+        assert acts.values.shape == (3, 4)
+        for values in (acts.values[:2], acts.values[0]):
             with pytest.raises(InvalidSpecError, match=r"\(3, width\) array"):
-                ActivationSample(batch=acts.batch, readout_values=values)
+                ActivationSample(batch=acts.batch, values=values)
 
     def test_bad_capture_point(self):
         model = tiny_gcn([[1.0]], [0.0])
@@ -563,6 +593,30 @@ class TestModelIo:
         del doc["layers"][1]["batch_norm"]["running_var"]
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="layer 1: 'running_var'"):
+            load_model(p)
+
+    @pytest.mark.parametrize("key, value", [("name", 5), ("name", None), ("seed", "x"),
+                                            ("seed", False), ("seed", 2.0)])
+    def test_name_and_seed_of_another_json_type_rejected(self, tmp_path, key, value):
+        p = tmp_path / "m.json"
+        save_model(random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                         dense_layers=1), seed=29, name="m"), p)
+        doc = json.loads(p.read_text())
+        doc[key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"m.json: model {key} .* is not a"):
+            load_model(p)
+
+    @pytest.mark.parametrize("epsilon", [True, "1e-5"])
+    def test_batchnorm_epsilon_of_another_json_type_names_layer(self, tmp_path, epsilon):
+        model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                      dense_layers=1, batch_norm=True), seed=30)
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        doc["layers"][1]["batch_norm"]["epsilon"] = epsilon
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="layer 1: batch-norm epsilon .* is not a finite number"):
             load_model(p)
 
     def test_unknown_schema_rejected(self, tmp_path):

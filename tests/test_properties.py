@@ -284,7 +284,7 @@ def test_dataset_file_round_trip_is_exact(count, min_vertices, extra_vertices, e
 
 def _captured(acts, k):
     """Graph k's capture of every layer."""
-    return {i: graph_capture(s, k) if s.is_graph_valued else s.readout_values[k]
+    return {i: graph_capture(s, k) if s.is_graph_valued else s.values[k]
             for i, s in acts.items()}
 
 
