@@ -154,6 +154,13 @@ def _check_out_dir(ctx: click.Context, param: click.Parameter, path: str | None)
     return path
 
 
+def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """Reject NaN, which FloatRange lets through, and infinity, which fails only later."""
+    if not np.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number", ctx, param)
+    return value
+
+
 def out_option(*decls, **kwargs):
     """An output-file option; its directory is checked while the options are parsed."""
     return click.option(*decls, type=click.Path(dir_okay=False), callback=_check_out_dir, **kwargs)
@@ -176,9 +183,11 @@ fusion_options = _options(
                  show_default=True, help="Ground-cost kind between neurons."),
     lam_option,
     click.option("--epsilon", type=float, default=None,
-                 help="Sinkhorn entropy scale; defaults per cost (5e-4 efd/weight, 5e-5 qe/fgw)."),
+                 help="Sinkhorn entropy scale; defaults to the cost kind's default_epsilon."),
     rho_option,
 )
+interpolation_option = click.option("--interpolation", type=float, default=0.5, show_default=True,
+                                    help="Weight on the anchor when averaging.")
 samples_option = click.option("--samples", type=click.IntRange(min=1), default=340, show_default=True,
                               help="Activation sample size per fusion run.")
 capture_option = click.option("--capture", type=click.Choice(list(CAPTURE_POINTS)), default=POST_BN,
@@ -215,8 +224,7 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 @fusion_options
 @samples_option
 @capture_option
-@click.option("--interpolation", type=float, default=0.5, show_default=True,
-              help="Weight on the anchor when averaging.")
+@interpolation_option
 @seed_option
 @out_option("--out", "out_path", default="fused.model.json", show_default=True,
             help="Where to write the fused model.")
@@ -254,7 +262,7 @@ def cmd_fuse(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, sa
 @main.command("vanilla")
 @pair_options
 @click.option("--data", "data_path", type=_IN_FILE, default=None)
-@click.option("--interpolation", type=float, default=0.5, show_default=True)
+@interpolation_option
 @out_option("--out", "out_path", default="vanilla.model.json", show_default=True)
 @_guard
 def cmd_vanilla(a_path, b_path, data_path, interpolation, out_path):
@@ -402,7 +410,7 @@ def cmd_bn_compare(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, r
 @click.option("--max-vertices", type=int, default=9, show_default=True)
 @click.option("--density", type=float, default=0.35, show_default=True)
 @click.option("--noise", type=click.FloatRange(min=0.0), default=0.0, show_default=True,
-              help="Relative weight noise on the twin (0 keeps it an exact permutation).")
+              callback=_finite, help="Relative weight noise on the twin (0 keeps it an exact permutation).")
 @click.option("--teacher-labels/--synthetic-labels", default=True, show_default=True,
               help="Label the dataset with model A's own predictions or keep synthetic targets.")
 @seed_option

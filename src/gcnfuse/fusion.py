@@ -9,7 +9,7 @@ B's, the step vanilla_fuse takes without alignment.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -17,11 +17,11 @@ from .costs import EFD, FGW, QE, WEIGHT, CostSpec, build_cost_matrix, weight_cos
 from .errors import DimensionMismatchError, InvalidSpecError
 from .graphs import Dataset, FusionBatch, sample_batch
 from .models import (
+    CAPTURE_POINTS,
     POST_BN,
     DenseParams,
     GcnModel,
     MeanReadout,
-    _rebuild,
     # the align_* primitives are re-exported; the package imports them from here
     align_batchnorm,
     align_layer_incoming,
@@ -78,6 +78,9 @@ class FusionConfig:
             raise InvalidSpecError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if not 0.0 <= self.interpolation <= 1.0:
             raise InvalidSpecError("interpolation must be in [0, 1]")
+        if self.capture_point not in CAPTURE_POINTS:
+            raise InvalidSpecError(
+                f"capture_point must be one of {CAPTURE_POINTS}, got {self.capture_point!r}")
         if self.sample_size < 1:
             raise InvalidSpecError("sample_size must be >= 1")
         if self.seed < 0:
@@ -150,10 +153,10 @@ def _interpolate_models(layers_a, model_b: GcnModel, weight_on_b: float, name: s
         if isinstance(layer_a, MeanReadout):
             new_layers.append(MeanReadout())
             continue
-        bn_a = getattr(layer_a, "batch_norm", None)
+        bn_a = layer_a.batch_norm
         fused_bn = None if bn_a is None else _interpolate(bn_a, layer_b.batch_norm, weight_on_b)
         params = _interpolate(layer_a.params, layer_b.params, weight_on_b)
-        new_layers.append(_rebuild(layer_b, params, fused_bn))
+        new_layers.append(replace(layer_b, params=params, batch_norm=fused_bn))
     return GcnModel(layers=tuple(new_layers), name=name)
 
 

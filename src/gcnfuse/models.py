@@ -14,6 +14,10 @@ The graph-convolution update for vertex i is
 with degrees counting the vertex itself. Batch norm always runs in
 inference mode from stored running statistics; nothing here trains.
 
+Embedding, GraphConv and Dense share one record (params, an optional batch_norm,
+an activation), and every rebuild of a layer (noise, alignment, interpolation) is
+dataclasses.replace, which keeps its kind and activation.
+
 One private evaluator runs every forward pass (predict,
 forward_with_capture, evaluate_mae, label_with_model) on the graphs'
 bucket_layout, which a Dataset builds once and keeps; a batch from
@@ -141,32 +145,33 @@ class BatchNormParams:
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """Bias-free linear map applied per vertex before any graph convolution."""
-
-    params: DenseParams
-
-    def __post_init__(self):
-        if self.params.bias is not None:
-            raise ModelFormatError("embedding layers carry no bias")
-
-
-@dataclass(frozen=True)
-class GraphConv:
-    """Degree-normalized neighborhood aggregation, shared affine map, BN?, ReLU."""
+class _Parameterized:
+    """An affine map, an optional batch norm over its out_dim, and an activation (a field on Dense)."""
 
     params: DenseParams
     batch_norm: BatchNormParams | None = None
+    activation = "relu"
 
     def __post_init__(self):
-        _check_batch_norm_fits(self)
+        if self.batch_norm is not None and self.batch_norm.dim != self.params.out_dim:
+            raise DimensionMismatchError(
+                f"batch-norm dim {self.batch_norm.dim} != out_dim {self.params.out_dim}")
 
 
-def _check_batch_norm_fits(layer) -> None:
-    """A graph convolution's or dense layer's batch norm, when set, spans its out_dim."""
-    if layer.batch_norm is not None and layer.batch_norm.dim != layer.params.out_dim:
-        raise DimensionMismatchError(
-            f"batch-norm dim {layer.batch_norm.dim} != out_dim {layer.params.out_dim}")
+@dataclass(frozen=True)
+class Embedding(_Parameterized):
+    """Bias-free linear map applied per vertex before any graph convolution."""
+
+    activation = "none"
+
+    def __post_init__(self):
+        if self.params.bias is not None or self.batch_norm is not None:
+            raise ModelFormatError("embedding layers carry no bias or batch norm")
+
+
+@dataclass(frozen=True)
+class GraphConv(_Parameterized):
+    """Degree-normalized neighborhood aggregation, shared affine map, BN?, ReLU."""
 
 
 @dataclass(frozen=True)
@@ -175,22 +180,18 @@ class MeanReadout:
 
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Parameterized):
     """Affine map with optional batch norm; activation 'relu' or 'none'."""
 
-    params: DenseParams
-    batch_norm: BatchNormParams | None = None
     activation: str = "relu"
 
     def __post_init__(self):
         if self.activation not in ("relu", "none"):
             raise ModelFormatError(f"unknown activation {self.activation!r}")
-        _check_batch_norm_fits(self)
+        super().__post_init__()
 
 
 Layer = Union[Embedding, GraphConv, MeanReadout, Dense]
-
-_PARAMETERIZED = (Embedding, GraphConv, Dense)
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ class GcnModel:
                 raise ModelFormatError(f"embedding must be the first layer, found at {i}")
         dim = None
         for i, l in enumerate(layers):
-            if isinstance(l, _PARAMETERIZED):
+            if isinstance(l, _Parameterized):
                 if dim is not None and l.params.in_dim != dim:
                     raise ModelFormatError(
                         f"layer {i}: in_dim {l.params.in_dim} does not match previous out_dim {dim}"
@@ -235,19 +236,18 @@ class GcnModel:
     @property
     def input_dim(self) -> int:
         for l in self.layers:
-            if isinstance(l, _PARAMETERIZED):
+            if isinstance(l, _Parameterized):
                 return l.params.in_dim
         raise ModelFormatError("model has no parameterized layers")
 
     def parameterized_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, l in enumerate(self.layers) if isinstance(l, _PARAMETERIZED))
+        return tuple(i for i, l in enumerate(self.layers) if isinstance(l, _Parameterized))
 
     def same_architecture(self, other: "GcnModel") -> bool:
         def shape(l):
-            if not isinstance(l, _PARAMETERIZED):
+            if not isinstance(l, _Parameterized):
                 return type(l)
-            return (type(l), l.params.weight.shape, l.params.bias is None,
-                    getattr(l, "batch_norm", None) is None)
+            return (type(l), l.params.weight.shape, l.params.bias is None, l.batch_norm is None)
         return [shape(l) for l in self.layers] == [shape(l) for l in other.layers]
 
     def summary(self) -> str:
@@ -319,7 +319,7 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
     split = next((i for i, l in enumerate(layers) if isinstance(l, MeanReadout)), len(layers))
     # the state width at the readout (the output width for a model without one)
     width = next((l.params.out_dim for l in reversed(layers[:split])
-                  if isinstance(l, _PARAMETERIZED)), input_dim)
+                  if isinstance(l, _Parameterized)), input_dim)
     pooled = np.empty((sum(len(bucket.index) for bucket in layout), width))
     captures: dict[int, list | np.ndarray] = {}
     for bucket in layout:
@@ -352,11 +352,9 @@ def _affine(layer, h: np.ndarray, capture_point: str | None):
     z = h @ layer.params.weight.T
     if layer.params.bias is not None:
         z += layer.params.bias
-    bn = getattr(layer, "batch_norm", None)
-    post = z if bn is None else bn.apply(z)
+    post = z if layer.batch_norm is None else layer.batch_norm.apply(z)
     captured = None if capture_point is None else (z if capture_point == PRE_BN else post)
-    relu = isinstance(layer, GraphConv) or getattr(layer, "activation", None) == "relu"
-    return (np.maximum(post, 0.0) if relu else post), captured
+    return (np.maximum(post, 0.0) if layer.activation == "relu" else post), captured
 
 
 def predict(model: GcnModel, graphs) -> np.ndarray:
@@ -412,7 +410,8 @@ def permute_model(model: GcnModel, permutations) -> GcnModel:
         )
     plans: dict[int, TransportPlan] = {}
     for layer_i, perm in zip(hidden, permutations):
-        p = np.asarray(perm, dtype=np.int64)
+        if (p := np.asarray(perm)).dtype.kind not in "iu":  # a cast truncates floats, takes bools
+            raise InvalidSpecError(f"layer {layer_i}: permutation entries must be integers, not {p.dtype}")
         width = model.layers[layer_i].params.out_dim
         if sorted(p.tolist()) != list(range(width)):
             raise InvalidSpecError(
@@ -433,8 +432,8 @@ def perturb_model(model: GcnModel, scale: float, seed: int) -> GcnModel:
     when the std is zero), so scale=0.01 means roughly 1% perturbation per
     layer. Batch-norm statistics are left untouched.
     """
-    if scale < 0:
-        raise InvalidSpecError("noise scale must be >= 0")
+    if not 0 <= scale < np.inf:
+        raise InvalidSpecError(f"noise scale must be a finite number >= 0, got {scale!r}")
     rng = np.random.default_rng(seed)
 
     def noisy(arr: np.ndarray) -> np.ndarray:
@@ -445,25 +444,12 @@ def perturb_model(model: GcnModel, scale: float, seed: int) -> GcnModel:
 
     new_layers: list[Layer] = []
     for layer in model.layers:
-        if not isinstance(layer, _PARAMETERIZED):
-            new_layers.append(layer)
-            continue
-        params = DenseParams(
-            weight=noisy(layer.params.weight),
-            bias=None if layer.params.bias is None else noisy(layer.params.bias),
-        )
-        bn = getattr(layer, "batch_norm", None)
-        new_layers.append(_rebuild(layer, params, bn))
+        if isinstance(layer, _Parameterized):
+            bias = layer.params.bias
+            layer = replace(layer, params=DenseParams(
+                weight=noisy(layer.params.weight), bias=None if bias is None else noisy(bias)))
+        new_layers.append(layer)
     return GcnModel(layers=tuple(new_layers), name=model.name + "+noise", seed=model.seed)
-
-
-def _rebuild(layer, params: DenseParams, bn: BatchNormParams | None) -> Layer:
-    """A layer of the same type and activation as layer, holding params and bn."""
-    if isinstance(layer, Embedding):
-        return Embedding(params=params)
-    if isinstance(layer, GraphConv):
-        return GraphConv(params=params, batch_norm=bn)
-    return Dense(params=params, batch_norm=bn, activation=layer.activation)
 
 
 def _scaled_transport(plan: TransportPlan) -> np.ndarray:
@@ -536,11 +522,9 @@ def align_model(model: GcnModel, plan_for) -> tuple[Layer, ...]:
         if t_prev is not None:
             params = align_layer_incoming(params, t_prev)
         plan = plan_for(i, params)
-        params = align_layer_outgoing(params, plan)
-        bn = getattr(layer, "batch_norm", None)
-        if bn is not None:
-            bn = align_batchnorm(bn, plan)
-        layers.append(_rebuild(layer, params, bn))
+        bn = layer.batch_norm
+        layers.append(replace(layer, params=align_layer_outgoing(params, plan),
+                              batch_norm=None if bn is None else align_batchnorm(bn, plan)))
         t_prev = plan
     return tuple(layers)
 

@@ -82,13 +82,13 @@ def assert_models_equal(m1, m2):
         assert type(l1) is type(l2)
         if isinstance(l1, MeanReadout):
             continue
+        assert l1.activation == l2.activation
         assert np.array_equal(l1.params.weight, l2.params.weight)
         if l1.params.bias is None:
             assert l2.params.bias is None
         else:
             assert np.array_equal(l1.params.bias, l2.params.bias)
-        bn1 = getattr(l1, "batch_norm", None)
-        bn2 = getattr(l2, "batch_norm", None)
+        bn1, bn2 = l1.batch_norm, l2.batch_norm
         assert (bn1 is None) == (bn2 is None)
         if bn1 is not None:
             assert np.array_equal(bn1.gamma, bn2.gamma)

@@ -269,8 +269,10 @@ class TestFuseCommand:
     ("grid", [], {"repeats": 0}, "--repeats"),
     ("sweep-samples", [], {"repeats": "-2"}, "--repeats"),
     ("gen-fixtures", ["--noise", -0.5], None, "--noise"),
+    ("gen-fixtures", ["--noise", "nan"], None, "--noise"),
+    ("gen-fixtures", ["--noise", "inf"], None, "--noise"),
 ], ids=["grid", "sweep-samples", "bn-compare", "grid-config", "sweep-samples-config",
-        "gen-fixtures"])
+        "gen-fixtures", "gen-fixtures-nan", "gen-fixtures-inf"])
 def test_out_of_range_repeats_and_noise_rejected(fx, tmp_path, command, flags, config, option):
     out = tmp_path / "out"
     if command == "gen-fixtures":

@@ -90,6 +90,10 @@ class TestFusionConfig:
         with pytest.raises(InvalidSpecError, match="seed"):
             FusionConfig(seed=-1)
 
+    def test_unknown_capture_point_rejected(self):
+        with pytest.raises(InvalidSpecError, match="capture_point must be one of"):
+            FusionConfig(capture_point="bogus")
+
     @pytest.mark.parametrize("kind", ["efd", "qe", "fgw", "weight"])
     def test_unset_settings_follow_the_cost_kind(self, small_regression_setup, kind):
         dataset, model = small_regression_setup
@@ -445,6 +449,20 @@ class TestBaselines:
                 assert pf.bias is None
             else:
                 assert np.array_equal(pf.bias, mix(pa.bias, pb.bias))
+
+    @pytest.mark.parametrize("method", ["vanilla", "fuse"])
+    def test_fused_layers_keep_the_anchors_kinds_and_activations(self, small_regression_setup,
+                                                                  method):
+        # same_architecture ignores activations, so only the anchor's layers can set them
+        _, a = small_regression_setup
+        b = replace(a, layers=(*a.layers[:-1], replace(a.layers[-1], activation="relu")))
+        if method == "vanilla":
+            fused = vanilla_fuse(a, b)
+        else:
+            fused, _ = fuse(a, b, None, FusionConfig(cost=CostSpec(kind="weight")))
+        kinds = lambda m: [(type(l), l.activation) for l in m.layers
+                           if not isinstance(l, models.MeanReadout)]
+        assert kinds(fused) == kinds(b) != kinds(a)
 
     def test_vanilla_architecture_mismatch(self, small_regression_setup):
         _, model = small_regression_setup

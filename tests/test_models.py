@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,26 @@ class TestLayerValidation:
     def test_embedding_rejects_bias(self):
         with pytest.raises(ModelFormatError):
             Embedding(params=DenseParams(weight=[[1.0]], bias=[0.0]))
+
+    def test_embedding_rejects_batch_norm(self):
+        bn = BatchNormParams(gamma=[1.0], beta_shift=[0.0], running_mean=[0.0], running_var=[1.0])
+        with pytest.raises(ModelFormatError, match="embedding"):
+            Embedding(params=DenseParams(weight=[[1.0]]), batch_norm=bn)
+
+    def test_activation_is_set_by_the_layer_kind(self):
+        assert Embedding.activation == "none"
+        assert GraphConv.activation == "relu"
+        params = DenseParams(weight=[[1.0]])
+        assert Embedding(params=params).activation == "none"
+        assert Dense(params=params).activation == "relu"
+        assert Dense(params=params, activation="none").activation == "none"
+
+    def test_models_differing_only_in_an_activation_are_unequal(self):
+        model = constant_model(1.0)
+        flipped = replace(model, layers=(model.layers[0],
+                                         replace(model.layers[1], activation="relu")))
+        with pytest.raises(AssertionError):
+            assert_models_equal(model, flipped)
 
     def test_bias_length_checked(self):
         with pytest.raises(DimensionMismatchError):
@@ -452,6 +473,15 @@ class TestPermuteModel:
         with pytest.raises(InvalidSpecError, match="bijection"):
             permute_model(model, [np.array([0, 0, 2]), np.arange(3)])
 
+    @pytest.mark.parametrize("perm", [[0.9, 1.2], [True, False], np.array([1.0, 0.0])],
+                             ids=["fractions", "booleans", "float-array"])
+    def test_non_integer_entries_rejected(self, perm):
+        # each would cast to a valid bijection on 0..1
+        model = random_model(ArchSpec(feature_dim=2, hidden_dim=2, gc_layers=0,
+                                      dense_layers=2), seed=17)
+        with pytest.raises(InvalidSpecError, match="layer 0: permutation entries must be integers"):
+            permute_model(model, [perm, np.arange(2)])
+
 
 class TestPerturbModel:
     def test_zero_scale_is_identity(self):
@@ -469,6 +499,13 @@ class TestPerturbModel:
         assert np.array_equal(bn_a.running_var, bn_b.running_var)
         assert not np.array_equal(model.layers[1].params.weight,
                                   noisy.layers[1].params.weight)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=0,
+                                      dense_layers=2), seed=20)
+        with pytest.raises(InvalidSpecError, match="noise scale must be a finite number"):
+            perturb_model(model, scale, seed=1)
 
     def test_deterministic(self):
         model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=0,

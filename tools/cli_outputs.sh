@@ -1,7 +1,7 @@
 #!/bin/sh
 # Run the gcnfuse CLI of source tree TREE over a fixed set of commands and
-# keep everything it writes under OUT: fixtures (GCN, MLP, hidden-64 and hidden-256 GCNs
-# and a noisy GCN twin without batch norm), fused and averaged models,
+# keep everything it writes under OUT: fixtures (GCN, MLP, hidden-64 and hidden-256 GCNs,
+# a noisy GCN twin without batch norm and a noisy MLP twin with it), fused and averaged models,
 # traces, dumped cost matrices, result tables, evaluation rows, and each
 # command's console output.
 #
@@ -104,3 +104,11 @@ run fuse-noisy-fgw fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
     --data fx-noisy/dataset.jsonl --solver emd --cost fgw --samples 8 \
     --out fuse-noisy-fgw.model.json --trace fuse-noisy-fgw.trace.txt \
     --dump-costs fuse-noisy-fgw.costs
+# a noisy MLP twin with batch norm: perturb_model, align_model and the interpolation
+# each rebuild dense layers that carry batch norm
+run gen-fixtures-mlp-noisy gen-fixtures --out-dir fx-mlp-noisy --arch mlp --noise 0.05 --seed 4
+run fuse-mlp-noisy fuse --a fx-mlp-noisy/model_a.json --b fx-mlp-noisy/model_b.json \
+    --data fx-mlp-noisy/dataset.jsonl --cost weight --out fuse-mlp-noisy.model.json \
+    --trace fuse-mlp-noisy.trace.txt
+run vanilla-mlp-noisy vanilla --a fx-mlp-noisy/model_a.json --b fx-mlp-noisy/model_b.json \
+    --data fx-mlp-noisy/dataset.jsonl --interpolation 0.3 --out vanilla-mlp-noisy.model.json
