@@ -28,7 +28,10 @@ one matrix product instead of an (n_a, n_b, vertices) difference tensor:
 
 An entry the expansion cancels to near zero is recomputed from the direct
 differences of the two neurons, so identical neurons cost exactly 0. FGW
-runs one stacked fgw_distance per batch graph, in batch order, on its kept hop distances.
+runs one stacked fgw_distance per batch graph, in batch order, on its kept hop
+distances. Only a pair with a neuron that repeats a value on the graph (a repeated
+row or column of its feature cost) takes the mirrored pass: elsewhere no assignment
+step was seen to tie, so the mirrored runs retrace the forward ones and every bit stays.
 """
 
 from __future__ import annotations
@@ -141,11 +144,12 @@ def build_cost_matrix(acts_a: ActivationSample, acts_b: ActivationSample, spec: 
         struct = graph.hop_distances
         n = graph.num_vertices
         features = (va.T[:, None, :, None] - vb.T[None, :, None, :]) ** 2
+        tie_a, tie_b = (np.any(np.diff(np.sort(v, axis=0), axis=0) == 0, axis=0) for v in (va, vb))
         distances, _ = fgw_distance(FgwProblem(
             structure_a=struct, structure_b=struct,
             feature_cost=features.reshape(na * nb, n, n), trade_off=trade_off,
             alpha=uniform_weights(n), beta=uniform_weights(n),
-        ))
+        ), mirror=(tie_a[:, None] | tie_b[None, :]).reshape(-1))
         C += distances.reshape(na, nb)
     return C
 

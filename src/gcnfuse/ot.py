@@ -500,14 +500,14 @@ def fused_objective(problem: FgwProblem, T: np.ndarray) -> float | np.ndarray:
     return problem.trade_off * feature + (1.0 - problem.trade_off) * structure
 
 
-def _fgw_fixed_points(problem: FgwProblem):
-    """The fixed point from every start on every instance of the problem.
+def _fgw_fixed_points(problem: FgwProblem, instances=slice(None)):
+    """The fixed point from every start on each instance that `instances` picks from the stack.
 
-    Run s * P + p is instance p from start s; it leaves the array once its plan
-    moves less than _FGW_TOL. Returns the plans (S, P, n, m).
+    Run s * P + p is the p-th chosen instance from start s; it leaves the array
+    once its plan moves less than _FGW_TOL. Returns the plans (S, P, n, m).
     """
     Ca, Cb, a, b = problem.structure_a, problem.structure_b, problem.alpha, problem.beta
-    F = problem.feature_cost.reshape((-1,) + problem.feature_cost.shape[-2:])
+    F = problem.feature_cost.reshape((-1,) + problem.feature_cost.shape[-2:])[instances]
     starts = [np.outer(a, b)] + ([np.diag(a)] if a.size == b.size and np.array_equal(a, b) else [])
     P = F.shape[0]
     T = np.repeat(np.array(starts), P, axis=0)
@@ -529,10 +529,10 @@ def _fgw_fixed_points(problem: FgwProblem):
         T[active] = new = (_assignment_coupling(a, lin) if uniform
                            else np.array([emd(a, b, C).coupling for C in lin]))
         active = active[~(np.max(np.abs(new - current), axis=(1, 2)) < _FGW_TOL)]
-    return T.reshape((-1,) + F.shape)
+    return T.reshape((len(starts),) + F.shape)
 
 
-def fgw_distance(problem: FgwProblem) -> tuple[np.ndarray, np.ndarray]:
+def fgw_distance(problem: FgwProblem, *, mirror=None) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-point iteration on the linearized fused cost, over one instance or a stack.
 
     Each step solves linear OT on trade_off * feature_cost
@@ -546,10 +546,21 @@ def fgw_distance(problem: FgwProblem) -> tuple[np.ndarray, np.ndarray]:
     objective there; one that repeats earlier runs on every instance is not
     scored. Each pass steps all its runs as one array, in a single instance's
     operation order, so every result is bitwise that instance's alone.
+
+    mirror, a (P,) bool mask, sends only its True instances through the
+    transposed pass (None: all). A False instance's mirrored runs take its
+    forward plans, which the dedup scores as its forward runs. With one
+    structure on both sides, the mirrored linearized cost at T^T is the
+    transpose of the forward one at T, so the passes part only at tied
+    assignment optima, and a mask that leaves out only tie-free instances
+    keeps every bit.
     Returns (distances (P,), couplings (P, n, m)); an (n, m) problem is a
     stack of one.
     """
-    fixed = [_fgw_fixed_points(problem), _fgw_fixed_points(problem.transposed())]
+    forward = _fgw_fixed_points(problem)
+    fixed = [forward, np.swapaxes(forward, -1, -2).copy()]
+    flagged = slice(None) if mirror is None else np.asarray(mirror, dtype=bool)
+    fixed[1][:, flagged] = _fgw_fixed_points(problem.transposed(), flagged)
     # a mirrored run is scored on a transposed view of the plan its pass solved
     runs = [*fixed[0], *np.swapaxes(fixed[1], -1, -2)]
     plans = np.array(runs)

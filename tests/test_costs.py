@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gcnfuse import ot
 from gcnfuse import (
     ActivationSample,
     ArchSpec,
@@ -256,6 +257,56 @@ class TestBuildCostMatrix:
         acts_a, acts_b = self._acts_pair(seed=13)
         with pytest.raises(InvalidSpecError):
             build_cost_matrix(acts_a[1], acts_b[1], CostSpec(kind="weight"))
+
+
+class TestFgwMirroredPass:
+    """Which instances of an FGW build take the mirrored (transposed) fixed-point pass."""
+
+    @staticmethod
+    def _mirrored_instances(monkeypatch, acts_a, acts_b, spec):
+        """The build's cost matrix, and the instances each graph sent to the mirrored pass."""
+        calls = []
+        fixed_points = ot._fgw_fixed_points
+
+        def counted(problem, instances=slice(None)):
+            calls.append(np.arange(len(problem.feature_cost))[instances])
+            return fixed_points(problem, instances)
+
+        monkeypatch.setattr(ot, "_fgw_fixed_points", counted)
+        C = build_cost_matrix(acts_a, acts_b, spec)
+        # each graph runs the forward pass on every instance, then the mirrored pass
+        assert all(len(forward) == C.size for forward in calls[::2])
+        return C, [list(mirrored) for mirrored in calls[1::2]]
+
+    def test_distinct_values_send_no_instance(self, monkeypatch):
+        batch, values = mixed_batch(seed=50, width=5)
+        acts_a = sample_from_graphs(batch, [v[:, :3] for v in values])
+        acts_b = sample_from_graphs(batch, [v[:, 3:] for v in values])
+        _, mirrored = self._mirrored_instances(monkeypatch, acts_a, acts_b, fgw_spec())
+        assert mirrored == [[]] * len(batch.graphs)
+
+    def test_a_repeated_value_sends_exactly_its_neurons_pairs(self, monkeypatch):
+        batch, values = mixed_batch(seed=51, width=5)
+        values[2][4, 1] = values[2][0, 1]  # neuron 1 of side A repeats a value on graph 2
+        values[6][3, 4] = values[6][6, 4]  # neuron 1 of side B repeats a value on graph 6
+        acts_a = sample_from_graphs(batch, [v[:, :3] for v in values])
+        acts_b = sample_from_graphs(batch, [v[:, 3:] for v in values])
+        _, mirrored = self._mirrored_instances(monkeypatch, acts_a, acts_b, fgw_spec())
+        # instance i * nb + j is the pair (i, j), with nb = 2 neurons on side B
+        expected = [[]] * len(batch.graphs)
+        expected[2], expected[6] = [2, 3], [1, 3, 5]
+        assert mirrored == expected
+
+    def test_four_cycle_reaches_the_optimum_only_the_mirrored_pass_finds(self, monkeypatch):
+        # the 4-cycle of test_mirrored_pass_finds_the_best_permutation, whose
+        # forward runs stop at 0.5; both neurons repeat values, so the pair is flagged
+        cycle = make_graph(4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
+        batch = FusionBatch(graphs=(cycle,))
+        acts_a = sample_from_graphs(batch, [np.array([[2.0], [2.0], [0.0], [0.0]])])
+        acts_b = sample_from_graphs(batch, [np.array([[1.0], [2.0], [2.0], [1.0]])])
+        C, mirrored = self._mirrored_instances(monkeypatch, acts_a, acts_b, fgw_spec())
+        assert mirrored == [[0]]
+        assert C[0, 0] == 0.25
 
 
 

@@ -495,6 +495,8 @@ def _fgw_graph(kind, n):
     edges = {
         "cycle": [(u, (u + 1) % n) for u in range(n)] if n >= 3 else pairs,
         "complete": pairs,
+        "star": [(0, v) for v in range(1, n)],
+        "path": [(u, u + 1) for u in range(n - 1)],
         # two paths with no edge between them
         "disconnected": [(u, u + 1) for u in range(n - 1) if u != n // 2 - 1],
     }[kind]
@@ -502,9 +504,12 @@ def _fgw_graph(kind, n):
 
 
 def _fgw_values(rng, style, shape):
-    """Activations built to tie: small integers, or a few columns repeated."""
+    """Activations built to tie: small integers, near-tied ones, or a few columns repeated."""
     if style == "integer":
         return rng.integers(0, 3, shape).astype(float)
+    if style == "near":
+        # small integers nudged by 0, 1 or 2 x 1e-15: near-ties, some of them exact
+        return rng.integers(0, 3, shape) + rng.integers(0, 3, shape) * 1e-15
     if style == "duplicated":
         pool = rng.standard_normal(shape[:-1] + (2,))
         return pool[..., rng.integers(0, 2, shape[-1])]
@@ -576,6 +581,46 @@ def test_fgw_cost_matrix_is_the_sum_of_pairwise_fgw(graphs, na, nb, style, trade
             for j in range(nb):
                 expected[i, j] += pairwise_fgw(g, va[:, i], vb[:, j], trade_off)
     assert _bits(C) == _bits(expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    graph=st.tuples(st.sampled_from(["cycle", "complete", "star", "path", "disconnected"]),
+                    st.integers(1, 8)),
+    na=st.integers(1, 4),
+    nb=st.integers(1, 4),
+    style=st.sampled_from(["integer", "duplicated", "real", "near"]),
+    trade_off=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+# stacks where some instance's mirrored pass parts from its forward one, so that
+# leaving out every instance would fail
+@example(graph=("cycle", 7), na=2, nb=2, style="integer", trade_off=0.5, seed=0)
+@example(graph=("cycle", 5), na=2, nb=2, style="near", trade_off=0.5, seed=0)
+@example(graph=("disconnected", 7), na=2, nb=2, style="near", trade_off=1.0, seed=4)
+@example(graph=("complete", 6), na=2, nb=2, style="near", trade_off=1.0, seed=4)
+def test_mirrored_pass_on_repeated_values_only_keeps_every_bit(graph, na, nb, style, trade_off,
+                                                               seed):
+    """The FGW cost's stack on one graph, with the mirrored pass only where a neuron repeats a
+    value, against both passes on every instance."""
+    rng = np.random.default_rng(seed)
+    S = _fgw_graph(*graph).hop_distances
+    n = S.shape[0]
+    # one pool, so duplicated columns tie across the two sides too
+    values = _fgw_values(rng, style, (n, na + nb))
+    va, vb = values[:, :na], values[:, na:]
+    repeats = [np.array([np.unique(column).size < n for column in v.T]) for v in (va, vb)]
+    guard = (repeats[0][:, None] | repeats[1][None, :]).reshape(-1)
+    problem = FgwProblem(structure_a=S, structure_b=S,
+                         feature_cost=((va.T[:, None, :, None] - vb.T[None, :, None, :]) ** 2
+                                       ).reshape(na * nb, n, n),
+                         trade_off=trade_off, alpha=uniform_weights(n), beta=uniform_weights(n))
+
+    distances, couplings = fgw_distance(problem)
+    guarded_distances, guarded_couplings = fgw_distance(problem, mirror=guard)
+
+    assert _bits(guarded_distances) == _bits(distances)
+    assert _bits(guarded_couplings) == _bits(couplings)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

@@ -104,6 +104,10 @@ run fuse-noisy-fgw fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
     --data fx-noisy/dataset.jsonl --solver emd --cost fgw --samples 8 \
     --out fuse-noisy-fgw.model.json --trace fuse-noisy-fgw.trace.txt \
     --dump-costs fuse-noisy-fgw.costs
+# the same at the grid's FGW sample count
+run fuse-noisy-fgw-32 fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
+    --data fx-noisy/dataset.jsonl --solver emd --cost fgw --samples 32 \
+    --out fuse-noisy-fgw-32.model.json --dump-costs fuse-noisy-fgw-32.costs
 # a noisy MLP twin with batch norm: perturb_model, align_model and the interpolation
 # each rebuild dense layers that carry batch norm
 run gen-fixtures-mlp-noisy gen-fixtures --out-dir fx-mlp-noisy --arch mlp --noise 0.05 --seed 4
