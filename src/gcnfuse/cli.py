@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .costs import EFD, FGW, QE, WEIGHT, CostSpec
+from .costs import COST_KINDS, EFD, FGW, QE, CostSpec
 from .errors import GcnFuseError, InvalidSpecError
 from .fusion import (
     SOLVER_EMD,
@@ -54,9 +54,8 @@ def _fmt(value) -> str:
 
 
 def _write_results(path: Path, rows: list[dict], fmt: str) -> None:
-    """Write the rows as CSV or JSON, sorted by the cell columns (all but the last three)."""
+    """Write the rows as CSV or JSON, in the order given."""
     header = list(rows[0])
-    rows = sorted(rows, key=lambda row: [row[k] for k in header[:-3]])
     if fmt == "json":
         path.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
         return
@@ -120,20 +119,17 @@ def _require_targets(dataset: Dataset, what: str) -> None:
         raise click.ClickException(f"{what} needs a dataset where every graph has a target")
 
 
-def _guard(fn):
-    """Translate pipeline failures and unwritable paths into clean nonzero exits."""
-    import functools
+class _Group(click.Group):
+    """Every command's pipeline failures and unwritable paths become clean nonzero exits."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (GcnFuseError, OSError) as exc:
             raise click.ClickException(str(exc))
-    return wrapper
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Fuse graph convolutional networks (or MLPs) by optimal transport."""
 
@@ -179,7 +175,7 @@ rho_option = click.option("--rho", type=float, default=1.0, show_default=True,
 fusion_options = _options(
     click.option("--solver", type=click.Choice(list(SOLVERS)), default=SOLVER_EMD,
                  show_default=True, help="Transport solver for each layer."),
-    click.option("--cost", "cost_kind", type=click.Choice([EFD, QE, FGW, WEIGHT]), default=EFD,
+    click.option("--cost", "cost_kind", type=click.Choice(COST_KINDS), default=EFD,
                  show_default=True, help="Ground-cost kind between neurons."),
     lam_option,
     click.option("--epsilon", type=float, default=None,
@@ -200,6 +196,8 @@ format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"
 config_option = click.option("--config", type=_IN_FILE, is_eager=True, expose_value=False,
                              callback=_read_config,
                              help="JSON file of option values, required ones too; explicit flags win.")
+experiment_options = _options(pair_options, data_option, repeats_option, seed_option, format_option,
+                              config_option)
 
 
 def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
@@ -232,7 +230,6 @@ def _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed,
 @click.option("--dump-costs", "dump_dir", type=click.Path(file_okay=False), callback=_check_out_dir,
               help="Directory for the per-layer cost matrices of this fusion run, as CSV.")
 @config_option
-@_guard
 def cmd_fuse(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, samples,
              capture, interpolation, seed, out_path, trace_path, dump_dir):
     """Align one model to the other and average them."""
@@ -264,7 +261,6 @@ def cmd_fuse(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, sa
 @click.option("--data", "data_path", type=_IN_FILE, default=None)
 @interpolation_option
 @out_option("--out", "out_path", default="vanilla.model.json", show_default=True)
-@_guard
 def cmd_vanilla(a_path, b_path, data_path, interpolation, out_path):
     """Average the two models elementwise with no alignment."""
     model_a, model_b = load_model(a_path), load_model(b_path)
@@ -282,16 +278,16 @@ def _run_cells(a_path, b_path, data_path, what, repeats, cells, needs_batch_norm
 
     Repeat r runs at the config's seed + r. Each cell's row gains mean_mae,
     std_mae (population std) and status; a cell whose fusion fails keeps its
-    row with "", "" and "failed". Returns the rows and each failed label's
-    error message. `cells` may be a generator: each cell is built only when
-    the one before it has run.
+    row with "", "" and "failed". Returns the rows, sorted by their cell
+    columns, and each failed label's error message. `cells` may be a
+    generator: each cell is built only when the one before it has run.
     """
     model_a, model_b = load_model(a_path), load_model(b_path)
     if needs_batch_norm and all(getattr(l, "batch_norm", None) is None for l in model_a.layers):
         raise click.ClickException("models have no batch norm; the comparison is vacuous")
     dataset = load_dataset(data_path)
     _require_targets(dataset, what)
-    rows, failed = [], {}
+    keyed, failed = [], {}
     for label, row, config in cells:
         maes, t0 = [], time.perf_counter()
         try:
@@ -300,32 +296,27 @@ def _run_cells(a_path, b_path, data_path, what, repeats, cells, needs_batch_norm
                 maes.append(evaluate_mae(fused, dataset))
         except GcnFuseError as exc:
             failed[label] = str(exc)
-            rows.append({**row, "mean_mae": "", "std_mae": "", "status": "failed"})
+            result = {"mean_mae": "", "std_mae": "", "status": "failed"}
         else:
-            rows.append({**row, "mean_mae": float(np.mean(maes)), "std_mae": float(np.std(maes)),
-                         "status": "ok"})
+            result = {"mean_mae": float(np.mean(maes)), "std_mae": float(np.std(maes)), "status": "ok"}
         if progress:
-            click.echo(f"{label}: {rows[-1]['status']} ({time.perf_counter() - t0:.2f}s)")
-    return rows, failed
+            click.echo(f"{label}: {result['status']} ({time.perf_counter() - t0:.2f}s)")
+        keyed.append((list(row.values()), {**row, **result}))
+    keyed.sort(key=lambda pair: pair[0])
+    return [row for _, row in keyed], failed
 
 
 @main.command("grid")
-@pair_options
-@data_option
+@experiment_options
 @samples_option
 @click.option("--fgw-samples", type=click.IntRange(min=1), default=32, show_default=True,
               help="Sample size for the FGW column.")
 @lam_option
 @rho_option
 @capture_option
-@repeats_option
-@seed_option
 @out_option("--out", "out_path", default="grid.csv", show_default=True)
-@format_option
-@config_option
-@_guard
-def cmd_grid(a_path, b_path, data_path, samples, fgw_samples, lam, rho, capture, repeats, seed,
-             out_path, fmt):
+def cmd_grid(a_path, b_path, data_path, repeats, seed, fmt, samples, fgw_samples, lam, rho, capture,
+             out_path):
     """Run the solver-by-cost grid ({emd, sinkhorn} x {efd, qe, fgw})."""
     def cells():
         for solver in (SOLVER_EMD, SOLVER_SINKHORN):
@@ -341,20 +332,14 @@ def cmd_grid(a_path, b_path, data_path, samples, fgw_samples, lam, rho, capture,
 
 
 @main.command("sweep-samples")
-@pair_options
-@data_option
+@experiment_options
 @click.option("--sizes", default="1,8,64", show_default=True,
               help="Comma-separated sample sizes to sweep.")
 @fusion_options
 @capture_option
-@repeats_option
-@seed_option
 @out_option("--out", "out_path", default="sweep.csv", show_default=True)
-@format_option
-@config_option
-@_guard
-def cmd_sweep_samples(a_path, b_path, data_path, sizes, solver, cost_kind, lam, epsilon, rho,
-                      capture, repeats, seed, out_path, fmt):
+def cmd_sweep_samples(a_path, b_path, data_path, repeats, seed, fmt, sizes, solver, cost_kind, lam,
+                      epsilon, rho, capture, out_path):
     """Sweep the activation sample size and record MAE per size."""
     try:
         size_list = sorted({int(s) for s in sizes.split(",") if s.strip()})
@@ -370,25 +355,19 @@ def cmd_sweep_samples(a_path, b_path, data_path, sizes, solver, cost_kind, lam, 
 
 
 @main.command("bn-compare")
-@pair_options
-@data_option
+@experiment_options
 @fusion_options
 @samples_option
-@repeats_option
-@seed_option
 @out_option("--out", "out_path", default="bn_compare.csv", show_default=True)
-@format_option
-@config_option
-@_guard
-def cmd_bn_compare(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, samples,
-                   repeats, seed, out_path, fmt):
+def cmd_bn_compare(a_path, b_path, data_path, repeats, seed, fmt, solver, cost_kind, lam, epsilon,
+                   rho, samples, out_path):
     """Fuse twice, capturing pre-activations before and after batch norm."""
     cells = ((capture, {"capture_point": capture, "repeats": repeats},
               _fusion_config(solver, cost_kind, lam, epsilon, rho, samples, capture, seed))
              for capture in CAPTURE_POINTS)
     rows, failed = _run_cells(a_path, b_path, data_path, "bn comparison", repeats, cells,
                               needs_batch_norm=True)
-    for row in sorted(rows, key=lambda row: row["capture_point"]):
+    for row in rows:
         if row["status"] == "ok":
             click.echo(f"{row['capture_point']}: mean MAE {row['mean_mae']!r} "
                        f"(std {row['std_mae']!r})")
@@ -414,7 +393,6 @@ def cmd_bn_compare(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, r
 @click.option("--teacher-labels/--synthetic-labels", default=True, show_default=True,
               help="Label the dataset with model A's own predictions or keep synthetic targets.")
 @seed_option
-@_guard
 def cmd_gen_fixtures(out_dir, arch, feature_dim, hidden, gc_layers, dense_layers, batch_norm,
                      count, min_vertices, max_vertices, density, noise, teacher_labels, seed):
     """Write a random model, a permuted twin, and a matching dataset."""
@@ -461,7 +439,6 @@ def cmd_gen_fixtures(out_dir, arch, feature_dim, hidden, gc_layers, dense_layers
 @click.option("--model", "model_path", required=True, type=_IN_FILE)
 @data_option
 @out_option("--out", "out_path", default=None, help="Append (model, dataset, mae) to this CSV.")
-@_guard
 def cmd_eval(model_path, data_path, out_path):
     """Report a model's mean absolute error on a dataset."""
     model = load_model(model_path)
@@ -479,7 +456,6 @@ def cmd_eval(model_path, data_path, out_path):
               help="Repeat for each ensemble member.")
 @data_option
 @out_option("--out", "out_path", default=None, help="Append (models, dataset, mae) to this CSV.")
-@_guard
 def cmd_ensemble(model_paths, data_path, out_path):
     """Report the MAE of the prediction average of several models."""
     models = [load_model(p) for p in model_paths]

@@ -214,18 +214,14 @@ class GcnModel:
         readouts = [i for i, l in enumerate(layers) if isinstance(l, MeanReadout)]
         if len(readouts) > 1:
             raise ModelFormatError("at most one mean-readout layer is allowed")
-        if readouts:
-            r = readouts[0]
-            for i, l in enumerate(layers):
-                if isinstance(l, GraphConv) and i > r:
-                    raise ModelFormatError(f"graph-conv layer {i} appears after the readout")
-                if isinstance(l, Dense) and i < r:
-                    raise ModelFormatError(f"dense layer {i} appears before the readout")
-        for i, l in enumerate(layers):
-            if isinstance(l, Embedding) and i != 0:
-                raise ModelFormatError(f"embedding must be the first layer, found at {i}")
         dim = None
         for i, l in enumerate(layers):
+            if readouts and isinstance(l, GraphConv) and i > readouts[0]:
+                raise ModelFormatError(f"graph-conv layer {i} appears after the readout")
+            if readouts and isinstance(l, Dense) and i < readouts[0]:
+                raise ModelFormatError(f"dense layer {i} appears before the readout")
+            if isinstance(l, Embedding) and i != 0:
+                raise ModelFormatError(f"embedding must be the first layer, found at {i}")
             if isinstance(l, _Parameterized):
                 if dim is not None and l.params.in_dim != dim:
                     raise ModelFormatError(

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gcnfuse import (FusionConfig, GraphConv, MeanReadout, ensemble_predict, evaluate_mae, fuse,
-                     load_dataset, load_model)
+from gcnfuse import (FusionConfig, GraphConv, MeanReadout, ModelFormatError, ensemble_predict,
+                     evaluate_mae, fuse, load_dataset, load_model)
 from gcnfuse import cli, fusion, models
 from gcnfuse.cli import main
 
@@ -416,6 +416,38 @@ def test_non_finite_sinkhorn_values_stop_before_fusing(fx, tmp_path, monkeypatch
     assert "finite" in result.output
     assert fused == [] and not (tmp_path / "fused.json").exists()
 
+
+
+def _failure_args(fx, out):
+    """Arguments that get each command as far as its first model load (or build)."""
+    pair = ["--a", fx["a"], "--b", fx["b"], "--data", fx["data"]]
+    return {"fuse": [*pair, "--samples", 4, "--out", out],
+            "vanilla": [*pair, "--out", out],
+            "grid": [*pair, "--repeats", 1, "--out", out],
+            "sweep-samples": [*pair, "--sizes", 2, "--repeats", 1, "--out", out],
+            "bn-compare": [*pair, "--samples", 4, "--repeats", 1, "--out", out],
+            "gen-fixtures": ["--out-dir", out, *GEN_ARGS],
+            "eval": ["--model", fx["a"], "--data", fx["data"], "--out", out],
+            "ensemble": ["--model", fx["a"], "--model", fx["b"], "--data", fx["data"],
+                         "--out", out]}
+
+
+def test_pipeline_failure_cases_cover_every_command(fx, tmp_path):
+    assert sorted(_failure_args(fx, tmp_path / "out")) == sorted(main.commands)
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_exits_cleanly_on_a_pipeline_failure(fx, tmp_path, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise ModelFormatError("planted model failure")
+    monkeypatch.setattr(cli, "random_model" if command == "gen-fixtures" else "load_model", fail)
+    out = tmp_path / "out"
+    result = run(command, *_failure_args(fx, out)[command])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert "Traceback" not in result.output
+    assert "Error: planted model failure" in result.output
+    assert not out.exists()
 
 class TestVanillaCommand:
     def test_identical_models_keep_their_mae(self, workdir, fx):

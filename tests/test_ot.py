@@ -383,6 +383,23 @@ class TestFgw:
         assert min(fused_objective(problem, T[0]) for T in forward) == 0.5
         assert fgw_distance(problem)[0][0] == best
 
+    def test_mirrored_pass_pays_without_repeated_values(self):
+        # a 6-vertex path whose feature cost repeats no value in any row or
+        # column: the forward runs still stop at 1.0 or above, and only the
+        # mirrored runs reach 11/12, so the mirrored pass cannot be skipped on
+        # every shared-structure instance free of repeats
+        S = np.abs(np.subtract.outer(np.arange(6), np.arange(6))).astype(float)
+        F = np.array([np.roll([4.0, 1.0, 0.0, 5.0, 2.0, 3.0], i) for i in range(6)])
+        problem = FgwProblem(structure_a=S, structure_b=S, feature_cost=F, trade_off=0.25,
+                             alpha=uniform_weights(6), beta=uniform_weights(6))
+        assert all(len(set(line)) == 6 for line in (*F, *F.T))
+        forward = ot._fgw_fixed_points(problem)
+        assert min(fused_objective(problem, T[0]) for T in forward) >= 1.0
+        (d,), _ = fgw_distance(problem)
+        (d_mirror,), _ = fgw_distance(problem.transposed())
+        assert d == d_mirror <= 11 / 12 + 1e-12
+        assert fgw_distance(problem, mirror=np.array([False]))[0][0] >= 1.0
+
     def test_stack_with_repeated_plans_equals_its_slices(self):
         # one instance twice, then a self-instance: with a zero-diagonal feature
         # cost, all four runs (two starts, two directions) end at one plan

@@ -8,8 +8,8 @@
 #   tools/cli_outputs.sh TREE OUT
 #
 # Two runs (say, of a `git archive` copy of the parent commit and of the
-# working tree) are byte-compared with `diff -r OUT1 OUT2`; only the
-# wall-clock seconds on the console are expected to differ.
+# working tree) are compared with `python tools/compare_outputs.py OUT1 OUT2`,
+# which exits 0 when only the wall-clock seconds on the console differ.
 set -eu
 
 if [ $# -ne 2 ]; then
