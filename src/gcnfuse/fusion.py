@@ -139,10 +139,11 @@ class AlignmentTrace:
 
 def _interpolate(a, b, t: float):
     """t * b + (1 - t) * a in each field of a DenseParams or BatchNormParams; None stays None."""
-    values = {}
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        values[f.name] = None if x is None else t * y + (1.0 - t) * x
+    values = {f.name: getattr(a, f.name) for f in fields(a)}
+    for name, x in values.items():
+        if x is not None:
+            values[name] = t * getattr(b, name)
+            values[name] += (1.0 - t) * x  # in place on arrays: the same sum, one temporary fewer
     return type(a)(**values)
 
 

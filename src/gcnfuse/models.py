@@ -25,8 +25,11 @@ sample_batch gathers its graphs' rows from that kept layout, and a
 FusionBatch made from graphs builds its own. The evaluator holds each
 vertex-count bucket's states as one (G·n, d) array, so each affine map is
 one 2-D product; only the normalized adjacencies (G, n, n) act per graph.
-After the readout the state is one (len(graphs), d) array. Captures keep these
-shapes, one (G, n, width) stack per bucket, and leave positions to batch.layout.
+Each layer's product is a new array, and batch norm and ReLU write into it
+unless a capture keeps the array they would overwrite, so an evaluation without
+captures makes one array per layer. After the readout the state is one
+(len(graphs), d) array. Captures keep these shapes, one (G, n, width) stack per
+bucket, and leave positions to batch.layout.
 BLAS picks kernels by shape, so a graph's bits depend on its batch: one
 batch always gives the same bits, and two batches agree to rounding
 (within 2e-15 of a layer's largest value; the tests allow 1e-12).
@@ -137,9 +140,9 @@ class BatchNormParams:
     def dim(self) -> int:
         return self.gamma.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """x * scale + shift over the last axis, as a new array."""
-        out = x * self.scale
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x * scale + shift over the last axis, into out (a new array by default; out=x is fine)."""
+        out = np.multiply(x, self.scale, out=out)
         out += self.shift
         return out
 
@@ -344,13 +347,19 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
 
 
 def _affine(layer, h: np.ndarray, capture_point: str | None):
-    """One parameterized layer on (rows, width) states: (output, capture or None)."""
+    """One parameterized layer on (rows, width) states: (output, capture or None).
+
+    BN and ReLU write into the new array z unless a capture keeps what they overwrite.
+    """
     z = h @ layer.params.weight.T
     if layer.params.bias is not None:
         z += layer.params.bias
-    post = z if layer.batch_norm is None else layer.batch_norm.apply(z)
+    bn = layer.batch_norm
+    post = z if bn is None else bn.apply(z, out=None if capture_point == PRE_BN else z)
     captured = None if capture_point is None else (z if capture_point == PRE_BN else post)
-    return (np.maximum(post, 0.0) if layer.activation == "relu" else post), captured
+    if layer.activation != "relu":
+        return post, captured
+    return np.maximum(post, 0.0, out=None if captured is post else post), captured
 
 
 def predict(model: GcnModel, graphs) -> np.ndarray:
@@ -455,25 +464,36 @@ def _scaled_transport(plan: TransportPlan) -> np.ndarray:
     return T / np.where(mass > 0, mass, 1.0)[None, :]
 
 
+def _sources(plan: TransportPlan, dim: int, what: str) -> np.ndarray | None:
+    """Each column's one row if the plan is a scaled permutation, else None; dim must be its rows."""
+    if dim != plan.coupling.shape[0]:
+        raise DimensionMismatchError(f"{what} {dim} != plan rows {plan.coupling.shape[0]}")
+    order = plan.as_permutation()
+    return None if order is None else np.argsort(order)
+
+
+def _row_mover(plan: TransportPlan, dim: int, what: str):
+    """x -> (T / beta).T @ x, which for a permutation plan is the gather x[rows]."""
+    rows = _sources(plan, dim, what)
+    if rows is not None:
+        return lambda x: x[rows]
+    S = _scaled_transport(plan)
+    return lambda x: S.T @ x
+
+
 def align_layer_incoming(weights: DenseParams, t_prev: TransportPlan) -> DenseParams:
     """W_hat = W @ T_prev / beta_prev: re-express columns in anchor order."""
-    S = _scaled_transport(t_prev)
-    if weights.in_dim != S.shape[0]:
-        raise DimensionMismatchError(
-            f"weight in_dim {weights.in_dim} != plan rows {S.shape[0]}"
-        )
-    return DenseParams(weight=weights.weight @ S, bias=weights.bias)
+    rows = _sources(t_prev, weights.in_dim, "weight in_dim")
+    W = weights.weight  # take keeps the C order (W[:, rows] would not) that later products' bits follow
+    W_hat = W @ _scaled_transport(t_prev) if rows is None else W.take(rows, axis=1)
+    return DenseParams(weight=W_hat, bias=weights.bias)
 
 
 def align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan) -> DenseParams:
     """W_tilde = (T / beta).T @ W_hat; the bias moves with the rows."""
-    S = _scaled_transport(t_curr)
-    if weights.out_dim != S.shape[0]:
-        raise DimensionMismatchError(
-            f"weight out_dim {weights.out_dim} != plan rows {S.shape[0]}"
-        )
-    bias = None if weights.bias is None else S.T @ weights.bias
-    return DenseParams(weight=S.T @ weights.weight, bias=bias)
+    move = _row_mover(t_curr, weights.out_dim, "weight out_dim")
+    bias = None if weights.bias is None else move(weights.bias)
+    return DenseParams(weight=move(weights.weight), bias=bias)
 
 
 def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormParams:
@@ -482,11 +502,9 @@ def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormPara
     t_prev is the plan of the affine layer the batch norm sits behind. The
     map has nonnegative entries, so running_var stays nonnegative.
     """
-    S = _scaled_transport(t_prev)
-    if bn.dim != S.shape[0]:
-        raise DimensionMismatchError(f"bn dim {bn.dim} != plan rows {S.shape[0]}")
+    move = _row_mover(t_prev, bn.dim, "bn dim")
     vectors = {f.name: getattr(bn, f.name) for f in fields(bn)}
-    return replace(bn, **{k: S.T @ v for k, v in vectors.items() if isinstance(v, np.ndarray)})
+    return replace(bn, **{k: move(v) for k, v in vectors.items() if isinstance(v, np.ndarray)})
 
 
 def align_model(model: GcnModel, plan_for) -> tuple[Layer, ...]:
@@ -503,9 +521,11 @@ def align_model(model: GcnModel, plan_for) -> tuple[Layer, ...]:
     beta = T^T 1, so each column of T / beta sums to 1: a target neuron gets
     the barycentre of the neurons the plan sends it, and a plan that keeps
     little mass (unbalanced Sinkhorn) does not shrink the parameters; a
-    column with no mass maps to zero. T / beta is a division, so a
-    permutation plan (1/m) P gives exact ones (x / x) and changes no value.
-    The mean readout passes the previous plan on.
+    column with no mass maps to zero. T / beta is a division, so a plan with
+    one nonzero in every row and column gives an exact 0/1 matrix (x / x);
+    such a plan moves the neurons by index (plan.as_permutation()), which
+    gives the product's bits and keeps a -0.0 that the product would turn
+    to +0.0. The mean readout passes the previous plan on.
     """
     layers: list[Layer] = []
     t_prev: TransportPlan | None = None

@@ -83,6 +83,13 @@ class TransportPlan:
         T = np.array(T)
         T.setflags(write=False)
         object.__setattr__(self, "coupling", T)
+        # the permutation order, worked out once; not a field, so not compared or saved
+        nonzero = T != 0.0
+        order = None
+        if np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) == 1):
+            order = np.argmax(nonzero, axis=1)
+            order.setflags(write=False)
+        object.__setattr__(self, "_order", order)
 
     def marginal_error(self, alpha, beta) -> float:
         a = np.asarray(alpha, dtype=np.float64)
@@ -96,12 +103,9 @@ class TransportPlan:
         """Column index per row if the coupling is a scaled permutation, else None.
 
         That is a square coupling with exactly one nonzero in every row and
-        every column.
+        every column. Read-only; construction works it out once.
         """
-        nonzero = self.coupling != 0.0
-        if not (np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) == 1)):
-            return None
-        return np.argmax(nonzero, axis=1)
+        return self._order
 
 
 def identity_plan(alpha) -> TransportPlan:

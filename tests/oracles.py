@@ -4,8 +4,9 @@ Each states one quantity the plain way, for one instance: an exhaustive
 minimum over permutation couplings for exact EMD, the EFD, QE and FGW
 neuron costs for one pair of neurons on one input graph (and QE summed over
 a batch for every pair), EFD summed over a batch with each vertex-count
-bucket as one whole stack, the forward pass of one model on one graph, and a
-hidden-neuron permutation of a model by index gathers. A neuron's evidence
+bucket as one whole stack, the forward pass of one model on one graph, a
+hidden-neuron permutation of a model by index gathers, and the alignment
+primitives as dense products with T / beta. A neuron's evidence
 on a graph is one value per vertex; both neurons of a pair are read on the
 same graph, so the two value vectors share its structure.
 """
@@ -221,3 +222,30 @@ def gather_permute_model(model, permutations):
             layers.append(Dense(params=params, batch_norm=bn, activation=layer.activation))
         prev = rows
     return GcnModel(layers=tuple(layers), name=model.name + "+perm", seed=model.seed)
+
+
+def dense_scaled_transport(plan: TransportPlan) -> np.ndarray:
+    """T / beta with beta = T^T 1, a massless column kept zero."""
+    T = plan.coupling
+    mass = T.sum(axis=0)
+    return T / np.where(mass > 0, mass, 1.0)[None, :]
+
+
+def dense_align_incoming(weights: DenseParams, plan: TransportPlan) -> DenseParams:
+    """W @ (T / beta), whatever the plan."""
+    return DenseParams(weight=weights.weight @ dense_scaled_transport(plan), bias=weights.bias)
+
+
+def dense_align_outgoing(weights: DenseParams, plan: TransportPlan) -> DenseParams:
+    """(T / beta).T @ W and (T / beta).T @ b, whatever the plan."""
+    S = dense_scaled_transport(plan)
+    bias = None if weights.bias is None else S.T @ weights.bias
+    return DenseParams(weight=S.T @ weights.weight, bias=bias)
+
+
+def dense_align_batchnorm(bn: BatchNormParams, plan: TransportPlan) -> BatchNormParams:
+    """Each of the four BN vectors v as (T / beta).T @ v, whatever the plan."""
+    S = dense_scaled_transport(plan)
+    return BatchNormParams(gamma=S.T @ bn.gamma, beta_shift=S.T @ bn.beta_shift,
+                           running_mean=S.T @ bn.running_mean,
+                           running_var=S.T @ bn.running_var, epsilon=bn.epsilon)

@@ -239,6 +239,34 @@ class TestAlignmentAlgebra:
         assert np.array_equal(outgoing.weight[1], np.zeros(3))
 
 
+class TestAlignmentPath:
+    """Which path moves the neurons: an index gather for a permutation plan, T / beta otherwise."""
+
+    @staticmethod
+    def counted_scaled_transport(monkeypatch):
+        calls, dense = [], models._scaled_transport
+        monkeypatch.setattr(models, "_scaled_transport", lambda plan: calls.append(plan) or dense(plan))
+        return calls
+
+    def test_emd_fuse_never_builds_the_dense_map(self, monkeypatch):
+        spec = ArchSpec(feature_dim=4, hidden_dim=64, gc_layers=2, dense_layers=2, batch_norm=True)
+        model = random_model(spec, seed=30)
+        anchor = random_model(spec, seed=31)
+        calls = self.counted_scaled_transport(monkeypatch)
+        _, trace = fuse(model, anchor, None, FusionConfig(cost=CostSpec(kind="weight")))
+        assert all(t.plan.as_permutation() is not None for t in trace.layers)
+        assert calls == []
+
+    def test_massless_sinkhorn_column_keeps_the_dense_map(self, monkeypatch):
+        plan = TransportPlan(coupling=np.array([[0.5, 0.0], [0.25, 0.0]]), objective=0.0)
+        calls = self.counted_scaled_transport(monkeypatch)
+        align_layer_incoming(DenseParams(weight=np.ones((3, 2))), plan)
+        align_layer_outgoing(DenseParams(weight=np.ones((2, 3)), bias=np.ones(2)), plan)
+        align_batchnorm(BatchNormParams(gamma=[1.0, 2.0], beta_shift=[0.0, 1.0],
+                                        running_mean=[0.0, 0.0], running_var=[1.0, 1.0]), plan)
+        assert calls == [plan] * 3
+
+
 class TestComputeLayerTm:
     """Each layer's transport map (TM), read from the trace fuse() returns."""
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +42,7 @@ from conftest import (
     single_vertex_graphs,
     tiny_gcn,
 )
-from oracles import per_graph_forward
+from oracles import gather_permute_model, per_graph_forward
 
 
 def random_graphs(count, feature_dim, seed, max_vertices=6):
@@ -283,6 +284,7 @@ class TestCapture:
                         batch_norm=True)
         model = random_model(spec, seed=6)
         batch = FusionBatch(graphs=tuple(random_graphs(6, 3, seed=7)))
+        before = predict(model, batch)
         _, pre = forward_with_capture(model, batch, "pre_bn")
         _, post = forward_with_capture(model, batch, "post_bn")
         for i in (1, 2):  # the two graph-conv layers, each followed by BN and ReLU
@@ -292,6 +294,10 @@ class TestCapture:
                 expected = z * bn.scale + bn.shift  # the folded batch norm
                 assert np.any(expected < 0)  # an in-place ReLU would have zeroed these
                 assert after.tobytes() == expected.tobytes()
+                assert not np.array_equal(z, after)  # an in-place BN would have made these equal
+        for acts in (pre, post):  # the hidden dense layer: ReLU, no BN
+            assert np.any(acts[4].values < 0) and np.array_equal(acts[4].values, pre[4].values)
+        assert predict(model, batch).tobytes() == before.tobytes()
 
     def test_buckets_partition_the_batch(self):
         spec = ArchSpec(feature_dim=2, hidden_dim=4, gc_layers=2, dense_layers=2,
@@ -460,6 +466,24 @@ class TestPermuteModel:
         swapped = permute_model(model, [np.array([1, 0])])
         assert np.array_equal(swapped.layers[0].params.weight, W1[[1, 0], :])
         assert np.array_equal(swapped.layers[1].params.weight, W2[:, [1, 0]])
+
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        # a loaded model can hold -0.0; moving neurons by index keeps the sign bit
+        model = random_model(ArchSpec(feature_dim=3, hidden_dim=5, gc_layers=1, dense_layers=2,
+                                      batch_norm=True), seed=20)
+        conv = model.layers[1]
+        weight, bias, beta = (np.array(a) for a in (conv.params.weight, conv.params.bias,
+                                                    conv.batch_norm.beta_shift))
+        weight[2, 3] = bias[1] = beta[4] = -0.0
+        signed = GcnModel(layers=(model.layers[0], replace(
+            conv, params=DenseParams(weight=weight, bias=bias),
+            batch_norm=replace(conv.batch_norm, beta_shift=beta)), *model.layers[2:]))
+        rng = np.random.default_rng(21)
+        perms = [rng.permutation(5) for _ in range(len(signed.parameterized_indices()) - 1)]
+        save_model(permute_model(signed, perms), tmp_path / "permuted.json")
+        save_model(gather_permute_model(signed, perms), tmp_path / "gathered.json")
+        assert len(re.findall(r"-0\.0(?![0-9e])", (tmp_path / "permuted.json").read_text())) == 3
+        assert (tmp_path / "permuted.json").read_bytes() == (tmp_path / "gathered.json").read_bytes()
 
     def test_wrong_count_rejected(self):
         model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,

@@ -1,6 +1,7 @@
 """Property tests over random architectures, datasets and transport instances (hypothesis, derandomized)."""
 
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from gcnfuse import (
     ArchSpec,
     BatchNormParams,
     CostSpec,
+    DenseParams,
     Dataset,
     FgwCostSpec,
     FgwProblem,
@@ -21,6 +23,10 @@ from gcnfuse import (
     GeneratorSpec,
     Graph,
     SinkhornParams,
+    TransportPlan,
+    align_batchnorm,
+    align_layer_incoming,
+    align_layer_outgoing,
     build_cost_matrix,
     emd,
     fgw_distance,
@@ -42,7 +48,8 @@ from gcnfuse import (
 from gcnfuse import costs
 from gcnfuse.graphs import bucket_layout
 from conftest import graph_capture, sample_from_graphs
-from oracles import (gather_permute_model, pairwise_fgw, per_graph_adjacency, per_graph_forward,
+from oracles import (dense_align_batchnorm, dense_align_incoming, dense_align_outgoing,
+                     gather_permute_model, pairwise_fgw, per_graph_adjacency, per_graph_forward,
                      qe_matrix, whole_bucket_efd)
 
 
@@ -228,6 +235,57 @@ def test_permute_model_equals_gather_reference(feature_dim, hidden, batch_norm, 
         save_model(reference, Path(tmp) / "reference.json")
         assert ((Path(tmp) / "permuted.json").read_bytes()
                 == (Path(tmp) / "reference.json").read_bytes())
+
+
+def _drawn_plan(kind: str, n: int, rng) -> TransportPlan:
+    """A permutation-support plan (uniform, any positive masses, identity) or a soft one."""
+    if kind in ("uniform", "masses", "identity"):
+        T = np.zeros((n, n))
+        cols = np.arange(n) if kind == "identity" else rng.permutation(n)
+        masses = 10.0 ** rng.uniform(-12, 3, n) if kind == "masses" else np.full(n, 1.0 / n)
+        T[np.arange(n), cols] = masses
+    else:
+        T = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+        if kind == "massless":  # as unbalanced Sinkhorn can leave an anchor neuron
+            T[:, rng.integers(n)] = 0.0
+    return TransportPlan(coupling=T, objective=0.0)
+
+
+def _nonzero(rng, *shape):
+    """Finite nonzero values over many magnitudes, both signs."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["uniform", "masses", "identity", "soft", "massless"]),
+    n=st.integers(1, 12),
+    other=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+# at width 49, (1/49) * 49 != 1.0: only the division by each column's mass gives exact ones
+@example(kind="uniform", n=49, other=3, seed=0)
+def test_alignment_primitives_equal_the_dense_reference(kind, n, other, seed):
+    # a permutation plan is moved by index and any other one by T / beta; both give the dense bits
+    rng = np.random.default_rng(seed)
+    plan = _drawn_plan(kind, n, rng)
+    incoming = DenseParams(weight=_nonzero(rng, other, n), bias=_nonzero(rng, other))
+    outgoing = DenseParams(weight=_nonzero(rng, n, other), bias=_nonzero(rng, n))
+    bn = BatchNormParams(gamma=_nonzero(rng, n), beta_shift=_nonzero(rng, n),
+                         running_mean=_nonzero(rng, n), running_var=np.abs(_nonzero(rng, n)))
+    pairs = [
+        (align_layer_incoming(incoming, plan), dense_align_incoming(incoming, plan)),
+        (align_layer_outgoing(outgoing, plan), dense_align_outgoing(outgoing, plan)),
+        (align_batchnorm(bn, plan), dense_align_batchnorm(bn, plan)),
+    ]
+    for got, want in pairs:
+        for f in fields(got):
+            x, y = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(x, np.ndarray):
+                # C order too: a product's kernel, so its bits, follow the layout
+                assert x.flags.c_contiguous and x.shape == y.shape and x.tobytes() == y.tobytes()
+            else:
+                assert x == y
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
