@@ -13,9 +13,10 @@ Three solvers:
   within tol (relative) of the optimum; epsilon down to 5e-5 works.
 - fgw_distance: fused Gromov-Wasserstein via fixed-point iteration over a
   linearized cost, multi-started and solved in both directions so identity
-  and symmetry hold tightly; one array kernel over a stack of instances,
-  with uniform square steps solved by linear assignment directly, each start's
-  first step built once per stack and a run scored only where its plan is new.
+  and symmetry hold tightly; one array kernel over a stack of instances, each
+  start's first step built once per stack and a run scored only where its plan
+  is new. Uniform square steps are linear assignments kept as column indices:
+  the next cost is gathered from them, and runs stop and match on them.
 
 All solvers are pure functions of their inputs.
 """
@@ -84,11 +85,11 @@ class TransportPlan:
         T.setflags(write=False)
         object.__setattr__(self, "coupling", T)
         # the permutation order, worked out once; not a field, so not compared or saved
-        nonzero = T != 0.0
-        order = None
-        if np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) == 1):
-            order = np.argmax(nonzero, axis=1)
-            order.setflags(write=False)
+        nonzero, n, order = T != 0.0, T.shape[0], None
+        if T.shape == (n, n) and np.count_nonzero(nonzero) == n:
+            rows, cols = np.divmod(np.flatnonzero(nonzero), n)
+            if np.array_equal(rows, np.arange(n)) and np.array_equal(np.sort(cols), rows):
+                (order := cols).setflags(write=False)
         object.__setattr__(self, "_order", order)
 
     def marginal_error(self, alpha, beta) -> float:
@@ -119,13 +120,17 @@ def _uniform_square(a: np.ndarray, b: np.ndarray) -> bool:
                 and abs(a[0] - b[0]) <= MARGINAL_TOL)
 
 
-def _assignment_coupling(a: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """a-scaled permutations minimizing C or each slice of a (P, n, n) stack; rows in order."""
+def _assignment_columns(C: np.ndarray) -> np.ndarray:
+    """Each row's column in the assignment minimizing C or each slice of a (P, n, n) stack."""
     stack = C.reshape((-1,) + C.shape[-2:])
-    cols = np.array([linear_sum_assignment(C_k)[1] for C_k in stack])
-    T = np.zeros(stack.shape)
-    T[np.arange(len(stack))[:, None], np.arange(a.size), cols] = a
-    return T.reshape(C.shape)
+    return np.array([linear_sum_assignment(C_k)[1] for C_k in stack], dtype=int).reshape(C.shape[:-1])
+
+
+def _permutation_coupling(cols: np.ndarray, mass) -> np.ndarray:
+    """The dense plans with mass[..., k] at row k, column cols[..., k]; mass broadcasts to cols."""
+    T = np.zeros(cols.shape + cols.shape[-1:])
+    T[(*np.indices(cols.shape, sparse=True), cols)] = mass
+    return T
 
 
 def emd(alpha, beta, cost) -> TransportPlan:
@@ -144,7 +149,7 @@ def emd(alpha, beta, cost) -> TransportPlan:
             f"input masses differ: {a.sum():.12g} vs {b.sum():.12g}"
         )
     if _uniform_square(a, b):
-        T = _assignment_coupling(a, C)
+        T = _permutation_coupling(_assignment_columns(C), a)
     else:
         T = _emd_linprog(a, b, C)
     plan = TransportPlan(coupling=T, objective=float(np.sum(T * C)))
@@ -492,15 +497,22 @@ def _gromov_linearized(C1: np.ndarray, C2: np.ndarray, T: np.ndarray) -> np.ndar
             - 2.0 * (C1 @ T) @ C2)
 
 
-def fused_objective(problem: FgwProblem, T: np.ndarray) -> float | np.ndarray:
+def _gromov_at_columns(C1: np.ndarray, C2: np.ndarray, a: np.ndarray, cols: np.ndarray):
+    """_gromov_linearized, bit for bit, at the a-scaled permutations with row k's mass in column
+    cols[..., k], for a uniform a: their marginals are a, and C1 @ T is a gather."""
+    C1T = np.moveaxis((2.0 * (C1 * a[0])).take(np.argsort(cols, axis=-1), axis=1), 0, -2)
+    return (C1 ** 2) @ a[:, None] + ((C2 ** 2) @ a[:, None]).T - C1T @ C2
+
+
+def fused_objective(problem: FgwProblem, T: np.ndarray, tens=None) -> float | np.ndarray:
     """trade_off * <F,T> + (1 - trade_off) * sum (C1_ik - C2_jl)^2 T_ij T_kl.
 
     A float (np.float64) for one instance and plan; one objective per
-    instance when the problem or T is a stack.
+    instance when the problem or T is a stack. tens: _gromov_linearized at T, if known.
     """
     feature = np.sum(problem.feature_cost * T, axis=(-2, -1))
-    structure = np.sum(_gromov_linearized(problem.structure_a, problem.structure_b, T) * T,
-                       axis=(-2, -1))
+    structure = np.sum((_gromov_linearized(problem.structure_a, problem.structure_b, T)
+                        if tens is None else tens) * T, axis=(-2, -1))
     return problem.trade_off * feature + (1.0 - problem.trade_off) * structure
 
 
@@ -508,32 +520,39 @@ def _fgw_fixed_points(problem: FgwProblem, instances=slice(None)):
     """The fixed point from every start on each instance that `instances` picks from the stack.
 
     Run s * P + p is the p-th chosen instance from start s; it leaves the array
-    once its plan moves less than _FGW_TOL. Returns the plans (S, P, n, m).
+    once its plan moves less than _FGW_TOL. Returns the plans (S, P, n, m), or on a uniform
+    square problem, whose plans after the start are a-scaled permutations (two of them differ
+    by a[0] in some entry), their columns (S, P, n).
     """
     Ca, Cb, a, b = problem.structure_a, problem.structure_b, problem.alpha, problem.beta
-    F = problem.feature_cost.reshape((-1,) + problem.feature_cost.shape[-2:])[instances]
+    F = problem.trade_off * problem.feature_cost.reshape((-1,) + problem.feature_cost.shape[-2:])[instances]
     starts = [np.outer(a, b)] + ([np.diag(a)] if a.size == b.size and np.array_equal(a, b) else [])
-    P = F.shape[0]
-    T = np.repeat(np.array(starts), P, axis=0)
+    uniform, P = _uniform_square(a, b), F.shape[0]
 
-    def linearized(feature, plans):
-        lin = problem.trade_off * feature
+    def linearized(lin, plans):
         if problem.trade_off < 1.0:
-            lin = lin + (1.0 - problem.trade_off) * _gromov_linearized(Ca, Cb, plans)
+            term = (_gromov_at_columns(Ca, Cb, a, plans) if plans.ndim == 2
+                    else _gromov_linearized(Ca, Cb, plans))
+            lin = lin + (1.0 - problem.trade_off) * term
         # tiny negatives from cancellation would trip emd's cost validator
         return np.maximum(lin, 0.0)
 
-    uniform, active = _uniform_square(a, b), np.arange(len(T))
+    plans = np.repeat(np.tile(np.arange(a.size), (len(starts), 1)) if uniform else starts, P, axis=0)
+    active = np.arange(len(plans))
     for step in range(_FGW_MAX_ITERS):
         if not active.size:
             break
-        current = T[active]
+        current = plans[active]
         lin = linearized(F[active % P], current) if step else np.broadcast_to(
-            linearized(F, np.array(starts)[:, None]), (len(starts),) + F.shape).reshape(T.shape)
-        T[active] = new = (_assignment_coupling(a, lin) if uniform
-                           else np.array([emd(a, b, C).coupling for C in lin]))
-        active = active[~(np.max(np.abs(new - current), axis=(1, 2)) < _FGW_TOL)]
-    return T.reshape((len(starts),) + F.shape)
+            linearized(F, np.array(starts)[:, None]), (len(starts),) + F.shape).reshape((-1,) + F.shape[1:])
+        plans[active] = new = (_assignment_columns(lin) if uniform
+                               else np.array([emd(a, b, C).coupling for C in lin]))
+        moved = (np.where((new == current).all(axis=-1), 0.0, a[0]) if uniform
+                 else np.max(np.abs(new - current), axis=(1, 2)))
+        if uniform and not step:  # every permutation moves as far from the equal-entry product start
+            moved[:P] = np.max(np.abs(np.diag(a) - starts[0]))
+        active = active[~(moved < _FGW_TOL)]
+    return plans.reshape((len(starts), P) + plans.shape[1:])
 
 
 def fgw_distance(problem: FgwProblem, *, mirror=None) -> tuple[np.ndarray, np.ndarray]:
@@ -549,7 +568,8 @@ def fgw_distance(problem: FgwProblem, *, mirror=None) -> tuple[np.ndarray, np.nd
     whose plan repeats an earlier run's on an instance takes that run's
     objective there; one that repeats earlier runs on every instance is not
     scored. Each pass steps all its runs as one array, in a single instance's
-    operation order, so every result is bitwise that instance's alone.
+    operation order, so every result is bitwise that instance's alone. Uniform square
+    plans are column indices, made dense only to score a run and to be returned.
 
     mirror, a (P,) bool mask, sends only its True instances through the
     transposed pass (None: all). A False instance's mirrored runs take its
@@ -561,24 +581,40 @@ def fgw_distance(problem: FgwProblem, *, mirror=None) -> tuple[np.ndarray, np.nd
     Returns (distances (P,), couplings (P, n, m)); an (n, m) problem is a
     stack of one.
     """
+    a, b = problem.alpha, problem.beta
+    uniform, P = _uniform_square(a, b), problem.feature_cost.size // (a.size * b.size)
+    flagged = np.ones(P, dtype=bool) if mirror is None else np.asarray(mirror)
+    if flagged.shape != (P,):
+        raise DimensionMismatchError(f"mirror shape {flagged.shape} != ({P},)")
+    if flagged.dtype != bool:
+        raise InvalidSpecError(f"mirror must be a bool mask, got dtype {flagged.dtype}")
+    # plans are columns on uniform square instances, where a permutation's transpose is its inverse
+    flip = (lambda X: np.argsort(X, axis=-1)) if uniform else (lambda X: np.swapaxes(X, -1, -2))
     forward = _fgw_fixed_points(problem)
-    fixed = [forward, np.swapaxes(forward, -1, -2).copy()]
-    flagged = slice(None) if mirror is None else np.asarray(mirror, dtype=bool)
-    fixed[1][:, flagged] = _fgw_fixed_points(problem.transposed(), flagged)
-    # a mirrored run is scored on a transposed view of the plan its pass solved
-    runs = [*fixed[0], *np.swapaxes(fixed[1], -1, -2)]
-    plans = np.array(runs)
-    R, P = plans.shape[:2]
-    # first[r, p]: the earliest run with run r's plan on instance p. Runs of the two
-    # sides count only for assignment plans, whose sums round alike in either layout
-    side = np.arange(R) // len(fixed[0]) * (not _uniform_square(problem.alpha, problem.beta))
-    first = np.repeat(np.arange(R)[:, None], P, axis=1)
-    for r in range(R):
+    mirrored = flip(forward).copy()
+    mirrored[:, flagged] = _fgw_fixed_points(problem.transposed(), flagged)
+    S, plans = len(forward), np.concatenate([forward, flip(mirrored)])
+    # runs of the two passes match only as assignment plans, which score alike in either layout,
+    # and of one mass: the mirrored pass's carry b[0], which may differ from a[0] within tolerance
+    side = (np.arange(len(plans)) >= S)[:, None] & (flagged & (a[0] != b[0]) | (not uniform))
+    mass = np.where(side, b[0], a[0])
+
+    def run(r):  # dense plans; a mirrored run's as a transposed view of those its pass solved
+        plan = (forward, mirrored)[r // S][r % S]
+        plan = _permutation_coupling(plan, mass[r][:, None]) if uniform else plan
+        return np.swapaxes(plan, -1, -2) if r >= S else plan
+
+    # first[r, p]: the earliest run with run r's plan on instance p
+    first = np.repeat(np.arange(len(plans))[:, None], P, axis=1)
+    for r in range(len(plans)):
         for q in reversed(range(r)):
-            first[r, (plans[r] == plans[q]).all(axis=(-2, -1)) & (side[q] == side[r])] = q
-    obj = np.empty((R, P))
+            first[r, (plans[r] == plans[q]).reshape(P, -1).all(axis=1) & (side[q] == side[r])] = q
+    obj = np.empty((len(plans), P))
     for r in np.unique(first):
-        obj[r] = fused_objective(problem, runs[r])
+        tens = (_gromov_at_columns(problem.structure_a, problem.structure_b, a, plans[r])
+                if uniform and np.all(mass[r] == a[0]) else None)
+        obj[r] = fused_objective(problem, run(r), tens)
     obj = obj[first, np.arange(P)]
     best = np.argmin(obj, axis=0), np.arange(P)
-    return np.maximum(obj[best], 0.0), plans[best]
+    return np.maximum(obj[best], 0.0), (_permutation_coupling(plans[best], mass[best][:, None])
+                                        if uniform else plans[best])

@@ -5,8 +5,10 @@ minimum over permutation couplings for exact EMD, the EFD, QE and FGW
 neuron costs for one pair of neurons on one input graph (and QE summed over
 a batch for every pair), EFD summed over a batch with each vertex-count
 bucket as one whole stack, the forward pass of one model on one graph, a
-hidden-neuron permutation of a model by index gathers, and the alignment
-primitives as dense products with T / beta. A neuron's evidence
+hidden-neuron permutation of a model by index gathers, the alignment
+primitives as dense products with T / beta, a coupling's permutation order
+by row and column sums, and the FGW kernel with every plan a dense coupling.
+A neuron's evidence
 on a graph is one value per vertex; both neurons of a pair are read on the
 same graph, so the two value vectors share its structure.
 """
@@ -14,6 +16,7 @@ same graph, so the two value vectors share its structure.
 import itertools
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from gcnfuse import (
     PRE_BN,
@@ -27,9 +30,11 @@ from gcnfuse import (
     GraphConv,
     MeanReadout,
     TransportPlan,
+    emd,
     fgw_distance,
     uniform_weights,
 )
+from gcnfuse import ot
 from gcnfuse.costs import _recompute_cancelled
 
 
@@ -249,3 +254,80 @@ def dense_align_batchnorm(bn: BatchNormParams, plan: TransportPlan) -> BatchNorm
     return BatchNormParams(gamma=S.T @ bn.gamma, beta_shift=S.T @ bn.beta_shift,
                            running_mean=S.T @ bn.running_mean,
                            running_var=S.T @ bn.running_var, epsilon=bn.epsilon)
+
+
+def permutation_order_by_sums(coupling) -> np.ndarray | None:
+    """Each row's column if every row and every column holds exactly one nonzero, else None.
+
+    Two bool sums over the whole coupling, then an argmax per row.
+    """
+    nonzero = np.asarray(coupling) != 0.0
+    if np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) == 1):
+        return np.argmax(nonzero, axis=1)
+    return None
+
+
+def _dense_fixed_points(problem, instances=slice(None)):
+    """ot._fgw_fixed_points with every plan an (n, m) coupling: (S, P, n, m).
+
+    An assignment step writes its a-scaled permutation into a dense plan, the Gromov
+    term comes from the dense plan's sums and products, and a run stops once
+    max |T_new - T| < _FGW_TOL.
+    """
+    Ca, Cb, a, b = problem.structure_a, problem.structure_b, problem.alpha, problem.beta
+    F = problem.feature_cost.reshape((-1,) + problem.feature_cost.shape[-2:])[instances]
+    starts = [np.outer(a, b)] + ([np.diag(a)] if a.size == b.size and np.array_equal(a, b) else [])
+    P = F.shape[0]
+    T = np.repeat(np.array(starts), P, axis=0)
+
+    def linearized(feature, plans):
+        lin = problem.trade_off * feature
+        if problem.trade_off < 1.0:
+            lin = lin + (1.0 - problem.trade_off) * ot._gromov_linearized(Ca, Cb, plans)
+        return np.maximum(lin, 0.0)
+
+    def assignment(lin):
+        cols = [linear_sum_assignment(C_k)[1] for C_k in lin]
+        plans = np.zeros(lin.shape)
+        for plan, col in zip(plans, cols):
+            plan[np.arange(a.size), col] = a
+        return plans
+
+    uniform, active = ot._uniform_square(a, b), np.arange(len(T))
+    for step in range(ot._FGW_MAX_ITERS):
+        if not active.size:
+            break
+        current = T[active]
+        lin = linearized(F[active % P], current) if step else np.broadcast_to(
+            linearized(F, np.array(starts)[:, None]), (len(starts),) + F.shape).reshape(T.shape)
+        T[active] = new = (assignment(lin) if uniform
+                           else np.array([emd(a, b, C).coupling for C in lin]))
+        active = active[~(np.max(np.abs(new - current), axis=(1, 2)) < ot._FGW_TOL)]
+    return T.reshape((len(starts),) + F.shape)
+
+
+def dense_fgw_distance(problem, mirror=None):
+    """fgw_distance with every plan a dense coupling, compared and scored as one.
+
+    Runs match on an instance when their dense plans are equal (across the two
+    passes only for assignment plans); each distinct run is scored on its dense
+    plans, a mirrored run on a transposed view of the plans its pass solved.
+    """
+    forward = _dense_fixed_points(problem)
+    fixed = [forward, np.swapaxes(forward, -1, -2).copy()]
+    flagged = slice(None) if mirror is None else np.asarray(mirror, dtype=bool)
+    fixed[1][:, flagged] = _dense_fixed_points(problem.transposed(), flagged)
+    runs = [*fixed[0], *np.swapaxes(fixed[1], -1, -2)]
+    plans = np.array(runs)
+    R, P = plans.shape[:2]
+    side = np.arange(R) // len(fixed[0]) * (not ot._uniform_square(problem.alpha, problem.beta))
+    first = np.repeat(np.arange(R)[:, None], P, axis=1)
+    for r in range(R):
+        for q in reversed(range(r)):
+            first[r, (plans[r] == plans[q]).all(axis=(-2, -1)) & (side[q] == side[r])] = q
+    obj = np.empty((R, P))
+    for r in np.unique(first):
+        obj[r] = ot.fused_objective(problem, runs[r])
+    obj = obj[first, np.arange(P)]
+    best = np.argmin(obj, axis=0), np.arange(P)
+    return np.maximum(obj[best], 0.0), plans[best]

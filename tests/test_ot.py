@@ -18,7 +18,8 @@ from gcnfuse import (
     unbalanced_objective,
     uniform_weights,
 )
-from oracles import brute_force_ot
+import oracles
+from oracles import brute_force_ot, dense_fgw_distance
 
 
 def random_instance(rng, n, m=None):
@@ -378,7 +379,8 @@ class TestFgw:
                              alpha=uniform_weights(4), beta=uniform_weights(4))
         best = min(fused_objective(problem, np.eye(4)[list(p)] / 4.0)
                    for p in itertools.permutations(range(4)))
-        forward = ot._fgw_fixed_points(problem)
+        # the uniform square kernel keeps each plan as its columns
+        forward = ot._permutation_coupling(ot._fgw_fixed_points(problem), problem.alpha)
         assert best == 0.25
         assert min(fused_objective(problem, T[0]) for T in forward) == 0.5
         assert fgw_distance(problem)[0][0] == best
@@ -393,7 +395,7 @@ class TestFgw:
         problem = FgwProblem(structure_a=S, structure_b=S, feature_cost=F, trade_off=0.25,
                              alpha=uniform_weights(6), beta=uniform_weights(6))
         assert all(len(set(line)) == 6 for line in (*F, *F.T))
-        forward = ot._fgw_fixed_points(problem)
+        forward = ot._permutation_coupling(ot._fgw_fixed_points(problem), problem.alpha)
         assert min(fused_objective(problem, T[0]) for T in forward) >= 1.0
         (d,), _ = fgw_distance(problem)
         (d_mirror,), _ = fgw_distance(problem.transposed())
@@ -414,8 +416,10 @@ class TestFgw:
                               trade_off=0.5, alpha=uniform_weights(4), beta=uniform_weights(4))
 
         stacked = problem(np.array([other, other, own]))
-        runs = np.concatenate([ot._fgw_fixed_points(stacked),
-                               ot._fgw_fixed_points(stacked.transposed()).swapaxes(-1, -2)])
+        runs = np.concatenate([
+            ot._permutation_coupling(ot._fgw_fixed_points(stacked), stacked.alpha),
+            ot._permutation_coupling(ot._fgw_fixed_points(stacked.transposed()),
+                                     stacked.beta).swapaxes(-1, -2)])
         assert len({T.tobytes() for T in runs[:, 2]}) == 1
         distances, couplings = fgw_distance(stacked)
         for p, feature_cost in enumerate((other, other, own)):
@@ -423,6 +427,87 @@ class TestFgw:
             assert distances[p].tobytes() == d.tobytes()
             assert couplings[p].tobytes() == T.tobytes()
         assert distances[2] == 0.0 and np.array_equal(couplings[2], np.eye(4) / 4)
+
+    FOUR_CYCLE = np.array([[0.0, 1.0, 2.0, 1.0], [1.0, 0.0, 1.0, 2.0],
+                           [2.0, 1.0, 0.0, 1.0], [1.0, 2.0, 1.0, 0.0]])
+    SIX_PATH = np.abs(np.subtract.outer(np.arange(6), np.arange(6))).astype(float)
+
+    @staticmethod
+    def _dense_kernel_case(name):
+        """One named uniform square FGW stack, posed as the FGW cost poses it."""
+        va, vb = np.array([2.0, 2.0, 0.0, 0.0]), np.array([1.0, 2.0, 2.0, 1.0])
+        cycle = (va[:, None] - vb[None, :]) ** 2
+        path = np.array([np.roll([4.0, 1.0, 0.0, 5.0, 2.0, 3.0], i) for i in range(6)])
+        S, trade_off, a, b = TestFgw.FOUR_CYCLE, 0.5, uniform_weights(4), uniform_weights(4)
+        if name == "four-cycle":
+            F = cycle[None]
+        elif name == "six-path":
+            S, F, trade_off, a, b = TestFgw.SIX_PATH, path[None], 0.25, *[uniform_weights(6)] * 2
+        elif name == "repeated":
+            # the cycle twice, then a self-instance whose runs all end at one plan
+            F = np.array([cycle, cycle, (va[:, None] - va[None, :]) ** 2])
+        elif name == "tiny-mass":
+            # every plan moves less than _FGW_TOL, so each run stops after its first step
+            F, a, b = cycle[None], np.full(4, 1e-8), np.full(4, 1e-8)
+        elif name == "one-vertex":
+            # the product start is already the identity
+            S, F, a, b = np.zeros((1, 1)), np.array([[[0.0]], [[2.5]]]), np.ones(1), np.ones(1)
+        else:
+            # masses apart within MARGINAL_TOL: only the product start, and b's mass on mirrored plans
+            F, b = cycle[None], np.full(4, 0.25 + 1e-12)
+        return FgwProblem(structure_a=S, structure_b=S, feature_cost=F, trade_off=trade_off,
+                          alpha=a, beta=b)
+
+    @pytest.mark.parametrize("mirror", ["none", "false", "mixed"])
+    @pytest.mark.parametrize("name", ["four-cycle", "six-path", "repeated", "tiny-mass",
+                                      "one-vertex", "near-uniform"])
+    def test_column_kernel_equals_the_dense_kernel(self, name, mirror, monkeypatch):
+        problem = self._dense_kernel_case(name)
+        P = len(problem.feature_cost)
+        mask = {"none": None, "false": np.zeros(P, dtype=bool),
+                "mixed": np.arange(P) % 2 == 0}[mirror]
+        calls = {ot: 0, oracles: 0}
+
+        def counted(module):
+            solve = module.linear_sum_assignment
+
+            def assignment(cost):
+                calls[module] += 1
+                return solve(cost)
+            return assignment
+
+        for module in calls:
+            monkeypatch.setattr(module, "linear_sum_assignment", counted(module))
+        distances, couplings = fgw_distance(problem, mirror=mask)
+        want_distances, want_couplings = dense_fgw_distance(problem, mask)
+        # the same steps: a run stops on its columns exactly when its dense plan stops moving
+        assert calls[ot] == calls[oracles] > 0
+        assert distances.tobytes() == want_distances.tobytes()
+        assert couplings.dtype == want_couplings.dtype
+        assert couplings.shape == want_couplings.shape
+        assert couplings.tobytes() == want_couplings.tobytes()
+        if name == "near-uniform" and mirror != "false":
+            # the optimum comes only from the mirrored pass, whose plan carries b's mass
+            assert set(np.unique(couplings)) == {0.0, problem.beta[0]} != {0.0, problem.alpha[0]}
+
+    @pytest.mark.parametrize("mirror, error", [
+        ([True, False], DimensionMismatchError),
+        ([True] * 5, DimensionMismatchError),
+        (np.ones((4, 1), dtype=bool), DimensionMismatchError),
+        (np.ones((2, 2), dtype=bool), DimensionMismatchError),
+        (True, DimensionMismatchError),
+        (1.5, DimensionMismatchError),
+        ([0, 1, 2, 3], InvalidSpecError),
+        ([0.0, 1.5, 0.0, 1.0], InvalidSpecError),
+        (["yes", "no", "no", "no"], InvalidSpecError),
+    ])
+    def test_mirror_mask_must_be_one_bool_per_instance(self, mirror, error):
+        rng = np.random.default_rng(17)
+        S = random_structure(rng, 3)
+        problem = FgwProblem(structure_a=S, structure_b=S, feature_cost=rng.random((4, 3, 3)),
+                             trade_off=0.5, alpha=uniform_weights(3), beta=uniform_weights(3))
+        with pytest.raises(error, match="mirror"):
+            fgw_distance(problem, mirror=mirror)
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)

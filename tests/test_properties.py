@@ -45,12 +45,12 @@ from gcnfuse import (
     uniform_weights,
     write_dataset,
 )
-from gcnfuse import costs
+from gcnfuse import costs, ot
 from gcnfuse.graphs import bucket_layout
 from conftest import graph_capture, sample_from_graphs
 from oracles import (dense_align_batchnorm, dense_align_incoming, dense_align_outgoing,
-                     gather_permute_model, pairwise_fgw, per_graph_adjacency, per_graph_forward,
-                     qe_matrix, whole_bucket_efd)
+                     dense_fgw_distance, gather_permute_model, pairwise_fgw, per_graph_adjacency,
+                     per_graph_forward, permutation_order_by_sums, qe_matrix, whole_bucket_efd)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -89,6 +89,34 @@ def test_folded_batch_norm_is_the_textbook_formula_to_rounding(dim, rows, gamma_
                  + bn.beta_shift)
     magnitude = np.abs(bn.scale) * (np.abs(x) + np.abs(bn.running_mean)) + np.abs(bn.beta_shift)
     assert np.all(np.abs(bn.apply(x) - reference) <= 8 * np.finfo(float).eps * magnitude)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["uniform", "masses", "identity", "soft", "massless", "wide",
+                          "shared-column"]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="uniform", n=1, seed=0)
+@example(kind="massless", n=1, seed=0)
+@example(kind="soft", n=1, seed=0)
+def test_permutation_order_equals_the_sums_reference(kind, n, seed):
+    # a permutation plan's order is read from its nonzeros; the sums and argmax give the same
+    rng = np.random.default_rng(seed)
+    if kind == "wide":  # one nonzero per row, but a column left empty
+        plan = TransportPlan(coupling=np.eye(n, n + 1)[:, rng.permutation(n + 1)], objective=0.0)
+    elif kind == "shared-column":  # n nonzeros, one per row, two of them in one column
+        cols = rng.permutation(n)
+        cols[0] = cols[-1]
+        plan = TransportPlan(coupling=np.eye(n)[cols] / n, objective=0.0)
+    else:
+        plan = _drawn_plan(kind, n, rng)
+    order, want = plan.as_permutation(), permutation_order_by_sums(plan.coupling)
+    if want is None:
+        assert order is None
+    else:
+        assert _bits(order) == _bits(want) and not order.flags.writeable
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -757,3 +785,66 @@ def test_fgw_at_workload_sizes_equals_reference_slices(graph_a, graph_b, instanc
         d_ref, coupling_ref = _reference_fgw(problem(F[p]))
         assert _bits(distances[p]) == _bits(np.float64(d_ref))
         assert _bits(couplings[p]) == _bits(coupling_ref)
+
+
+def _structure(rng, n, style):
+    """A symmetric zero-diagonal structure: random reals, or small integers as hop distances."""
+    S = rng.integers(0, 4, (n, n)).astype(float) if style == "integer" else rng.random((n, n)) * 3
+    S = S + S.T
+    np.fill_diagonal(S, 0.0)
+    return S
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 9),
+    runs=st.one_of(st.none(), st.integers(1, 6)),
+    style=st.sampled_from(["integer", "real"]),
+    mass=st.sampled_from(["uniform", "scaled"]),
+    seed=st.integers(0, 2**16),
+)
+def test_gromov_at_columns_equals_the_dense_call(n, runs, style, mass, seed):
+    # the Gromov term gathered from a permutation's columns keeps the dense plan's every bit
+    rng = np.random.default_rng(seed)
+    C1, C2 = _structure(rng, n, style), _structure(rng, n, style)
+    a = uniform_weights(n) * (10.0 ** rng.uniform(-3, 3) if mass == "scaled" else 1.0)
+    shape = (n,) if runs is None else (runs, n)
+    cols = np.array([rng.permutation(n) for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
+    dense = np.zeros(shape + (n,))
+    for plan, col in zip(dense.reshape(-1, n, n), cols.reshape(-1, n)):
+        plan[np.arange(n), col] = a
+    assert _bits(ot._gromov_at_columns(C1, C2, a, cols)) == _bits(ot._gromov_linearized(C1, C2, dense))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    graph=st.tuples(st.sampled_from(["cycle", "complete", "star", "path", "disconnected"]),
+                    st.integers(1, 9)),
+    na=st.integers(1, 3),
+    nb=st.integers(1, 3),
+    style=st.sampled_from(["integer", "duplicated", "real", "near"]),
+    trade_off=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    mirror=st.sampled_from(["none", "false", "random"]),
+    seed=st.integers(0, 2**16),
+)
+@example(graph=("cycle", 1), na=2, nb=2, style="real", trade_off=0.5, mirror="none", seed=0)
+@example(graph=("cycle", 7), na=2, nb=2, style="integer", trade_off=0.5, mirror="random", seed=0)
+@example(graph=("cycle", 5), na=2, nb=2, style="near", trade_off=0.5, mirror="none", seed=0)
+def test_fgw_distance_equals_the_dense_kernel(graph, na, nb, style, trade_off, mirror, seed):
+    """An FGW cost's stack on one graph, its self-instances after it, against every plan dense."""
+    rng = np.random.default_rng(seed)
+    S = _fgw_graph(*graph).hop_distances
+    n = S.shape[0]
+    values = _fgw_values(rng, style, (n, na + nb))
+    va, vb = values[:, :na], np.concatenate([values[:, na:], values[:, :na]], axis=1)
+    F = ((va.T[:, None, :, None] - vb.T[None, :, None, :]) ** 2).reshape(-1, n, n)
+    mask = {"none": None, "false": np.zeros(len(F), dtype=bool),
+            "random": rng.random(len(F)) < 0.5}[mirror]
+    problem = FgwProblem(structure_a=S, structure_b=S, feature_cost=F, trade_off=trade_off,
+                         alpha=uniform_weights(n), beta=uniform_weights(n))
+
+    distances, couplings = fgw_distance(problem, mirror=mask)
+    want_distances, want_couplings = dense_fgw_distance(problem, mask)
+
+    assert _bits(distances) == _bits(want_distances)
+    assert _bits(couplings) == _bits(want_couplings)
