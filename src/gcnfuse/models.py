@@ -16,7 +16,9 @@ inference mode from stored running statistics; nothing here trains.
 
 Embedding, GraphConv and Dense share one record (params, an optional batch_norm,
 an activation), and every rebuild of a layer (noise, alignment, interpolation) is
-dataclasses.replace, which keeps its kind and activation.
+dataclasses.replace, which keeps its kind and activation. A record moved by a
+permutation plan is gathered from a checked one and skips re-validation (_gathered);
+new values (soft plans, noise, interpolation) go through the checking constructors.
 
 One private evaluator runs every forward pass (predict,
 forward_with_capture, evaluate_mae, label_with_model) on the graphs'
@@ -246,7 +248,8 @@ class GcnModel:
         def shape(l):
             if not isinstance(l, _Parameterized):
                 return type(l)
-            return (type(l), l.params.weight.shape, l.params.bias is None, l.batch_norm is None)
+            return (type(l), l.activation, l.params.weight.shape, l.params.bias is None,
+                    l.batch_norm is None)
         return [shape(l) for l in self.layers] == [shape(l) for l in other.layers]
 
     def summary(self) -> str:
@@ -422,9 +425,8 @@ def permute_model(model: GcnModel, permutations) -> GcnModel:
             raise InvalidSpecError(
                 f"layer {layer_i}: permutation is not a bijection on 0..{width - 1}"
             )
-        T = np.zeros((width, width))
-        T[p, np.arange(width)] = 1.0 / width
-        plans[layer_i] = TransportPlan(coupling=T, objective=0.0)
+        # row p[k] goes to column k, so row r's column is argsort(p)[r]
+        plans[layer_i] = TransportPlan._permutation(np.argsort(p), 1.0 / width)
     plans[head] = identity_plan(uniform_weights(model.layers[head].params.out_dim))
     layers = align_model(model, lambda i, params: plans[i])
     return GcnModel(layers=layers, name=model.name + "+perm", seed=model.seed)
@@ -468,32 +470,42 @@ def _sources(plan: TransportPlan, dim: int, what: str) -> np.ndarray | None:
     """Each column's one row if the plan is a scaled permutation, else None; dim must be its rows."""
     if dim != plan.coupling.shape[0]:
         raise DimensionMismatchError(f"{what} {dim} != plan rows {plan.coupling.shape[0]}")
-    order = plan.as_permutation()
-    return None if order is None else np.argsort(order)
+    return None if (order := plan.as_permutation()) is None else np.argsort(order)
 
 
-def _row_mover(plan: TransportPlan, dim: int, what: str):
-    """x -> (T / beta).T @ x, which for a permutation plan is the gather x[rows]."""
+def _gathered(record, rows: np.ndarray, axis: int = 0):
+    """A checked record with each array having the axis (scale and shift too) gathered by rows: its
+    checks and the BN fold act per channel, so on a permutation none runs again (as in
+    FgwProblem.transposed). take keeps the C order (not W[:, rows]'s) that products' bits follow."""
+    moved = object.__new__(type(record))
+    for name, x in vars(record).items():
+        if isinstance(x, np.ndarray) and x.ndim > axis:
+            (x := x.take(rows, axis=axis)).setflags(write=False)
+        vars(moved)[name] = x
+    return moved
+
+
+def _moved(record, plan: TransportPlan, dim: int, what: str):
+    """record's per-channel arrays x as (T / beta).T @ x: gathered for a permutation plan."""
     rows = _sources(plan, dim, what)
     if rows is not None:
-        return lambda x: x[rows]
+        return _gathered(record, rows)
     S = _scaled_transport(plan)
-    return lambda x: S.T @ x
+    return replace(record, **{f.name: S.T @ x for f in fields(record)
+                              if isinstance(x := getattr(record, f.name), np.ndarray)})
 
 
 def align_layer_incoming(weights: DenseParams, t_prev: TransportPlan) -> DenseParams:
     """W_hat = W @ T_prev / beta_prev: re-express columns in anchor order."""
     rows = _sources(t_prev, weights.in_dim, "weight in_dim")
-    W = weights.weight  # take keeps the C order (W[:, rows] would not) that later products' bits follow
-    W_hat = W @ _scaled_transport(t_prev) if rows is None else W.take(rows, axis=1)
-    return DenseParams(weight=W_hat, bias=weights.bias)
+    if rows is not None:
+        return _gathered(weights, rows, axis=1)
+    return DenseParams(weight=weights.weight @ _scaled_transport(t_prev), bias=weights.bias)
 
 
 def align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan) -> DenseParams:
     """W_tilde = (T / beta).T @ W_hat; the bias moves with the rows."""
-    move = _row_mover(t_curr, weights.out_dim, "weight out_dim")
-    bias = None if weights.bias is None else move(weights.bias)
-    return DenseParams(weight=move(weights.weight), bias=bias)
+    return _moved(weights, t_curr, weights.out_dim, "weight out_dim")
 
 
 def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormParams:
@@ -502,9 +514,7 @@ def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormPara
     t_prev is the plan of the affine layer the batch norm sits behind. The
     map has nonnegative entries, so running_var stays nonnegative.
     """
-    move = _row_mover(t_prev, bn.dim, "bn dim")
-    vectors = {f.name: getattr(bn, f.name) for f in fields(bn)}
-    return replace(bn, **{k: move(v) for k, v in vectors.items() if isinstance(v, np.ndarray)})
+    return _moved(bn, t_prev, bn.dim, "bn dim")
 
 
 def align_model(model: GcnModel, plan_for) -> tuple[Layer, ...]:

@@ -64,9 +64,9 @@ def uniform_weights(n: int) -> np.ndarray:
 class TransportPlan:
     """A coupling with its objective and solver diagnostics.
 
-    ``objective`` is <coupling, cost>. ``gap`` is the relative duality gap
-    (P - D) / max(1, |P|) of the returned plan where the solver certifies
-    one (Sinkhorn), else None.
+    ``objective`` is <coupling, cost>; ``gap`` the relative duality gap (P - D) / max(1, |P|) of
+    the plan where the solver certifies one (Sinkhorn), else None. The constructor checks and
+    copies the coupling; emd, identity_plan and permute_model build theirs once (_permutation).
     """
 
     coupling: np.ndarray
@@ -92,6 +92,17 @@ class TransportPlan:
                 (order := cols).setflags(write=False)
         object.__setattr__(self, "_order", order)
 
+    @classmethod
+    def _permutation(cls, cols: np.ndarray, mass, cost=None) -> "TransportPlan":
+        """Checked mass (finite, >= 0) at row k, column cols[k], built once; objective <T, cost> or 0."""
+        (T := _permutation_coupling(cols, mass)).setflags(write=False)
+        cols.setflags(write=False)
+        plan = object.__new__(cls)
+        vars(plan).update(coupling=T, objective=0.0 if cost is None else float(np.sum(T * cost)),
+                          converged=True, iterations=0, gap=None,
+                          _order=cols if np.all(mass != 0.0) else None)
+        return plan
+
     def marginal_error(self, alpha, beta) -> float:
         a = np.asarray(alpha, dtype=np.float64)
         b = np.asarray(beta, dtype=np.float64)
@@ -110,9 +121,9 @@ class TransportPlan:
 
 
 def identity_plan(alpha) -> TransportPlan:
-    """diag(alpha): the do-nothing coupling used for untransported layers."""
+    """diag(alpha), objective 0, built once from the checked alpha: untransported layers' plan."""
     a = _histogram(alpha, "alpha")
-    return TransportPlan(coupling=np.diag(a), objective=0.0, converged=True, iterations=0)
+    return TransportPlan._permutation(np.arange(a.size), a)
 
 
 def _uniform_square(a: np.ndarray, b: np.ndarray) -> bool:
@@ -137,9 +148,10 @@ def emd(alpha, beta, cost) -> TransportPlan:
     """Exact solution of min <T, C> over couplings with marginals alpha, beta.
 
     Masses must balance within 1e-9. Uniform square instances are solved by
-    linear assignment and return a (1/n)-scaled permutation coupling; the
-    rest go through an LP (dual simplex) with tightened feasibility
-    tolerances so the 1e-9 marginal guarantee holds with slack.
+    linear assignment and return a (1/n)-scaled permutation coupling, built
+    once from its columns, which also give its marginal check; the rest go
+    through an LP (dual simplex) with tightened feasibility tolerances so the
+    1e-9 marginal guarantee holds with slack.
     """
     a = _histogram(alpha, "alpha")
     b = _histogram(beta, "beta")
@@ -149,14 +161,15 @@ def emd(alpha, beta, cost) -> TransportPlan:
             f"input masses differ: {a.sum():.12g} vs {b.sum():.12g}"
         )
     if _uniform_square(a, b):
-        T = _permutation_coupling(_assignment_columns(C), a)
+        plan = TransportPlan._permutation(cols := linear_sum_assignment(C)[1], a, C)
+        # row k sums to a[k] exactly and column cols[k] holds a[k] alone: the dense sums' error
+        error = float(np.max(np.abs(a - b[cols])))
     else:
         T = _emd_linprog(a, b, C)
-    plan = TransportPlan(coupling=T, objective=float(np.sum(T * C)))
-    if plan.marginal_error(a, b) > MARGINAL_TOL:
-        raise SolverError(
-            f"solved plan violates marginals by {plan.marginal_error(a, b):.3g}"
-        )
+        plan = TransportPlan(coupling=T, objective=float(np.sum(T * C)))
+        error = plan.marginal_error(a, b)
+    if error > MARGINAL_TOL:
+        raise SolverError(f"solved plan violates marginals by {error:.3g}")
     return plan
 
 

@@ -7,13 +7,16 @@ a batch for every pair), EFD summed over a batch with each vertex-count
 bucket as one whole stack, the forward pass of one model on one graph, a
 hidden-neuron permutation of a model by index gathers, the alignment
 primitives as dense products with T / beta, a coupling's permutation order
-by row and column sums, and the FGW kernel with every plan a dense coupling.
+by row and column sums, the FGW kernel with every plan a dense coupling, and
+emd, identity_plan, the alignment primitives and permute_model with every plan
+and parameter record built and checked by its constructor.
 A neuron's evidence
 on a graph is one value per vertex; both neurons of a pair are read on the
 same graph, so the two value vectors share its structure.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -34,7 +37,7 @@ from gcnfuse import (
     fgw_distance,
     uniform_weights,
 )
-from gcnfuse import ot
+from gcnfuse import InvalidSpecError, SolverError, ot
 from gcnfuse.costs import _recompute_cancelled
 
 
@@ -331,3 +334,84 @@ def dense_fgw_distance(problem, mirror=None):
     obj = obj[first, np.arange(P)]
     best = np.argmin(obj, axis=0), np.arange(P)
     return np.maximum(obj[best], 0.0), plans[best]
+
+
+def checked_emd(alpha, beta, cost) -> TransportPlan:
+    """emd with its coupling built dense, then checked and copied by the TransportPlan
+    constructor, and its marginal error read from the coupling's row and column sums."""
+    a = ot._histogram(alpha, "alpha")
+    b = ot._histogram(beta, "beta")
+    C = ot._cost(cost, a.size, b.size)
+    if abs(a.sum() - b.sum()) > ot.MARGINAL_TOL:
+        raise InvalidSpecError(f"input masses differ: {a.sum():.12g} vs {b.sum():.12g}")
+    if ot._uniform_square(a, b):
+        T = ot._permutation_coupling(ot._assignment_columns(C), a)
+    else:
+        T = ot._emd_linprog(a, b, C)
+    plan = TransportPlan(coupling=T, objective=float(np.sum(T * C)))
+    if plan.marginal_error(a, b) > ot.MARGINAL_TOL:
+        raise SolverError(f"solved plan violates marginals by {plan.marginal_error(a, b):.3g}")
+    return plan
+
+
+def checked_identity_plan(alpha) -> TransportPlan:
+    """diag(alpha) through the TransportPlan constructor."""
+    a = ot._histogram(alpha, "alpha")
+    return TransportPlan(coupling=np.diag(a), objective=0.0, converged=True, iterations=0)
+
+
+def _checked_mover(plan: TransportPlan):
+    """x -> (T / beta).T @ x, as the gather x[rows] when the sums say T is a scaled permutation."""
+    order = permutation_order_by_sums(plan.coupling)
+    if order is not None:
+        rows = np.argsort(order)
+        return rows, lambda x: x[rows]
+    S = dense_scaled_transport(plan)
+    return None, lambda x: S.T @ x
+
+
+def checked_align_layer_incoming(weights: DenseParams, t_prev: TransportPlan) -> DenseParams:
+    """W @ (T / beta) by a column gather for a permutation plan, rebuilt by the constructor."""
+    rows, _ = _checked_mover(t_prev)
+    W = weights.weight
+    W_hat = W @ dense_scaled_transport(t_prev) if rows is None else W.take(rows, axis=1)
+    return DenseParams(weight=W_hat, bias=weights.bias)
+
+
+def checked_align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan) -> DenseParams:
+    """(T / beta).T @ W and @ b, rebuilt by the constructor."""
+    _, move = _checked_mover(t_curr)
+    bias = None if weights.bias is None else move(weights.bias)
+    return DenseParams(weight=move(weights.weight), bias=bias)
+
+
+def checked_align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormParams:
+    """The four BN vectors moved by (T / beta).T, checked and folded again by the constructor."""
+    _, move = _checked_mover(t_prev)
+    return BatchNormParams(gamma=move(bn.gamma), beta_shift=move(bn.beta_shift),
+                           running_mean=move(bn.running_mean),
+                           running_var=move(bn.running_var), epsilon=bn.epsilon)
+
+
+def checked_permute_model(model, permutations):
+    """permute_model with each plan a dense coupling through the TransportPlan constructor and
+    every layer aligned by the checked primitives; valid permutations only."""
+    *hidden, head = model.parameterized_indices()
+    plans = {}
+    for i, perm in zip(hidden, permutations):
+        width = model.layers[i].params.out_dim
+        T = np.zeros((width, width))
+        T[np.asarray(perm), np.arange(width)] = 1.0 / width
+        plans[i] = TransportPlan(coupling=T, objective=0.0)
+    plans[head] = checked_identity_plan(uniform_weights(model.layers[head].params.out_dim))
+    layers, t_prev = [], None
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, MeanReadout):
+            layers.append(layer)
+            continue
+        params = layer.params if t_prev is None else checked_align_layer_incoming(layer.params, t_prev)
+        bn = layer.batch_norm
+        layers.append(replace(layer, params=checked_align_layer_outgoing(params, plans[i]),
+                              batch_norm=None if bn is None else checked_align_batchnorm(bn, plans[i])))
+        t_prev = plans[i]
+    return GcnModel(layers=tuple(layers), name=model.name + "+perm", seed=model.seed)

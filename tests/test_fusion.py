@@ -481,16 +481,28 @@ class TestBaselines:
     @pytest.mark.parametrize("method", ["vanilla", "fuse"])
     def test_fused_layers_keep_the_anchors_kinds_and_activations(self, small_regression_setup,
                                                                   method):
-        # same_architecture ignores activations, so only the anchor's layers can set them
+        # a ReLU hidden layer and a linear head both come through as the anchor has them
         _, a = small_regression_setup
-        b = replace(a, layers=(*a.layers[:-1], replace(a.layers[-1], activation="relu")))
+        b = models.perturb_model(a, 0.1, seed=4)
         if method == "vanilla":
             fused = vanilla_fuse(a, b)
         else:
             fused, _ = fuse(a, b, None, FusionConfig(cost=CostSpec(kind="weight")))
         kinds = lambda m: [(type(l), l.activation) for l in m.layers
                            if not isinstance(l, models.MeanReadout)]
-        assert kinds(fused) == kinds(b) != kinds(a)
+        assert kinds(fused) == kinds(b)
+        assert {activation for _, activation in kinds(b)} == {"relu", "none"}
+
+    @pytest.mark.parametrize("method", ["vanilla", "fuse"])
+    def test_activation_mismatch_is_not_one_architecture(self, small_regression_setup, method):
+        _, a = small_regression_setup
+        b = replace(a, layers=(*a.layers[:-1], replace(a.layers[-1], activation="relu")))
+        assert not a.same_architecture(b) and not b.same_architecture(a)
+        with pytest.raises(DimensionMismatchError, match="share an architecture"):
+            if method == "vanilla":
+                vanilla_fuse(a, b)
+            else:
+                fuse(a, b, None, FusionConfig(cost=CostSpec(kind="weight")))
 
     def test_vanilla_architecture_mismatch(self, small_regression_setup):
         _, model = small_regression_setup

@@ -130,6 +130,37 @@ class TestLayerValidation:
         with pytest.raises(ModelFormatError, match="layer 1: batch-norm scale or shift"):
             load_model(p)
 
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writable", "read-only"])
+    def test_records_never_alias_a_callers_arrays(self, writeable):
+        # a caller's array is copied whether or not the caller can write it
+        given = [np.array(v) for v in ([[0.5, -1.0]], [0.25], [1.5], [0.1], [-0.2], [2.0])]
+        for x in given:
+            x.setflags(write=writeable)
+        weight, bias, gamma, beta_shift, running_mean, running_var = given
+        dense = DenseParams(weight=weight, bias=bias)
+        bn = BatchNormParams(gamma=gamma, beta_shift=beta_shift, running_mean=running_mean,
+                             running_var=running_var)
+        kept = [dense.weight, dense.bias, bn.gamma, bn.beta_shift, bn.running_mean, bn.running_var]
+        for x, y in zip(given, kept):
+            assert not np.shares_memory(x, y) and np.array_equal(x, y) and not y.flags.writeable
+
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writable", "read-only"])
+    def test_a_callers_bad_arrays_are_rejected(self, writeable):
+        def given(values):
+            x = np.array(values, dtype=np.float64)
+            x.setflags(write=writeable)
+            return x
+
+        with pytest.raises(ModelFormatError, match="NaN or infinite"):
+            DenseParams(weight=given([[1.0, np.nan]]))
+        with pytest.raises(ModelFormatError, match="NaN or infinite"):
+            DenseParams(weight=given([[1.0]]), bias=given([np.nan]))
+        good = {name: given([1.0]) for name in ("gamma", "beta_shift", "running_mean", "running_var")}
+        with pytest.raises(ModelFormatError, match="NaN or infinite"):
+            BatchNormParams(**{**good, "running_mean": given([np.nan])})
+        with pytest.raises(ModelFormatError, match="running_var entries must be >= 0"):
+            BatchNormParams(**{**good, "running_var": given([-1.0])})
+
     def test_bn_negative_var_rejected(self):
         with pytest.raises(ModelFormatError):
             BatchNormParams(gamma=[1], beta_shift=[0], running_mean=[0],

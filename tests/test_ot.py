@@ -8,6 +8,7 @@ from gcnfuse import (
     DimensionMismatchError,
     FgwProblem,
     InvalidSpecError,
+    NumericalError,
     SinkhornParams,
     TransportPlan,
     emd,
@@ -77,6 +78,21 @@ class TestTransportPlan:
     def test_negative_entries_rejected(self):
         with pytest.raises(Exception):
             TransportPlan(coupling=np.array([[-0.1, 0.6], [0.5, 0.0]]), objective=0.0)
+
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writable", "read-only"])
+    def test_a_callers_coupling_is_copied_and_checked(self, writeable):
+        def given(values):
+            T = np.array(values, dtype=np.float64)
+            T.setflags(write=writeable)
+            return T
+
+        T = given([[0.0, 0.5], [0.5, 0.0]])
+        plan = TransportPlan(coupling=T, objective=0.0)
+        assert not np.shares_memory(plan.coupling, T) and np.array_equal(plan.coupling, T)
+        assert not plan.coupling.flags.writeable
+        for bad in ([[-0.1, 0.6], [0.5, 0.0]], [[np.nan, 0.5], [0.5, 0.0]]):
+            with pytest.raises(NumericalError, match="finite and >= 0"):
+                TransportPlan(coupling=given(bad), objective=0.0)
 
     def test_identity_plan(self):
         plan = identity_plan(uniform_weights(3))

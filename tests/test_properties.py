@@ -1,7 +1,7 @@
 """Property tests over random architectures, datasets and transport instances (hypothesis, derandomized)."""
 
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from gcnfuse import (
     FusionConfig,
     GeneratorSpec,
     Graph,
+    MeanReadout,
     SinkhornParams,
     TransportPlan,
     align_batchnorm,
@@ -48,9 +49,12 @@ from gcnfuse import (
 from gcnfuse import costs, ot
 from gcnfuse.graphs import bucket_layout
 from conftest import graph_capture, sample_from_graphs
-from oracles import (dense_align_batchnorm, dense_align_incoming, dense_align_outgoing,
-                     dense_fgw_distance, gather_permute_model, pairwise_fgw, per_graph_adjacency,
-                     per_graph_forward, permutation_order_by_sums, qe_matrix, whole_bucket_efd)
+from oracles import (checked_align_batchnorm, checked_align_layer_incoming,
+                     checked_align_layer_outgoing, checked_emd, checked_identity_plan,
+                     checked_permute_model, dense_align_batchnorm, dense_align_incoming,
+                     dense_align_outgoing, dense_fgw_distance, gather_permute_model, pairwise_fgw,
+                     per_graph_adjacency, per_graph_forward, permutation_order_by_sums, qe_matrix,
+                     whole_bucket_efd)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -314,6 +318,172 @@ def test_alignment_primitives_equal_the_dense_reference(kind, n, other, seed):
                 assert x.flags.c_contiguous and x.shape == y.shape and x.tobytes() == y.tobytes()
             else:
                 assert x == y
+
+
+def _state(obj):
+    """vars(obj) as exact values: each array's dtype, shape, bytes, read-only flag and C order;
+    each float's hex (so -0.0 is not 0.0); anything else as it is."""
+    def exact(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype, v.shape, v.tobytes(), v.flags.writeable, v.flags.c_contiguous
+        return float.hex(v) if isinstance(v, float) else v
+    return None if obj is None else [(k, exact(v)) for k, v in vars(obj).items()]
+
+
+def _with_signed_zeros(record, rng):
+    """The record rebuilt by its constructor with about a third of every vector entry set to -0.0."""
+    def signed(x):
+        return np.where(rng.random(x.shape) < 0.3, -0.0, x) if isinstance(x, np.ndarray) else x
+    return replace(record, **{f.name: signed(getattr(record, f.name)) for f in fields(record)})
+
+
+def _assert_rebuilds_identically(record):
+    # the checking constructor accepts a record that skipped it and gives the same values
+    rebuilt = type(record)(**{f.name: getattr(record, f.name) for f in fields(record)})
+    assert _state(rebuilt) == _state(record)
+
+
+def _drawn_mass(style: str, n: int, rng):
+    """Row masses for a permutation plan: uniform (a scalar or a vector), spread, or holding zeros."""
+    if style == "scalar":
+        return 1.0 / n
+    mass = uniform_weights(n) if style == "uniform" else 10.0 ** rng.uniform(-12, 3, n)
+    if style in ("zero", "signed-zero"):
+        mass[rng.integers(n)] = 0.0 if style == "zero" else -0.0
+    return mass
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    style=st.sampled_from(["real", "integer", "signed-zero", "flat", "lp"]),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**16),
+)
+# at width 49, (1/49) * 49 != 1.0
+@example(style="real", n=49, seed=0)
+@example(style="signed-zero", n=3, seed=1)
+def test_emd_plan_equals_the_checked_reference(style, n, seed):
+    # a uniform square plan is built once from its columns and checked from them; an LP plan
+    # still goes through the constructor; both carry the checked reference's every bit
+    rng = np.random.default_rng(seed)
+    a = b = uniform_weights(n)
+    if style == "lp":  # non-uniform masses: the LP route
+        n = min(n, 6)
+        a, b = _histogram(rng, n), _histogram(rng, n)
+    C = {"real": lambda: rng.random((n, n)) * 10.0,
+         "integer": lambda: rng.integers(0, 3, (n, n)).astype(float),  # ties
+         "signed-zero": lambda: np.where(rng.random((n, n)) < 0.5, -0.0, rng.random((n, n))),
+         "flat": lambda: np.zeros((n, n)),  # every assignment ties
+         "lp": lambda: rng.random((n, n))}[style]()
+
+    plan, want = emd(a, b, C), checked_emd(a, b, C)
+
+    assert _state(plan) == _state(want)
+    if style != "lp":  # the assignment route: a (1/n)-scaled permutation, so it has an order
+        assert plan.as_permutation() is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    style=st.sampled_from(["scalar", "uniform", "spread", "zero", "signed-zero"]),
+    n=st.integers(1, 64),
+    cost=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(style="uniform", n=49, cost=True, seed=0)
+@example(style="zero", n=1, cost=False, seed=0)
+def test_permutation_plans_equal_the_checking_constructor(style, n, cost, seed):
+    # identity_plan and the private constructor give the constructor's coupling, objective and
+    # order; a zero mass (either sign) leaves no permutation order
+    rng = np.random.default_rng(seed)
+    cols, mass = rng.permutation(n), _drawn_mass(style, n, rng)
+    C = rng.random((n, n)) if cost else None
+    T = ot._permutation_coupling(cols, mass)
+    checked = TransportPlan(coupling=T, objective=0.0 if C is None else float(np.sum(T * C)))
+
+    plan = TransportPlan._permutation(cols.copy(), mass, C)
+
+    assert _state(plan) == _state(checked)
+    massless = style in ("zero", "signed-zero")
+    assert (plan.as_permutation() is None) == massless
+    if style != "scalar":
+        identity = ot.identity_plan(mass)
+        assert _state(identity) == _state(checked_identity_plan(mass))
+        assert (identity.as_permutation() is None) == massless
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    feature_dim=st.integers(1, 4),
+    hidden=st.integers(1, 64),
+    batch_norm=st.booleans(),
+    gc_layers=st.integers(0, 2),  # 0 builds an MLP
+    dense_layers=st.integers(1, 3),
+    signed_zeros=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(feature_dim=2, hidden=49, batch_norm=True, gc_layers=1, dense_layers=2,
+         signed_zeros=True, seed=0)
+def test_permute_model_equals_the_checked_reference(feature_dim, hidden, batch_norm, gc_layers,
+                                                    dense_layers, signed_zeros, seed):
+    # records gathered by permutation plans carry every byte, flag and vars() key, the folded
+    # scale and shift included, that the constructors give when they check and fold again
+    spec = ArchSpec(feature_dim=feature_dim, hidden_dim=hidden, gc_layers=gc_layers,
+                    dense_layers=dense_layers, batch_norm=batch_norm)
+    model = random_model(spec, seed=seed, name="m")
+    rng = np.random.default_rng(seed + 1)
+    if signed_zeros:
+        model = replace(model, layers=tuple(
+            l if isinstance(l, MeanReadout) else replace(
+                l, params=_with_signed_zeros(l.params, rng),
+                batch_norm=None if l.batch_norm is None else _with_signed_zeros(l.batch_norm, rng))
+            for l in model.layers))
+    perms = [rng.permutation(model.layers[i].params.out_dim)
+             for i in model.parameterized_indices()[:-1]]
+
+    permuted, want = permute_model(model, perms), checked_permute_model(model, perms)
+
+    assert (permuted.name, permuted.seed) == (want.name, want.seed)
+    kind = lambda layer: (type(layer), getattr(layer, "activation", None))
+    for got, ref in zip(permuted.layers, want.layers):
+        assert kind(got) == kind(ref)
+        for part in ("params", "batch_norm"):
+            record = getattr(got, part, None)
+            assert _state(record) == _state(getattr(ref, part, None))
+            if record is not None:
+                _assert_rebuilds_identically(record)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["emd", "uniform", "masses", "identity", "soft", "massless"]),
+    n=st.integers(1, 64),
+    other=st.integers(1, 5),
+    signed_zeros=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="emd", n=49, other=3, signed_zeros=True, seed=0)
+def test_alignment_primitives_equal_the_checked_reference(kind, n, other, signed_zeros, seed):
+    # a permutation plan gathers the record unchecked, a soft one rebuilds it through the
+    # constructor; either way every byte, flag and vars() key is the checked reference's
+    rng = np.random.default_rng(seed)
+    plan = (emd(uniform_weights(n), uniform_weights(n), rng.random((n, n))) if kind == "emd"
+            else _drawn_plan(kind, n, rng))
+    records = [DenseParams(weight=_nonzero(rng, other, n), bias=_nonzero(rng, other)),
+               DenseParams(weight=_nonzero(rng, n, other), bias=_nonzero(rng, n)),
+               BatchNormParams(gamma=_nonzero(rng, n), beta_shift=_nonzero(rng, n),
+                               running_mean=_nonzero(rng, n), running_var=np.abs(_nonzero(rng, n)))]
+    if signed_zeros:
+        records = [_with_signed_zeros(r, rng) for r in records]
+    incoming, outgoing, bn = records
+    pairs = [
+        (align_layer_incoming(incoming, plan), checked_align_layer_incoming(incoming, plan)),
+        (align_layer_outgoing(outgoing, plan), checked_align_layer_outgoing(outgoing, plan)),
+        (align_batchnorm(bn, plan), checked_align_batchnorm(bn, plan)),
+    ]
+    for got, want in pairs:
+        assert _state(got) == _state(want)
+        _assert_rebuilds_identically(got)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

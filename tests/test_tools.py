@@ -1,10 +1,13 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-COMPARE = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+COMPARE = TOOLS / "compare_outputs.py"
+BENCH_PAIRS = TOOLS / "bench_pairs.py"
 
 
 def compare(tmp_path, left: dict[str, str], right: dict[str, str]):
@@ -46,3 +49,81 @@ def test_any_other_difference_fails(tmp_path, left, right, verdict):
     result = compare(tmp_path, left, right)
     assert result.returncode == 1, result.stdout
     assert verdict in result.stdout
+
+
+# A stand-in for perfbench/run.py: it logs "<tree> <seed>" to ../order.log, prints a report
+# line, then the JSON result with the metrics values.json holds for its seed.
+FAKE_RUN = """\
+import json, sys
+from pathlib import Path
+seed = sys.argv[sys.argv.index("--seed") + 1]
+tree = Path.cwd()
+with open(tree.parent / "order.log", "a") as log:
+    log.write(f"{tree.name} {seed}\\n")
+values = json.loads((tree / "values.json").read_text())[seed]
+print("perfbench workload=fake")
+print(json.dumps({"correct": values.pop("correct", True), "attempted": 4, "failed": 0,
+                  "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}))
+"""
+BENCHMARK = {"end_to_end": [{"name": "fuse_p50_s", "better": "lower"},
+                            {"name": "jobs_per_s", "better": "higher"}]}
+
+
+def bench_pairs(tmp_path, parent: dict, change: dict, pairs: int):
+    """Run bench_pairs.py on two fake trees; parent and change map a seed to its metrics."""
+    for name, values in (("parent", parent), ("change", change)):
+        tree = tmp_path / name
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tree / "values.json").write_text(json.dumps({str(k): v for k, v in values.items()}))
+        (tree / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    result = subprocess.run([sys.executable, str(BENCH_PAIRS), str(tmp_path / "parent"),
+                             str(tmp_path / "change"), "--workload", "fake", "--pairs", str(pairs),
+                             "--seconds", "1", "--seed", "100"], capture_output=True, text=True)
+    return result, (tmp_path / "order.log").read_text().split("\n")[:-1]
+
+
+def _parent_runs():
+    """Ten pairs' parent metrics: fuse_p50_s has median 11 and quartiles 10.5 and 11.5."""
+    return {100 + i: {"fuse_p50_s": 10.0 + 0.5 * (i % 5), "jobs_per_s": 5.0} for i in range(10)}
+
+
+def test_pairs_alternate_and_a_clear_gain_is_claimed(tmp_path):
+    parent = _parent_runs()
+    change = {seed: {"fuse_p50_s": v["fuse_p50_s"] - 2.0, "jobs_per_s": 5.0}
+              for seed, v in parent.items()}
+    result, order = bench_pairs(tmp_path, parent, change, pairs=10)
+    assert result.returncode == 0, result.stdout + result.stderr
+    # the parent runs first in odd pairs, each pair on its own seed
+    assert order[:6] == ["parent 100", "change 100", "change 101", "parent 101",
+                         "parent 102", "change 102"]
+    assert len(order) == 20
+    out = result.stdout
+    assert "parent median 11, quartiles 10.5 11.5; runs 10 10.5 11 11.5 12 10 10.5" in out
+    assert "change median 9, quartiles 8.5 9.5" in out
+    assert "change wins 10/10, median gap 2 against parent IQR 1: claim holds" in out
+    # equal throughput in every pair: no wins and no claim
+    assert "change wins 0/10, median gap 0 against parent IQR 0: claim fails" in out
+
+
+@pytest.mark.parametrize("shift, lost, verdict", [
+    (-0.5, 0, "change wins 10/10, median gap 0.5 against parent IQR 1: claim fails"),
+    (-3.0, 2, "change wins 8/10, median gap 2.5 against parent IQR 1: claim fails"),
+], ids=["gap-within-iqr", "too-few-wins"])
+def test_a_gain_is_not_claimed_without_both_rules(tmp_path, shift, lost, verdict):
+    parent = _parent_runs()
+    change = {seed: {"fuse_p50_s": v["fuse_p50_s"] + (shift if i >= lost else 5.0),
+                     "jobs_per_s": 5.0} for i, (seed, v) in enumerate(parent.items())}
+    result, _ = bench_pairs(tmp_path, parent, change, pairs=10)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert verdict in result.stdout
+
+
+def test_a_failed_run_fails_the_comparison(tmp_path):
+    parent = {100: {"fuse_p50_s": 1.0, "jobs_per_s": 5.0}, 101: {"fuse_p50_s": 1.0, "jobs_per_s": 5.0}}
+    change = {100: {"fuse_p50_s": 0.5, "jobs_per_s": 5.0},
+              101: {"fuse_p50_s": 0.5, "jobs_per_s": 5.0, "correct": False}}
+    result, order = bench_pairs(tmp_path, parent, change, pairs=2)
+    assert result.returncode == 1
+    assert len(order) == 4 and "FAILED pair 2 change" in result.stdout
+    assert "1 complete pairs of 2" in result.stdout
