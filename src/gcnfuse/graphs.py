@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -262,11 +263,28 @@ def _integer(value, what: str) -> int:
     return value
 
 
+_ROWS, _ENTRIES = frozenset((list,)), frozenset((int, float, list))  # list: a row; the reader checks shape
+
+
+def require_numbers(record: dict, names, error: type[Exception]) -> None:
+    """Reject a string, boolean or null among the entries of the record's JSON arrays under names
+    (lists of numbers or of rows): np.array reads "1.5" and true as 1.5 and 1.0, and null as NaN.
+    Both loaders call this on what they parse, never on arrays the program builds."""
+    for name in names:
+        if type(values := record.get(name)) is not list:
+            continue  # absent, or not an array: the array reader says what is wrong
+        rows = values if set(map(type, values)) == _ROWS else (values,)
+        if not set(map(type, chain.from_iterable(rows))) <= _ENTRIES:
+            bad = next(v for v in chain.from_iterable(rows) if type(v) not in _ENTRIES)
+            raise error(f"{name} holds {json.dumps(bad)}, which is not a number")
+
+
 def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -> Graph:
     n = _integer(rec["n"], "vertex count")
     edges = tuple((_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
                   for u, v in rec.get("edges", []))
     if "x" in rec:
+        require_numbers(rec, ["x"], DatasetFormatError)
         features = np.array(rec["x"], dtype=np.float64)
         if features.ndim != 2:
             raise DatasetFormatError("'x' must be a list of feature rows")

@@ -16,9 +16,9 @@ inference mode from stored running statistics; nothing here trains.
 
 Embedding, GraphConv and Dense share one record (params, an optional batch_norm,
 an activation), and every rebuild of a layer (noise, alignment, interpolation) is
-dataclasses.replace, which keeps its kind and activation. A record moved by a
-permutation plan is gathered from a checked one and skips re-validation (_gathered);
-new values (soft plans, noise, interpolation) go through the checking constructors.
+dataclasses.replace, which keeps its kind and activation. Alignment moves every record
+through _moved: a permutation plan gathers a checked record by index without re-checking
+it; new values (soft plans, noise, interpolation) go through the checking constructors.
 
 One private evaluator runs every forward pass (predict,
 forward_with_capture, evaluate_mae, label_with_model) on the graphs'
@@ -47,7 +47,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpecError, ModelFormatError
-from .graphs import Dataset, FusionBatch, bucket_layout
+from .graphs import Dataset, FusionBatch, bucket_layout, require_numbers
 from .ot import TransportPlan, identity_plan, uniform_weights
 
 PRE_BN = "pre_bn"
@@ -466,41 +466,28 @@ def _scaled_transport(plan: TransportPlan) -> np.ndarray:
     return T / np.where(mass > 0, mass, 1.0)[None, :]
 
 
-def _sources(plan: TransportPlan, dim: int, what: str) -> np.ndarray | None:
-    """Each column's one row if the plan is a scaled permutation, else None; dim must be its rows."""
+def _moved(record, plan: TransportPlan, dim: int, what: str, axis: int = 0):
+    """record's arrays x moved by the plan on the axis: (T / beta).T @ x on axis 0, x @ (T / beta)
+    on axis 1; dim must be the plan's rows. A permutation plan gathers each array having the axis
+    (scale, shift too) from the checked record; its checks and BN fold act per channel, so none
+    reruns, and take keeps the C order that products' bits follow. Other plans rebuild with checks."""
     if dim != plan.coupling.shape[0]:
         raise DimensionMismatchError(f"{what} {dim} != plan rows {plan.coupling.shape[0]}")
-    return None if (order := plan.as_permutation()) is None else np.argsort(order)
-
-
-def _gathered(record, rows: np.ndarray, axis: int = 0):
-    """A checked record with each array having the axis (scale and shift too) gathered by rows: its
-    checks and the BN fold act per channel, so on a permutation none runs again (as in
-    FgwProblem.transposed). take keeps the C order (not W[:, rows]'s) that products' bits follow."""
-    moved = object.__new__(type(record))
-    for name, x in vars(record).items():
-        if isinstance(x, np.ndarray) and x.ndim > axis:
-            (x := x.take(rows, axis=axis)).setflags(write=False)
-        vars(moved)[name] = x
-    return moved
-
-
-def _moved(record, plan: TransportPlan, dim: int, what: str):
-    """record's per-channel arrays x as (T / beta).T @ x: gathered for a permutation plan."""
-    rows = _sources(plan, dim, what)
-    if rows is not None:
-        return _gathered(record, rows)
+    if (order := plan.as_permutation()) is not None:
+        rows, moved = np.argsort(order), object.__new__(type(record))
+        for name, x in vars(record).items():
+            if isinstance(x, np.ndarray) and x.ndim > axis:
+                (x := x.take(rows, axis=axis)).setflags(write=False)
+            vars(moved)[name] = x
+        return moved
     S = _scaled_transport(plan)
-    return replace(record, **{f.name: S.T @ x for f in fields(record)
-                              if isinstance(x := getattr(record, f.name), np.ndarray)})
+    return replace(record, **{f.name: S.T @ x if axis == 0 else x @ S for f in fields(record)
+                              if isinstance(x := getattr(record, f.name), np.ndarray) and x.ndim > axis})
 
 
 def align_layer_incoming(weights: DenseParams, t_prev: TransportPlan) -> DenseParams:
     """W_hat = W @ T_prev / beta_prev: re-express columns in anchor order."""
-    rows = _sources(t_prev, weights.in_dim, "weight in_dim")
-    if rows is not None:
-        return _gathered(weights, rows, axis=1)
-    return DenseParams(weight=weights.weight @ _scaled_transport(t_prev), bias=weights.bias)
+    return _moved(weights, t_prev, weights.in_dim, "weight in_dim", axis=1)
 
 
 def align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan) -> DenseParams:
@@ -633,7 +620,9 @@ def _bn_from_json(obj) -> BatchNormParams | None:
     if obj is None:
         return None
     # a missing key raises KeyError; an extra one is ignored
-    return BatchNormParams(**{f.name: obj[f.name] for f in fields(BatchNormParams)})
+    values = {f.name: obj[f.name] for f in fields(BatchNormParams)}
+    require_numbers(values, values, ModelFormatError)
+    return BatchNormParams(**values)
 
 
 def _affine_to_json(kind: str, layer) -> dict:
@@ -681,8 +670,10 @@ def load_model(path: str | Path) -> GcnModel:
         try:
             kind = rec.get("kind")
             if kind == "embedding":
+                require_numbers(rec, ["weight"], ModelFormatError)
                 layers.append(Embedding(params=DenseParams(weight=rec["weight"])))
             elif kind in ("graph_conv", "dense"):
+                require_numbers(rec, ["weight", "bias"], ModelFormatError)
                 params = DenseParams(weight=rec["weight"], bias=rec.get("bias"))
                 bn = _bn_from_json(rec.get("batch_norm"))
                 layers.append(GraphConv(params=params, batch_norm=bn) if kind == "graph_conv" else

@@ -44,6 +44,14 @@ def _histogram(weights, name: str) -> np.ndarray:
     return w
 
 
+def _balanced(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta as checked histograms whose masses agree within MARGINAL_TOL."""
+    a, b = _histogram(alpha, "alpha"), _histogram(beta, "beta")
+    if abs(a.sum() - b.sum()) > MARGINAL_TOL:
+        raise InvalidSpecError(f"input masses differ: {a.sum():.12g} vs {b.sum():.12g}")
+    return a, b
+
+
 def _cost(cost, n: int, m: int, stacked: bool = False) -> np.ndarray:
     C = np.asarray(cost, dtype=np.float64)
     if C.ndim not in ((2, 3) if stacked else (2,)) or C.shape[-2:] != (n, m) or C.size == 0:
@@ -153,13 +161,8 @@ def emd(alpha, beta, cost) -> TransportPlan:
     through an LP (dual simplex) with tightened feasibility tolerances so the
     1e-9 marginal guarantee holds with slack.
     """
-    a = _histogram(alpha, "alpha")
-    b = _histogram(beta, "beta")
+    a, b = _balanced(alpha, beta)
     C = _cost(cost, a.size, b.size)
-    if abs(a.sum() - b.sum()) > MARGINAL_TOL:
-        raise InvalidSpecError(
-            f"input masses differ: {a.sum():.12g} vs {b.sum():.12g}"
-        )
     if _uniform_square(a, b):
         plan = TransportPlan._permutation(cols := linear_sum_assignment(C)[1], a, C)
         # row k sums to a[k] exactly and column cols[k] holds a[k] alone: the dense sums' error
@@ -448,7 +451,8 @@ class FgwProblem:
     distance matrices; feature_cost compares vertex features across the
     graphs. trade_off weights the feature term (1 = pure feature OT,
     0 = pure structure); it may be a (P, n, m) stack of instances sharing the
-    rest. The masses of alpha and beta balance within MARGINAL_TOL.
+    rest. The masses of alpha and beta balance within MARGINAL_TOL. The
+    constructor checks, copies and freezes every array, as TransportPlan does.
     """
 
     structure_a: np.ndarray
@@ -459,20 +463,16 @@ class FgwProblem:
     beta: np.ndarray
 
     def __post_init__(self):
-        a = _histogram(self.alpha, "alpha")
-        b = _histogram(self.beta, "beta")
-        if abs(a.sum() - b.sum()) > MARGINAL_TOL:
-            raise InvalidSpecError(f"input masses differ: {a.sum():.12g} vs {b.sum():.12g}")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        Ca = self._structure(self.structure_a, a.size, "structure_a")
-        Cb = self._structure(self.structure_b, b.size, "structure_b")
-        object.__setattr__(self, "structure_a", Ca)
-        object.__setattr__(self, "structure_b", Cb)
-        F = _cost(self.feature_cost, a.size, b.size, stacked=True)
-        object.__setattr__(self, "feature_cost", F)
+        a, b = _balanced(self.alpha, self.beta)
+        checked = dict(alpha=a, beta=b,
+                       structure_a=self._structure(self.structure_a, a.size, "structure_a"),
+                       structure_b=self._structure(self.structure_b, b.size, "structure_b"),
+                       feature_cost=_cost(self.feature_cost, a.size, b.size, stacked=True))
         if not 0.0 <= self.trade_off <= 1.0:
             raise InvalidSpecError(f"trade_off must be in [0, 1], got {self.trade_off}")
+        for name, x in checked.items():
+            (x := np.array(x)).setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @staticmethod
     def _structure(mat, size: int, name: str) -> np.ndarray:

@@ -221,12 +221,19 @@ class TestAlignmentAlgebra:
         assert np.all(out.running_var >= 0)
 
     def test_dim_mismatches_rejected(self):
+        # one check guards every move, on a permutation plan and on a soft one alike
         W = DenseParams(weight=np.ones((2, 3)))
-        plan = TransportPlan(coupling=np.eye(2) / 2, objective=0.0)
-        with pytest.raises(DimensionMismatchError):
-            align_layer_incoming(W, plan)
-        with pytest.raises(DimensionMismatchError):
-            align_layer_outgoing(DenseParams(weight=np.ones((3, 2))), plan)
+        bn = BatchNormParams(gamma=np.ones(3), beta_shift=np.zeros(3),
+                             running_mean=np.zeros(3), running_var=np.ones(3))
+        soft = np.array([[0.25, 0.125], [0.125, 0.5]])
+        for plan in (TransportPlan(coupling=np.eye(2) / 2, objective=0.0),
+                     TransportPlan(coupling=soft, objective=0.0)):
+            with pytest.raises(DimensionMismatchError, match=r"^weight in_dim 3 != plan rows 2$"):
+                align_layer_incoming(W, plan)
+            with pytest.raises(DimensionMismatchError, match=r"^weight out_dim 3 != plan rows 2$"):
+                align_layer_outgoing(DenseParams(weight=np.ones((3, 2))), plan)
+            with pytest.raises(DimensionMismatchError, match=r"^bn dim 3 != plan rows 2$"):
+                align_batchnorm(bn, plan)
 
     def test_empty_plan_column_aligns_to_finite_weights(self):
         # a Sinkhorn plan can lose all mass on an anchor neuron

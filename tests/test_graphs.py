@@ -168,6 +168,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="record 2"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("entry, shown", [("1.5", '"1.5"'), (True, "true"), (None, "null")],
+                             ids=["string", "boolean", "null"])
+    def test_non_number_feature_entry_names_record_and_field(self, tmp_path, entry, shown):
+        # np.array would read "1.5" as 1.5, true as 1.0 and null as NaN
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps({"n": 1, "x": [[0.5]]}) + "\n"
+                     + json.dumps({"n": 2, "x": [[0.5, 1.0], [2.0, entry]]}) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"^record 2: x holds {shown}, which is not a number$"):
+            load_dataset(p)
+
     def test_integer_and_null_targets_load(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text(json.dumps({"n": 1, "x": [[0.0]], "y": 2}) + "\n"

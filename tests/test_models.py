@@ -660,6 +660,31 @@ class TestModelIo:
         with pytest.raises(ModelFormatError, match="layer 1"):
             load_model(p)
 
+    @pytest.mark.parametrize("entry, shown", [("0.25", '"0.25"'), (True, "true"), (None, "null")],
+                             ids=["string", "boolean", "null"])
+    @pytest.mark.parametrize("layer, path", [
+        (0, ["weight", 1, 0]), (1, ["weight", 0, 1]), (1, ["bias", 2]),
+        *((1, ["batch_norm", name, 1]) for name in ("gamma", "beta_shift", "running_mean", "running_var")),
+        (3, ["weight", 0, 2]), (3, ["bias", 0]),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else f"layer{v}")
+    def test_non_number_parameter_entry_names_layer_and_field(self, tmp_path, layer, path, entry, shown):
+        # np.array would read "0.25" as 0.25, true as 1.0 and null as NaN
+        model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1, dense_layers=1,
+                                      batch_norm=True), seed=27)
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        *keys, last = path
+        target = doc["layers"][layer]
+        for key in keys:
+            target = target[key]
+        target[last] = entry
+        p.write_text(json.dumps(doc))
+        field = [k for k in keys if isinstance(k, str)][-1]
+        with pytest.raises(ModelFormatError,
+                           match=f"m.json: layer {layer}: {field} holds {shown}, which is not a number$"):
+            load_model(p)
+
     def test_oversized_batchnorm_epsilon_names_layer(self, tmp_path):
         model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
                                       dense_layers=1, batch_norm=True), seed=27)

@@ -542,6 +542,23 @@ class TestFgw:
         plan = TransportPlan(coupling=T, objective=d)
         assert plan.marginal_error(problem.alpha, problem.beta) <= 1e-9
 
+    @pytest.mark.parametrize("name", ["structure_a", "structure_b", "feature_cost", "alpha", "beta"])
+    def test_a_callers_arrays_are_copied_and_frozen(self, name):
+        rng = np.random.default_rng(18)
+        given = dict(structure_a=random_structure(rng, 3), structure_b=random_structure(rng, 3),
+                     feature_cost=rng.random((2, 3, 3)), alpha=uniform_weights(3), beta=uniform_weights(3))
+        problem = FgwProblem(trade_off=0.5, **given)
+        kept = getattr(problem, name)
+        assert not kept.flags.writeable and not np.shares_memory(kept, given[name])
+        before = kept.copy()
+        given[name].flat[0] = np.nan  # a later write to the caller's array does not reach the problem
+        assert np.array_equal(kept, before)
+        distances, _ = fgw_distance(problem)
+        assert np.all(np.isfinite(distances))
+        swap = {"structure_a": "structure_b", "structure_b": "structure_a", "alpha": "beta", "beta": "alpha"}
+        mirrored = getattr(problem.transposed(), swap.get(name, name))
+        assert not mirrored.flags.writeable and np.shares_memory(mirrored, kept)
+
     def test_structure_validation(self):
         rng = np.random.default_rng(16)
         S = random_structure(rng, 3)

@@ -8,6 +8,7 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 COMPARE = TOOLS / "compare_outputs.py"
 BENCH_PAIRS = TOOLS / "bench_pairs.py"
+SRC_LINES = TOOLS / "src_lines.py"
 
 
 def compare(tmp_path, left: dict[str, str], right: dict[str, str]):
@@ -127,3 +128,31 @@ def test_a_failed_run_fails_the_comparison(tmp_path):
     assert result.returncode == 1
     assert len(order) == 4 and "FAILED pair 2 change" in result.stdout
     assert "1 complete pairs of 2" in result.stdout
+
+
+def test_src_lines_counts_non_blank_lines_per_module(tmp_path):
+    trees = {"parent": {"models.py": "a = 1\n\n   \nb = 2\n", "gone.py": "x = 0\n",
+                        "sub/deep.py": "# a comment counts\n"},
+             "change": {"models.py": "a = 1\nb = 2\nc = 3\n", "new.py": "\n\ny = 0\n",
+                        "sub/deep.py": "# a comment counts\n"}}
+    for side, files in trees.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "gcnfuse" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    result = subprocess.run([sys.executable, str(SRC_LINES), str(tmp_path / "parent"),
+                             str(tmp_path / "change")], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    assert rows == [["module", "parent", "change", "diff"],
+                    ["gone.py", "1", "0", "-1"],
+                    ["models.py", "2", "3", "+1"],
+                    ["new.py", "0", "1", "+1"],
+                    ["sub/deep.py", "1", "1", "+0"],
+                    ["total", "4", "5", "+1"]]
+
+
+def test_src_lines_rejects_a_tree_without_the_package(tmp_path):
+    result = subprocess.run([sys.executable, str(SRC_LINES), str(tmp_path), str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 1 and "no src/gcnfuse directory" in result.stderr
