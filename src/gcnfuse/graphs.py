@@ -26,8 +26,8 @@ import scipy.sparse.csgraph
 from .errors import DatasetFormatError, DimensionMismatchError, InvalidSpecError
 
 
-def _frozen_array(values, dtype=np.float64, ndim: int | None = None) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, ndim: int | None = None) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise DatasetFormatError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -283,6 +283,8 @@ def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -
     n = _integer(rec["n"], "vertex count")
     edges = tuple((_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
                   for u, v in rec.get("edges", []))
+    if "x" in rec and "atom" in rec:
+        raise DatasetFormatError("a record holds 'x' or 'atom' features, not both")
     if "x" in rec:
         require_numbers(rec, ["x"], DatasetFormatError)
         features = np.array(rec["x"], dtype=np.float64)

@@ -19,6 +19,9 @@ an activation), and every rebuild of a layer (noise, alignment, interpolation) i
 dataclasses.replace, which keeps its kind and activation. Alignment moves every record
 through _moved: a permutation plan gathers a checked record by index without re-checking
 it; new values (soft plans, noise, interpolation) go through the checking constructors.
+_KINDS says once, for each layer class, its model-file name, its summary name and the
+layer fields its record carries; summary, save_model and load_model all read it, and
+load_model rejects a record setting a layer field its kind does not carry.
 
 One private evaluator runs every forward pass (predict,
 forward_with_capture, evaluate_mae, label_with_model) on the graphs'
@@ -198,6 +201,15 @@ class Dense(_Parameterized):
 
 Layer = Union[Embedding, GraphConv, MeanReadout, Dense]
 
+# Each layer kind's file name, summary name and the layer fields its record carries, in file order.
+_KINDS = {
+    Embedding: ("embedding", "emb", ("weight",)),
+    GraphConv: ("graph_conv", "gc", ("weight", "bias", "batch_norm")),
+    MeanReadout: ("mean_readout", "mean", ()),
+    Dense: ("dense", "dense", ("weight", "bias", "batch_norm", "activation")),
+}
+_FIELDS = _KINDS[Dense][2]  # every layer field a record may set
+
 
 @dataclass(frozen=True)
 class GcnModel:
@@ -253,19 +265,14 @@ class GcnModel:
         return [shape(l) for l in self.layers] == [shape(l) for l in other.layers]
 
     def summary(self) -> str:
-        parts = []
-        for l in self.layers:
-            if isinstance(l, Embedding):
-                parts.append(f"emb({l.params.in_dim}->{l.params.out_dim})")
-            elif isinstance(l, GraphConv):
-                bn = "+bn" if l.batch_norm is not None else ""
-                parts.append(f"gc({l.params.in_dim}->{l.params.out_dim}{bn})")
-            elif isinstance(l, MeanReadout):
-                parts.append("mean")
-            else:
-                bn = "+bn" if l.batch_norm is not None else ""
-                parts.append(f"dense({l.params.in_dim}->{l.params.out_dim}{bn},{l.activation})")
-        return " ".join(parts)
+        def part(l):
+            _, short, keys = _KINDS[type(l)]
+            if not keys:
+                return short
+            bn = "+bn" if l.batch_norm is not None else ""
+            act = f",{l.activation}" if "activation" in keys else ""
+            return f"{short}({l.params.in_dim}->{l.params.out_dim}{bn}{act})"
+        return " ".join(map(part, self.layers))
 
 
 @dataclass(frozen=True)
@@ -610,10 +617,11 @@ def random_model(spec: ArchSpec, seed: int, name: str = "") -> GcnModel:
 _SCHEMA = "gcnfuse-model/1"
 
 
-def _bn_to_json(bn: BatchNormParams | None):
-    if bn is None:
-        return None
-    return {f.name: np.asarray(getattr(bn, f.name)).tolist() for f in fields(bn)}
+def _to_json(value):
+    """A layer field as a model file holds it: a batch norm as an object, the rest as lists or scalars."""
+    if isinstance(value, BatchNormParams):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    return np.asarray(value).tolist()
 
 
 def _bn_from_json(obj) -> BatchNormParams | None:
@@ -625,32 +633,23 @@ def _bn_from_json(obj) -> BatchNormParams | None:
     return BatchNormParams(**values)
 
 
-def _affine_to_json(kind: str, layer) -> dict:
-    """The record keys a graph convolution and a dense layer share, in file order."""
-    bias = layer.params.bias
-    return {"kind": kind, "weight": layer.params.weight.tolist(),
-            "bias": None if bias is None else bias.tolist(),
-            "batch_norm": _bn_to_json(layer.batch_norm)}
+def _layer_to_json(layer) -> dict:
+    """{"kind": its file name, then each layer field its kind carries, in _KINDS order}."""
+    name, _, keys = _KINDS[type(layer)]
+    record = {"kind": name}
+    for key in keys:  # weight and bias sit on the layer's params
+        record[key] = _to_json(getattr(layer.params if key in ("weight", "bias") else layer, key))
+    return record
 
 
 def save_model(model: GcnModel, path: str | Path) -> None:
     """Write the model to a JSON document; load_model(save_model(m)) == m exactly."""
-    layers = []
-    for layer in model.layers:
-        if isinstance(layer, Embedding):
-            layers.append({"kind": "embedding", "weight": layer.params.weight.tolist()})
-        elif isinstance(layer, GraphConv):
-            layers.append(_affine_to_json("graph_conv", layer))
-        elif isinstance(layer, MeanReadout):
-            layers.append({"kind": "mean_readout"})
-        elif isinstance(layer, Dense):
-            layers.append({**_affine_to_json("dense", layer), "activation": layer.activation})
     doc = {
         "schema": _SCHEMA,
         "name": model.name,
         "seed": model.seed,
         "summary": model.summary(),
-        "layers": layers,
+        "layers": [_layer_to_json(layer) for layer in model.layers],
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -668,23 +667,23 @@ def load_model(path: str | Path) -> GcnModel:
     layers: list[Layer] = []
     for i, rec in enumerate(doc.get("layers", [])):
         try:
+            if not isinstance(rec, dict):
+                raise ModelFormatError("a layer record must be a JSON object")
             kind = rec.get("kind")
-            if kind == "embedding":
-                require_numbers(rec, ["weight"], ModelFormatError)
-                layers.append(Embedding(params=DenseParams(weight=rec["weight"])))
-            elif kind in ("graph_conv", "dense"):
-                require_numbers(rec, ["weight", "bias"], ModelFormatError)
-                params = DenseParams(weight=rec["weight"], bias=rec.get("bias"))
-                bn = _bn_from_json(rec.get("batch_norm"))
-                layers.append(GraphConv(params=params, batch_norm=bn) if kind == "graph_conv" else
-                              Dense(params=params, batch_norm=bn,
-                                    activation=rec.get("activation", "relu")))
-            elif kind == "mean_readout":
-                layers.append(MeanReadout())
-            else:
+            cls, keys = next(((c, k) for c, (name, _, k) in _KINDS.items() if name == kind), (None, ()))
+            if cls is None:
                 raise ModelFormatError(f"unknown layer kind {kind!r}")
-        except (ModelFormatError, DimensionMismatchError,
-                KeyError, AttributeError, TypeError, OverflowError) as exc:
+            if stray := [key for key in _FIELDS if key in rec and key not in keys]:
+                raise ModelFormatError(f"{kind} records carry no {stray[0]!r}")
+            if keys and "weight" not in rec:
+                raise ModelFormatError(f"{kind} record has no 'weight'")
+            require_numbers(rec, ["weight", "bias"], ModelFormatError)
+            # only Dense carries an activation; the other kinds fix theirs on the class
+            layers.append(cls() if not keys else cls(
+                params=DenseParams(weight=rec["weight"], bias=rec.get("bias")),
+                batch_norm=_bn_from_json(rec.get("batch_norm")),
+                **({"activation": rec["activation"]} if "activation" in rec else {})))
+        except (ModelFormatError, DimensionMismatchError, KeyError, TypeError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: layer {i}: {exc}") from exc
     try:
         return GcnModel(layers=tuple(layers), name=doc.get("name", ""), seed=doc.get("seed"))

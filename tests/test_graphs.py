@@ -168,6 +168,15 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="record 2"):
             load_dataset(p)
 
+    def test_a_record_with_both_x_and_atom_is_rejected(self, tmp_path):
+        # neither feature form is dropped in favour of the other
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps({"vocab": 2}) + "\n"
+                     + json.dumps({"n": 2, "x": [[1, 2], [3, 4]], "atom": [1, 0]}) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match="^record 2: a record holds 'x' or 'atom' features, not both$"):
+            load_dataset(p)
+
     @pytest.mark.parametrize("entry, shown", [("1.5", '"1.5"'), (True, "true"), (None, "null")],
                              ids=["string", "boolean", "null"])
     def test_non_number_feature_entry_names_record_and_field(self, tmp_path, entry, shown):

@@ -604,12 +604,22 @@ class TestRandomModel:
 
 class TestModelIo:
     def test_round_trip_exact(self, tmp_path):
-        spec = ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=2, dense_layers=2,
-                        batch_norm=True)
-        model = random_model(spec, seed=24, name="m")
-        p = tmp_path / "m.json"
-        save_model(model, p)
-        assert_models_equal(model, load_model(p))
+        specs = {"gcn-bn": ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=2, dense_layers=2,
+                                    batch_norm=True),
+                 "gcn": ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=2, dense_layers=2),
+                 # batch norm on the hidden dense layers
+                 "mlp-bn": ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=0, dense_layers=3,
+                                    batch_norm=True)}
+        for label, spec in specs.items():
+            model = random_model(spec, seed=24, name="m")
+            p, again = tmp_path / f"{label}.json", tmp_path / f"{label}-again.json"
+            save_model(model, p)
+            loaded = load_model(p)
+            assert_models_equal(model, loaded)
+            save_model(loaded, again)
+            assert again.read_bytes() == p.read_bytes(), label
+        assert [type(l) for l in model.layers] == [Embedding, Dense, Dense, Dense]
+        assert [l.batch_norm is not None for l in model.layers[1:]] == [True, True, False]
 
     def test_save_deterministic(self, tmp_path):
         model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
@@ -638,6 +648,46 @@ class TestModelIo:
         doc["layers"][0]["kind"] = "attention"
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="unknown layer kind"):
+            load_model(p)
+
+    @pytest.mark.parametrize("kind, field", [
+        ("embedding", "bias"), ("embedding", "batch_norm"), ("embedding", "activation"),
+        ("graph_conv", "activation"),
+        ("mean_readout", "weight"), ("mean_readout", "bias"), ("mean_readout", "batch_norm"),
+        ("mean_readout", "activation"),
+    ])
+    def test_a_field_the_kind_does_not_carry_is_rejected(self, tmp_path, kind, field):
+        # each value would be valid on a kind that carries the field, so none may be dropped
+        model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1, dense_layers=1,
+                                      batch_norm=True), seed=31)
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        kinds = [rec["kind"] for rec in doc["layers"]]
+        assert kinds == ["embedding", "graph_conv", "mean_readout", "dense"]
+        conv, layer = doc["layers"][1], kinds.index(kind)
+        doc["layers"][layer][field] = {
+            "weight": conv["weight"], "bias": [5.0, 5.0, 5.0], "batch_norm": conv["batch_norm"],
+            "activation": "relu" if kind == "embedding" else "none"}[field]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError,
+                           match=f"m.json: layer {layer}: {kind} records carry no '{field}'$"):
+            load_model(p)
+
+    @pytest.mark.parametrize("case", ["not-an-object", "no-weight"])
+    def test_malformed_layer_record_names_layer(self, tmp_path, case):
+        p = tmp_path / "m.json"
+        save_model(random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                         dense_layers=1), seed=32), p)
+        doc = json.loads(p.read_text())
+        if case == "not-an-object":
+            doc["layers"][2] = 5
+            message = "layer 2: a layer record must be a JSON object"
+        else:
+            del doc["layers"][1]["weight"]
+            message = "layer 1: graph_conv record has no 'weight'"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"m.json: {message}$"):
             load_model(p)
 
     @pytest.mark.parametrize("document", [[1, 2], {"schema": "gcnfuse-model/1", "layers": 5}])

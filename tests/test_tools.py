@@ -149,7 +149,58 @@ def test_src_lines_counts_non_blank_lines_per_module(tmp_path):
                     ["models.py", "2", "3", "+1"],
                     ["new.py", "0", "1", "+1"],
                     ["sub/deep.py", "1", "1", "+0"],
-                    ["total", "4", "5", "+1"]]
+                    ["total", "4", "5", "+1"],
+                    ["names", "in", "__all__", "0", "0", "+0"],
+                    ["public", "dataclass", "fields", "0", "0", "+0"]]
+
+
+KNOBS = """\
+from dataclasses import dataclass
+from typing import ClassVar
+
+
+@dataclass(frozen=True)
+class _Base:
+    a: int
+    b: int = 0
+
+
+@dataclass
+class Pub(_Base):
+    c: int = 1
+    limit: ClassVar[int] = 2
+
+    def method(self):
+        local: int = 3
+
+
+class Plain:
+    d: int
+
+
+@dataclass
+class _Private:
+    e: int
+"""
+
+
+def test_src_lines_counts_public_names_and_dataclass_fields(tmp_path):
+    # Pub has a, b (from _Base) and c; ClassVars, locals, plain and private classes do not count
+    trees = {"parent": {"__init__.py": '__all__ = ["Pub", "load"]\n', "models.py": KNOBS},
+             "change": {"__init__.py": '__all__ = ("Pub", "load", "Other")\n', "models.py": KNOBS,
+                        "sub/more.py": "import dataclasses\n\n\n@dataclasses.dataclass(frozen=True)\n"
+                                       "class Other:\n    f: float\n"}}
+    for side, files in trees.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "gcnfuse" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    result = subprocess.run([sys.executable, str(SRC_LINES), str(tmp_path / "parent"),
+                             str(tmp_path / "change")], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    assert rows[-2:] == [["names", "in", "__all__", "2", "3", "+1"],
+                         ["public", "dataclass", "fields", "3", "4", "+1"]]
 
 
 def test_src_lines_rejects_a_tree_without_the_package(tmp_path):
