@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from .costs import COST_KINDS, EFD, FGW, QE, CostSpec
-from .errors import GcnFuseError, InvalidSpecError
+from .errors import GcnFuseError
 from .fusion import (
     SOLVER_EMD,
     SOLVER_SINKHORN,
@@ -108,10 +108,7 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
 
 
 def _has_targets(dataset: Dataset) -> bool:
-    try:
-        return dataset.targets is not None
-    except InvalidSpecError:
-        return False
+    return all(g.target is not None for g in dataset.graphs)
 
 
 def _require_targets(dataset: Dataset, what: str) -> None:

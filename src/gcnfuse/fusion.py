@@ -15,7 +15,7 @@ import numpy as np
 
 from .costs import EFD, FGW, QE, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
 from .errors import DimensionMismatchError, InvalidSpecError
-from .graphs import Dataset, FusionBatch, sample_batch
+from .graphs import Dataset, FusionBatch, read_integer, sample_batch
 from .models import (
     CAPTURE_POINTS,
     POST_BN,
@@ -81,9 +81,9 @@ class FusionConfig:
         if self.capture_point not in CAPTURE_POINTS:
             raise InvalidSpecError(
                 f"capture_point must be one of {CAPTURE_POINTS}, got {self.capture_point!r}")
-        if self.sample_size < 1:
+        if read_integer(self.sample_size, "sample_size", InvalidSpecError) < 1:
             raise InvalidSpecError("sample_size must be >= 1")
-        if self.seed < 0:
+        if read_integer(self.seed, "seed", InvalidSpecError) < 0:
             raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
 
 

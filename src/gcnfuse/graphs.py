@@ -9,12 +9,16 @@ Dataset files are line-delimited JSON: an optional header record declaring
 ``feature_dim`` (and ``vocab`` for categorical features), followed by one
 record per graph with fields ``n``, ``edges``, ``x`` (dense rows) or ``atom``
 (categorical indices, expanded to one-hot on load), and optional ``y``.
+
+Graph, the model records and the specs check their own values with read_array, read_integer
+and read_number; the loaders add only require_numbers, for JSON strings, booleans and nulls.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -26,21 +30,44 @@ import scipy.sparse.csgraph
 from .errors import DatasetFormatError, DimensionMismatchError, InvalidSpecError
 
 
-def _frozen_array(values, ndim: int | None = None) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if ndim is not None and arr.ndim != ndim:
-        raise DatasetFormatError(f"expected a {ndim}-d array, got shape {arr.shape}")
+def read_array(values, ndim: int, what: str, error: type[Exception]) -> np.ndarray:
+    """values as a read-only float64 array of ndim dimensions whose entries are all finite."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} is not numeric ({exc})") from exc
+    if arr.ndim != ndim:
+        raise error(f"{what} must be a {ndim}-d array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise error(f"{what} holds NaN or infinite values")
     arr.setflags(write=False)
     return arr
+
+
+def read_integer(value, what: str, error: type[Exception]) -> int:
+    """value as an int: an integral value, not a bool (int() would truncate 1.5 and read "3")."""
+    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise error(f"{what} {value!r} is not an integer")
+
+
+def read_number(value, what: str, error: type[Exception]) -> float:
+    """value as a float: a finite real in the float range, not a bool ("2.5" and True fail)."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # isfinite of an int too large for a float
+        pass
+    raise error(f"{what} {value!r} is not a finite number")
 
 
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with per-vertex feature rows and an optional target.
 
-    Edges are canonicalized to ``(min(u, v), max(u, v))`` and deduplicated at
-    construction; self-loops are rejected because degree normalization counts
-    the vertex itself exactly once. Features and the target must be finite.
+    Edges (pairs) are canonicalized to ``(min(u, v), max(u, v))`` and deduplicated at
+    construction; self-loops are rejected because degree normalization counts the vertex
+    itself exactly once. The count and endpoints are integers, features and target finite.
     """
 
     num_vertices: int
@@ -49,12 +76,14 @@ class Graph:
     target: float | None = None
 
     def __post_init__(self):
-        if self.num_vertices < 1:
+        if read_integer(self.num_vertices, "num_vertices", DatasetFormatError) < 1:
             raise DatasetFormatError("graph must have at least one vertex")
-        seen = set()
-        canon = []
+        canon = {}  # canonical edge -> None, in the given order
         for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+            if not isinstance(e, (tuple, list, np.ndarray)) or len(e) != 2:
+                raise DatasetFormatError(f"edge {e!r} is not a pair of vertices")
+            u = read_integer(e[0], "edge endpoint", DatasetFormatError)
+            v = read_integer(e[1], "edge endpoint", DatasetFormatError)
             if u == v:
                 raise DatasetFormatError(f"self-loop on vertex {u} is not stored explicitly")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
@@ -62,24 +91,17 @@ class Graph:
                     f"edge ({u}, {v}) references a vertex outside 0..{self.num_vertices - 1}"
                 )
             key = (min(u, v), max(u, v))
-            if key in seen:
+            if key in canon:
                 raise DatasetFormatError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            canon.append(key)
+            canon[key] = None
         object.__setattr__(self, "edges", tuple(canon))
-        feats = _frozen_array(self.features, ndim=2)
-        if feats.shape[0] != self.num_vertices:
+        object.__setattr__(self, "features", read_array(self.features, 2, "features", DatasetFormatError))
+        if self.features.shape[0] != self.num_vertices:
             raise DatasetFormatError(
-                f"features have {feats.shape[0]} rows for {self.num_vertices} vertices"
+                f"features have {self.features.shape[0]} rows for {self.num_vertices} vertices"
             )
-        if not np.isfinite(feats).all():
-            raise DatasetFormatError("features hold NaN or infinite values")
-        object.__setattr__(self, "features", feats)
         if self.target is not None:
-            target = float(self.target)
-            if not math.isfinite(target):
-                raise DatasetFormatError(f"target {target!r} is not finite")
-            object.__setattr__(self, "target", target)
+            object.__setattr__(self, "target", read_number(self.target, "target", DatasetFormatError))
 
     @property
     def feature_dim(self) -> int:
@@ -143,7 +165,7 @@ class Dataset:
         for i, g in enumerate(self.graphs):
             if g.target is None:
                 raise InvalidSpecError(f"graph {i} has no target; cannot evaluate MAE")
-        return _frozen_array([g.target for g in self.graphs])
+        return read_array([g.target for g in self.graphs], 1, "targets", InvalidSpecError)
 
 
 @dataclass(frozen=True)
@@ -242,9 +264,9 @@ def load_dataset(path: str | Path) -> Dataset:
                         continue
                     # header record
                     if "feature_dim" in rec:
-                        feature_dim = _integer(rec["feature_dim"], "feature_dim")
+                        feature_dim = read_integer(rec["feature_dim"], "feature_dim", DatasetFormatError)
                     if "vocab" in rec:
-                        vocab = _integer(rec["vocab"], "vocab")
+                        vocab = read_integer(rec["vocab"], "vocab", DatasetFormatError)
                 except (DatasetFormatError, ValueError, TypeError, KeyError, OverflowError) as exc:
                     raise DatasetFormatError(f"record {lineno}: {exc}") from exc
     except UnicodeDecodeError as exc:  # raised by the line reads, never by a record
@@ -254,13 +276,6 @@ def load_dataset(path: str | Path) -> Dataset:
     if feature_dim is None:
         feature_dim = graphs[0].feature_dim
     return Dataset(graphs=tuple(graphs), feature_dim=feature_dim)
-
-
-def _integer(value, what: str) -> int:
-    # int() would silently truncate 1.5 and accept "3"
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DatasetFormatError(f"{what} {value!r} is not an integer")
-    return value
 
 
 _ROWS, _ENTRIES = frozenset((list,)), frozenset((int, float, list))  # list: a row; the reader checks shape
@@ -280,20 +295,16 @@ def require_numbers(record: dict, names, error: type[Exception]) -> None:
 
 
 def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -> Graph:
-    n = _integer(rec["n"], "vertex count")
-    edges = tuple((_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
-                  for u, v in rec.get("edges", []))
+    n = read_integer(rec["n"], "vertex count", DatasetFormatError)
     if "x" in rec and "atom" in rec:
         raise DatasetFormatError("a record holds 'x' or 'atom' features, not both")
     if "x" in rec:
         require_numbers(rec, ["x"], DatasetFormatError)
-        features = np.array(rec["x"], dtype=np.float64)
-        if features.ndim != 2:
-            raise DatasetFormatError("'x' must be a list of feature rows")
+        features = rec["x"]
     elif "atom" in rec:
         if vocab is None:
             raise DatasetFormatError("'atom' record requires a header declaring 'vocab'")
-        idx = np.array([_integer(a, "atom index") for a in rec["atom"]], dtype=np.int64)
+        idx = np.array([read_integer(a, "atom", DatasetFormatError) for a in rec["atom"]], dtype=np.int64)
         if idx.ndim != 1 or idx.shape[0] != n:
             raise DatasetFormatError("'atom' must list one index per vertex")
         if np.any((idx < 0) | (idx >= vocab)):
@@ -302,14 +313,10 @@ def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -
         features[np.arange(n), idx] = 1.0
     else:
         raise DatasetFormatError("record has neither 'x' nor 'atom' features")
-    if feature_dim is not None and features.shape[1] != feature_dim:
-        raise DatasetFormatError(
-            f"feature_dim {features.shape[1]} does not match header {feature_dim}"
-        )
-    target = rec.get("y")
-    if target is not None and (isinstance(target, bool) or not isinstance(target, (int, float))):
-        raise DatasetFormatError(f"target {target!r} is not a number")  # float() takes "2.5"
-    return Graph(num_vertices=n, edges=edges, features=features, target=target)
+    graph = Graph(num_vertices=n, edges=rec.get("edges", ()), features=features, target=rec.get("y"))
+    if feature_dim is not None and graph.feature_dim != feature_dim:
+        raise DatasetFormatError(f"feature_dim {graph.feature_dim} does not match header {feature_dim}")
+    return graph
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -371,16 +378,16 @@ class GeneratorSpec:
     feature_dim: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidSpecError("count must be >= 1")
-        if not 1 <= self.min_vertices <= self.max_vertices:
+        for name in ("count", "feature_dim"):
+            if read_integer(getattr(self, name), name, InvalidSpecError) < 1:
+                raise InvalidSpecError(f"{name} must be >= 1")
+        if not (1 <= read_integer(self.min_vertices, "min_vertices", InvalidSpecError)
+                <= read_integer(self.max_vertices, "max_vertices", InvalidSpecError)):
             raise InvalidSpecError("need 1 <= min_vertices <= max_vertices")
         if not 0.0 <= self.edge_density <= 1.0:
             raise InvalidSpecError(
                 f"edge_density {self.edge_density} must lie in [0, 1] (1.0 = complete graph)"
             )
-        if self.feature_dim < 1:
-            raise InvalidSpecError("feature_dim must be >= 1")
 
 
 def synthesize_dataset(spec: GeneratorSpec, seed: int) -> Dataset:

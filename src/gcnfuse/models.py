@@ -18,7 +18,8 @@ Embedding, GraphConv and Dense share one record (params, an optional batch_norm,
 an activation), and every rebuild of a layer (noise, alignment, interpolation) is
 dataclasses.replace, which keeps its kind and activation. Alignment moves every record
 through _moved: a permutation plan gathers a checked record by index without re-checking
-it; new values (soft plans, noise, interpolation) go through the checking constructors.
+it; new values (soft plans, noise, interpolation) go through the constructors, which check
+arrays and numbers with the graphs readers read_array, read_integer and read_number.
 _KINDS says once, for each layer class, its model-file name, its summary name and the
 layer fields its record carries; summary, save_model and load_model all read it, and
 load_model rejects a record setting a layer field its kind does not carry.
@@ -50,25 +51,13 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpecError, ModelFormatError
-from .graphs import Dataset, FusionBatch, bucket_layout, require_numbers
+from .graphs import (Dataset, FusionBatch, bucket_layout, read_array, read_integer, read_number,
+                     require_numbers)
 from .ot import TransportPlan, identity_plan, uniform_weights
 
 PRE_BN = "pre_bn"
 POST_BN = "post_bn"
 CAPTURE_POINTS = (PRE_BN, POST_BN)
-
-
-def _array(values, ndim: int) -> np.ndarray:
-    try:
-        arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"parameter array is not numeric ({exc})") from exc
-    if arr.ndim != ndim:
-        raise ModelFormatError(f"expected {ndim}-d parameter array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelFormatError("parameter array holds NaN or infinite values")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -79,9 +68,9 @@ class DenseParams:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", _array(self.weight, 2))
+        object.__setattr__(self, "weight", read_array(self.weight, 2, "weight", ModelFormatError))
         if self.bias is not None:
-            b = _array(self.bias, 1)
+            b = read_array(self.bias, 1, "bias", ModelFormatError)
             if b.shape[0] != self.weight.shape[0]:
                 raise DimensionMismatchError(
                     f"bias length {b.shape[0]} != out_dim {self.weight.shape[0]}"
@@ -121,14 +110,13 @@ class BatchNormParams:
     def __post_init__(self):
         vectors = [f.name for f in fields(self) if f.name != "epsilon"]
         for name in vectors:
-            object.__setattr__(self, name, _array(getattr(self, name), 1))
+            object.__setattr__(self, name, read_array(getattr(self, name), 1, name, ModelFormatError))
         dims = {getattr(self, name).shape[0] for name in vectors}
         if len(dims) != 1:
             raise DimensionMismatchError(f"batch-norm vectors disagree on dim: {dims}")
         if np.any(self.running_var < 0):
             raise ModelFormatError("running_var entries must be >= 0")
-        if (isinstance(self.epsilon, bool) or not isinstance(self.epsilon, (int, float))
-                or not 0 <= self.epsilon < np.inf):
+        if read_number(self.epsilon, "batch-norm epsilon", ModelFormatError) < 0:
             raise ModelFormatError(f"batch-norm epsilon {self.epsilon!r} is not a finite number >= 0")
         if np.any(self.running_var + self.epsilon <= 0):
             raise ModelFormatError("running_var + epsilon must be > 0 everywhere")
@@ -226,8 +214,8 @@ class GcnModel:
             raise ModelFormatError("model has no layers")
         if not isinstance(self.name, str):
             raise ModelFormatError(f"model name {self.name!r} is not a string")
-        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
-            raise ModelFormatError(f"model seed {self.seed!r} is not an integer")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", read_integer(self.seed, "model seed", ModelFormatError))
         readouts = [i for i, l in enumerate(layers) if isinstance(l, MeanReadout)]
         if len(readouts) > 1:
             raise ModelFormatError("at most one mean-readout layer is allowed")
@@ -566,10 +554,9 @@ class ArchSpec:
     batch_norm: bool = False
 
     def __post_init__(self):
-        if self.feature_dim < 1 or self.hidden_dim < 1:
-            raise InvalidSpecError("feature_dim and hidden_dim must be >= 1")
-        if self.gc_layers < 0 or self.dense_layers < 1:
-            raise InvalidSpecError("need gc_layers >= 0 and dense_layers >= 1")
+        for name, least in (("feature_dim", 1), ("hidden_dim", 1), ("gc_layers", 0), ("dense_layers", 1)):
+            if read_integer(getattr(self, name), name, InvalidSpecError) < least:
+                raise InvalidSpecError(f"{name} must be >= {least}")
 
     @property
     def is_mlp(self) -> bool:
@@ -627,6 +614,8 @@ def _to_json(value):
 def _bn_from_json(obj) -> BatchNormParams | None:
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise ModelFormatError("batch_norm must be a JSON object or null")
     # a missing key raises KeyError; an extra one is ignored
     values = {f.name: obj[f.name] for f in fields(BatchNormParams)}
     require_numbers(values, values, ModelFormatError)
@@ -683,7 +672,7 @@ def load_model(path: str | Path) -> GcnModel:
                 params=DenseParams(weight=rec["weight"], bias=rec.get("bias")),
                 batch_norm=_bn_from_json(rec.get("batch_norm")),
                 **({"activation": rec["activation"]} if "activation" in rec else {})))
-        except (ModelFormatError, DimensionMismatchError, KeyError, TypeError, OverflowError) as exc:
+        except (ModelFormatError, DimensionMismatchError, KeyError, TypeError) as exc:
             raise ModelFormatError(f"{path}: layer {i}: {exc}") from exc
     try:
         return GcnModel(layers=tuple(layers), name=doc.get("name", ""), seed=doc.get("seed"))

@@ -86,6 +86,13 @@ class TestFusionConfig:
         with pytest.raises(InvalidSpecError):
             FusionConfig(sample_size=0)
 
+    @pytest.mark.parametrize("field, value", [("sample_size", 2.5), ("sample_size", True),
+                                              ("seed", 1.5)])
+    def test_counts_must_be_integers(self, field, value):
+        # each constructed, and fuse then failed with numpy's raw TypeError
+        with pytest.raises(InvalidSpecError, match=f"^{field} {value!r} is not an integer$"):
+            FusionConfig(**{field: value})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidSpecError, match="seed"):
             FusionConfig(seed=-1)

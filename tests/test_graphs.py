@@ -36,6 +36,29 @@ class TestGraph:
         with pytest.raises(DatasetFormatError):
             make_graph(3, edges=[(0, 5)])
 
+    @pytest.mark.parametrize("given, message", [
+        (dict(edges=((0, 1.7),)), "edge endpoint 1.7 is not an integer"),  # not stored as (0, 1)
+        (dict(edges=((True, 2),)), "edge endpoint True is not an integer"),  # not stored as (1, 2)
+        (dict(edges=((0, 1, 2),)), r"edge \(0, 1, 2\) is not a pair of vertices"),  # not cut to (0, 1)
+        (dict(edges=(5,)), "edge 5 is not a pair of vertices"),
+        (dict(target="2.5"), "target '2.5' is not a finite number"),  # not parsed to 2.5
+        (dict(target=True), "target True is not a finite number"),  # not taken as 1.0
+        (dict(num_vertices=True, features=np.zeros((1, 1))), "num_vertices True is not an integer"),
+        (dict(num_vertices=1, features=[["a"]]), "features is not numeric .*'a'"),
+    ], ids=["float-endpoint", "bool-endpoint", "triple", "not-a-pair", "string-target",
+            "bool-target", "bool-count", "string-feature"])
+    def test_constructor_rejects_values_of_another_type(self, given, message):
+        with pytest.raises(DatasetFormatError, match=f"^{message}"):
+            Graph(**{"num_vertices": 3, "edges": (), "features": np.zeros((3, 1)), **given})
+
+    def test_numpy_endpoints_are_read_as_ints(self):
+        g = make_graph(3, edges=[(np.int64(2), np.int64(0))])
+        assert g.edges == ((0, 2),) and all(type(x) is int for x in g.edges[0])
+
+    def test_numpy_target_is_read_as_a_float(self):
+        g = make_graph(1, target=np.float32(0.5))
+        assert type(g.target) is float and g.target == 0.5
+
     def test_feature_row_count_checked(self):
         with pytest.raises(DatasetFormatError):
             Graph(num_vertices=2, edges=(), features=np.zeros((3, 1)))
@@ -284,6 +307,14 @@ class TestSynthesize:
         write_dataset(synthesize_dataset(spec, seed=9), p1)
         write_dataset(synthesize_dataset(spec, seed=9), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("field, value", [("count", 2.5), ("min_vertices", 1.5),
+                                              ("max_vertices", True), ("feature_dim", "2")])
+    def test_counts_must_be_integers(self, field, value):
+        # min_vertices=1.5 synthesized a dataset; count=2.5 failed later with a raw TypeError
+        base = dict(count=3, min_vertices=2, max_vertices=3, edge_density=0.5, feature_dim=2)
+        with pytest.raises(InvalidSpecError, match=f"^{field} {value!r} is not an integer$"):
+            GeneratorSpec(**{**base, field: value})
 
     def test_density_above_one_rejected(self):
         with pytest.raises(InvalidSpecError):

@@ -451,9 +451,9 @@ class TestEvaluateMae:
         ds = Dataset(graphs=tuple(single_vertex_graphs([[0.0], [0.0]], targets=[1.0, -2.0])),
                      feature_dim=1)
         builds = []
-        frozen = graphs_module._frozen_array
-        monkeypatch.setattr(graphs_module, "_frozen_array",
-                            lambda *args, **kwargs: builds.append(1) or frozen(*args, **kwargs))
+        read = graphs_module.read_array
+        monkeypatch.setattr(graphs_module, "read_array",
+                            lambda *args, **kwargs: builds.append(1) or read(*args, **kwargs))
         for _ in range(2):
             assert evaluate_mae(constant_model(0.0), ds) == 1.5
         targets = ds.targets
@@ -601,6 +601,14 @@ class TestRandomModel:
         with pytest.raises(InvalidSpecError):
             ArchSpec(feature_dim=2, hidden_dim=4, gc_layers=1, dense_layers=0)
 
+    @pytest.mark.parametrize("field, value", [("feature_dim", 2.0), ("hidden_dim", 2.5),
+                                              ("gc_layers", True), ("dense_layers", "1")])
+    def test_counts_must_be_integers(self, field, value):
+        # hidden_dim=2.5 constructed, and random_model then failed with a raw TypeError
+        base = dict(feature_dim=2, hidden_dim=4, gc_layers=1, dense_layers=1)
+        with pytest.raises(InvalidSpecError, match=f"^{field} {value!r} is not an integer$"):
+            ArchSpec(**{**base, field: value})
+
 
 class TestModelIo:
     def test_round_trip_exact(self, tmp_path):
@@ -672,6 +680,19 @@ class TestModelIo:
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError,
                            match=f"m.json: layer {layer}: {kind} records carry no '{field}'$"):
+            load_model(p)
+
+    @pytest.mark.parametrize("batch_norm", [5, [1.0, 2.0], "gamma"], ids=["int", "list", "string"])
+    def test_batch_norm_that_is_not_an_object_names_layer_and_field(self, tmp_path, batch_norm):
+        # it read "'int' object is not subscriptable" and Python's other indexing messages
+        p = tmp_path / "m.json"
+        save_model(random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=1,
+                                         dense_layers=1), seed=32), p)
+        doc = json.loads(p.read_text())
+        doc["layers"][1]["batch_norm"] = batch_norm
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError,
+                           match="m.json: layer 1: batch_norm must be a JSON object or null$"):
             load_model(p)
 
     @pytest.mark.parametrize("case", ["not-an-object", "no-weight"])

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Run the gcnfuse CLI of source tree TREE over a fixed set of commands and
 # keep everything it writes under OUT: fixtures (GCN, MLP, hidden-64 and hidden-256 GCNs,
-# a noisy GCN twin without batch norm and a noisy MLP twin with it), fused and averaged models,
+# a noisy GCN twin without batch norm and a noisy MLP twin with it, and a hand-written dataset
+# of categorical atom features), fused and averaged models,
 # traces, dumped cost matrices, result tables, evaluation rows, and each
 # command's console output.
 #
@@ -31,7 +32,7 @@ run() {
 
 mkdir -p console
 # eval and ensemble append to their --out; start those files afresh
-rm -f eval.csv eval-mlp.csv eval-wide.csv ensemble.csv
+rm -f eval.csv eval-mlp.csv eval-wide.csv eval-atom.csv ensemble.csv
 run gen-fixtures gen-fixtures --out-dir fx --seed 0
 pair="--a fx/model_a.json --b fx/model_b.json --data fx/dataset.jsonl"
 # each cell is SOLVER:COST, or SOLVER:COST:SAMPLES to set --samples; 32 is the
@@ -116,3 +117,13 @@ run fuse-mlp-noisy fuse --a fx-mlp-noisy/model_a.json --b fx-mlp-noisy/model_b.j
     --trace fuse-mlp-noisy.trace.txt
 run vanilla-mlp-noisy vanilla --a fx-mlp-noisy/model_a.json --b fx-mlp-noisy/model_b.json \
     --data fx-mlp-noisy/dataset.jsonl --interpolation 0.3 --out vanilla-mlp-noisy.model.json
+# categorical features: a hand-written atom dataset, expanded to one-hot rows on load
+run gen-fixtures-atom gen-fixtures --feature-dim 3 --out-dir fx-atom --seed 5
+printf '%s\n' '{"feature_dim": 3, "vocab": 3}' \
+    '{"n": 3, "edges": [[0, 1], [1, 2]], "atom": [0, 2, 1], "y": 0.5}' \
+    '{"n": 2, "edges": [[1, 0]], "atom": [1, 1], "y": -1.25}' \
+    '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3]], "atom": [2, 0, 0, 1], "y": 2}' \
+    '{"n": 1, "atom": [0], "y": 0.75}' > atom.jsonl
+run eval-atom eval --model fx-atom/model_a.json --data atom.jsonl --out eval-atom.csv
+run fuse-atom fuse --a fx-atom/model_a.json --b fx-atom/model_b.json --data atom.jsonl \
+    --samples 3 --out fuse-atom.model.json --trace fuse-atom.trace.txt --dump-costs fuse-atom.costs
