@@ -111,9 +111,10 @@ def _has_targets(dataset: Dataset) -> bool:
     return all(g.target is not None for g in dataset.graphs)
 
 
-def _require_targets(dataset: Dataset, what: str) -> None:
-    if not _has_targets(dataset):
+def _labeled_dataset(path, what: str) -> Dataset:
+    if not _has_targets(dataset := load_dataset(path)):
         raise click.ClickException(f"{what} needs a dataset where every graph has a target")
+    return dataset
 
 
 class _Group(click.Group):
@@ -261,12 +262,11 @@ def cmd_fuse(a_path, b_path, data_path, solver, cost_kind, lam, epsilon, rho, sa
 def cmd_vanilla(a_path, b_path, data_path, interpolation, out_path):
     """Average the two models elementwise with no alignment."""
     model_a, model_b = load_model(a_path), load_model(b_path)
+    dataset = _labeled_dataset(data_path, "MAE evaluation") if data_path else None
     fused = vanilla_fuse(model_a, model_b, interpolation)
     save_model(fused, out_path)
     click.echo(f"wrote {out_path}")
-    if data_path:
-        dataset = load_dataset(data_path)
-        _require_targets(dataset, "MAE evaluation")
+    if dataset is not None:
         click.echo(f"vanilla MAE: {evaluate_mae(fused, dataset)!r}")
 
 
@@ -282,8 +282,7 @@ def _run_cells(a_path, b_path, data_path, what, repeats, cells, needs_batch_norm
     model_a, model_b = load_model(a_path), load_model(b_path)
     if needs_batch_norm and all(getattr(l, "batch_norm", None) is None for l in model_a.layers):
         raise click.ClickException("models have no batch norm; the comparison is vacuous")
-    dataset = load_dataset(data_path)
-    _require_targets(dataset, what)
+    dataset = _labeled_dataset(data_path, what)
     keyed, failed = [], {}
     for label, row, config in cells:
         maes, t0 = [], time.perf_counter()
@@ -439,8 +438,7 @@ def cmd_gen_fixtures(out_dir, arch, feature_dim, hidden, gc_layers, dense_layers
 def cmd_eval(model_path, data_path, out_path):
     """Report a model's mean absolute error on a dataset."""
     model = load_model(model_path)
-    dataset = load_dataset(data_path)
-    _require_targets(dataset, "eval")
+    dataset = _labeled_dataset(data_path, "eval")
     mae = evaluate_mae(model, dataset)
     click.echo(f"MAE: {mae!r}")
     if out_path:
@@ -456,8 +454,7 @@ def cmd_eval(model_path, data_path, out_path):
 def cmd_ensemble(model_paths, data_path, out_path):
     """Report the MAE of the prediction average of several models."""
     models = [load_model(p) for p in model_paths]
-    dataset = load_dataset(data_path)
-    _require_targets(dataset, "ensemble eval")
+    dataset = _labeled_dataset(data_path, "ensemble eval")
     mae = float(np.mean(np.abs(ensemble_predict(models, dataset) - dataset.targets)))
     click.echo(f"ensemble MAE ({len(models)} models): {mae!r}")
     if out_path:

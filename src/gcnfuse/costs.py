@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError
+from .errors import DimensionMismatchError, InvalidSpecError, read_number
 from .models import ActivationSample, DenseParams
 from .ot import FgwProblem, fgw_distance, uniform_weights
 
@@ -62,7 +62,7 @@ class FgwCostSpec:
     trade_off: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.trade_off <= 1.0:
+        if not 0.0 <= read_number(self.trade_off, "trade_off", InvalidSpecError) <= 1.0:
             raise InvalidSpecError("trade_off must be in [0, 1]")
 
 
@@ -83,7 +83,7 @@ class CostSpec:
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise InvalidSpecError(f"cost kind must be one of {COST_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.lam <= 1.0:
+        if not 0.0 <= read_number(self.lam, "lam", InvalidSpecError) <= 1.0:
             raise InvalidSpecError(f"lam must be in [0, 1], got {self.lam}")
         if self.kind != FGW and self.fgw is not None:
             raise InvalidSpecError("fgw settings are only for kind fgw")

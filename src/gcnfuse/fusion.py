@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .costs import EFD, FGW, QE, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
-from .errors import DimensionMismatchError, InvalidSpecError
-from .graphs import Dataset, FusionBatch, read_integer, sample_batch
+from .errors import DimensionMismatchError, InvalidSpecError, read_integer, read_number
+from .graphs import Dataset, FusionBatch, sample_batch
 from .models import (
     CAPTURE_POINTS,
     POST_BN,
@@ -76,7 +76,7 @@ class FusionConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise InvalidSpecError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if not 0.0 <= self.interpolation <= 1.0:
+        if not 0.0 <= read_number(self.interpolation, "interpolation", InvalidSpecError) <= 1.0:
             raise InvalidSpecError("interpolation must be in [0, 1]")
         if self.capture_point not in CAPTURE_POINTS:
             raise InvalidSpecError(
@@ -226,7 +226,7 @@ def fuse(
 
 def vanilla_fuse(model_a: GcnModel, model_b: GcnModel, interpolation: float = 0.5) -> GcnModel:
     """Elementwise parameter interpolation with no alignment; the baseline."""
-    if not 0.0 <= interpolation <= 1.0:
+    if not 0.0 <= read_number(interpolation, "interpolation", InvalidSpecError) <= 1.0:
         raise InvalidSpecError("interpolation must be in [0, 1]")
     if not model_a.same_architecture(model_b):
         raise DimensionMismatchError("models must share an architecture to fuse")

@@ -10,15 +10,13 @@ Dataset files are line-delimited JSON: an optional header record declaring
 record per graph with fields ``n``, ``edges``, ``x`` (dense rows) or ``atom``
 (categorical indices, expanded to one-hot on load), and optional ``y``.
 
-Graph, the model records and the specs check their own values with read_array, read_integer
-and read_number; the loaders add only require_numbers, for JSON strings, booleans and nulls.
+Graph, Dataset and the specs, like the solver, cost and fusion settings, check their values with
+the readers of errors; the loaders add only require_numbers, for JSON strings, booleans and nulls.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -27,38 +25,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse.csgraph
 
-from .errors import DatasetFormatError, DimensionMismatchError, InvalidSpecError
-
-
-def read_array(values, ndim: int, what: str, error: type[Exception]) -> np.ndarray:
-    """values as a read-only float64 array of ndim dimensions whose entries are all finite."""
-    try:
-        arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{what} is not numeric ({exc})") from exc
-    if arr.ndim != ndim:
-        raise error(f"{what} must be a {ndim}-d array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise error(f"{what} holds NaN or infinite values")
-    arr.setflags(write=False)
-    return arr
-
-
-def read_integer(value, what: str, error: type[Exception]) -> int:
-    """value as an int: an integral value, not a bool (int() would truncate 1.5 and read "3")."""
-    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-        return int(value)
-    raise error(f"{what} {value!r} is not an integer")
-
-
-def read_number(value, what: str, error: type[Exception]) -> float:
-    """value as a float: a finite real in the float range, not a bool ("2.5" and True fail)."""
-    try:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # isfinite of an int too large for a float
-        pass
-    raise error(f"{what} {value!r} is not a finite number")
+from .errors import (DatasetFormatError, DimensionMismatchError, InvalidSpecError, read_array,
+                     read_integer, read_number)
 
 
 @dataclass(frozen=True)
@@ -134,6 +102,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "graphs", tuple(self.graphs))
+        read_integer(self.feature_dim, "feature_dim", DatasetFormatError)
         for i, g in enumerate(self.graphs):
             if g.feature_dim != self.feature_dim:
                 raise DatasetFormatError(
@@ -341,7 +310,7 @@ def sample_batch(dataset: Dataset, sample_size: int, seed: int) -> FusionBatch:
     The batch keeps its graphs' rows of the dataset's layout, gathered bucket by bucket in
     batch order: every layout value is per graph, so these are the bits bucket_layout builds.
     """
-    if not 1 <= sample_size <= len(dataset):
+    if not 1 <= read_integer(sample_size, "sample_size", InvalidSpecError) <= len(dataset):
         raise InvalidSpecError(
             f"sample_size {sample_size} out of range 1..{len(dataset)}"
         )
@@ -384,7 +353,7 @@ class GeneratorSpec:
         if not (1 <= read_integer(self.min_vertices, "min_vertices", InvalidSpecError)
                 <= read_integer(self.max_vertices, "max_vertices", InvalidSpecError)):
             raise InvalidSpecError("need 1 <= min_vertices <= max_vertices")
-        if not 0.0 <= self.edge_density <= 1.0:
+        if not 0.0 <= read_number(self.edge_density, "edge_density", InvalidSpecError) <= 1.0:
             raise InvalidSpecError(
                 f"edge_density {self.edge_density} must lie in [0, 1] (1.0 = complete graph)"
             )

@@ -19,7 +19,7 @@ an activation), and every rebuild of a layer (noise, alignment, interpolation) i
 dataclasses.replace, which keeps its kind and activation. Alignment moves every record
 through _moved: a permutation plan gathers a checked record by index without re-checking
 it; new values (soft plans, noise, interpolation) go through the constructors, which check
-arrays and numbers with the graphs readers read_array, read_integer and read_number.
+arrays and numbers with the errors readers read_array, read_integer and read_number.
 _KINDS says once, for each layer class, its model-file name, its summary name and the
 layer fields its record carries; summary, save_model and load_model all read it, and
 load_model rejects a record setting a layer field its kind does not carry.
@@ -50,9 +50,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError, ModelFormatError
-from .graphs import (Dataset, FusionBatch, bucket_layout, read_array, read_integer, read_number,
-                     require_numbers)
+from .errors import (DimensionMismatchError, InvalidSpecError, ModelFormatError, read_array,
+                     read_integer, read_number)
+from .graphs import Dataset, FusionBatch, bucket_layout, require_numbers
 from .ot import TransportPlan, identity_plan, uniform_weights
 
 PRE_BN = "pre_bn"
@@ -434,8 +434,11 @@ def perturb_model(model: GcnModel, scale: float, seed: int) -> GcnModel:
     when the std is zero), so scale=0.01 means roughly 1% perturbation per
     layer. Batch-norm statistics are left untouched.
     """
-    if not 0 <= scale < np.inf:
-        raise InvalidSpecError(f"noise scale must be a finite number >= 0, got {scale!r}")
+    try:
+        if read_number(scale, "noise scale", InvalidSpecError) < 0:
+            raise InvalidSpecError
+    except InvalidSpecError:  # one message for every rejected scale
+        raise InvalidSpecError(f"noise scale must be a finite number >= 0, got {scale!r}") from None
     rng = np.random.default_rng(seed)
 
     def noisy(arr: np.ndarray) -> np.ndarray:

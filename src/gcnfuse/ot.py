@@ -30,7 +30,8 @@ import scipy.linalg
 import scipy.sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .errors import DimensionMismatchError, InvalidSpecError, NumericalError, SolverError
+from .errors import (DimensionMismatchError, InvalidSpecError, NumericalError, SolverError,
+                     read_integer, read_number)
 
 MARGINAL_TOL = 1e-9
 
@@ -63,7 +64,7 @@ def _cost(cost, n: int, m: int, stacked: bool = False) -> np.ndarray:
 
 def uniform_weights(n: int) -> np.ndarray:
     """Uniform histogram 1/n; the measure every fusion layer uses."""
-    if n < 1:
+    if read_integer(n, "histogram size", InvalidSpecError) < 1:
         raise InvalidSpecError("histogram size must be >= 1")
     return np.ones(n) / n
 
@@ -219,9 +220,10 @@ class SinkhornParams:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.epsilon, self.rho_alpha, self.rho_beta, self.tol)):
-            raise InvalidSpecError("epsilon, rho values and tol must be finite and > 0")
-        if self.max_iters < 1:
+        for name in ("epsilon", "rho_alpha", "rho_beta", "tol"):
+            if read_number(getattr(self, name), name, InvalidSpecError) <= 0:
+                raise InvalidSpecError("epsilon, rho values and tol must be finite and > 0")
+        if read_integer(self.max_iters, "max_iters", InvalidSpecError) < 1:
             raise InvalidSpecError("max_iters must be >= 1")
 
 
@@ -468,7 +470,7 @@ class FgwProblem:
                        structure_a=self._structure(self.structure_a, a.size, "structure_a"),
                        structure_b=self._structure(self.structure_b, b.size, "structure_b"),
                        feature_cost=_cost(self.feature_cost, a.size, b.size, stacked=True))
-        if not 0.0 <= self.trade_off <= 1.0:
+        if not 0.0 <= read_number(self.trade_off, "trade_off", InvalidSpecError) <= 1.0:
             raise InvalidSpecError(f"trade_off must be in [0, 1], got {self.trade_off}")
         for name, x in checked.items():
             (x := np.array(x)).setflags(write=False)

@@ -9,6 +9,10 @@ only tests call or read: reference implementations live in tests/oracles.py.
 A method or property counts as used only when code outside its own class
 body reads it. Members and fields are still matched by name only, so one
 that shares its name with a used member of another class passes.
+
+Every public setting that reads a number or a count turns away a value of
+another kind (a boolean, a string, NaN or infinity; a fraction for a count)
+with the package's own error: one table lists each setting and its bad values.
 """
 
 import ast
@@ -18,6 +22,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gcnfuse
@@ -113,3 +118,50 @@ def test_every_public_field_is_read_outside_tests():
         for f in dataclasses.fields(cls) if f.name not in read
     ]
     assert sorted(unread) == []
+
+
+def _twin():
+    return gcnfuse.random_model(gcnfuse.ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=0,
+                                                 dense_layers=2), seed=0)
+
+
+def _fgw_problem(trade_off):
+    zero, one = np.zeros((1, 1)), np.ones(1)
+    return gcnfuse.FgwProblem(structure_a=zero, structure_b=zero, feature_cost=zero,
+                              trade_off=trade_off, alpha=one, beta=one)
+
+
+def _generator(edge_density):
+    return gcnfuse.GeneratorSpec(count=2, min_vertices=3, max_vertices=3,
+                                 edge_density=edge_density, feature_dim=1)
+
+
+# (setting, a call that passes the value to it) for every number a setting reads
+_NUMBERS = [
+    ("CostSpec.lam", lambda v: gcnfuse.CostSpec(kind=gcnfuse.EFD, lam=v)),
+    ("FgwCostSpec.trade_off", lambda v: gcnfuse.FgwCostSpec(trade_off=v)),
+    ("FgwProblem.trade_off", _fgw_problem),
+    ("FusionConfig.interpolation", lambda v: gcnfuse.FusionConfig(interpolation=v)),
+    ("vanilla_fuse interpolation", lambda v: gcnfuse.vanilla_fuse(_twin(), _twin(), v)),
+    *[(f"SinkhornParams.{name}", lambda v, name=name: gcnfuse.SinkhornParams(**{
+        "epsilon": 0.1, name: v})) for name in ("epsilon", "rho_alpha", "rho_beta", "tol")],
+    ("GeneratorSpec.edge_density", _generator),
+    ("perturb_model scale", lambda v: gcnfuse.perturb_model(_twin(), v, 0)),
+]
+_COUNTS = [
+    ("SinkhornParams.max_iters", lambda v: gcnfuse.SinkhornParams(epsilon=0.1, max_iters=v)),
+    ("uniform_weights n", gcnfuse.uniform_weights),
+    ("Dataset.feature_dim", lambda v: gcnfuse.Dataset(graphs=(), feature_dim=v)),
+]
+_PROBES = ([(name, call, bad) for name, call in _NUMBERS
+            for bad in (True, "0.5", float("nan"), float("inf"))]
+           + [(name, call, bad) for name, call in _COUNTS for bad in (2.5, True)])
+
+
+@pytest.mark.parametrize("name, call, bad", _PROBES,
+                         ids=[f"{name}={bad!r}" for name, _, bad in _PROBES])
+def test_settings_reject_values_of_another_kind(name, call, bad):
+    # a boolean, a string or a non-finite value is never read as a number, nor a fraction as
+    # a count: each raises the package's own error, not Python's TypeError, and none passes
+    with pytest.raises(gcnfuse.GcnFuseError):
+        call(bad)

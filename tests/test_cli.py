@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from gcnfuse import (FusionConfig, GraphConv, MeanReadout, ModelFormatError, ensemble_predict,
-                     evaluate_mae, fuse, load_dataset, load_model)
+                     evaluate_mae, fuse, load_dataset, load_model, vanilla_fuse)
 from gcnfuse import cli, fusion, models
 from gcnfuse.cli import main
 
@@ -415,6 +415,22 @@ def test_non_finite_sinkhorn_values_stop_before_fusing(fx, tmp_path, monkeypatch
     assert "Traceback" not in result.output
     assert "finite" in result.output
     assert fused == [] and not (tmp_path / "fused.json").exists()
+
+
+def test_vanilla_on_unlabeled_data_stops_before_fusing(fx, tmp_path, monkeypatch):
+    fused = []
+    monkeypatch.setattr(cli, "vanilla_fuse", lambda *a: fused.append(a) or vanilla_fuse(*a))
+    records = [json.loads(line) for line in Path(fx["data"]).read_text().splitlines()]
+    data = tmp_path / "unlabeled.jsonl"
+    data.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "y"}) + "\n"
+                            for r in records))
+    result = run("vanilla", "--a", fx["a"], "--b", fx["b"], "--data", data,
+                 "--out", tmp_path / "v.model.json")
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+    assert "Traceback" not in result.output and "wrote" not in result.output
+    assert "MAE evaluation needs a dataset where every graph has a target" in result.output
+    assert fused == [] and not (tmp_path / "v.model.json").exists()
 
 
 

@@ -4,7 +4,7 @@
 # a noisy GCN twin without batch norm and a noisy MLP twin with it, and a hand-written dataset
 # of categorical atom features), fused and averaged models,
 # traces, dumped cost matrices, result tables, evaluation rows, and each
-# command's console output.
+# command's console output, rejected commands included.
 #
 #   tools/cli_outputs.sh TREE OUT
 #
@@ -30,9 +30,21 @@ run() {
         { echo "$name failed; see $PWD/console/$name.txt" >&2; return 1; }
 }
 
+# fails NAME ARGS...: one CLI command that must be rejected, its console kept in console/NAME.txt
+fails() {
+    name=$1
+    shift
+    if python -m gcnfuse.cli "$@" > "console/$name.txt" 2>&1; then
+        echo "$name was not rejected; see $PWD/console/$name.txt" >&2
+        return 1
+    fi
+}
+
 mkdir -p console
-# eval and ensemble append to their --out; start those files afresh
-rm -f eval.csv eval-mlp.csv eval-wide.csv eval-atom.csv ensemble.csv
+# eval and ensemble append to their --out; start those files afresh, and drop the models
+# that the rejected commands at the end must not write
+rm -f eval.csv eval-mlp.csv eval-wide.csv eval-atom.csv ensemble.csv \
+    rejected.model.json vanilla-unlabeled.model.json
 run gen-fixtures gen-fixtures --out-dir fx --seed 0
 pair="--a fx/model_a.json --b fx/model_b.json --data fx/dataset.jsonl"
 # each cell is SOLVER:COST, or SOLVER:COST:SAMPLES to set --samples; 32 is the
@@ -127,3 +139,13 @@ printf '%s\n' '{"feature_dim": 3, "vocab": 3}' \
 run eval-atom eval --model fx-atom/model_a.json --data atom.jsonl --out eval-atom.csv
 run fuse-atom fuse --a fx-atom/model_a.json --b fx-atom/model_b.json --data atom.jsonl \
     --samples 3 --out fuse-atom.model.json --trace fuse-atom.trace.txt --dump-costs fuse-atom.costs
+# settings out of range, each rejected by the constructor that reads it, before any work
+fails fuse-interpolation-2 fuse $pair --interpolation 2 --out rejected.model.json
+fails fuse-sinkhorn-epsilon-0 fuse $pair --solver sinkhorn --epsilon 0 --out rejected.model.json
+fails fuse-lam-2 fuse $pair --lam 2 --out rejected.model.json
+fails gen-fixtures-density-2 gen-fixtures --out-dir fx-density-2 --density 2 --seed 0
+# a dataset without targets: vanilla must stop before fusing or writing its model
+printf '%s\n' '{"feature_dim": 4}' \
+    '{"n": 2, "edges": [[0, 1]], "x": [[0.5, -1, 0, 2], [1, 0.25, -0.5, 0]]}' \
+    '{"n": 1, "x": [[-1, 0, 1.5, 0.5]]}' > unlabeled.jsonl
+fails vanilla-unlabeled vanilla $pair --data unlabeled.jsonl --out vanilla-unlabeled.model.json
