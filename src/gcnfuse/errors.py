@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the three readers (read_array, read_integer,
-read_number) through which graphs, models and the solver, cost and fusion settings check values."""
+read_number) through which graphs, models, the solvers and every setting check values."""
 
+import json
 import math
 import numbers
 from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
@@ -36,13 +38,33 @@ class NumericalError(SolverError):
     """A solver hit NaN/overflow that the stabilized path could not absorb."""
 
 
-def read_array(values, ndim: int, what: str, error: type[Exception]) -> np.ndarray:
-    """values as a read-only float64 array of ndim dimensions whose entries are all finite."""
+_NOT_NUMBERS = frozenset("bUSOc")  # dtype kinds of bool, str, bytes, object and complex arrays
+_ROWS, _PLAIN = frozenset((list, tuple)), frozenset((list, tuple, float, int))  # _PLAIN: read untested
+
+
+def read_array(values, ndim: int | None, what: str, error: type[Exception]) -> np.ndarray:
+    """values as a read-only float64 copy of ndim dimensions (any for None), every entry a finite
+    number by read_number's rule ("2.5", True and None fail; np.array reads 2.5, 1.0 and NaN). Each
+    entry type in nested lists and tuples is tested once; an ndarray, given or as a row, by dtype."""
+    rows = ([values] if type(values) in _ROWS else []  # the sequences whose entries are the next depth
+            if isinstance(values, np.ndarray) and values.dtype.kind not in _NOT_NUMBERS else [(values,)])
+    for _ in range(64):  # np.array reads no deeper, so a list that holds itself ends the search
+        if not rows:
+            break
+        types = set(map(type, chain.from_iterable(rows)))
+        if not types <= _PLAIN:  # numpy scalars, ndarray rows or entries of another kind
+            odd = {t for t in types - _ROWS if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+            for x in chain.from_iterable(rows) if odd else ():
+                if type(x) in odd and not (isinstance(x, np.ndarray) and x.dtype.kind not in _NOT_NUMBERS):
+                    shown = (f"an array of dtype {x.dtype}" if isinstance(x, np.ndarray) else json.dumps(x)
+                             if type(x) in (str, bool, type(None)) else repr(x))  # as a file holds it
+                    raise error(f"{what} holds {shown}, which is not a number")
+        rows = [x for x in chain.from_iterable(rows) if type(x) in _ROWS] if types & _ROWS else []
     try:
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} is not numeric ({exc})") from exc
-    if arr.ndim != ndim:
+    if ndim is not None and arr.ndim != ndim:
         raise error(f"{what} must be a {ndim}-d array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise error(f"{what} holds NaN or infinite values")

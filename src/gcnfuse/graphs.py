@@ -10,8 +10,8 @@ Dataset files are line-delimited JSON: an optional header record declaring
 record per graph with fields ``n``, ``edges``, ``x`` (dense rows) or ``atom``
 (categorical indices, expanded to one-hot on load), and optional ``y``.
 
-Graph, Dataset and the specs, like the solver, cost and fusion settings, check their values with
-the readers of errors; the loaders add only require_numbers, for JSON strings, booleans and nulls.
+Graph, Dataset, the specs and the seeds check their values with the readers of errors, so x in a
+file is held to the rules of features built in Python; the loader adds the record's line number.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +65,7 @@ class Graph:
         object.__setattr__(self, "features", read_array(self.features, 2, "features", DatasetFormatError))
         if self.features.shape[0] != self.num_vertices:
             raise DatasetFormatError(
-                f"features have {self.features.shape[0]} rows for {self.num_vertices} vertices"
-            )
+                f"features have {self.features.shape[0]} rows for {self.num_vertices} vertices")
         if self.target is not None:
             object.__setattr__(self, "target", read_number(self.target, "target", DatasetFormatError))
 
@@ -102,12 +100,12 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "graphs", tuple(self.graphs))
-        read_integer(self.feature_dim, "feature_dim", DatasetFormatError)
+        if read_integer(self.feature_dim, "feature_dim", DatasetFormatError) < 1:
+            raise DatasetFormatError("feature_dim must be >= 1")
         for i, g in enumerate(self.graphs):
             if g.feature_dim != self.feature_dim:
                 raise DatasetFormatError(
-                    f"graph {i} has feature_dim {g.feature_dim}, dataset declares {self.feature_dim}"
-                )
+                    f"graph {i} has feature_dim {g.feature_dim}, dataset declares {self.feature_dim}")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -247,28 +245,11 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(graphs=tuple(graphs), feature_dim=feature_dim)
 
 
-_ROWS, _ENTRIES = frozenset((list,)), frozenset((int, float, list))  # list: a row; the reader checks shape
-
-
-def require_numbers(record: dict, names, error: type[Exception]) -> None:
-    """Reject a string, boolean or null among the entries of the record's JSON arrays under names
-    (lists of numbers or of rows): np.array reads "1.5" and true as 1.5 and 1.0, and null as NaN.
-    Both loaders call this on what they parse, never on arrays the program builds."""
-    for name in names:
-        if type(values := record.get(name)) is not list:
-            continue  # absent, or not an array: the array reader says what is wrong
-        rows = values if set(map(type, values)) == _ROWS else (values,)
-        if not set(map(type, chain.from_iterable(rows))) <= _ENTRIES:
-            bad = next(v for v in chain.from_iterable(rows) if type(v) not in _ENTRIES)
-            raise error(f"{name} holds {json.dumps(bad)}, which is not a number")
-
-
 def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -> Graph:
     n = read_integer(rec["n"], "vertex count", DatasetFormatError)
     if "x" in rec and "atom" in rec:
         raise DatasetFormatError("a record holds 'x' or 'atom' features, not both")
     if "x" in rec:
-        require_numbers(rec, ["x"], DatasetFormatError)
         features = rec["x"]
     elif "atom" in rec:
         if vocab is None:
@@ -311,9 +292,9 @@ def sample_batch(dataset: Dataset, sample_size: int, seed: int) -> FusionBatch:
     batch order: every layout value is per graph, so these are the bits bucket_layout builds.
     """
     if not 1 <= read_integer(sample_size, "sample_size", InvalidSpecError) <= len(dataset):
-        raise InvalidSpecError(
-            f"sample_size {sample_size} out of range 1..{len(dataset)}"
-        )
+        raise InvalidSpecError(f"sample_size {sample_size} out of range 1..{len(dataset)}")
+    if read_integer(seed, "seed", InvalidSpecError) < 0:
+        raise InvalidSpecError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(dataset), size=sample_size, replace=False)
     batch = FusionBatch(graphs=tuple(map(dataset.graphs.__getitem__, idx.tolist())))
@@ -361,6 +342,8 @@ class GeneratorSpec:
 
 def synthesize_dataset(spec: GeneratorSpec, seed: int) -> Dataset:
     """Generate a small random dataset; identical spec+seed give identical data."""
+    if read_integer(seed, "seed", InvalidSpecError) < 0:
+        raise InvalidSpecError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal(spec.feature_dim)
     graphs = []

@@ -18,8 +18,8 @@ Embedding, GraphConv and Dense share one record (params, an optional batch_norm,
 an activation), and every rebuild of a layer (noise, alignment, interpolation) is
 dataclasses.replace, which keeps its kind and activation. Alignment moves every record
 through _moved: a permutation plan gathers a checked record by index without re-checking
-it; new values (soft plans, noise, interpolation) go through the constructors, which check
-arrays and numbers with the errors readers read_array, read_integer and read_number.
+it; new values (soft plans, noise, interpolation) and loaded records go through the constructors,
+which check arrays and numbers with the errors readers (load_model adds the layer index).
 _KINDS says once, for each layer class, its model-file name, its summary name and the
 layer fields its record carries; summary, save_model and load_model all read it, and
 load_model rejects a record setting a layer field its kind does not carry.
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidSpecError, ModelFormatError, read_array,
                      read_integer, read_number)
-from .graphs import Dataset, FusionBatch, bucket_layout, require_numbers
+from .graphs import Dataset, FusionBatch, bucket_layout
 from .ot import TransportPlan, identity_plan, uniform_weights
 
 PRE_BN = "pre_bn"
@@ -72,9 +72,7 @@ class DenseParams:
         if self.bias is not None:
             b = read_array(self.bias, 1, "bias", ModelFormatError)
             if b.shape[0] != self.weight.shape[0]:
-                raise DimensionMismatchError(
-                    f"bias length {b.shape[0]} != out_dim {self.weight.shape[0]}"
-                )
+                raise DimensionMismatchError(f"bias length {b.shape[0]} != out_dim {self.weight.shape[0]}")
             object.__setattr__(self, "bias", b)
 
     @property
@@ -439,6 +437,8 @@ def perturb_model(model: GcnModel, scale: float, seed: int) -> GcnModel:
             raise InvalidSpecError
     except InvalidSpecError:  # one message for every rejected scale
         raise InvalidSpecError(f"noise scale must be a finite number >= 0, got {scale!r}") from None
+    if read_integer(seed, "seed", InvalidSpecError) < 0:
+        raise InvalidSpecError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def noisy(arr: np.ndarray) -> np.ndarray:
@@ -568,6 +568,8 @@ class ArchSpec:
 
 def random_model(spec: ArchSpec, seed: int, name: str = "") -> GcnModel:
     """Deterministically initialize a model from an architecture spec and seed."""
+    if read_integer(seed, "seed", InvalidSpecError) < 0:
+        raise InvalidSpecError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def dense_params(out_dim, in_dim, bias=True):
@@ -620,9 +622,7 @@ def _bn_from_json(obj) -> BatchNormParams | None:
     if not isinstance(obj, dict):
         raise ModelFormatError("batch_norm must be a JSON object or null")
     # a missing key raises KeyError; an extra one is ignored
-    values = {f.name: obj[f.name] for f in fields(BatchNormParams)}
-    require_numbers(values, values, ModelFormatError)
-    return BatchNormParams(**values)
+    return BatchNormParams(**{f.name: obj[f.name] for f in fields(BatchNormParams)})
 
 
 def _layer_to_json(layer) -> dict:
@@ -669,7 +669,6 @@ def load_model(path: str | Path) -> GcnModel:
                 raise ModelFormatError(f"{kind} records carry no {stray[0]!r}")
             if keys and "weight" not in rec:
                 raise ModelFormatError(f"{kind} record has no 'weight'")
-            require_numbers(rec, ["weight", "bias"], ModelFormatError)
             # only Dense carries an activation; the other kinds fix theirs on the class
             layers.append(cls() if not keys else cls(
                 params=DenseParams(weight=rec["weight"], bias=rec.get("bias")),

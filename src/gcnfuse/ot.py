@@ -31,17 +31,15 @@ import scipy.sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import (DimensionMismatchError, InvalidSpecError, NumericalError, SolverError,
-                     read_integer, read_number)
+                     read_array, read_integer, read_number)
 
 MARGINAL_TOL = 1e-9
 
 
 def _histogram(weights, name: str) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidSpecError(f"{name} must be a nonempty 1-d weight vector")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise InvalidSpecError(f"{name} entries must be finite and >= 0")
+    w = read_array(weights, 1, name, InvalidSpecError)
+    if w.size == 0 or np.any(w < 0):
+        raise InvalidSpecError(f"{name} must be a nonempty vector of weights >= 0")
     return w
 
 
@@ -54,11 +52,11 @@ def _balanced(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cost(cost, n: int, m: int, stacked: bool = False) -> np.ndarray:
-    C = np.asarray(cost, dtype=np.float64)
+    C = read_array(cost, None, "feature_cost" if stacked else "cost", InvalidSpecError)
     if C.ndim not in ((2, 3) if stacked else (2,)) or C.shape[-2:] != (n, m) or C.size == 0:
         raise DimensionMismatchError(f"cost matrix shape {C.shape} != ({n}, {m})")
-    if not np.all(np.isfinite(C)) or np.any(C < 0):
-        raise InvalidSpecError("cost entries must be finite and >= 0")
+    if np.any(C < 0):
+        raise InvalidSpecError("cost entries must be >= 0")
     return C
 
 
@@ -408,8 +406,7 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
     of P and D; the plan's gap field holds (P - D) / max(1, |P|). Hitting
     max_iters or a stalled step returns converged=False.
     """
-    a = _histogram(alpha, "alpha")
-    b = _histogram(beta, "beta")
+    a, b = _histogram(alpha, "alpha"), _histogram(beta, "beta")
     C = _cost(cost, a.size, b.size)
     if np.any(a == 0) or np.any(b == 0):
         raise InvalidSpecError("sinkhorn requires strictly positive weights")
@@ -466,23 +463,20 @@ class FgwProblem:
 
     def __post_init__(self):
         a, b = _balanced(self.alpha, self.beta)
-        checked = dict(alpha=a, beta=b,
-                       structure_a=self._structure(self.structure_a, a.size, "structure_a"),
-                       structure_b=self._structure(self.structure_b, b.size, "structure_b"),
-                       feature_cost=_cost(self.feature_cost, a.size, b.size, stacked=True))
+        vars(self).update(alpha=a, beta=b,  # read_array's read-only copies
+                          structure_a=self._structure(self.structure_a, a.size, "structure_a"),
+                          structure_b=self._structure(self.structure_b, b.size, "structure_b"),
+                          feature_cost=_cost(self.feature_cost, a.size, b.size, stacked=True))
         if not 0.0 <= read_number(self.trade_off, "trade_off", InvalidSpecError) <= 1.0:
             raise InvalidSpecError(f"trade_off must be in [0, 1], got {self.trade_off}")
-        for name, x in checked.items():
-            (x := np.array(x)).setflags(write=False)
-            object.__setattr__(self, name, x)
 
     @staticmethod
     def _structure(mat, size: int, name: str) -> np.ndarray:
-        M = np.asarray(mat, dtype=np.float64)
+        M = read_array(mat, None, name, InvalidSpecError)
         if M.shape != (size, size):
             raise DimensionMismatchError(f"{name} shape {M.shape} != ({size}, {size})")
-        if not np.all(np.isfinite(M)) or np.any(M < 0):
-            raise InvalidSpecError(f"{name} entries must be finite and >= 0")
+        if np.any(M < 0):
+            raise InvalidSpecError(f"{name} entries must be >= 0")
         if np.any(np.diag(M) != 0):
             raise InvalidSpecError(f"{name} must have a zero diagonal")
         if not np.array_equal(M, M.T):

@@ -12,7 +12,11 @@ that shares its name with a used member of another class passes.
 
 Every public setting that reads a number or a count turns away a value of
 another kind (a boolean, a string, NaN or infinity; a fraction for a count)
-with the package's own error: one table lists each setting and its bad values.
+with the package's own error, as does every array a constructor or solver reads
+(a string, boolean or null entry; a bool, str or object ndarray) and every seed
+(a fraction, a string, a boolean or a negative number): one table lists each
+setting and its bad values. The valid value of each array row reads, given as
+lists, as numpy scalars or as an ndarray, with the same bits.
 """
 
 import ast
@@ -125,10 +129,10 @@ def _twin():
                                                  dense_layers=2), seed=0)
 
 
-def _fgw_problem(trade_off):
+def _fgw_problem(trade_off, **arrays):
     zero, one = np.zeros((1, 1)), np.ones(1)
-    return gcnfuse.FgwProblem(structure_a=zero, structure_b=zero, feature_cost=zero,
-                              trade_off=trade_off, alpha=one, beta=one)
+    return gcnfuse.FgwProblem(**{"structure_a": zero, "structure_b": zero, "feature_cost": zero,
+                                 "trade_off": trade_off, "alpha": one, "beta": one, **arrays})
 
 
 def _generator(edge_density):
@@ -153,9 +157,47 @@ _COUNTS = [
     ("uniform_weights n", gcnfuse.uniform_weights),
     ("Dataset.feature_dim", lambda v: gcnfuse.Dataset(graphs=(), feature_dim=v)),
 ]
+# (function, a call that passes the seed to it) for every public function that draws from a seed
+_SEEDS = [
+    ("synthesize_dataset seed", lambda v: gcnfuse.synthesize_dataset(_generator(0.5), v)),
+    ("random_model seed", lambda v: gcnfuse.random_model(
+        gcnfuse.ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=0, dense_layers=2), v)),
+    ("perturb_model seed", lambda v: gcnfuse.perturb_model(_twin(), 0.1, v)),
+    ("sample_batch seed", lambda v: gcnfuse.sample_batch(
+        gcnfuse.synthesize_dataset(_generator(0.5), 0), 1, v)),
+]
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+# (array, a call that passes the array to it, a valid value as nested lists)
+_ARRAYS = [
+    ("DenseParams.weight", lambda v: gcnfuse.DenseParams(weight=v), [[0.5, 1.0]]),
+    ("BatchNormParams.gamma", lambda v: gcnfuse.BatchNormParams(
+        gamma=v, beta_shift=[0.0, 0.0], running_mean=[0.0, 0.0], running_var=[1.0, 1.0]), [1.0, 0.5]),
+    ("Graph.features", lambda v: gcnfuse.Graph(num_vertices=2, edges=[(0, 1)], features=v),
+     [[1.5], [0.5]]),
+    ("emd alpha", lambda v: gcnfuse.emd(v, [0.5, 0.5], _EYE), [0.0, 1.0]),
+    ("emd beta", lambda v: gcnfuse.emd([0.5, 0.5], v, _EYE), [0.0, 1.0]),
+    ("emd cost", lambda v: gcnfuse.emd([0.5, 0.5], [0.5, 0.5], v), _EYE),
+    ("sinkhorn_unbalanced alpha", lambda v: gcnfuse.sinkhorn_unbalanced(
+        v, [0.5, 0.5], _EYE, gcnfuse.SinkhornParams(epsilon=0.1)), [1.0, 1.0]),
+    ("FgwProblem.structure_a", lambda v: _fgw_problem(0.5, structure_a=v), [[0.0]]),
+    ("FgwProblem.feature_cost", lambda v: _fgw_problem(0.5, feature_cost=v), [[0.25]]),
+]
+
+
+def _spoiled(rows, entry):
+    """rows (nested lists) with its last entry replaced by entry."""
+    return rows[:-1] + [_spoiled(rows[-1], entry) if isinstance(rows[-1], list) else entry]
+
+
 _PROBES = ([(name, call, bad) for name, call in _NUMBERS
             for bad in (True, "0.5", float("nan"), float("inf"))]
-           + [(name, call, bad) for name, call in _COUNTS for bad in (2.5, True)])
+           + [(name, call, bad) for name, call in _COUNTS for bad in (2.5, True)]
+           + [("Dataset.feature_dim", _COUNTS[-1][1], bad) for bad in (0, -3)]
+           + [(name, call, bad) for name, call in _SEEDS for bad in (2.5, "3", True, -1)]
+           + [(f"{name} entry", lambda v, call=call, good=good: call(_spoiled(good, v)), bad)
+              for name, call, good in _ARRAYS for bad in ("2.5", True, None)]
+           + [(f"{name} dtype", lambda v, call=call, good=good: call(np.array(good).astype(v)), bad)
+              for name, call, good in _ARRAYS for bad in ("bool", "str", "object")])
 
 
 @pytest.mark.parametrize("name, call, bad", _PROBES,
@@ -165,3 +207,30 @@ def test_settings_reject_values_of_another_kind(name, call, bad):
     # a count: each raises the package's own error, not Python's TypeError, and none passes
     with pytest.raises(gcnfuse.GcnFuseError):
         call(bad)
+
+
+@pytest.mark.parametrize("name, call, good", _ARRAYS, ids=[name for name, _, _ in _ARRAYS])
+def test_array_rows_take_their_valid_value(name, call, good):
+    # so each array row above fails on its spoiled entry or its dtype alone
+    call(good)
+    call(np.array(good))
+
+
+_NUMERIC = {
+    "floats": [[0.5, 2.0], [-1.0, 3.0]],
+    "numpy-scalars": [[np.float64(0.5), np.int64(2)], [np.float64(-1.0), np.int64(3)]],
+    "tuples": ((0.5, 2), (np.float32(-1.0), 3.0)),
+    "ndarray-row": [np.array([0.5, 2.0]), (-1, 3.0)],
+    "float64": np.array([[0.5, 2.0], [-1.0, 3.0]]),
+    "int32": np.array([[1, 2], [-1, 3]], dtype=np.int32),
+    "fortran": np.asfortranarray([[0.5, 2.0], [-1.0, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("given", _NUMERIC.values(), ids=_NUMERIC.keys())
+def test_arrays_of_numbers_read_as_np_array_reads_them(given):
+    want = np.array(given, dtype=np.float64)
+    for read in (gcnfuse.DenseParams(weight=given).weight,
+                 gcnfuse.Graph(num_vertices=2, edges=(), features=given).features):
+        assert read.shape == want.shape and read.tobytes() == want.tobytes()
+        assert not read.flags.writeable and not np.shares_memory(read, given)

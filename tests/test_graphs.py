@@ -44,7 +44,7 @@ class TestGraph:
         (dict(target="2.5"), "target '2.5' is not a finite number"),  # not parsed to 2.5
         (dict(target=True), "target True is not a finite number"),  # not taken as 1.0
         (dict(num_vertices=True, features=np.zeros((1, 1))), "num_vertices True is not an integer"),
-        (dict(num_vertices=1, features=[["a"]]), "features is not numeric .*'a'"),
+        (dict(num_vertices=1, features=[["a"]]), 'features holds "a", which is not a number'),
     ], ids=["float-endpoint", "bool-endpoint", "triple", "not-a-pair", "string-target",
             "bool-target", "bool-count", "string-feature"])
     def test_constructor_rejects_values_of_another_type(self, given, message):
@@ -207,7 +207,8 @@ class TestLoadDataset:
         p = tmp_path / "d.jsonl"
         p.write_text(json.dumps({"n": 1, "x": [[0.5]]}) + "\n"
                      + json.dumps({"n": 2, "x": [[0.5, 1.0], [2.0, entry]]}) + "\n")
-        with pytest.raises(DatasetFormatError, match=f"^record 2: x holds {shown}, which is not a number$"):
+        with pytest.raises(DatasetFormatError,
+                           match=f"^record 2: features holds {shown}, which is not a number$"):
             load_dataset(p)
 
     def test_integer_and_null_targets_load(self, tmp_path):

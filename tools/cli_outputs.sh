@@ -149,3 +149,12 @@ printf '%s\n' '{"feature_dim": 4}' \
     '{"n": 2, "edges": [[0, 1]], "x": [[0.5, -1, 0, 2], [1, 0.25, -0.5, 0]]}' \
     '{"n": 1, "x": [[-1, 0, 1.5, 0.5]]}' > unlabeled.jsonl
 fails vanilla-unlabeled vanilla $pair --data unlabeled.jsonl --out vanilla-unlabeled.model.json
+# a JSON string or boolean inside an array is not read as a number, and the message names the
+# model layer or dataset record and the field
+printf '%s\n' '{"schema": "gcnfuse-model/1", "name": "string-weight", "layers": [' \
+    '{"kind": "embedding", "weight": [[0.25, "0.5"]]},' \
+    '{"kind": "dense", "weight": [[1.0]], "bias": [0.0], "activation": "none"}]}' > string-weight.json
+fails eval-string-weight eval --model string-weight.json --data fx/dataset.jsonl
+printf '%s\n' '{"feature_dim": 2}' '{"n": 1, "x": [[0.5, -1]], "y": 0.5}' \
+    '{"n": 2, "edges": [[0, 1]], "x": [[1, 0.25], [true, 0]], "y": -1}' > bool-feature.jsonl
+fails eval-bool-feature eval --model fx/model_a.json --data bool-feature.jsonl
