@@ -47,12 +47,6 @@ from .models import (
 from .ot import SinkhornParams
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_results(path: Path, rows: list[dict], fmt: str) -> None:
     """Write the rows as CSV or JSON, in the order given."""
     header = list(rows[0])
@@ -62,8 +56,7 @@ def _write_results(path: Path, rows: list[dict], fmt: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(row[k]) for k in header])
+    writer.writerows([row[k] for k in header] for row in rows)
     path.write_text(buf.getvalue())
 
 

@@ -10,7 +10,7 @@ Three solvers:
   solved by damped Newton ascent on its dual potentials, with a
   closed-form translation step each iteration. It stops on a duality-gap
   certificate, so converged=True means the plan's unbalanced objective is
-  within tol (relative) of the optimum; epsilon down to 5e-5 works.
+  within 1e-9 (relative) of the optimum; epsilon down to 5e-5 works.
 - fgw_distance: fused Gromov-Wasserstein via fixed-point iteration over a
   linearized cost, multi-started and solved in both directions so identity
   and symmetry hold tightly; one array kernel over a stack of instances, each
@@ -58,6 +58,10 @@ def _cost(cost, n: int, m: int, stacked: bool = False) -> np.ndarray:
     if np.any(C < 0):
         raise InvalidSpecError("cost entries must be >= 0")
     return C
+
+
+def _marginal_error(T: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    return float(max(np.max(np.abs(T.sum(axis=1) - a)), np.max(np.abs(T.sum(axis=0) - b))))
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -111,12 +115,11 @@ class TransportPlan:
         return plan
 
     def marginal_error(self, alpha, beta) -> float:
-        a = np.asarray(alpha, dtype=np.float64)
-        b = np.asarray(beta, dtype=np.float64)
-        return float(max(
-            np.max(np.abs(self.coupling.sum(axis=1) - a)),
-            np.max(np.abs(self.coupling.sum(axis=0) - b)),
-        ))
+        """The largest gap between the coupling's row sums and alpha or its column sums and beta."""
+        a, b = _histogram(alpha, "alpha"), _histogram(beta, "beta")
+        if (a.size, b.size) != self.coupling.shape:
+            raise DimensionMismatchError(f"coupling shape {self.coupling.shape} != ({a.size}, {b.size})")
+        return _marginal_error(self.coupling, a, b)
 
     def as_permutation(self) -> np.ndarray | None:
         """Column index per row if the coupling is a scaled permutation, else None.
@@ -156,26 +159,21 @@ def emd(alpha, beta, cost) -> TransportPlan:
 
     Masses must balance within 1e-9. Uniform square instances are solved by
     linear assignment and return a (1/n)-scaled permutation coupling, built
-    once from its columns, which also give its marginal check; the rest go
-    through an LP (dual simplex) with tightened feasibility tolerances so the
-    1e-9 marginal guarantee holds with slack.
+    once from its columns: row k and column cols[k] both hold a[k] alone, so
+    its marginals are off by |a[0] - b[0]| <= 1e-9 at most. The rest go
+    through the checked LP kernel (dual simplex) with tightened feasibility
+    tolerances, so the 1e-9 marginal guarantee holds with slack.
     """
     a, b = _balanced(alpha, beta)
     C = _cost(cost, a.size, b.size)
     if _uniform_square(a, b):
-        plan = TransportPlan._permutation(cols := linear_sum_assignment(C)[1], a, C)
-        # row k sums to a[k] exactly and column cols[k] holds a[k] alone: the dense sums' error
-        error = float(np.max(np.abs(a - b[cols])))
-    else:
-        T = _emd_linprog(a, b, C)
-        plan = TransportPlan(coupling=T, objective=float(np.sum(T * C)))
-        error = plan.marginal_error(a, b)
-    if error > MARGINAL_TOL:
-        raise SolverError(f"solved plan violates marginals by {error:.3g}")
-    return plan
+        return TransportPlan._permutation(linear_sum_assignment(C)[1], a, C)
+    T = _emd_linprog(a, b, C)
+    return TransportPlan(coupling=T, objective=float(np.sum(T * C)))
 
 
 def _emd_linprog(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The exact plan for checked a, b and C, its marginals checked: emd's LP route, FGW's steps."""
     n, m = C.shape
     # row i constraint touches variables i*m..i*m+m-1; column j touches j, j+m, ...
     row_idx = np.repeat(np.arange(n), m)
@@ -197,7 +195,10 @@ def _emd_linprog(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> np.ndarray:
     )
     if res.status != 0:
         raise SolverError(f"LP solver failed: {res.message}")
-    return np.maximum(res.x.reshape(n, m), 0.0)
+    T = np.maximum(res.x.reshape(n, m), 0.0)
+    if (error := _marginal_error(T, a, b)) > MARGINAL_TOL:
+        raise SolverError(f"solved plan violates marginals by {error:.3g}")
+    return T
 
 
 @dataclass(frozen=True)
@@ -205,24 +206,18 @@ class SinkhornParams:
     """Knobs for the unbalanced entropic solver.
 
     epsilon scales the KL(T || alpha beta^T) entropy term; rho_alpha and
-    rho_beta scale the KL penalties on the two marginals. tol is the
-    relative duality gap the solve must certify: it stops once
-    P(T) - D(f, g) <= tol * max(1, |P(T)|), with P the unbalanced objective
-    and D its dual.
+    rho_beta scale the KL penalties on the two marginals. The stop rule is
+    the solver's own (_SINKHORN_TOL, _SINKHORN_MAX_ITERS).
     """
 
     epsilon: float
     rho_alpha: float = 1.0
     rho_beta: float = 1.0
-    max_iters: int = 10000
-    tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("epsilon", "rho_alpha", "rho_beta", "tol"):
+        for name in ("epsilon", "rho_alpha", "rho_beta"):
             if read_number(getattr(self, name), name, InvalidSpecError) <= 0:
-                raise InvalidSpecError("epsilon, rho values and tol must be finite and > 0")
-        if read_integer(self.max_iters, "max_iters", InvalidSpecError) < 1:
-            raise InvalidSpecError("max_iters must be >= 1")
+                raise InvalidSpecError("epsilon and rho values must be finite and > 0")
 
 
 def _generalized_kl(x: np.ndarray, y: np.ndarray) -> float:
@@ -263,6 +258,10 @@ _MIN_STEP = 2.0 ** -40
 # change or a gap within this much of it is rounding, neither a raise of P
 # nor a certificate
 _ROUNDING = 8 * float(np.finfo(np.float64).eps)
+# the Sinkhorn solve stops once it certifies P(T) - D(f, g) <= this * max(1, |P(T)|), with P the
+# unbalanced objective and D its dual, or after this many iterations
+_SINKHORN_TOL = 1e-9
+_SINKHORN_MAX_ITERS = 10000
 
 
 class _UnbalancedDual:
@@ -402,9 +401,9 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
     invariant Sinkhorn and 1-D Frank-Wolfe" (AISTATS 2023).
 
     converged=True certifies P(T) - min P <= P(T) - D(f, g)
-    <= tol * max(1, |P(T)|), with a margin of a few ulps for the rounding
-    of P and D; the plan's gap field holds (P - D) / max(1, |P|). Hitting
-    max_iters or a stalled step returns converged=False.
+    <= _SINKHORN_TOL * max(1, |P(T)|), with a margin of a few ulps for the
+    rounding of P and D; the plan's gap field holds (P - D) / max(1, |P|).
+    Reaching _SINKHORN_MAX_ITERS or a stalled step returns converged=False.
     """
     a, b = _histogram(alpha, "alpha"), _histogram(beta, "beta")
     C = _cost(cost, a.size, b.size)
@@ -420,7 +419,7 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
     D = dual.value(T, f, g)
     # the start sweep is the first iteration
     iterations = 1
-    while _relative_gap(P, D) + _ROUNDING > params.tol and iterations < params.max_iters:
+    while _relative_gap(P, D) + _ROUNDING > _SINKHORN_TOL and iterations < _SINKHORN_MAX_ITERS:
         step = _newton_step(dual, T, f, g, P, D) or _sweep_step(dual, g, P)
         if step is None:
             break
@@ -432,7 +431,7 @@ def sinkhorn_unbalanced(alpha, beta, cost, params: SinkhornParams) -> TransportP
     gap = _relative_gap(P, D)
     return TransportPlan(
         coupling=T, objective=float(np.sum(T * C)),
-        converged=gap + _ROUNDING <= params.tol, iterations=iterations, gap=gap,
+        converged=gap + _ROUNDING <= _SINKHORN_TOL, iterations=iterations, gap=gap,
     )
 
 
@@ -543,7 +542,7 @@ def _fgw_fixed_points(problem: FgwProblem, instances=slice(None)):
             term = (_gromov_at_columns(Ca, Cb, a, plans) if plans.ndim == 2
                     else _gromov_linearized(Ca, Cb, plans))
             lin = lin + (1.0 - problem.trade_off) * term
-        # tiny negatives from cancellation would trip emd's cost validator
+        # the cost is >= 0 but for cancellation's tiny negatives; the clamp keeps the pinned bits
         return np.maximum(lin, 0.0)
 
     plans = np.repeat(np.tile(np.arange(a.size), (len(starts), 1)) if uniform else starts, P, axis=0)
@@ -555,7 +554,7 @@ def _fgw_fixed_points(problem: FgwProblem, instances=slice(None)):
         lin = linearized(F[active % P], current) if step else np.broadcast_to(
             linearized(F, np.array(starts)[:, None]), (len(starts),) + F.shape).reshape((-1,) + F.shape[1:])
         plans[active] = new = (_assignment_columns(lin) if uniform
-                               else np.array([emd(a, b, C).coupling for C in lin]))
+                               else np.array([_emd_linprog(a, b, C) for C in lin]))
         moved = (np.where((new == current).all(axis=-1), 0.0, a[0]) if uniform
                  else np.max(np.abs(new - current), axis=(1, 2)))
         if uniform and not step:  # every permutation moves as far from the equal-entry product start
@@ -569,8 +568,9 @@ def fgw_distance(problem: FgwProblem, *, mirror=None) -> tuple[np.ndarray, np.nd
 
     Each step solves linear OT on trade_off * feature_cost
     + (1 - trade_off) * tens(T) exactly: a linear assignment on uniform square
-    instances, emd otherwise. A run stops when its plan moves less than
-    _FGW_TOL or after _FGW_MAX_ITERS steps. Runs start from the product and
+    instances, else emd's checked LP kernel, with no input check run again.
+    A run stops when its plan moves less than _FGW_TOL or after
+    _FGW_MAX_ITERS steps. Runs start from the product and
     (when square) identity couplings, on the problem and its transpose, and
     the first run of least fused objective wins; so identity and symmetry
     hold by construction. The first step is built once per start. A run

@@ -148,12 +148,11 @@ _NUMBERS = [
     ("FusionConfig.interpolation", lambda v: gcnfuse.FusionConfig(interpolation=v)),
     ("vanilla_fuse interpolation", lambda v: gcnfuse.vanilla_fuse(_twin(), _twin(), v)),
     *[(f"SinkhornParams.{name}", lambda v, name=name: gcnfuse.SinkhornParams(**{
-        "epsilon": 0.1, name: v})) for name in ("epsilon", "rho_alpha", "rho_beta", "tol")],
+        "epsilon": 0.1, name: v})) for name in ("epsilon", "rho_alpha", "rho_beta")],
     ("GeneratorSpec.edge_density", _generator),
     ("perturb_model scale", lambda v: gcnfuse.perturb_model(_twin(), v, 0)),
 ]
 _COUNTS = [
-    ("SinkhornParams.max_iters", lambda v: gcnfuse.SinkhornParams(epsilon=0.1, max_iters=v)),
     ("uniform_weights n", gcnfuse.uniform_weights),
     ("Dataset.feature_dim", lambda v: gcnfuse.Dataset(graphs=(), feature_dim=v)),
 ]
@@ -167,6 +166,7 @@ _SEEDS = [
         gcnfuse.synthesize_dataset(_generator(0.5), 0), 1, v)),
 ]
 _EYE = [[1.0, 0.0], [0.0, 1.0]]
+_HALF_EYE = gcnfuse.TransportPlan(coupling=np.eye(2) / 2, objective=0.0)
 # (array, a call that passes the array to it, a valid value as nested lists)
 _ARRAYS = [
     ("DenseParams.weight", lambda v: gcnfuse.DenseParams(weight=v), [[0.5, 1.0]]),
@@ -181,6 +181,10 @@ _ARRAYS = [
         v, [0.5, 0.5], _EYE, gcnfuse.SinkhornParams(epsilon=0.1)), [1.0, 1.0]),
     ("FgwProblem.structure_a", lambda v: _fgw_problem(0.5, structure_a=v), [[0.0]]),
     ("FgwProblem.feature_cost", lambda v: _fgw_problem(0.5, feature_cost=v), [[0.25]]),
+    ("TransportPlan.marginal_error alpha", lambda v: _HALF_EYE.marginal_error(v, [0.5, 0.5]),
+     [0.5, 0.5]),
+    ("TransportPlan.marginal_error beta", lambda v: _HALF_EYE.marginal_error([0.5, 0.5], v),
+     [0.5, 0.5]),
 ]
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gcnfuse import fusion, graphs, models
+from gcnfuse import fusion, graphs, models, ot
 from gcnfuse import (
     ArchSpec,
     BatchNormParams,
@@ -307,12 +307,14 @@ class TestComputeLayerTm:
         assert last.cost is None
         assert np.array_equal(last.plan.coupling, np.eye(1))
 
-    def test_unconverged_sinkhorn_plan_logs_warning(self, small_regression_setup, caplog):
+    def test_unconverged_sinkhorn_plan_logs_warning(self, small_regression_setup, caplog,
+                                                    monkeypatch):
         dataset, model = small_regression_setup
+        monkeypatch.setattr(ot, "_SINKHORN_MAX_ITERS", 1)
         twin = random_model(ArchSpec(feature_dim=4, hidden_dim=6, gc_layers=1,
                                      dense_layers=2, batch_norm=True), seed=55)
         config = FusionConfig(solver="sinkhorn",
-                              sinkhorn=SinkhornParams(epsilon=5e-4, max_iters=1),
+                              sinkhorn=SinkhornParams(epsilon=5e-4),
                               sample_size=8, seed=0)
         with caplog.at_level(logging.WARNING, logger="gcnfuse"):
             _, trace = fuse(model, twin, dataset, config)

@@ -10,6 +10,7 @@ from gcnfuse import (
     InvalidSpecError,
     NumericalError,
     SinkhornParams,
+    SolverError,
     TransportPlan,
     emd,
     fgw_distance,
@@ -93,6 +94,14 @@ class TestTransportPlan:
         for bad in ([[-0.1, 0.6], [0.5, 0.0]], [[np.nan, 0.5], [0.5, 0.0]]):
             with pytest.raises(NumericalError, match="finite and >= 0"):
                 TransportPlan(coupling=given(bad), objective=0.0)
+
+    def test_marginal_error_needs_one_weight_per_row_and_column(self):
+        plan = TransportPlan(coupling=np.array([[0.5, 0.0], [0.25, 0.25]]), objective=0.0)
+        assert plan.marginal_error([0.5, 0.5], (0.5, 0.5)) == 0.25
+        with pytest.raises(DimensionMismatchError, match=r"coupling shape \(2, 2\) != \(3, 2\)"):
+            plan.marginal_error([0.25, 0.25, 0.5], [0.5, 0.5])
+        with pytest.raises(DimensionMismatchError):
+            plan.marginal_error([0.5, 0.5], [1.0])
 
     def test_identity_plan(self):
         plan = identity_plan(uniform_weights(3))
@@ -229,11 +238,12 @@ class TestSinkhorn:
         assert history[-1] == pytest.approx(
             unbalanced_objective(plan.coupling, a, b, C, params), rel=1e-9)
 
-    def test_nonconvergence_reports_flag(self):
+    def test_nonconvergence_reports_flag(self, monkeypatch):
         rng = np.random.default_rng(8)
         a, b, C = random_instance(rng, 5)
-        plan = sinkhorn_unbalanced(a, b, C,
-                                   SinkhornParams(epsilon=0.5, max_iters=3, tol=1e-15))
+        monkeypatch.setattr(ot, "_SINKHORN_MAX_ITERS", 3)
+        monkeypatch.setattr(ot, "_SINKHORN_TOL", 1e-15)
+        plan = sinkhorn_unbalanced(a, b, C, SinkhornParams(epsilon=0.5))
         assert not plan.converged
         assert plan.iterations == 3
 
@@ -267,10 +277,8 @@ class TestSinkhorn:
             SinkhornParams(epsilon=0.0)
         with pytest.raises(InvalidSpecError):
             SinkhornParams(epsilon=0.1, rho_alpha=-1.0)
-        with pytest.raises(InvalidSpecError):
-            SinkhornParams(epsilon=0.1, tol=0.0)
         for bad in (np.nan, np.inf):
-            for field in ("epsilon", "rho_alpha", "rho_beta", "tol"):
+            for field in ("epsilon", "rho_alpha", "rho_beta"):
                 with pytest.raises(InvalidSpecError):
                     SinkhornParams(**{"epsilon": 0.1, field: bad})
 
@@ -285,7 +293,7 @@ class TestSinkhorn:
             plan = sinkhorn_unbalanced(uniform_weights(n), uniform_weights(m), C, params)
             assert plan.converged
             assert plan.iterations < 100
-            assert plan.gap <= params.tol
+            assert plan.gap <= ot._SINKHORN_TOL
 
     @pytest.mark.parametrize("epsilon", [5e-4, 5e-5])
     def test_converges_at_fusion_scale_costs(self, epsilon, monkeypatch):
@@ -329,7 +337,7 @@ class TestSinkhorn:
         monkeypatch.setattr(ot, "_sweep_step", recorded)
         plan = sinkhorn_unbalanced(uniform_weights(n), uniform_weights(m), C, params)
         assert plan.converged
-        assert plan.gap <= params.tol
+        assert plan.gap <= ot._SINKHORN_TOL
         assert any(step is not None for step in steps)
 
 
@@ -541,6 +549,44 @@ class TestFgw:
         assert T.shape == (4, 6)
         plan = TransportPlan(coupling=T, objective=d)
         assert plan.marginal_error(problem.alpha, problem.beta) <= 1e-9
+
+    def _general(self, rng):
+        """Two instances off the assignment route: rectangular, and square with unequal weights."""
+        a = rng.random(5) + 0.1
+        return [FgwProblem(structure_a=random_structure(rng, 4), structure_b=random_structure(rng, 6),
+                           feature_cost=rng.random((2, 4, 6)), trade_off=0.5, alpha=uniform_weights(4),
+                           beta=uniform_weights(6)),
+                FgwProblem(structure_a=random_structure(rng, 5), structure_b=random_structure(rng, 5),
+                           feature_cost=rng.random((5, 5)), trade_off=0.5, alpha=a / a.sum(),
+                           beta=uniform_weights(5))]
+
+    def test_general_steps_call_the_lp_kernel_not_emd(self, monkeypatch):
+        # the oracle solves each step with the public emd, so it is an independent reference
+        problems = [p for problem in self._general(np.random.default_rng(22))
+                    for p in (problem, problem.transposed())]
+        want = [dense_fgw_distance(p) for p in problems]
+        calls, kernel, solve = [], ot._emd_linprog, ot.emd
+        monkeypatch.setattr(ot, "emd", lambda *args: calls.append("emd") or solve(*args))
+        monkeypatch.setattr(ot, "_emd_linprog", lambda *args: calls.append("lp") or kernel(*args))
+        for problem, (d_want, T_want) in zip(problems, want):
+            d, T = fgw_distance(problem)
+            assert d.tobytes() == d_want.tobytes() and T.tobytes() == T_want.tobytes()
+        assert "lp" in calls and "emd" not in calls
+
+    def test_lp_kernel_rejects_a_plan_off_its_marginals(self, monkeypatch):
+        solve = ot.linprog
+
+        def shifted(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.x = res.x + np.eye(1, res.x.size).ravel() * 10 * ot.MARGINAL_TOL
+            return res
+
+        problem = self._general(np.random.default_rng(23))[0]
+        monkeypatch.setattr(ot, "linprog", shifted)
+        with pytest.raises(SolverError, match="violates marginals by 1e-08"):
+            emd(problem.alpha, problem.beta, problem.feature_cost[0])
+        with pytest.raises(SolverError, match="violates marginals by 1e-08"):
+            fgw_distance(problem)
 
     @pytest.mark.parametrize("name", ["structure_a", "structure_b", "feature_cost", "alpha", "beta"])
     def test_a_callers_arrays_are_copied_and_frozen(self, name):

@@ -121,6 +121,15 @@ run fuse-noisy-fgw fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
 run fuse-noisy-fgw-32 fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
     --data fx-noisy/dataset.jsonl --solver emd --cost fgw --samples 32 \
     --out fuse-noisy-fgw-32.model.json --dump-costs fuse-noisy-fgw-32.costs
+# Sinkhorn on the noisy twin, whose plans each take a Newton step before the stop rule holds
+run fuse-noisy-sinkhorn fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
+    --data fx-noisy/dataset.jsonl --solver sinkhorn --cost efd --samples 8 \
+    --out fuse-noisy-sinkhorn.model.json --trace fuse-noisy-sinkhorn.trace.txt \
+    --dump-costs fuse-noisy-sinkhorn.costs
+run fuse-noisy-sinkhorn-fgw fuse --a fx-noisy/model_a.json --b fx-noisy/model_b.json \
+    --data fx-noisy/dataset.jsonl --solver sinkhorn --cost fgw --samples 8 \
+    --out fuse-noisy-sinkhorn-fgw.model.json --trace fuse-noisy-sinkhorn-fgw.trace.txt \
+    --dump-costs fuse-noisy-sinkhorn-fgw.costs
 # a noisy MLP twin with batch norm: perturb_model, align_model and the interpolation
 # each rebuild dense layers that carry batch norm
 run gen-fixtures-mlp-noisy gen-fixtures --out-dir fx-mlp-noisy --arch mlp --noise 0.05 --seed 4
