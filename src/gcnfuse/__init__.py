@@ -76,10 +76,8 @@ from .ot import (
     TransportPlan,
     emd,
     fgw_distance,
-    fused_objective,
     identity_plan,
     sinkhorn_unbalanced,
-    unbalanced_objective,
     uniform_weights,
 )
 
@@ -97,9 +95,9 @@ __all__ = [
     "align_layer_incoming", "align_layer_outgoing", "build_cost_matrix",
     "default_epsilon", "emd", "ensemble_predict", "evaluate_mae",
     "fgw_distance", "forward_with_capture", "fuse",
-    "fused_objective", "identity_plan", "label_with_model", "load_dataset",
+    "identity_plan", "label_with_model", "load_dataset",
     "load_model", "permute_model", "perturb_model",
     "predict", "random_model", "sample_batch", "save_model",
-    "sinkhorn_unbalanced", "synthesize_dataset", "unbalanced_objective",
+    "sinkhorn_unbalanced", "synthesize_dataset",
     "uniform_weights", "vanilla_fuse", "weight_cost_matrix", "write_dataset",
 ]

@@ -62,8 +62,7 @@ class FgwCostSpec:
     trade_off: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= read_number(self.trade_off, "trade_off", InvalidSpecError) <= 1.0:
-            raise InvalidSpecError("trade_off must be in [0, 1]")
+        read_number(self.trade_off, "trade_off", InvalidSpecError, least=0, most=1)
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,7 @@ class CostSpec:
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise InvalidSpecError(f"cost kind must be one of {COST_KINDS}, got {self.kind!r}")
-        if not 0.0 <= read_number(self.lam, "lam", InvalidSpecError) <= 1.0:
-            raise InvalidSpecError(f"lam must be in [0, 1], got {self.lam}")
+        read_number(self.lam, "lam", InvalidSpecError, least=0, most=1)
         if self.kind != FGW and self.fgw is not None:
             raise InvalidSpecError("fgw settings are only for kind fgw")
 

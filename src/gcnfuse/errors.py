@@ -1,5 +1,9 @@
 """Exception types shared across the package, and the three readers (read_array, read_integer,
-read_number) through which graphs, models, the solvers and every setting check values."""
+read_number) through which graphs, models, the solvers and every setting check values.
+
+read_integer and read_number also take inclusive bounds, least and most (None leaves that end
+open); a value out of range raises the caller's error as "{what} must be >= {least}, got {x!r}",
+"... <= {most} ..." or "... in [{least}, {most}], got {x!r}", x being the int or float as read."""
 
 import json
 import math
@@ -72,16 +76,27 @@ def read_array(values, ndim: int | None, what: str, error: type[Exception]) -> n
     return arr
 
 
-def read_integer(value, what: str, error: type[Exception]) -> int:
-    """value as an int: an integral value, not a bool (int() would truncate 1.5 and read "3")."""
+def read_integer(value, what: str, error: type[Exception], least=None, most=None) -> int:
+    """value as an int in [least, most]: an integral value, not a bool (int() would truncate 1.5)."""
     if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-        return int(value)
+        x = int(value)
+        if (least is None or least <= x) and (most is None or x <= most):
+            return x
+        raise error(_out_of_range(what, x, least, most))
     raise error(f"{what} {value!r} is not an integer")
 
 
-def read_number(value, what: str, error: type[Exception]) -> float:
-    """value as a float: a finite real in the float range, not a bool ("2.5" and True fail)."""
+def read_number(value, what: str, error: type[Exception], least=None, most=None) -> float:
+    """value as a float in [least, most]: a finite real in the float range, not a bool ("2.5" fails)."""
     with suppress(OverflowError):  # isfinite of an int too large for a float
         if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
+            x = float(value)
+            if (least is None or least <= x) and (most is None or x <= most):
+                return x
+            raise error(_out_of_range(what, x, least, most))
     raise error(f"{what} {value!r} is not a finite number")
+
+
+def _out_of_range(what: str, x, least, most) -> str:
+    bound = f">= {least}" if most is None else f"<= {most}" if least is None else f"in [{least}, {most}]"
+    return f"{what} must be {bound}, got {x!r}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .costs import EFD, FGW, QE, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
-from .errors import DimensionMismatchError, InvalidSpecError, read_integer, read_number
+from .errors import DimensionMismatchError, InvalidSpecError, NumericalError, read_integer, read_number
 from .graphs import Dataset, FusionBatch, sample_batch
 from .models import (
     CAPTURE_POINTS,
@@ -76,15 +76,12 @@ class FusionConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise InvalidSpecError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if not 0.0 <= read_number(self.interpolation, "interpolation", InvalidSpecError) <= 1.0:
-            raise InvalidSpecError("interpolation must be in [0, 1]")
+        read_number(self.interpolation, "interpolation", InvalidSpecError, least=0, most=1)
         if self.capture_point not in CAPTURE_POINTS:
             raise InvalidSpecError(
                 f"capture_point must be one of {CAPTURE_POINTS}, got {self.capture_point!r}")
-        if read_integer(self.sample_size, "sample_size", InvalidSpecError) < 1:
-            raise InvalidSpecError("sample_size must be >= 1")
-        if read_integer(self.seed, "seed", InvalidSpecError) < 0:
-            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
+        read_integer(self.sample_size, "sample_size", InvalidSpecError, least=1)
+        read_integer(self.seed, "seed", InvalidSpecError, least=0)
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,8 @@ def fuse(
     weight cost needs no data. models.align_model then aligns A layer by
     layer and asks for each plan in turn: the output layer's is the identity
     with no cost, every other one is solved on the layer's cost matrix. The
-    aligned parameters are interpolated with B's. An unconverged Sinkhorn
+    aligned parameters are interpolated with B's. A cost that is not finite
+    raises NumericalError naming its layer; an unconverged Sinkhorn
     plan logs a warning on the "gcnfuse" logger. Returns the fused model
     plus a per-layer trace of the plans and the read-only cost matrices
     they were solved on.
@@ -202,6 +200,8 @@ def fuse(
                 C = weight_cost_matrix(params_a, model_b.layers[i].params)
             else:
                 C = build_cost_matrix(acts_a[i], acts_b[i], config.cost)
+            if not np.isfinite(C).all():  # a cost overflows to inf silently: einsum ignores errstate
+                raise NumericalError(f"layer {i}: the {config.cost.kind} cost holds NaN or infinite values")
             C.setflags(write=False)
             alpha = uniform_weights(C.shape[0])
             beta = uniform_weights(C.shape[1])
@@ -226,8 +226,7 @@ def fuse(
 
 def vanilla_fuse(model_a: GcnModel, model_b: GcnModel, interpolation: float = 0.5) -> GcnModel:
     """Elementwise parameter interpolation with no alignment; the baseline."""
-    if not 0.0 <= read_number(interpolation, "interpolation", InvalidSpecError) <= 1.0:
-        raise InvalidSpecError("interpolation must be in [0, 1]")
+    read_number(interpolation, "interpolation", InvalidSpecError, least=0, most=1)
     if not model_a.same_architecture(model_b):
         raise DimensionMismatchError("models must share an architecture to fuse")
     return _interpolate_models(model_a.layers, model_b, interpolation,

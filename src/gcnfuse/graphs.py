@@ -43,20 +43,15 @@ class Graph:
     target: float | None = None
 
     def __post_init__(self):
-        if read_integer(self.num_vertices, "num_vertices", DatasetFormatError) < 1:
-            raise DatasetFormatError("graph must have at least one vertex")
+        last = read_integer(self.num_vertices, "num_vertices", DatasetFormatError, least=1) - 1
         canon = {}  # canonical edge -> None, in the given order
         for e in self.edges:
             if not isinstance(e, (tuple, list, np.ndarray)) or len(e) != 2:
                 raise DatasetFormatError(f"edge {e!r} is not a pair of vertices")
-            u = read_integer(e[0], "edge endpoint", DatasetFormatError)
-            v = read_integer(e[1], "edge endpoint", DatasetFormatError)
+            u = read_integer(e[0], "edge endpoint", DatasetFormatError, least=0, most=last)
+            v = read_integer(e[1], "edge endpoint", DatasetFormatError, least=0, most=last)
             if u == v:
                 raise DatasetFormatError(f"self-loop on vertex {u} is not stored explicitly")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise DatasetFormatError(
-                    f"edge ({u}, {v}) references a vertex outside 0..{self.num_vertices - 1}"
-                )
             key = (min(u, v), max(u, v))
             if key in canon:
                 raise DatasetFormatError(f"duplicate edge ({u}, {v})")
@@ -100,8 +95,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "graphs", tuple(self.graphs))
-        if read_integer(self.feature_dim, "feature_dim", DatasetFormatError) < 1:
-            raise DatasetFormatError("feature_dim must be >= 1")
+        read_integer(self.feature_dim, "feature_dim", DatasetFormatError, least=1)
         for i, g in enumerate(self.graphs):
             if g.feature_dim != self.feature_dim:
                 raise DatasetFormatError(
@@ -254,11 +248,10 @@ def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -
     elif "atom" in rec:
         if vocab is None:
             raise DatasetFormatError("'atom' record requires a header declaring 'vocab'")
-        idx = np.array([read_integer(a, "atom", DatasetFormatError) for a in rec["atom"]], dtype=np.int64)
+        idx = np.array([read_integer(a, "atom index", DatasetFormatError, least=0, most=vocab - 1)
+                        for a in rec["atom"]], dtype=np.int64)
         if idx.ndim != 1 or idx.shape[0] != n:
             raise DatasetFormatError("'atom' must list one index per vertex")
-        if np.any((idx < 0) | (idx >= vocab)):
-            raise DatasetFormatError(f"atom index out of vocabulary range 0..{vocab - 1}")
         features = np.zeros((n, vocab), dtype=np.float64)
         features[np.arange(n), idx] = 1.0
     else:
@@ -291,10 +284,8 @@ def sample_batch(dataset: Dataset, sample_size: int, seed: int) -> FusionBatch:
     The batch keeps its graphs' rows of the dataset's layout, gathered bucket by bucket in
     batch order: every layout value is per graph, so these are the bits bucket_layout builds.
     """
-    if not 1 <= read_integer(sample_size, "sample_size", InvalidSpecError) <= len(dataset):
-        raise InvalidSpecError(f"sample_size {sample_size} out of range 1..{len(dataset)}")
-    if read_integer(seed, "seed", InvalidSpecError) < 0:
-        raise InvalidSpecError(f"seed must be >= 0, got {seed}")
+    read_integer(sample_size, "sample_size", InvalidSpecError, least=1, most=len(dataset))
+    read_integer(seed, "seed", InvalidSpecError, least=0)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(dataset), size=sample_size, replace=False)
     batch = FusionBatch(graphs=tuple(map(dataset.graphs.__getitem__, idx.tolist())))
@@ -328,22 +319,15 @@ class GeneratorSpec:
     feature_dim: int
 
     def __post_init__(self):
-        for name in ("count", "feature_dim"):
-            if read_integer(getattr(self, name), name, InvalidSpecError) < 1:
-                raise InvalidSpecError(f"{name} must be >= 1")
-        if not (1 <= read_integer(self.min_vertices, "min_vertices", InvalidSpecError)
-                <= read_integer(self.max_vertices, "max_vertices", InvalidSpecError)):
-            raise InvalidSpecError("need 1 <= min_vertices <= max_vertices")
-        if not 0.0 <= read_number(self.edge_density, "edge_density", InvalidSpecError) <= 1.0:
-            raise InvalidSpecError(
-                f"edge_density {self.edge_density} must lie in [0, 1] (1.0 = complete graph)"
-            )
+        for name in ("count", "feature_dim", "min_vertices"):
+            read_integer(getattr(self, name), name, InvalidSpecError, least=1)
+        read_integer(self.max_vertices, "max_vertices", InvalidSpecError, least=self.min_vertices)
+        read_number(self.edge_density, "edge_density", InvalidSpecError, least=0, most=1)
 
 
 def synthesize_dataset(spec: GeneratorSpec, seed: int) -> Dataset:
     """Generate a small random dataset; identical spec+seed give identical data."""
-    if read_integer(seed, "seed", InvalidSpecError) < 0:
-        raise InvalidSpecError(f"seed must be >= 0, got {seed}")
+    read_integer(seed, "seed", InvalidSpecError, least=0)
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal(spec.feature_dim)
     graphs = []

@@ -50,8 +50,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, InvalidSpecError, ModelFormatError, read_array,
-                     read_integer, read_number)
+from .errors import (DimensionMismatchError, InvalidSpecError, ModelFormatError, NumericalError,
+                     read_array, read_integer, read_number)
 from .graphs import Dataset, FusionBatch, bucket_layout
 from .ot import TransportPlan, identity_plan, uniform_weights
 
@@ -114,8 +114,7 @@ class BatchNormParams:
             raise DimensionMismatchError(f"batch-norm vectors disagree on dim: {dims}")
         if np.any(self.running_var < 0):
             raise ModelFormatError("running_var entries must be >= 0")
-        if read_number(self.epsilon, "batch-norm epsilon", ModelFormatError) < 0:
-            raise ModelFormatError(f"batch-norm epsilon {self.epsilon!r} is not a finite number >= 0")
+        read_number(self.epsilon, "batch-norm epsilon", ModelFormatError, least=0)
         if np.any(self.running_var + self.epsilon <= 0):
             raise ModelFormatError("running_var + epsilon must be > 0 everywhere")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -304,7 +303,8 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
     graph order for the later layers. Returns (predictions, captures); with a
     capture point, captures maps each parameterized layer index to its
     pre-activations: a list of one (G, n, width) view per bucket before the
-    readout, one (graph count, width) array after.
+    readout, one (graph count, width) array after. A value that overflows or turns NaN raises
+    NumericalError, naming the model and the layer.
     """
     input_dim = model.input_dim
     if layout and layout[0].features.shape[2] != input_dim:  # one feature_dim per layout
@@ -317,25 +317,30 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
                   if isinstance(l, _Parameterized)), input_dim)
     pooled = np.empty((sum(len(bucket.index) for bucket in layout), width))
     captures: dict[int, list | np.ndarray] = {}
-    for bucket in layout:
-        G, n, _ = bucket.features.shape
-        h = bucket.features.reshape(G * n, -1)
-        for i, layer in enumerate(layers[:split]):
-            if isinstance(layer, GraphConv):
-                h = (bucket.adjacency @ h.reshape(G, n, -1)).reshape(G * n, -1)
-            h, z = _affine(layer, h, capture_point)
-            if z is not None:
-                captures.setdefault(i, []).append(z.reshape(G, n, -1))
-        if split == len(layers) and n > 1:
-            raise DimensionMismatchError(
-                f"model output has {n * width} entries; the regression head must be scalar")
-        # the readout; without one, each graph is one vertex, whose mean keeps its bits
-        pooled[bucket.index] = h.reshape(G, n, -1).mean(axis=1)
-    h = pooled
-    for i, layer in enumerate(layers[split + 1:], start=split + 1):
-        h, z = _affine(layer, h, capture_point)
-        if z is not None:
-            captures[i] = z
+    i = 0  # the layer at work, named when a value overflows or turns NaN
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for bucket in layout:
+                G, n, _ = bucket.features.shape
+                h = bucket.features.reshape(G * n, -1)
+                for i, layer in enumerate(layers[:split]):
+                    if isinstance(layer, GraphConv):
+                        h = (bucket.adjacency @ h.reshape(G, n, -1)).reshape(G * n, -1)
+                    h, z = _affine(layer, h, capture_point)
+                    if z is not None:
+                        captures.setdefault(i, []).append(z.reshape(G, n, -1))
+                if split == len(layers) and n > 1:
+                    raise DimensionMismatchError(
+                        f"model output has {n * width} entries; the regression head must be scalar")
+                # the readout; without one, each graph is one vertex, whose mean keeps its bits
+                pooled[bucket.index] = h.reshape(G, n, -1).mean(axis=1)
+            h = pooled
+            for i, layer in enumerate(layers[split + 1:], start=split + 1):
+                h, z = _affine(layer, h, capture_point)
+                if z is not None:
+                    captures[i] = z
+    except FloatingPointError as exc:
+        raise NumericalError(f"model {model.name!r}, layer {i}: {exc}") from exc
     if h.shape[1] != 1:
         raise DimensionMismatchError(
             f"model output has {h.shape[1]} entries; the regression head must be scalar")
@@ -432,13 +437,8 @@ def perturb_model(model: GcnModel, scale: float, seed: int) -> GcnModel:
     when the std is zero), so scale=0.01 means roughly 1% perturbation per
     layer. Batch-norm statistics are left untouched.
     """
-    try:
-        if read_number(scale, "noise scale", InvalidSpecError) < 0:
-            raise InvalidSpecError
-    except InvalidSpecError:  # one message for every rejected scale
-        raise InvalidSpecError(f"noise scale must be a finite number >= 0, got {scale!r}") from None
-    if read_integer(seed, "seed", InvalidSpecError) < 0:
-        raise InvalidSpecError(f"seed must be >= 0, got {seed}")
+    read_number(scale, "noise scale", InvalidSpecError, least=0)
+    read_integer(seed, "seed", InvalidSpecError, least=0)
     rng = np.random.default_rng(seed)
 
     def noisy(arr: np.ndarray) -> np.ndarray:
@@ -558,8 +558,7 @@ class ArchSpec:
 
     def __post_init__(self):
         for name, least in (("feature_dim", 1), ("hidden_dim", 1), ("gc_layers", 0), ("dense_layers", 1)):
-            if read_integer(getattr(self, name), name, InvalidSpecError) < least:
-                raise InvalidSpecError(f"{name} must be >= {least}")
+            read_integer(getattr(self, name), name, InvalidSpecError, least=least)
 
     @property
     def is_mlp(self) -> bool:
@@ -568,8 +567,7 @@ class ArchSpec:
 
 def random_model(spec: ArchSpec, seed: int, name: str = "") -> GcnModel:
     """Deterministically initialize a model from an architecture spec and seed."""
-    if read_integer(seed, "seed", InvalidSpecError) < 0:
-        raise InvalidSpecError(f"seed must be >= 0, got {seed}")
+    read_integer(seed, "seed", InvalidSpecError, least=0)
     rng = np.random.default_rng(seed)
 
     def dense_params(out_dim, in_dim, bias=True):

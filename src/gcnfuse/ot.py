@@ -66,8 +66,7 @@ def _marginal_error(T: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 def uniform_weights(n: int) -> np.ndarray:
     """Uniform histogram 1/n; the measure every fusion layer uses."""
-    if read_integer(n, "histogram size", InvalidSpecError) < 1:
-        raise InvalidSpecError("histogram size must be >= 1")
+    read_integer(n, "histogram size", InvalidSpecError, least=1)
     return np.ones(n) / n
 
 
@@ -231,12 +230,9 @@ def _generalized_kl(x: np.ndarray, y: np.ndarray) -> float:
     return float(terms.sum() - x.sum() + y.sum())
 
 
-def unbalanced_objective(T, alpha, beta, cost, params: SinkhornParams) -> float:
-    """<T,C> + rho_a KL(T1||a) + rho_b KL(T^T1||b) + eps KL(T||ab^T)."""
-    T = np.asarray(T, dtype=np.float64)
-    a = np.asarray(alpha, dtype=np.float64)
-    b = np.asarray(beta, dtype=np.float64)
-    C = np.asarray(cost, dtype=np.float64)
+def _unbalanced_objective(T: np.ndarray, a: np.ndarray, b: np.ndarray, C: np.ndarray,
+                          params: SinkhornParams) -> float:
+    """<T,C> + rho_a KL(T1||a) + rho_b KL(T^T1||b) + eps KL(T||ab^T) on float arrays, unchecked."""
     return (
         float(np.sum(T * C))
         + params.rho_alpha * _generalized_kl(T.sum(axis=1), a)
@@ -294,7 +290,7 @@ class _UnbalancedDual:
             )
 
     def primal(self, T: np.ndarray) -> float:
-        return unbalanced_objective(T, self.a, self.b, self.C, self.params)
+        return _unbalanced_objective(T, self.a, self.b, self.C, self.params)
 
     def translate(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact maximization of D along (f + lam, g - lam), which leaves T unchanged."""
@@ -466,8 +462,7 @@ class FgwProblem:
                           structure_a=self._structure(self.structure_a, a.size, "structure_a"),
                           structure_b=self._structure(self.structure_b, b.size, "structure_b"),
                           feature_cost=_cost(self.feature_cost, a.size, b.size, stacked=True))
-        if not 0.0 <= read_number(self.trade_off, "trade_off", InvalidSpecError) <= 1.0:
-            raise InvalidSpecError(f"trade_off must be in [0, 1], got {self.trade_off}")
+        read_number(self.trade_off, "trade_off", InvalidSpecError, least=0, most=1)
 
     @staticmethod
     def _structure(mat, size: int, name: str) -> np.ndarray:
@@ -512,7 +507,7 @@ def _gromov_at_columns(C1: np.ndarray, C2: np.ndarray, a: np.ndarray, cols: np.n
     return (C1 ** 2) @ a[:, None] + ((C2 ** 2) @ a[:, None]).T - C1T @ C2
 
 
-def fused_objective(problem: FgwProblem, T: np.ndarray, tens=None) -> float | np.ndarray:
+def _fused_objective(problem: FgwProblem, T: np.ndarray, tens=None) -> float | np.ndarray:
     """trade_off * <F,T> + (1 - trade_off) * sum (C1_ik - C2_jl)^2 T_ij T_kl.
 
     A float (np.float64) for one instance and plan; one objective per
@@ -622,7 +617,7 @@ def fgw_distance(problem: FgwProblem, *, mirror=None) -> tuple[np.ndarray, np.nd
     for r in np.unique(first):
         tens = (_gromov_at_columns(problem.structure_a, problem.structure_b, a, plans[r])
                 if uniform and np.all(mass[r] == a[0]) else None)
-        obj[r] = fused_objective(problem, run(r), tens)
+        obj[r] = _fused_objective(problem, run(r), tens)
     obj = obj[first, np.arange(P)]
     best = np.argmin(obj, axis=0), np.arange(P)
     return np.maximum(obj[best], 0.0), (_permutation_coupling(plans[best], mass[best][:, None])

@@ -330,7 +330,7 @@ def dense_fgw_distance(problem, mirror=None):
             first[r, (plans[r] == plans[q]).all(axis=(-2, -1)) & (side[q] == side[r])] = q
     obj = np.empty((R, P))
     for r in np.unique(first):
-        obj[r] = ot.fused_objective(problem, runs[r])
+        obj[r] = ot._fused_objective(problem, runs[r])
     obj = obj[first, np.arange(P)]
     best = np.argmin(obj, axis=0), np.arange(P)
     return np.maximum(obj[best], 0.0), plans[best]

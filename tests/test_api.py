@@ -16,7 +16,10 @@ with the package's own error, as does every array a constructor or solver reads
 (a string, boolean or null entry; a bool, str or object ndarray) and every seed
 (a fraction, a string, a boolean or a negative number): one table lists each
 setting and its bad values. The valid value of each array row reads, given as
-lists, as numpy scalars or as an ndarray, with the same bits.
+lists, as numpy scalars or as an ndarray, with the same bits. A second table
+lists every bounded setting: each takes its bounds and turns away the value
+just past them with one message, "{what} must be in [least, most], got x" (or
+">= least", "<= most"), which shows x as read: an np.float64 as a float.
 """
 
 import ast
@@ -24,6 +27,9 @@ import dataclasses
 import functools
 import importlib.util
 import inspect
+import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -238,3 +244,86 @@ def test_arrays_of_numbers_read_as_np_array_reads_them(given):
                  gcnfuse.Graph(num_vertices=2, edges=(), features=given).features):
         assert read.shape == want.shape and read.tobytes() == want.tobytes()
         assert not read.flags.writeable and not np.shares_memory(read, given)
+
+
+def _atom_dataset(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "atoms.jsonl"
+        path.write_text('{"vocab": 3}\n' + json.dumps({"n": 1, "atom": [index], "y": 0.0}) + "\n")
+        return gcnfuse.load_dataset(path)
+
+
+def _arch(**fields):
+    return gcnfuse.ArchSpec(**{"feature_dim": 2, "hidden_dim": 3, "gc_layers": 0, "dense_layers": 2,
+                               **fields})
+
+
+def _spec(**fields):
+    return gcnfuse.GeneratorSpec(**{"count": 2, "min_vertices": 3, "max_vertices": 3,
+                                    "edge_density": 0.5, "feature_dim": 1, **fields})
+
+
+# (setting, a call that passes the value to it, its rule as the message states it, least, most,
+# the type the value is given as) for every bounded setting; None leaves that end open
+_BOUNDED = [
+    ("CostSpec.lam", lambda v: gcnfuse.CostSpec(kind=gcnfuse.EFD, lam=v), "lam must be in [0, 1]",
+     0, 1, float),
+    ("FgwCostSpec.trade_off", lambda v: gcnfuse.FgwCostSpec(trade_off=v),
+     "trade_off must be in [0, 1]", 0, 1, float),
+    ("FgwProblem.trade_off", _fgw_problem, "trade_off must be in [0, 1]", 0, 1, float),
+    ("FusionConfig.interpolation", lambda v: gcnfuse.FusionConfig(interpolation=v),
+     "interpolation must be in [0, 1]", 0, 1, np.float64),
+    ("vanilla_fuse interpolation", lambda v: gcnfuse.vanilla_fuse(_twin(), _twin(), v),
+     "interpolation must be in [0, 1]", 0, 1, float),
+    ("GeneratorSpec.edge_density", _generator, "edge_density must be in [0, 1]", 0, 1, float),
+    ("BatchNormParams.epsilon", lambda v: gcnfuse.BatchNormParams(
+        gamma=[1.0], beta_shift=[0.0], running_mean=[0.0], running_var=[1.0], epsilon=v),
+     "batch-norm epsilon must be >= 0", 0, None, float),
+    ("perturb_model scale", lambda v: gcnfuse.perturb_model(_twin(), v, 0),
+     "noise scale must be >= 0", 0, None, float),
+    ("uniform_weights n", gcnfuse.uniform_weights, "histogram size must be >= 1", 1, None, int),
+    ("Dataset.feature_dim", lambda v: gcnfuse.Dataset(graphs=(), feature_dim=v),
+     "feature_dim must be >= 1", 1, None, int),
+    ("Graph.num_vertices", lambda v: gcnfuse.Graph(num_vertices=v, edges=(), features=[[0.0]]),
+     "num_vertices must be >= 1", 1, None, int),
+    ("Graph edge endpoint", lambda v: gcnfuse.Graph(num_vertices=3, edges=[(v, 1)],
+                                                    features=[[0.0]] * 3),
+     "edge endpoint must be in [0, 2]", 0, 2, int),
+    ("load_dataset atom index", _atom_dataset, "atom index must be in [0, 2]", 0, 2, int),
+    ("FusionConfig.sample_size", lambda v: gcnfuse.FusionConfig(sample_size=v),
+     "sample_size must be >= 1", 1, None, int),
+    ("FusionConfig.seed", lambda v: gcnfuse.FusionConfig(seed=v), "seed must be >= 0", 0, None, int),
+    ("sample_batch sample_size", lambda v: gcnfuse.sample_batch(
+        gcnfuse.synthesize_dataset(_spec(), 0), v, 0), "sample_size must be in [1, 2]", 1, 2, int),
+    *[(f"GeneratorSpec.{name}", lambda v, name=name: _spec(**{name: v}), f"{name} must be >= 1",
+       1, None, int) for name in ("count", "feature_dim")],
+    ("GeneratorSpec.min_vertices", lambda v: _spec(min_vertices=v),
+     "min_vertices must be >= 1", 1, None, int),
+    ("GeneratorSpec.max_vertices", lambda v: _spec(max_vertices=v),
+     "max_vertices must be >= 3", 3, None, int),  # min_vertices is 3
+    *[(f"ArchSpec.{name}", lambda v, name=name: _arch(**{name: v}), f"{name} must be >= {least}",
+       least, None, int)
+      for name, least in (("feature_dim", 1), ("hidden_dim", 1), ("gc_layers", 0), ("dense_layers", 1))],
+    *[(name, call, "seed must be >= 0", 0, None, np.int64 if name == "random_model seed" else int)
+      for name, call in _SEEDS],
+]
+
+
+def _past(bound, kind, away: int):
+    """The value of type kind next past bound, away (-1 or 1) from the range."""
+    if kind in (int, np.int64):
+        return kind(bound + away)
+    return kind(np.nextafter(float(bound), away * np.inf))
+
+
+@pytest.mark.parametrize("name, call, rule, least, most, kind", _BOUNDED,
+                         ids=[row[0] for row in _BOUNDED])
+def test_bounded_settings_take_their_bounds_and_nothing_past(name, call, rule, least, most, kind):
+    for bound, away in ((least, -1), (most, 1)):
+        if bound is None:
+            continue
+        call(kind(bound))
+        past = _past(bound, kind, away)
+        shown = repr(float(past) if isinstance(past, float) else int(past))  # as read, not as given
+        with pytest.raises(gcnfuse.GcnFuseError, match=f"{re.escape(rule)}, got {re.escape(shown)}$"):
+            call(past)

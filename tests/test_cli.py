@@ -1,13 +1,15 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gcnfuse import (FusionConfig, GraphConv, MeanReadout, ModelFormatError, ensemble_predict,
-                     evaluate_mae, fuse, load_dataset, load_model, vanilla_fuse)
+from gcnfuse import (WEIGHT, CostSpec, FusionConfig, GraphConv, MeanReadout, ModelFormatError,
+                     NumericalError, ensemble_predict, evaluate_mae, fuse, load_dataset, load_model,
+                     vanilla_fuse)
 from gcnfuse import cli, fusion, models
 from gcnfuse.cli import main
 
@@ -538,7 +540,7 @@ class TestGridCommand:
         # each failed cell's reason, before the summary
         summary = result.output.index("grid cells failed")
         for label in ("emd-efd", "emd-qe", "sinkhorn-efd", "sinkhorn-qe"):
-            reason = result.output.find(f"{label}: sample_size 1000 out of range 1..400")
+            reason = result.output.find(f"{label}: sample_size must be in [1, 400], got 1000")
             assert 0 <= reason < summary
         _, rows = read_csv(out)
         assert len(rows) == 6
@@ -625,6 +627,71 @@ class TestEvalCommand:
         assert "Error:" in result.output and "record 1" in result.output
         assert "MAE" not in result.output
 
+
+
+class TestOverflowingModel:
+    """Finite weights of 1e200 load, but overflow in the forward pass and in the weight cost."""
+
+    @staticmethod
+    def scaled(fx, path, scale):
+        doc = json.loads(fx["a"].read_text())
+        for layer in doc["layers"]:
+            if "weight" in layer:
+                layer["weight"] = (np.array(layer["weight"]) * scale).tolist()
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.fixture
+    def huge(self, fx, tmp_path):
+        return self.scaled(fx, tmp_path / "huge.json", 1e200)
+
+    @pytest.fixture(autouse=True)
+    def warnings_fail(self):
+        with warnings.catch_warnings():  # a RuntimeWarning is a failure too
+            warnings.simplefilter("error")
+            yield
+
+    def test_library_calls_raise_naming_the_layer(self, huge, fx):
+        model, anchor, dataset = load_model(huge), load_model(fx["b"]), load_dataset(fx["data"])
+        with pytest.raises(NumericalError, match="model 'a', layer 1: overflow encountered"):
+            evaluate_mae(model, dataset)
+        fused = vanilla_fuse(model, anchor)
+        with pytest.raises(NumericalError, match=r"model 'vanilla\(a,a\+perm\)', layer 1: overflow"):
+            evaluate_mae(fused, dataset)
+        with pytest.raises(NumericalError, match="model 'a', layer 1: overflow encountered"):
+            fuse(model, anchor, dataset, FusionConfig(sample_size=4))
+        with pytest.raises(NumericalError, match="layer 0: the weight cost holds NaN or infinite"):
+            fuse(model, anchor, None, FusionConfig(cost=CostSpec(kind=WEIGHT)))
+
+    def test_activation_cost_that_overflows_names_the_layer(self, fx, tmp_path):
+        # weights of 1e60 keep every capture finite, but layer 3's squared differences overflow;
+        # the cost build itself still warns as they do
+        model = load_model(self.scaled(fx, tmp_path / "large.json", 1e60))
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericalError, match="layer 3: the efd cost holds NaN or infinite"):
+            fuse(model, load_model(fx["b"]), load_dataset(fx["data"]), FusionConfig(sample_size=4))
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("eval", ["--model", "{huge}"], "model 'a', layer 1: overflow encountered in matmul"),
+        ("vanilla", ["--a", "{huge}", "--b", "{b}", "--out", "{out}"],
+         "model 'vanilla(a,a+perm)', layer 1: overflow encountered in matmul"),
+        ("fuse", ["--a", "{huge}", "--b", "{b}", "--samples", "4", "--out", "{out}"],
+         "model 'a', layer 1: overflow encountered in matmul"),
+        ("fuse", ["--a", "{huge}", "--b", "{b}", "--cost", "weight", "--out", "{out}"],
+         "layer 0: the weight cost holds NaN or infinite values"),
+        ("grid", ["--a", "{huge}", "--b", "{b}", "--samples", "4", "--fgw-samples", "2",
+                  "--repeats", "1", "--out", "{out}"],
+         "emd-efd: model 'a', layer 1: overflow encountered in matmul"),
+    ], ids=["eval", "vanilla", "fuse-efd", "fuse-weight", "grid"])
+    def test_commands_exit_1_naming_the_layer(self, huge, fx, tmp_path, command, args, message):
+        out = tmp_path / "out"
+        args = [a.format(huge=huge, b=fx["b"], out=out) for a in args]
+        result = run(command, *args, "--data", fx["data"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a raised error
+        assert message in result.output and "MAE" not in result.output
+        if command == "vanilla":  # the model is written before it is evaluated
+            assert load_model(out).name == "vanilla(a,a+perm)"
 
 class TestEnsembleCommand:
     def test_single_member_equals_eval(self, fx):

@@ -559,7 +559,7 @@ class TestPerturbModel:
     def test_non_finite_scale_rejected(self, scale):
         model = random_model(ArchSpec(feature_dim=2, hidden_dim=3, gc_layers=0,
                                       dense_layers=2), seed=20)
-        with pytest.raises(InvalidSpecError, match="noise scale must be a finite number"):
+        with pytest.raises(InvalidSpecError, match=f"noise scale {scale!r} is not a finite number"):
             perturb_model(model, scale, seed=1)
 
     def test_deterministic(self):

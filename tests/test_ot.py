@@ -14,10 +14,8 @@ from gcnfuse import (
     TransportPlan,
     emd,
     fgw_distance,
-    fused_objective,
     identity_plan,
     sinkhorn_unbalanced,
-    unbalanced_objective,
     uniform_weights,
 )
 import oracles
@@ -236,7 +234,7 @@ class TestSinkhorn:
         assert len(hist) > 1
         assert np.all(np.diff(hist) <= 1e-10)
         assert history[-1] == pytest.approx(
-            unbalanced_objective(plan.coupling, a, b, C, params), rel=1e-9)
+            ot._unbalanced_objective(plan.coupling, a, b, C, params), rel=1e-9)
 
     def test_nonconvergence_reports_flag(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -264,8 +262,8 @@ class TestSinkhorn:
         plan = sinkhorn_unbalanced(a, b, C, params)
         assert np.all(np.isfinite(plan.coupling)) and np.all(plan.coupling >= 0)
         competitor = emd(a, b, C).coupling
-        assert (unbalanced_objective(plan.coupling, a, b, C, params)
-                <= unbalanced_objective(competitor, a, b, C, params) + 1e-9)
+        assert (ot._unbalanced_objective(plan.coupling, a, b, C, params)
+                <= ot._unbalanced_objective(competitor, a, b, C, params) + 1e-9)
 
     def test_zero_weights_rejected(self):
         with pytest.raises(InvalidSpecError, match="positive"):
@@ -310,8 +308,8 @@ class TestSinkhorn:
             assert plan.converged
             assert plan.iterations < 200
             competitor = emd(a, a, C).coupling
-            assert (unbalanced_objective(plan.coupling, a, a, C, params)
-                    <= unbalanced_objective(competitor, a, a, C, params))
+            assert (ot._unbalanced_objective(plan.coupling, a, a, C, params)
+                    <= ot._unbalanced_objective(competitor, a, a, C, params))
             assert np.all(np.diff(history) <= 1e-12)
             iterations.append(plan.iterations)
         # some instances need Newton steps, so the history checks are not vacuous
@@ -385,7 +383,7 @@ class TestFgw:
                              alpha=uniform_weights(3), beta=uniform_weights(3))
         (d,), _ = fgw_distance(problem)
         bound = min(
-            fused_objective(problem, np.eye(3)[list(p)] / 3.0)
+            ot._fused_objective(problem, np.eye(3)[list(p)] / 3.0)
             for p in itertools.permutations(range(3))
         )
         assert 0.0 <= d <= bound + 1e-8
@@ -401,12 +399,12 @@ class TestFgw:
         problem = FgwProblem(structure_a=S, structure_b=S,
                              feature_cost=(va[:, None] - vb[None, :]) ** 2, trade_off=0.5,
                              alpha=uniform_weights(4), beta=uniform_weights(4))
-        best = min(fused_objective(problem, np.eye(4)[list(p)] / 4.0)
+        best = min(ot._fused_objective(problem, np.eye(4)[list(p)] / 4.0)
                    for p in itertools.permutations(range(4)))
         # the uniform square kernel keeps each plan as its columns
         forward = ot._permutation_coupling(ot._fgw_fixed_points(problem), problem.alpha)
         assert best == 0.25
-        assert min(fused_objective(problem, T[0]) for T in forward) == 0.5
+        assert min(ot._fused_objective(problem, T[0]) for T in forward) == 0.5
         assert fgw_distance(problem)[0][0] == best
 
     def test_mirrored_pass_pays_without_repeated_values(self):
@@ -420,7 +418,7 @@ class TestFgw:
                              alpha=uniform_weights(6), beta=uniform_weights(6))
         assert all(len(set(line)) == 6 for line in (*F, *F.T))
         forward = ot._permutation_coupling(ot._fgw_fixed_points(problem), problem.alpha)
-        assert min(fused_objective(problem, T[0]) for T in forward) >= 1.0
+        assert min(ot._fused_objective(problem, T[0]) for T in forward) >= 1.0
         (d,), _ = fgw_distance(problem)
         (d_mirror,), _ = fgw_distance(problem.transposed())
         assert d == d_mirror <= 11 / 12 + 1e-12

@@ -153,6 +153,8 @@ fails fuse-interpolation-2 fuse $pair --interpolation 2 --out rejected.model.jso
 fails fuse-sinkhorn-epsilon-0 fuse $pair --solver sinkhorn --epsilon 0 --out rejected.model.json
 fails fuse-lam-2 fuse $pair --lam 2 --out rejected.model.json
 fails gen-fixtures-density-2 gen-fixtures --out-dir fx-density-2 --density 2 --seed 0
+fails gen-fixtures-vertices gen-fixtures --out-dir fx-vertices --min-vertices 5 --max-vertices 3 \
+    --seed 0
 # a dataset without targets: vanilla must stop before fusing or writing its model
 printf '%s\n' '{"feature_dim": 4}' \
     '{"n": 2, "edges": [[0, 1]], "x": [[0.5, -1, 0, 2], [1, 0.25, -0.5, 0]]}' \
@@ -167,3 +169,11 @@ fails eval-string-weight eval --model string-weight.json --data fx/dataset.jsonl
 printf '%s\n' '{"feature_dim": 2}' '{"n": 1, "x": [[0.5, -1]], "y": 0.5}' \
     '{"n": 2, "edges": [[0, 1]], "x": [[1, 0.25], [true, 0]], "y": -1}' > bool-feature.jsonl
 fails eval-bool-feature eval --model fx/model_a.json --data bool-feature.jsonl
+# finite weights of 1e200 load, then overflow in layer 1's matmul: an error, not an MAE of NaN
+printf '%s\n' '{"schema": "gcnfuse-model/1", "name": "overflow", "layers": [' \
+    '{"kind": "embedding", "weight": [[1e200, 1e200, 1e200, 1e200], [1e200, 1e200, 1e200, 1e200]]},' \
+    '{"kind": "graph_conv", "weight": [[1e200, 1e200], [1e200, 1e200]], "bias": [0, 0]},' \
+    '{"kind": "mean_readout"},' \
+    '{"kind": "dense", "weight": [[1e200, 1e200]], "bias": [0], "activation": "none"}]}' \
+    > overflow.json
+fails eval-overflow eval --model overflow.json --data fx/dataset.jsonl
