@@ -40,7 +40,6 @@ from .fusion import (
 )
 from .graphs import (
     Dataset,
-    FusionBatch,
     GeneratorSpec,
     Graph,
     load_dataset,
@@ -87,7 +86,7 @@ __all__ = [
     "ActivationSample", "AlignmentTrace", "ArchSpec", "BatchNormParams",
     "CostSpec", "Dataset", "DatasetFormatError", "Dense", "DenseParams",
     "DimensionMismatchError", "EFD", "Embedding", "FGW", "FgwCostSpec",
-    "FgwProblem", "FusionBatch", "FusionConfig", "GcnFuseError", "GcnModel",
+    "FgwProblem", "FusionConfig", "GcnFuseError", "GcnModel",
     "GeneratorSpec", "Graph", "GraphConv", "InvalidSpecError", "LayerTrace",
     "MeanReadout", "ModelFormatError", "NumericalError", "POST_BN", "PRE_BN",
     "QE", "SOLVER_EMD", "SOLVER_SINKHORN", "SinkhornParams", "SolverError",

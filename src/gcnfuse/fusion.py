@@ -15,7 +15,7 @@ import numpy as np
 
 from .costs import EFD, FGW, QE, WEIGHT, CostSpec, build_cost_matrix, weight_cost_matrix
 from .errors import DimensionMismatchError, InvalidSpecError, NumericalError, read_integer, read_number
-from .graphs import Dataset, FusionBatch, sample_batch
+from .graphs import Dataset, sample_batch
 from .models import (
     CAPTURE_POINTS,
     POST_BN,
@@ -171,8 +171,8 @@ def fuse(
     weight cost needs no data. models.align_model then aligns A layer by
     layer and asks for each plan in turn: the output layer's is the identity
     with no cost, every other one is solved on the layer's cost matrix. The
-    aligned parameters are interpolated with B's. A cost that is not finite
-    raises NumericalError naming its layer; an unconverged Sinkhorn
+    aligned parameters are interpolated with B's. A cost that overflows or is not
+    finite raises NumericalError naming its layer; an unconverged Sinkhorn
     plan logs a warning on the "gcnfuse" logger. Returns the fused model
     plus a per-layer trace of the plans and the read-only cost matrices
     they were solved on.
@@ -196,11 +196,13 @@ def fuse(
         if i == output_index:
             plan, C = identity_plan(uniform_weights(params_a.out_dim)), None
         else:
-            if weight_cost:
-                C = weight_cost_matrix(params_a, model_b.layers[i].params)
-            else:
-                C = build_cost_matrix(acts_a[i], acts_b[i], config.cost)
-            if not np.isfinite(C).all():  # a cost overflows to inf silently: einsum ignores errstate
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    C = (weight_cost_matrix(params_a, model_b.layers[i].params) if weight_cost
+                         else build_cost_matrix(acts_a[i], acts_b[i], config.cost))
+            except FloatingPointError:
+                C = None
+            if C is None or not np.isfinite(C).all():  # einsum overflows to inf without raising
                 raise NumericalError(f"layer {i}: the {config.cost.kind} cost holds NaN or infinite values")
             C.setflags(write=False)
             alpha = uniform_weights(C.shape[0])
@@ -237,7 +239,7 @@ def ensemble_predict(models: list[GcnModel], graphs) -> np.ndarray:
     """Mean of the member predictions for each graph, in order; graphs as predict takes them."""
     if not models:
         raise InvalidSpecError("ensemble needs at least one model")
-    if graphs and not isinstance(graphs, (Dataset, FusionBatch)):
-        graphs = FusionBatch(graphs=graphs)  # laid out once for every member
+    if not isinstance(graphs, Dataset) and (g := tuple(graphs)):
+        graphs = Dataset(graphs=g, feature_dim=g[0].feature_dim)  # laid out once for every member
     # one row per graph, so each mean sums its members in model order
     return np.stack([predict(m, graphs) for m in models], axis=1).mean(axis=1)

@@ -3,7 +3,8 @@
 Graphs are undirected, stored without self-loops (the propagation rule adds
 the vertex itself to its own neighborhood), and carry one dense feature row
 per vertex. Datasets are ordered and immutable so that every sampling or
-evaluation step is replayable from a seed.
+evaluation step is replayable from a seed; a fusion batch is the Dataset that
+sample_batch draws, which keeps its rows of the parent's bucket layout.
 
 Dataset files are line-delimited JSON: an optional header record declaring
 ``feature_dim`` (and ``vocab`` for categorical features), followed by one
@@ -88,7 +89,8 @@ class Graph:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered, immutable collection of graphs with a common feature_dim."""
+    """Ordered, immutable collection of graphs with a common feature_dim. A fusion batch is one,
+    drawn by sample_batch: both models see vertex k of graph g as the same vertex."""
 
     graphs: tuple[Graph, ...]
     feature_dim: int
@@ -102,6 +104,11 @@ class Dataset:
                     f"graph {i} has feature_dim {g.feature_dim}, dataset declares {self.feature_dim}")
 
     def __len__(self) -> int:
+        return len(self.graphs)
+
+    @property
+    def sample_size(self) -> int:
+        """len(self); kept because the benchmark's tracer reads a batch's sample_size."""
         return len(self.graphs)
 
     @cached_property
@@ -127,32 +134,6 @@ class Dataset:
             if g.target is None:
                 raise InvalidSpecError(f"graph {i} has no target; cannot evaluate MAE")
         return read_array([g.target for g in self.graphs], 1, "targets", InvalidSpecError)
-
-
-@dataclass(frozen=True)
-class FusionBatch:
-    """The shared set of input graphs both models see during fusion.
-
-    Both networks are evaluated on the same instance, so vertex k of graph g
-    refers to the same vertex on either side and activation graphs never need
-    re-matching.
-    """
-
-    graphs: tuple[Graph, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "graphs", tuple(self.graphs))
-        if not self.graphs:
-            raise InvalidSpecError("a fusion batch needs at least one graph")
-
-    @property
-    def sample_size(self) -> int:
-        return len(self.graphs)
-
-    @cached_property
-    def layout(self) -> tuple[Bucket, ...]:
-        """The graphs' bucket_layout, kept: built on first use, or gathered by sample_batch."""
-        return bucket_layout(self.graphs)
 
 
 @dataclass(frozen=True)
@@ -278,17 +259,18 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def sample_batch(dataset: Dataset, sample_size: int, seed: int) -> FusionBatch:
+def sample_batch(dataset: Dataset, sample_size: int, seed: int) -> Dataset:
     """Draw ``sample_size`` graphs without replacement, deterministically per seed.
 
-    The batch keeps its graphs' rows of the dataset's layout, gathered bucket by bucket in
-    batch order: every layout value is per graph, so these are the bits bucket_layout builds.
+    The batch is a Dataset of the parent's own graphs and feature_dim, not checked again. It
+    keeps its graphs' rows of the dataset's layout, gathered bucket by bucket in batch order:
+    every layout value is per graph, so these are the bits bucket_layout builds.
     """
     read_integer(sample_size, "sample_size", InvalidSpecError, least=1, most=len(dataset))
     read_integer(seed, "seed", InvalidSpecError, least=0)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(dataset), size=sample_size, replace=False)
-    batch = FusionBatch(graphs=tuple(map(dataset.graphs.__getitem__, idx.tolist())))
+    graphs = tuple(map(dataset.graphs.__getitem__, idx.tolist()))
     bucket_of, row_of = dataset._slots
     order = np.argsort(bucket_of[idx], kind="stable")  # batch positions by bucket, ascending
     rows = row_of[idx[order]]
@@ -298,7 +280,8 @@ def sample_batch(dataset: Dataset, sample_size: int, seed: int) -> FusionBatch:
         if lo < hi:  # one take per stacked array
             layout.append(Bucket(order[lo:hi], *(stack.take(rows[lo:hi], axis=0) for stack in
                                                  (bucket.features, bucket.links, bucket.adjacency))))
-    vars(batch).update(layout=tuple(layout))
+    batch = object.__new__(Dataset)  # its graphs and feature_dim passed the parent's checks
+    vars(batch).update(graphs=graphs, feature_dim=dataset.feature_dim, layout=tuple(layout))
     return batch
 
 

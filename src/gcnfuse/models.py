@@ -27,9 +27,9 @@ load_model rejects a record setting a layer field its kind does not carry.
 One private evaluator runs every forward pass (predict,
 forward_with_capture, evaluate_mae, label_with_model) on the graphs'
 bucket_layout, which a Dataset builds once and keeps; a batch from
-sample_batch gathers its graphs' rows from that kept layout, and a
-FusionBatch made from graphs builds its own. The evaluator holds each
-vertex-count bucket's states as one (G·n, d) array, so each affine map is
+sample_batch, a Dataset too, gathers its graphs' rows from its parent's
+kept layout, and a plain graph sequence is laid out per call. The evaluator
+holds each vertex-count bucket's states as one (G·n, d) array, so each affine map is
 one 2-D product; only the normalized adjacencies (G, n, n) act per graph.
 Each layer's product is a new array, and batch norm and ReLU write into it
 unless a capture keeps the array they would overwrite, so an evaluation without
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidSpecError, ModelFormatError, NumericalError,
                      read_array, read_integer, read_number)
-from .graphs import Dataset, FusionBatch, bucket_layout
+from .graphs import Dataset, bucket_layout
 from .ot import TransportPlan, identity_plan, uniform_weights
 
 PRE_BN = "pre_bn"
@@ -262,13 +262,13 @@ class GcnModel:
 
 @dataclass(frozen=True)
 class ActivationSample:
-    """One layer's pre-activation capture over a fusion batch, neuron-major.
+    """One layer's pre-activation capture over a fusion batch (a Dataset), neuron-major.
 
     values: per vertex, a tuple of one (G, n, width) stack of one width per bucket of
     batch.layout, in its order; after the readout, one (sample_size, width) array.
     """
 
-    batch: FusionBatch
+    batch: Dataset
     values: tuple[np.ndarray, ...] | np.ndarray
 
     def __post_init__(self):
@@ -364,15 +364,15 @@ def _affine(layer, h: np.ndarray, capture_point: str | None):
 
 
 def predict(model: GcnModel, graphs) -> np.ndarray:
-    """Each graph's scalar prediction, in order; a Dataset or FusionBatch lends its kept layout."""
-    layout = graphs.layout if isinstance(graphs, (Dataset, FusionBatch)) else bucket_layout(graphs)
+    """Each graph's scalar prediction, in order; a Dataset lends its kept layout."""
+    layout = graphs.layout if isinstance(graphs, Dataset) else bucket_layout(graphs)
     return _evaluate(model, layout, capture_point=None)[0]
 
 
 def forward_with_capture(
-    model: GcnModel, batch: FusionBatch, capture_point: str = POST_BN
+    model: GcnModel, batch: Dataset, capture_point: str = POST_BN
 ) -> tuple[np.ndarray, dict[int, ActivationSample]]:
-    """Evaluate a batch and capture each parameterized layer's pre-activations.
+    """Evaluate a nonempty batch and capture each parameterized layer's pre-activations.
 
     capture_point selects the value recorded for layers followed by batch
     norm: the affine output before BN ("pre_bn") or after BN ("post_bn").
@@ -380,6 +380,8 @@ def forward_with_capture(
     """
     if capture_point not in CAPTURE_POINTS:
         raise InvalidSpecError(f"capture_point must be one of {CAPTURE_POINTS}")
+    if not batch.graphs:
+        raise InvalidSpecError("a fusion batch needs at least one graph")
     predictions, captures = _evaluate(model, batch.layout, capture_point)
     return predictions, {i: ActivationSample(batch, tuple(v) if isinstance(v, list) else v)
                          for i, v in captures.items()}

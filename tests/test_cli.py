@@ -664,12 +664,18 @@ class TestOverflowingModel:
             fuse(model, anchor, None, FusionConfig(cost=CostSpec(kind=WEIGHT)))
 
     def test_activation_cost_that_overflows_names_the_layer(self, fx, tmp_path):
-        # weights of 1e60 keep every capture finite, but layer 3's squared differences overflow;
-        # the cost build itself still warns as they do
+        # weights of 1e60 keep every capture finite, but layer 3's squared differences overflow
         model = load_model(self.scaled(fx, tmp_path / "large.json", 1e60))
-        warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericalError, match="layer 3: the efd cost holds NaN or infinite"):
             fuse(model, load_model(fx["b"]), load_dataset(fx["data"]), FusionConfig(sample_size=4))
+
+    @pytest.mark.parametrize("kind", ["qe", "fgw"])
+    def test_qe_and_fgw_costs_that_overflow_name_the_layer(self, fx, tmp_path, kind):
+        # the cost build runs under the forward pass's errstate: no warning, no unnamed error
+        model = load_model(self.scaled(fx, tmp_path / "large.json", 1e60))
+        with pytest.raises(NumericalError, match=f"layer 3: the {kind} cost holds NaN or infinite"):
+            fuse(model, load_model(fx["b"]), load_dataset(fx["data"]),
+                 FusionConfig(cost=CostSpec(kind=kind), sample_size=2))
 
     @pytest.mark.parametrize("command, args, message", [
         ("eval", ["--model", "{huge}"], "model 'a', layer 1: overflow encountered in matmul"),
@@ -679,13 +685,15 @@ class TestOverflowingModel:
          "model 'a', layer 1: overflow encountered in matmul"),
         ("fuse", ["--a", "{huge}", "--b", "{b}", "--cost", "weight", "--out", "{out}"],
          "layer 0: the weight cost holds NaN or infinite values"),
+        ("fuse", ["--a", "{large}", "--b", "{b}", "--cost", "fgw", "--samples", "2", "--out", "{out}"],
+         "layer 3: the fgw cost holds NaN or infinite values"),
         ("grid", ["--a", "{huge}", "--b", "{b}", "--samples", "4", "--fgw-samples", "2",
                   "--repeats", "1", "--out", "{out}"],
          "emd-efd: model 'a', layer 1: overflow encountered in matmul"),
-    ], ids=["eval", "vanilla", "fuse-efd", "fuse-weight", "grid"])
+    ], ids=["eval", "vanilla", "fuse-efd", "fuse-weight", "fuse-fgw-cost", "grid"])
     def test_commands_exit_1_naming_the_layer(self, huge, fx, tmp_path, command, args, message):
-        out = tmp_path / "out"
-        args = [a.format(huge=huge, b=fx["b"], out=out) for a in args]
+        out, large = tmp_path / "out", self.scaled(fx, tmp_path / "large.json", 1e60)
+        args = [a.format(huge=huge, large=large, b=fx["b"], out=out) for a in args]
         result = run(command, *args, "--data", fx["data"])
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)  # a clean exit, not a raised error

@@ -8,10 +8,10 @@ from gcnfuse import (
     ActivationSample,
     ArchSpec,
     CostSpec,
+    Dataset,
     DenseParams,
     DimensionMismatchError,
     FgwCostSpec,
-    FusionBatch,
     InvalidSpecError,
     build_cost_matrix,
     emd,
@@ -34,7 +34,7 @@ def neuron_values(acts, neuron):
 
 
 def captured_acts(model, graphs, capture="post_bn"):
-    batch = FusionBatch(graphs=tuple(graphs))
+    batch = Dataset(graphs=tuple(graphs), feature_dim=model.input_dim)
     _, acts = forward_with_capture(model, batch, capture)
     return acts
 
@@ -301,7 +301,7 @@ class TestFgwMirroredPass:
         # the 4-cycle of test_mirrored_pass_finds_the_best_permutation, whose
         # forward runs stop at 0.5; both neurons repeat values, so the pair is flagged
         cycle = make_graph(4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
-        batch = FusionBatch(graphs=(cycle,))
+        batch = Dataset(graphs=(cycle,), feature_dim=1)
         acts_a = sample_from_graphs(batch, [np.array([[2.0], [2.0], [0.0], [0.0]])])
         acts_b = sample_from_graphs(batch, [np.array([[1.0], [2.0], [2.0], [1.0]])])
         C, mirrored = self._mirrored_instances(monkeypatch, acts_a, acts_b, fgw_spec())
@@ -319,7 +319,7 @@ def mixed_batch(seed, width):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
         graphs.append(make_graph(n, edges=edges))
         values.append(rng.standard_normal((n, width)) * 3.0 + 1.0)
-    return FusionBatch(graphs=tuple(graphs)), values
+    return Dataset(graphs=tuple(graphs), feature_dim=1), values
 
 
 class TestGemmFormCosts:

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from gcnfuse import (
+    ArchSpec,
     DatasetFormatError,
     Dataset,
     DimensionMismatchError,
-    FusionBatch,
     GeneratorSpec,
     Graph,
     InvalidSpecError,
+    forward_with_capture,
     load_dataset,
+    random_model,
     sample_batch,
     synthesize_dataset,
     write_dataset,
 )
+from gcnfuse.graphs import bucket_layout
 from conftest import make_graph, path_graph
 
 
@@ -120,9 +123,11 @@ class TestLayout:
     def test_feature_dims_must_agree(self):
         graphs = (make_graph(2, feature_dim=3), make_graph(2, feature_dim=2))
         with pytest.raises(DimensionMismatchError, match="feature_dim"):
-            FusionBatch(graphs=graphs).layout
+            bucket_layout(graphs)
         with pytest.raises(DimensionMismatchError, match="feature_dim"):
-            FusionBatch(graphs=(graphs[0], make_graph(3, feature_dim=2))).layout
+            bucket_layout((graphs[0], make_graph(3, feature_dim=2)))
+        with pytest.raises(DatasetFormatError, match="feature_dim"):
+            Dataset(graphs=graphs, feature_dim=3)
 
 
 class TestDataset:
@@ -135,12 +140,13 @@ class TestDataset:
 
 class TestFusionBatch:
     def test_sample_size(self):
-        batch = FusionBatch(graphs=(path_graph(2), path_graph(3)))
+        batch = Dataset(graphs=(path_graph(2), path_graph(3)), feature_dim=1)
         assert batch.sample_size == 2
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            FusionBatch(graphs=())
+        model = random_model(ArchSpec(feature_dim=1, hidden_dim=2, gc_layers=1, dense_layers=1), 0)
+        with pytest.raises(InvalidSpecError, match="a fusion batch needs at least one graph"):
+            forward_with_capture(model, Dataset(graphs=(), feature_dim=1))
 
 
 class TestLoadDataset:

@@ -14,7 +14,6 @@ from gcnfuse import (
     DenseParams,
     DimensionMismatchError,
     Embedding,
-    FusionBatch,
     GcnModel,
     GeneratorSpec,
     GraphConv,
@@ -269,7 +268,7 @@ class TestForward:
 class TestCapture:
     def test_pre_equals_post_without_bn(self):
         model = tiny_gcn([[3.0]], [-1.0])
-        batch = FusionBatch(graphs=tuple(random_graphs(3, 1, seed=1)))
+        batch = Dataset(graphs=tuple(random_graphs(3, 1, seed=1)), feature_dim=1)
         _, pre = forward_with_capture(model, batch, "pre_bn")
         _, post = forward_with_capture(model, batch, "post_bn")
         for i in pre:
@@ -282,7 +281,7 @@ class TestCapture:
     def test_capture_is_pre_activation(self):
         # captured value is the affine output before ReLU: 2*3 + 1 = 7
         model = GcnModel(layers=(GraphConv(params=DenseParams(weight=[[2.0]], bias=[1.0])),))
-        batch = FusionBatch(graphs=(make_graph(1, values=[[3.0]]),))
+        batch = Dataset(graphs=(make_graph(1, values=[[3.0]]),), feature_dim=1)
         preds, acts = forward_with_capture(model, batch)
         assert preds[0] == 7.0
         assert graph_capture(acts[0], 0)[0, 0] == 7.0
@@ -292,7 +291,7 @@ class TestCapture:
         bn = BatchNormParams(gamma=[1.0], beta_shift=[0.0], running_mean=[m],
                              running_var=[1.0], epsilon=0.0)
         model = tiny_gcn([[3.0]], [-1.0], bn=bn)
-        batch = FusionBatch(graphs=tuple(random_graphs(4, 1, seed=2)))
+        batch = Dataset(graphs=tuple(random_graphs(4, 1, seed=2)), feature_dim=1)
         _, pre = forward_with_capture(model, batch, "pre_bn")
         _, post = forward_with_capture(model, batch, "post_bn")
         for k in range(batch.sample_size):
@@ -304,7 +303,7 @@ class TestCapture:
                         batch_norm=True)
         model = random_model(spec, seed=4)
         graphs = random_graphs(5, 3, seed=5)
-        batch = FusionBatch(graphs=tuple(graphs))
+        batch = Dataset(graphs=tuple(graphs), feature_dim=3)
         preds, _ = forward_with_capture(model, batch)
         for k, g in enumerate(graphs):
             pred, _ = per_graph_forward(model, g, None)
@@ -314,7 +313,7 @@ class TestCapture:
         spec = ArchSpec(feature_dim=3, hidden_dim=8, gc_layers=2, dense_layers=2,
                         batch_norm=True)
         model = random_model(spec, seed=6)
-        batch = FusionBatch(graphs=tuple(random_graphs(6, 3, seed=7)))
+        batch = Dataset(graphs=tuple(random_graphs(6, 3, seed=7)), feature_dim=3)
         before = predict(model, batch)
         _, pre = forward_with_capture(model, batch, "pre_bn")
         _, post = forward_with_capture(model, batch, "post_bn")
@@ -338,7 +337,7 @@ class TestCapture:
         counts = (5, 1, 3, 5, 1)  # vertex counts out of order
         graphs = tuple(make_graph(n, edges=[(u, u + 1) for u in range(n - 1)],
                                   values=rng.standard_normal((n, 2))) for n in counts)
-        batch = FusionBatch(graphs=graphs)
+        batch = Dataset(graphs=graphs, feature_dim=2)
         _, acts = forward_with_capture(model, batch)
         # counts ascend, each batch position appears once, batch order within a bucket
         assert [bucket.index.tolist() for bucket in batch.layout] == [[1, 4], [2], [0, 3]]
@@ -353,7 +352,8 @@ class TestCapture:
     def _capture(seed):
         spec = ArchSpec(feature_dim=2, hidden_dim=4, gc_layers=1, dense_layers=2)
         graphs = tuple(path_graph(n, feature_dim=2) for n in (3, 2, 3))
-        return forward_with_capture(random_model(spec, seed=seed), FusionBatch(graphs=graphs))[1]
+        return forward_with_capture(random_model(spec, seed=seed),
+                                    Dataset(graphs=graphs, feature_dim=2))[1]
 
     def test_partial_bucket_list_rejected(self):
         acts = self._capture(seed=10)[1]
@@ -407,7 +407,7 @@ class TestCapture:
 
     def test_bad_capture_point(self):
         model = tiny_gcn([[1.0]], [0.0])
-        batch = FusionBatch(graphs=(path_graph(2),))
+        batch = Dataset(graphs=(path_graph(2),), feature_dim=1)
         with pytest.raises(InvalidSpecError):
             forward_with_capture(model, batch, "mid_bn")
 

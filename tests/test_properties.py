@@ -19,7 +19,6 @@ from gcnfuse import (
     Dataset,
     FgwCostSpec,
     FgwProblem,
-    FusionBatch,
     FusionConfig,
     GeneratorSpec,
     Graph,
@@ -582,7 +581,7 @@ def test_batched_forward_equals_per_graph_oracle(arch, capture_point, hidden, si
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_density]
         graphs.append(Graph(num_vertices=n, edges=tuple(edges),
                             features=rng.standard_normal((n, 3))))
-    batch = FusionBatch(graphs=tuple(graphs))
+    batch = Dataset(graphs=tuple(graphs), feature_dim=3)
 
     preds, acts = forward_with_capture(model, batch, capture_point)
 
@@ -612,7 +611,7 @@ def test_batched_forward_equals_per_graph_oracle(arch, capture_point, hidden, si
         if picked.size == 0:
             continue
         preds_other, acts_other = forward_with_capture(
-            model, FusionBatch(graphs=tuple(graphs[k] for k in picked)), capture_point)
+            model, Dataset(graphs=tuple(graphs[k] for k in picked), feature_dim=3), capture_point)
         assert _close(preds_other, preds[picked])
         for pos, k in enumerate(picked):
             assert _all_close(_captured(acts_other, pos), _captured(acts, k))
@@ -640,7 +639,7 @@ def test_qe_from_buckets_equals_per_edge_oracle(arch, capture_point, sizes, edge
                  if rng.random() < edge_density]
         graphs.append(Graph(num_vertices=n, edges=tuple(edges),
                             features=rng.standard_normal((n, 3))))
-    batch = FusionBatch(graphs=tuple(graphs))
+    batch = Dataset(graphs=tuple(graphs), feature_dim=3)
     _, acts_a = forward_with_capture(random_model(spec, seed=seed), batch, capture_point)
     _, acts_b = forward_with_capture(random_model(spec, seed=seed + 1), batch, capture_point)
     cost = CostSpec(kind="qe", lam=lam)
@@ -687,7 +686,7 @@ def test_streamed_efd_equals_whole_bucket_oracle(widths, counts, lam, seed):
             graphs.append(Graph(num_vertices=n, edges=(), features=np.zeros((n, 1))))
             values_a.append(a)
             values_b.append(b)
-    batch = FusionBatch(graphs=tuple(graphs))
+    batch = Dataset(graphs=tuple(graphs), feature_dim=1)
     acts_a, acts_b = sample_from_graphs(batch, values_a), sample_from_graphs(batch, values_b)
     C = build_cost_matrix(acts_a, acts_b, CostSpec(kind="efd", lam=lam))
     assert _bits(C) == _bits(whole_bucket_efd(acts_a, acts_b, lam))
@@ -723,13 +722,17 @@ def test_sampled_batch_gathers_the_bits_bucket_layout_builds(sizes, feature_dim,
     model_a, model_b = random_model(spec, seed=seed), random_model(spec, seed=seed + 1)
     for k in (1, 1 + round(middle * (len(dataset) - 1)), len(dataset)):
         batch = sample_batch(dataset, k, seed)
-        built = bucket_layout(batch.graphs)
-        assert len(batch.layout) == len(built)
-        for got, want in zip(batch.layout, built):
-            for name in ("index", "features", "links", "adjacency"):
-                g, w = getattr(got, name), getattr(want, name)
-                assert (_bits(g), g.flags.writeable) == (_bits(w), w.flags.writeable)
-        plain = FusionBatch(graphs=batch.graphs)
+        # a sub-dataset of the parent's own graphs and feature_dim
+        assert isinstance(batch, Dataset) and batch.feature_dim == dataset.feature_dim
+        assert len({id(g) for g in batch.graphs} & {id(g) for g in dataset.graphs}) == k
+        for sample in (batch, sample_batch(batch, 1 + k // 2, seed + 1)):  # and sampled again
+            built = bucket_layout(sample.graphs)
+            assert len(sample.layout) == len(built)
+            for got, want in zip(sample.layout, built):
+                for name in ("index", "features", "links", "adjacency"):
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert (_bits(g), g.flags.writeable) == (_bits(w), w.flags.writeable)
+        plain = Dataset(graphs=batch.graphs, feature_dim=feature_dim)
         captures = []  # (the sampled batch's, the plain batch's) per model
         for model in (model_a, model_b):
             (preds, acts), (plain_preds, plain_acts) = (forward_with_capture(model, b)
@@ -822,7 +825,7 @@ FGW_VALUE_STYLES = st.sampled_from(["integer", "duplicated", "real"])
 )
 def test_fgw_cost_matrix_is_the_sum_of_pairwise_fgw(graphs, na, nb, style, trade_off, seed):
     rng = np.random.default_rng(seed)
-    batch = FusionBatch(graphs=tuple(_fgw_graph(kind, n) for kind, n in graphs))
+    batch = Dataset(graphs=tuple(_fgw_graph(kind, n) for kind, n in graphs), feature_dim=1)
     # one pool per graph, so duplicated columns tie across the two sides too
     values = [_fgw_values(rng, style, (g.num_vertices, na + nb)) for g in batch.graphs]
     acts_a = sample_from_graphs(batch, [v[:, :na] for v in values])

@@ -177,3 +177,16 @@ printf '%s\n' '{"schema": "gcnfuse-model/1", "name": "overflow", "layers": [' \
     '{"kind": "dense", "weight": [[1e200, 1e200]], "bias": [0], "activation": "none"}]}' \
     > overflow.json
 fails eval-overflow eval --model overflow.json --data fx/dataset.jsonl
+# a pair whose layer-0 captures are about +-1e160: the forward pass stays finite, and the
+# squared differences of the activation costs overflow while the cost is built
+for w in 1e160 -1e160; do
+    printf '%s\n' "{\"schema\": \"gcnfuse-model/1\", \"name\": \"overflow$w\", \"layers\": [" \
+        "{\"kind\": \"embedding\", \"weight\": [[$w, 1, 1, 1], [1, $w, 1, 1]]}," \
+        '{"kind": "graph_conv", "weight": [[1e-160, 0], [0, 1e-160]], "bias": [0, 0]},' \
+        '{"kind": "mean_readout"},' \
+        '{"kind": "dense", "weight": [[1, 1]], "bias": [0], "activation": "none"}]}' \
+        > "overflow$w.json"
+done
+overflow_pair="--a overflow1e160.json --b overflow-1e160.json --data fx/dataset.jsonl"
+fails fuse-overflow-qe fuse $overflow_pair --cost qe --out rejected.model.json
+fails fuse-overflow-fgw fuse $overflow_pair --cost fgw --samples 2 --out rejected.model.json
