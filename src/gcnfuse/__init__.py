@@ -36,6 +36,7 @@ from .fusion import (
     default_epsilon,
     ensemble_predict,
     fuse,
+    permute_model,
     vanilla_fuse,
 )
 from .graphs import (
@@ -63,7 +64,6 @@ from .models import (
     forward_with_capture,
     label_with_model,
     load_model,
-    permute_model,
     perturb_model,
     predict,
     random_model,

@@ -28,6 +28,7 @@ from .fusion import (
     default_epsilon,
     ensemble_predict,
     fuse,
+    permute_model,
     vanilla_fuse,
 )
 from .graphs import Dataset, GeneratorSpec, load_dataset, synthesize_dataset, write_dataset
@@ -38,7 +39,6 @@ from .models import (
     evaluate_mae,
     label_with_model,
     load_model,
-    permute_model,
     perturb_model,
     predict,
     random_model,

@@ -4,10 +4,10 @@ Graphs are undirected, stored without self-loops (the propagation rule adds
 the vertex itself to its own neighborhood), and carry one dense feature row
 per vertex. Datasets are ordered and immutable so that every sampling or
 evaluation step is replayable from a seed; a fusion batch is the Dataset that
-sample_batch draws, which keeps its rows of the parent's bucket layout.
+sample_batch draws, which takes its rows of the parent's kept bucket layout.
 
 Dataset files are line-delimited JSON: an optional header record declaring
-``feature_dim`` (and ``vocab`` for categorical features), followed by one
+``feature_dim`` (and ``vocab`` for categorical features), each >= 1, then one
 record per graph with fields ``n``, ``edges``, ``x`` (dense rows) or ``atom``
 (categorical indices, expanded to one-hot on load), and optional ``y``.
 
@@ -33,8 +33,8 @@ from .errors import (DatasetFormatError, DimensionMismatchError, InvalidSpecErro
 class Graph:
     """Undirected graph with per-vertex feature rows and an optional target.
 
-    Edges (pairs) are canonicalized to ``(min(u, v), max(u, v))`` and deduplicated at
-    construction; self-loops are rejected because degree normalization counts the vertex
+    Edges (pairs) are canonicalized to ``(min(u, v), max(u, v))``, deduplicated and held only
+    in ``edges``; self-loops are rejected because degree normalization counts the vertex
     itself exactly once. The count and endpoints are integers, features and target finite.
     """
 
@@ -70,16 +70,9 @@ class Graph:
         return self.features.shape[1]
 
     @cached_property
-    def edge_index(self) -> np.ndarray:
-        """The edges as a read-only (2, num_edges) integer array, one (u, v) column each."""
-        index = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
-        index.setflags(write=False)
-        return index
-
-    @cached_property
     def hop_distances(self) -> np.ndarray:
         """Read-only hop counts between vertices; disconnected pairs get (longest finite path + 1)."""
-        u, v = self.edge_index
+        u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
         A = scipy.sparse.csr_matrix((np.ones(u.size), (u, v)), shape=(self.num_vertices,) * 2)
         D = scipy.sparse.csgraph.shortest_path(A, method="D", directed=False, unweighted=True)
         D[np.isinf(D)] = D[np.isfinite(D)].max() + 1.0
@@ -167,7 +160,7 @@ def bucket_layout(graphs) -> tuple[Bucket, ...]:
     for n in sorted(groups):
         members = [graphs[k] for k in groups[n]]
         owner = np.repeat(np.arange(len(members)), [len(g.edges) for g in members])
-        u, v = np.concatenate([g.edge_index for g in members], axis=1)
+        u, v = np.array([e for g in members for e in g.edges], dtype=np.intp).reshape(-1, 2).T
         links = np.zeros((len(members), n, n))
         links[owner, u, v] = links[owner, v, u] = 1.0
         inv_sqrt = 1.0 / np.sqrt(1.0 + links.sum(axis=2))
@@ -206,9 +199,10 @@ def load_dataset(path: str | Path) -> Dataset:
                         continue
                     # header record
                     if "feature_dim" in rec:
-                        feature_dim = read_integer(rec["feature_dim"], "feature_dim", DatasetFormatError)
+                        feature_dim = read_integer(rec["feature_dim"], "feature_dim", DatasetFormatError,
+                                                   least=1)
                     if "vocab" in rec:
-                        vocab = read_integer(rec["vocab"], "vocab", DatasetFormatError)
+                        vocab = read_integer(rec["vocab"], "vocab", DatasetFormatError, least=1)
                 except (DatasetFormatError, ValueError, TypeError, KeyError, OverflowError) as exc:
                     raise DatasetFormatError(f"record {lineno}: {exc}") from exc
     except UnicodeDecodeError as exc:  # raised by the line reads, never by a record
@@ -271,15 +265,12 @@ def sample_batch(dataset: Dataset, sample_size: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(dataset), size=sample_size, replace=False)
     graphs = tuple(map(dataset.graphs.__getitem__, idx.tolist()))
-    bucket_of, row_of = dataset._slots
-    order = np.argsort(bucket_of[idx], kind="stable")  # batch positions by bucket, ascending
-    rows = row_of[idx[order]]
-    bounds = np.searchsorted(bucket_of[idx[order]], np.arange(len(dataset.layout) + 1)).tolist()
+    bucket_of, row_of = (slot[idx] for slot in dataset._slots)
     layout = []
-    for bucket, lo, hi in zip(dataset.layout, bounds, bounds[1:]):
-        if lo < hi:  # one take per stacked array
-            layout.append(Bucket(order[lo:hi], *(stack.take(rows[lo:hi], axis=0) for stack in
-                                                 (bucket.features, bucket.links, bucket.adjacency))))
+    for b, bucket in enumerate(dataset.layout):
+        if (positions := np.flatnonzero(bucket_of == b)).size:  # ascending; one take per stack
+            layout.append(Bucket(positions, *(stack.take(row_of[positions], axis=0) for stack in
+                                              (bucket.features, bucket.links, bucket.adjacency))))
     batch = object.__new__(Dataset)  # its graphs and feature_dim passed the parent's checks
     vars(batch).update(graphs=graphs, feature_dim=dataset.feature_dim, layout=tuple(layout))
     return batch

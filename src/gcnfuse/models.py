@@ -15,11 +15,10 @@ with degrees counting the vertex itself. Batch norm always runs in
 inference mode from stored running statistics; nothing here trains.
 
 Embedding, GraphConv and Dense share one record (params, an optional batch_norm,
-an activation), and every rebuild of a layer (noise, alignment, interpolation) is
-dataclasses.replace, which keeps its kind and activation. Alignment moves every record
-through _moved: a permutation plan gathers a checked record by index without re-checking
-it; new values (soft plans, noise, interpolation) and loaded records go through the constructors,
-which check arrays and numbers with the errors readers (load_model adds the layer index).
+an activation), and every rebuild of a layer (noise here, alignment and interpolation in
+fusion) is dataclasses.replace, which keeps its kind and activation. New values and loaded
+records go through the constructors, which check arrays and numbers with the errors readers
+(load_model adds the layer index).
 _KINDS says once, for each layer class, its model-file name, its summary name and the
 layer fields its record carries; summary, save_model and load_model all read it, and
 load_model rejects a record setting a layer field its kind does not carry.
@@ -53,7 +52,6 @@ import numpy as np
 from .errors import (DimensionMismatchError, InvalidSpecError, ModelFormatError, NumericalError,
                      read_array, read_integer, read_number)
 from .graphs import Dataset, bucket_layout
-from .ot import TransportPlan, identity_plan, uniform_weights
 
 PRE_BN = "pre_bn"
 POST_BN = "post_bn"
@@ -404,32 +402,9 @@ def label_with_model(model: GcnModel, dataset: Dataset) -> Dataset:
 
 
 def permute_model(model: GcnModel, permutations) -> GcnModel:
-    """Permute hidden neurons; the result is functionally identical to the input.
-
-    ``permutations`` holds one index array per hidden parameterized layer
-    (every parameterized layer except the last, whose outputs stay in
-    place). Row k of the permuted layer is row perm[k] of the original; the
-    following layer's columns, its bias, and any BN vectors move along.
-    """
-    *hidden, head = model.parameterized_indices()
-    if len(permutations) != len(hidden):
-        raise InvalidSpecError(
-            f"need {len(hidden)} permutations (one per hidden layer), got {len(permutations)}"
-        )
-    plans: dict[int, TransportPlan] = {}
-    for layer_i, perm in zip(hidden, permutations):
-        if (p := np.asarray(perm)).dtype.kind not in "iu":  # a cast truncates floats, takes bools
-            raise InvalidSpecError(f"layer {layer_i}: permutation entries must be integers, not {p.dtype}")
-        width = model.layers[layer_i].params.out_dim
-        if sorted(p.tolist()) != list(range(width)):
-            raise InvalidSpecError(
-                f"layer {layer_i}: permutation is not a bijection on 0..{width - 1}"
-            )
-        # row p[k] goes to column k, so row r's column is argsort(p)[r]
-        plans[layer_i] = TransportPlan._permutation(np.argsort(p), 1.0 / width)
-    plans[head] = identity_plan(uniform_weights(model.layers[head].params.out_dim))
-    layers = align_model(model, lambda i, params: plans[i])
-    return GcnModel(layers=layers, name=model.name + "+perm", seed=model.seed)
+    """fusion.permute_model, kept here because the benchmark's workloads call models.permute_model."""
+    from .fusion import permute_model as permute  # fusion imports models
+    return permute(model, permutations)
 
 
 def perturb_model(model: GcnModel, scale: float, seed: int) -> GcnModel:
@@ -457,89 +432,6 @@ def perturb_model(model: GcnModel, scale: float, seed: int) -> GcnModel:
                 weight=noisy(layer.params.weight), bias=None if bias is None else noisy(bias)))
         new_layers.append(layer)
     return GcnModel(layers=tuple(new_layers), name=model.name + "+noise", seed=model.seed)
-
-
-def _scaled_transport(plan: TransportPlan) -> np.ndarray:
-    """T / beta with beta = T^T 1; a column with no mass stays zero (see align_model)."""
-    T = plan.coupling
-    mass = T.sum(axis=0)
-    return T / np.where(mass > 0, mass, 1.0)[None, :]
-
-
-def _moved(record, plan: TransportPlan, dim: int, what: str, axis: int = 0):
-    """record's arrays x moved by the plan on the axis: (T / beta).T @ x on axis 0, x @ (T / beta)
-    on axis 1; dim must be the plan's rows. A permutation plan gathers each array having the axis
-    (scale, shift too) from the checked record; its checks and BN fold act per channel, so none
-    reruns, and take keeps the C order that products' bits follow. Other plans rebuild with checks."""
-    if dim != plan.coupling.shape[0]:
-        raise DimensionMismatchError(f"{what} {dim} != plan rows {plan.coupling.shape[0]}")
-    if (order := plan.as_permutation()) is not None:
-        rows, moved = np.argsort(order), object.__new__(type(record))
-        for name, x in vars(record).items():
-            if isinstance(x, np.ndarray) and x.ndim > axis:
-                (x := x.take(rows, axis=axis)).setflags(write=False)
-            vars(moved)[name] = x
-        return moved
-    S = _scaled_transport(plan)
-    return replace(record, **{f.name: S.T @ x if axis == 0 else x @ S for f in fields(record)
-                              if isinstance(x := getattr(record, f.name), np.ndarray) and x.ndim > axis})
-
-
-def align_layer_incoming(weights: DenseParams, t_prev: TransportPlan) -> DenseParams:
-    """W_hat = W @ T_prev / beta_prev: re-express columns in anchor order."""
-    return _moved(weights, t_prev, weights.in_dim, "weight in_dim", axis=1)
-
-
-def align_layer_outgoing(weights: DenseParams, t_curr: TransportPlan) -> DenseParams:
-    """W_tilde = (T / beta).T @ W_hat; the bias moves with the rows."""
-    return _moved(weights, t_curr, weights.out_dim, "weight out_dim")
-
-
-def align_batchnorm(bn: BatchNormParams, t_prev: TransportPlan) -> BatchNormParams:
-    """Map all four BN vectors by (T / beta).T; no plan of its own.
-
-    t_prev is the plan of the affine layer the batch norm sits behind. The
-    map has nonnegative entries, so running_var stays nonnegative.
-    """
-    return _moved(bn, t_prev, bn.dim, "bn dim")
-
-
-def align_model(model: GcnModel, plan_for) -> tuple[Layer, ...]:
-    """The model's layers with its neurons carried onto another model's, layer by layer.
-
-    A transport plan T couples this model's neurons (rows) to the other
-    model's (columns). For each parameterized layer i the incoming weights
-    are aligned by the previous plan, plan_for(i, those parameters) gives
-    layer i's plan, and the outgoing weights, bias and batch norm move by it:
-
-        incoming:  W_hat   = W @ (T_prev / beta_prev)
-        outgoing:  W_tilde = (T / beta).T @ W_hat,   b_tilde = (T / beta).T @ b
-
-    beta = T^T 1, so each column of T / beta sums to 1: a target neuron gets
-    the barycentre of the neurons the plan sends it, and a plan that keeps
-    little mass (unbalanced Sinkhorn) does not shrink the parameters; a
-    column with no mass maps to zero. T / beta is a division, so a plan with
-    one nonzero in every row and column gives an exact 0/1 matrix (x / x);
-    such a plan moves the neurons by index (plan.as_permutation()), which
-    gives the product's bits and keeps a -0.0 that the product would turn
-    to +0.0. The mean readout passes the previous plan on.
-    """
-    layers: list[Layer] = []
-    t_prev: TransportPlan | None = None
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, MeanReadout):
-            # no parameters; the previous plan flows through to the dense head
-            layers.append(layer)
-            continue
-        params = layer.params
-        if t_prev is not None:
-            params = align_layer_incoming(params, t_prev)
-        plan = plan_for(i, params)
-        bn = layer.batch_norm
-        layers.append(replace(layer, params=align_layer_outgoing(params, plan),
-                              batch_norm=None if bn is None else align_batchnorm(bn, plan)))
-        t_prev = plan
-    return tuple(layers)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,13 @@
 perfbench/tracer.py times the library by swapping the functions it lists in
 WRAPPED, and it skips a name it cannot find without a word, so a renamed or
 deleted function would silently zero that layer's metrics. This test turns
-that into a failure. The package also ships no public name, no public
-method or property of a public class, and no dataclass field of one, that
-only tests call or read: reference implementations live in tests/oracles.py.
+that into a failure, and so for every gcnfuse name perfbench reads: a name
+its workloads or runner call and cannot find fails only in the benchmark.
+models, the network alone, imports nothing from ot or fusion, and the
+models.permute_model the workloads call writes the bytes gcnfuse's does.
+The package also ships no public name, no public method or property of a
+public class, and no dataclass field of one, that only tests call or read:
+reference implementations live in tests/oracles.py.
 A method or property counts as used only when code outside its own class
 body reads it. Members and fields are still matched by name only, so one
 that shares its name with a used member of another class passes.
@@ -30,12 +34,14 @@ import inspect
 import json
 import re
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gcnfuse
+from gcnfuse import fusion, models
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -57,6 +63,56 @@ def test_traced_function_exists(home, attr):
 def test_all_names_resolve():
     missing = [name for name in gcnfuse.__all__ if not hasattr(gcnfuse, name)]
     assert missing == []
+
+
+def _benchmark_reads() -> list[tuple[str, object, str, str]]:
+    """(where, home, how it is named, name) for each gcnfuse name perfbench reads outside its
+    tests: every `from gcnfuse import X`, and every M.attr of a gcnfuse module M imported there."""
+    reads = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if path.name.startswith("test_"):
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        imported = [(node.lineno, alias) for node in nodes
+                    if isinstance(node, ast.ImportFrom) and node.module == "gcnfuse"
+                    for alias in node.names]
+        modules = {alias.asname or alias.name: getattr(gcnfuse, alias.name) for _, alias in imported
+                   if isinstance(getattr(gcnfuse, alias.name, None), types.ModuleType)}
+        reads += [(f"{path.name}:{line}", gcnfuse, "gcnfuse", alias.name) for line, alias in imported]
+        reads += [(f"{path.name}:{node.lineno}", modules[node.value.id], node.value.id, node.attr)
+                  for node in nodes if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return reads
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    reads = _benchmark_reads()
+    assert reads
+    missing = [f"{where}: {named}.{name}" for where, home, named, name in reads
+               if not hasattr(home, name)]
+    assert missing == []
+
+
+def test_models_imports_nothing_from_ot_or_fusion():
+    tree = ast.parse((ROOT / "src" / "gcnfuse" / "models.py").read_text())
+    names = set()
+    for node in tree.body:  # module level only: a function body may import fusion
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+    assert sorted(n for n in names if n.removeprefix("gcnfuse.") in ("ot", "fusion")) == []
+
+
+def test_models_permute_model_writes_the_bytes_of_the_package_one(tmp_path):
+    assert gcnfuse.permute_model is fusion.permute_model
+    model = gcnfuse.random_model(gcnfuse.ArchSpec(feature_dim=3, hidden_dim=4, gc_layers=1,
+                                                  dense_layers=2, batch_norm=True), seed=0)
+    rng = np.random.default_rng(1)
+    perms = [rng.permutation(4) for _ in model.parameterized_indices()[:-1]]
+    for name, permute in (("models", models.permute_model), ("package", gcnfuse.permute_model)):
+        gcnfuse.save_model(permute(model, perms), tmp_path / f"{name}.json")
+    assert (tmp_path / "models.json").read_bytes() == (tmp_path / "package.json").read_bytes()
 
 
 def _sources_outside_tests() -> list[Path]:

@@ -258,8 +258,8 @@ class TestAlignmentPath:
 
     @staticmethod
     def counted_scaled_transport(monkeypatch):
-        calls, dense = [], models._scaled_transport
-        monkeypatch.setattr(models, "_scaled_transport", lambda plan: calls.append(plan) or dense(plan))
+        calls, dense = [], fusion._scaled_transport
+        monkeypatch.setattr(fusion, "_scaled_transport", lambda plan: calls.append(plan) or dense(plan))
         return calls
 
     def test_emd_fuse_never_builds_the_dense_map(self, monkeypatch):

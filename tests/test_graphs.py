@@ -258,6 +258,18 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="feature_dim"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("header, record", [
+        ({"vocab": 0}, {"n": 1, "atom": [0]}),
+        ({"vocab": -3}, {"n": 1, "atom": [0]}),
+        ({"feature_dim": 0}, {"n": 1, "x": [[]]}),
+    ])
+    def test_header_sizes_are_read_at_least_one(self, tmp_path, header, record):
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        (key, value), = header.items()
+        with pytest.raises(DatasetFormatError, match=rf"^record 1: {key} must be >= 1, got {value}$"):
+            load_dataset(p)
+
     def test_round_trip(self, tmp_path):
         spec = GeneratorSpec(count=5, min_vertices=2, max_vertices=5,
                              edge_density=0.5, feature_dim=3)

@@ -169,6 +169,9 @@ fails eval-string-weight eval --model string-weight.json --data fx/dataset.jsonl
 printf '%s\n' '{"feature_dim": 2}' '{"n": 1, "x": [[0.5, -1]], "y": 0.5}' \
     '{"n": 2, "edges": [[0, 1]], "x": [[1, 0.25], [true, 0]], "y": -1}' > bool-feature.jsonl
 fails eval-bool-feature eval --model fx/model_a.json --data bool-feature.jsonl
+# a header declaring vocab 0 is rejected at the header, before an atom record reads it
+printf '%s\n' '{"feature_dim": 3, "vocab": 0}' '{"n": 1, "atom": [0], "y": 0.5}' > vocab-0.jsonl
+fails eval-vocab-0 eval --model fx-atom/model_a.json --data vocab-0.jsonl
 # finite weights of 1e200 load, then overflow in layer 1's matmul: an error, not an MAE of NaN
 printf '%s\n' '{"schema": "gcnfuse-model/1", "name": "overflow", "layers": [' \
     '{"kind": "embedding", "weight": [[1e200, 1e200, 1e200, 1e200], [1e200, 1e200, 1e200, 1e200]]},' \
