@@ -43,6 +43,8 @@ SOLVER_EMD = "emd"
 SOLVER_SINKHORN = "sinkhorn"
 SOLVERS = (SOLVER_EMD, SOLVER_SINKHORN)
 
+# a trace prints a plan's objective and cost min as 0 within this share of the cost max (rounding)
+_TRACE_ZERO = 2.0 ** -40
 # Sinkhorn's entropy scale per cost kind; EFD tolerates a coarser epsilon
 _DEFAULT_EPSILON = {EFD: 5e-4, QE: 5e-5, FGW: 5e-5, WEIGHT: 5e-4}
 
@@ -106,10 +108,12 @@ class LayerTrace:
             return f"layer {self.layer_index}: identity plan ({n}x{m}, output layer)"
         perm = self.plan.as_permutation()
         kind = "permutation" if perm is not None else "soft"
+        zero = _TRACE_ZERO * self.cost.max()
+        objective, low = (0 if abs(x) <= zero else x for x in (self.plan.objective, self.cost.min()))
         return (
             f"layer {self.layer_index}: {self.solver} {n}x{m} {kind} plan, "
-            f"objective {self.plan.objective:.6g}, "
-            f"cost[min {self.cost.min():.4g}, mean {self.cost.mean():.4g}, "
+            f"objective {objective:.6g}, "
+            f"cost[min {low:.4g}, mean {self.cost.mean():.4g}, "
             f"max {self.cost.max():.4g}], "
             f"iterations {self.plan.iterations}, converged {self.plan.converged}"
         )

@@ -171,16 +171,22 @@ def bucket_layout(graphs) -> tuple[Bucket, ...]:
     return tuple(layout)
 
 
+_RECORD_KEYS = {"header": ("feature_dim", "vocab"), "graph": ("n", "edges", "x", "atom", "y")}
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read a line-delimited JSON dataset file.
 
-    Raises DatasetFormatError with the offending record index on parse,
-    type or invariant failures; an empty file is an error.
+    Only the first record may be a header, with keys drawn from feature_dim
+    and vocab; every other record is a graph, with keys drawn from n, edges,
+    x, atom and y. Raises DatasetFormatError with the offending record index
+    on an unknown key, parse, type or invariant failures; an empty file is an error.
     """
     path = Path(path)
     feature_dim: int | None = None
     vocab: int | None = None
     graphs: list[Graph] = []
+    first = True
     try:
         with path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -194,10 +200,15 @@ def load_dataset(path: str | Path) -> Dataset:
                 try:
                     if not isinstance(rec, dict):
                         raise DatasetFormatError("record is not a JSON object")
-                    if "n" in rec:
+                    kind, first = "header" if first and "n" not in rec else "graph", False
+                    keys = _RECORD_KEYS[kind]
+                    unknown = next((key for key in rec if key not in keys), None)
+                    if unknown is not None:
+                        raise DatasetFormatError(f"unknown key {unknown!r} in a {kind} record; "
+                                                 f"{kind} keys are {', '.join(keys)}")
+                    if kind == "graph":
                         graphs.append(_parse_graph_record(rec, feature_dim, vocab))
                         continue
-                    # header record
                     if "feature_dim" in rec:
                         feature_dim = read_integer(rec["feature_dim"], "feature_dim", DatasetFormatError,
                                                    least=1)
@@ -215,6 +226,8 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def _parse_graph_record(rec: dict, feature_dim: int | None, vocab: int | None) -> Graph:
+    if "n" not in rec:
+        raise DatasetFormatError("graph record has no 'n'")
     n = read_integer(rec["n"], "vertex count", DatasetFormatError)
     if "x" in rec and "atom" in rec:
         raise DatasetFormatError("a record holds 'x' or 'atom' features, not both")

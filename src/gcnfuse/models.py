@@ -29,7 +29,9 @@ bucket_layout, which a Dataset builds once and keeps; a batch from
 sample_batch, a Dataset too, gathers its graphs' rows from its parent's
 kept layout, and a plain graph sequence is laid out per call. The evaluator
 holds each vertex-count bucket's states as one (G·n, d) array, so each affine map is
-one 2-D product; only the normalized adjacencies (G, n, n) act per graph.
+one 2-D product; only the normalized adjacencies (G, n, n) act per graph. An embedding
+is linear, so a graph conv or dense layer right after it multiplies the features by
+W1·W_emb (hidden × feature_dim), and the embedding's own product is formed only for a capture.
 Each layer's product is a new array, and batch norm and ReLU write into it
 unless a capture keeps the array they would overwrite, so an evaluation without
 captures makes one array per layer. After the readout the state is one
@@ -303,6 +305,8 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
     pre-activations: a list of one (G, n, width) view per bucket before the
     readout, one (graph count, width) array after. A value that overflows or turns NaN raises
     NumericalError, naming the model and the layer.
+    After an embedding, a graph conv or dense layer 1 multiplies the features (aggregated, for
+    a graph conv) by W1·W_emb, formed once per pass, and x·W_embᵀ is formed only for a capture.
     """
     input_dim = model.input_dim
     if layout and layout[0].features.shape[2] != input_dim:  # one feature_dim per layout
@@ -315,16 +319,26 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
                   if isinstance(l, _Parameterized)), input_dim)
     pooled = np.empty((sum(len(bucket.index) for bucket in layout), width))
     captures: dict[int, list | np.ndarray] = {}
+    weights = {i: l.params.weight for i, l in enumerate(layers) if isinstance(l, _Parameterized)}
+    fold = (len(layers) > 1 and isinstance(layers[0], Embedding)
+            and isinstance(layers[1], (GraphConv, Dense)))
     i = 0  # the layer at work, named when a value overflows or turns NaN
     try:
         with np.errstate(over="raise", invalid="raise"):
+            if fold:
+                i = 1
+                weights[1] = weights[1] @ weights[0]
             for bucket in layout:
                 G, n, _ = bucket.features.shape
                 h = bucket.features.reshape(G * n, -1)
                 for i, layer in enumerate(layers[:split]):
+                    if fold and i == 0:  # the embedding's own product, only for a capture
+                        if capture_point is not None:
+                            captures.setdefault(0, []).append((h @ weights[0].T).reshape(G, n, -1))
+                        continue
                     if isinstance(layer, GraphConv):
                         h = (bucket.adjacency @ h.reshape(G, n, -1)).reshape(G * n, -1)
-                    h, z = _affine(layer, h, capture_point)
+                    h, z = _affine(layer, weights[i], h, capture_point)
                     if z is not None:
                         captures.setdefault(i, []).append(z.reshape(G, n, -1))
                 if split == len(layers) and n > 1:
@@ -334,7 +348,7 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
                 pooled[bucket.index] = h.reshape(G, n, -1).mean(axis=1)
             h = pooled
             for i, layer in enumerate(layers[split + 1:], start=split + 1):
-                h, z = _affine(layer, h, capture_point)
+                h, z = _affine(layer, weights[i], h, capture_point)
                 if z is not None:
                     captures[i] = z
     except FloatingPointError as exc:
@@ -345,12 +359,12 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
     return h[:, 0].copy(), captures  # not a view of the head's capture
 
 
-def _affine(layer, h: np.ndarray, capture_point: str | None):
-    """One parameterized layer on (rows, width) states: (output, capture or None).
+def _affine(layer, weight: np.ndarray, h: np.ndarray, capture_point: str | None):
+    """One parameterized layer on (rows, width) states, times weight: (output, capture or None).
 
     BN and ReLU write into the new array z unless a capture keeps what they overwrite.
     """
-    z = h @ layer.params.weight.T
+    z = h @ weight.T
     if layer.params.bias is not None:
         z += layer.params.bias
     bn = layer.batch_norm

@@ -151,13 +151,24 @@ def per_graph_adjacency(graph: Graph) -> np.ndarray:
     return A
 
 
-def per_graph_forward(model, graph: Graph, capture_point: str | None):
+def per_graph_forward(model, graph: Graph, capture_point: str | None, fold: bool = True):
     """(prediction, captures) of the model on one graph, one layer after another.
 
     captures maps each parameterized layer index to its pre-activation:
     (n, width) before the readout, (width,) after it, the value before or
     after batch norm as capture_point says.
+
+    With fold (the evaluator's order), a graph-conv or dense layer right after an
+    embedding multiplies the features, aggregated for a graph convolution, by
+    W1 @ W_emb, and the embedding's own product is only its capture. fold=False
+    is the layer-by-layer order: embedding, then aggregation, then weight.
     """
+    layers = model.layers
+    weights = {i: l.params.weight for i, l in enumerate(layers) if hasattr(l, "params")}
+    fold = (fold and len(layers) > 1 and isinstance(layers[0], Embedding)
+            and isinstance(layers[1], (GraphConv, Dense)))
+    if fold:
+        weights[1] = weights[1] @ weights[0]
     h = graph.features
     per_vertex = True
     captures = {}
@@ -170,19 +181,20 @@ def per_graph_forward(model, graph: Graph, capture_point: str | None):
             captures[i] = np.array(z if capture_point == PRE_BN else post)
         return post
 
-    for i, layer in enumerate(model.layers):
+    for i, layer in enumerate(layers):
         if isinstance(layer, Embedding):
-            h = h @ layer.params.weight.T
+            embedded = h @ layer.params.weight.T
             if capture_point is not None:
-                captures[i] = np.array(h)
+                captures[i] = np.array(embedded)
+            h = h if fold else embedded
         elif isinstance(layer, GraphConv):
-            z = (per_graph_adjacency(graph) @ h) @ layer.params.weight.T
+            z = (per_graph_adjacency(graph) @ h) @ weights[i].T
             h = np.maximum(affine_bn(i, z, layer), 0.0)
         elif isinstance(layer, MeanReadout):
             h = h.mean(axis=0)
             per_vertex = False
         elif isinstance(layer, Dense):
-            z = h @ layer.params.weight.T if per_vertex else layer.params.weight @ h
+            z = h @ weights[i].T if per_vertex else weights[i] @ h
             z = affine_bn(i, z, layer)
             h = np.maximum(z, 0.0) if layer.activation == "relu" else z
     out = np.asarray(h)

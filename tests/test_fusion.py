@@ -411,6 +411,19 @@ class TestFuse:
         assert trace.max_marginal_error() <= 1e-9
         assert "plan" in trace.report()
 
+    @pytest.mark.parametrize("objective, low, shown", [
+        # an exact twin's rounding-level objective and cost min, within 2**-40 of the cost max
+        (3.72e-14, 1.408e-14, "objective 0, cost[min 0, mean"),
+        (1e-6, 2e-6, "objective 1e-06, cost[min 2e-06, mean"),
+    ], ids=["rounding", "kept"])
+    def test_trace_prints_rounding_level_values_as_zero(self, objective, low, shown):
+        cost = np.full((2, 2), 1003.0)
+        cost[0, 0] = cost[1, 1] = low
+        plan = TransportPlan(coupling=np.eye(2) / 2, objective=objective, converged=True,
+                             iterations=0)
+        trace = fusion.LayerTrace(layer_index=1, plan=plan, solver="emd", cost=cost)
+        assert shown in trace.describe()
+
     def test_sinkhorn_self_fusion_tracks_anchor(self, small_regression_setup):
         # documented tolerance tied to epsilon; at 5e-5 the soft plans are
         # near-permutations and predictions stay within ~1e-3

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,27 @@ class TestLoadDataset:
         p.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
         (key, value), = header.items()
         with pytest.raises(DatasetFormatError, match=rf"^record 1: {key} must be >= 1, got {value}$"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("records, message", [
+        # a graph record without "n" was taken for a header and dropped
+        ([{"feature_dim": 1}, {"n": 1, "x": [[1.0]], "y": 1}, {"x": [[2.0]], "y": 2},
+          {"n": 1, "x": [[3.0]], "y": 3}], "record 3: graph record has no 'n'"),
+        # misspelled keys loaded as an edgeless graph and an unlabelled one
+        ([{"feature_dim": 1}, {"n": 2, "edge": [[0, 1]], "x": [[1.0], [2.0]], "y": 1}],
+         "record 2: unknown key 'edge' in a graph record; graph keys are n, edges, x, atom, y"),
+        ([{"feature_dim": 1}, {"n": 1, "x": [[1.0]], "target": 1}],
+         "record 2: unknown key 'target' in a graph record"),
+        # a header after graph records changed feature_dim and vocab for the records after it
+        ([{"feature_dim": 1}, {"n": 1, "x": [[1.0]], "y": 1}, {"feature_dim": 1},
+          {"n": 1, "x": [[2.0]], "y": 2}], "record 3: unknown key 'feature_dim' in a graph record"),
+        ([{"feature_dim": 1, "vocabulary": 3}, {"n": 1, "x": [[1.0]], "y": 1}],
+         "record 1: unknown key 'vocabulary' in a header record; header keys are feature_dim, vocab"),
+    ], ids=["no-n", "edge", "target", "late-header", "header-key"])
+    def test_every_record_says_what_it_is(self, tmp_path, records, message):
+        p = tmp_path / "d.jsonl"
+        p.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}"):
             load_dataset(p)
 
     def test_round_trip(self, tmp_path):

@@ -20,6 +20,8 @@ from gcnfuse import (
     InvalidSpecError,
     MeanReadout,
     ModelFormatError,
+    NumericalError,
+    POST_BN,
     evaluate_mae,
     forward_with_capture,
     label_with_model,
@@ -263,6 +265,58 @@ class TestForward:
         x = rng.standard_normal(3)
         g = make_graph(1, values=[x.tolist()])
         assert predict(model, (g,))[0] == pytest.approx((W2 @ (W1 @ x) + b2)[0], rel=1e-12)
+
+
+class TestEmbeddingFold:
+    """The layer after an embedding multiplies the features by W1 @ W_emb, formed once per pass;
+    the embedding's own product is formed only for a capture."""
+
+    @staticmethod
+    def model(emb, gc):
+        return GcnModel(name="m", layers=(
+            Embedding(params=DenseParams(weight=emb)),
+            GraphConv(params=DenseParams(weight=gc, bias=[0.0] * len(gc))),
+            MeanReadout(),
+            Dense(params=DenseParams(weight=[[1.0] * len(gc)]), activation="none"),
+        ))
+
+    def test_embedding_then_readout_keeps_the_oracle_bits(self):
+        rng = np.random.default_rng(8)
+        model = GcnModel(layers=(
+            Embedding(params=DenseParams(weight=rng.standard_normal((5, 3)))),
+            MeanReadout(),
+            Dense(params=DenseParams(weight=rng.standard_normal((1, 5)), bias=[0.5]),
+                  activation="none"),
+        ))
+        graphs = random_graphs(6, 3, seed=9)
+        preds, acts = forward_with_capture(model, Dataset(graphs=tuple(graphs), feature_dim=3))
+        for k, g in enumerate(graphs):
+            pred, captures = per_graph_forward(model, g, POST_BN, fold=False)
+            assert predict(model, (g,))[0].tobytes() == np.float64(pred).tobytes()
+            assert abs(preds[k] - pred) <= 1e-12 * max(1.0, abs(pred))
+            assert np.allclose(graph_capture(acts[0], k), captures[0], rtol=1e-12, atol=0)
+            assert np.allclose(acts[2].values[k], captures[2], rtol=1e-12, atol=0)
+
+    def test_a_folded_weight_that_overflows_names_layer_1(self):
+        # layer by layer the states stay finite (1e-300 * 1e200 * 1e200), but W1 @ W_emb is 1e400
+        model = self.model(emb=[[1e200]], gc=[[1e200]])
+        batch = Dataset(graphs=(make_graph(2, edges=[(0, 1)], values=[[1e-300], [0.0]]),),
+                        feature_dim=1)
+        for run in (lambda: predict(model, batch), lambda: forward_with_capture(model, batch)):
+            with pytest.raises(NumericalError, match="model 'm', layer 1: overflow encountered"):
+                run()
+
+    def test_an_embedding_output_that_overflows_raises_only_where_it_is_formed(self):
+        # x @ W_emb.T is 2**1030, past the largest double; W1 @ W_emb is exactly 1
+        scaled = self.model(emb=[[2.0**1000]], gc=[[2.0**-1000]])
+        batch = Dataset(graphs=(make_graph(2, edges=[(0, 1)], values=[[2.0**30], [1.0]]),),
+                        feature_dim=1)
+        with pytest.raises(NumericalError, match="model 'm', layer 0: overflow encountered"):
+            forward_with_capture(scaled, batch)
+        # predict forms only W1 @ W_emb, so it returns the bits of the unscaled model
+        got = predict(scaled, batch)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == predict(self.model(emb=[[1.0]], gc=[[1.0]]), batch).tobytes()
 
 
 class TestCapture:

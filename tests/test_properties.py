@@ -619,6 +619,40 @@ def test_batched_forward_equals_per_graph_oracle(arch, capture_point, hidden, si
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(
+    arch=st.sampled_from(["gcn", "gcn+bn", "mlp", "mlp+bn"]),
+    capture_point=st.sampled_from(["pre_bn", "post_bn"]),
+    hidden=st.sampled_from([4, 64, 256]),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=14),
+    edge_density=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_folded_forward_equals_layer_by_layer_reference(arch, capture_point, hidden, sizes,
+                                                        edge_density, seed):
+    # the evaluator multiplies the features by W1 @ W_emb; the reference forms the embedding's
+    # output, aggregates it and multiplies by W1, so the fold is checked against the unfolded math
+    rng = np.random.default_rng(seed)
+    mlp = arch.startswith("mlp")
+    spec = ArchSpec(feature_dim=3, hidden_dim=hidden, gc_layers=0 if mlp else 2, dense_layers=2,
+                    batch_norm=arch.endswith("+bn"))
+    model = random_model(spec, seed=seed)
+    graphs = []
+    for n in [1] * len(sizes) if mlp else sizes:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_density]
+        graphs.append(Graph(num_vertices=n, edges=tuple(edges),
+                            features=rng.standard_normal((n, 3))))
+    batch = Dataset(graphs=tuple(graphs), feature_dim=3)
+
+    preds, acts = forward_with_capture(model, batch, capture_point)
+
+    assert _bits(predict(model, batch)) == _bits(preds)
+    for k, g in enumerate(graphs):
+        pred, captures = per_graph_forward(model, g, capture_point, fold=False)
+        assert _close(preds[k], pred)
+        assert _all_close(_captured(acts, k), captures)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
     arch=st.sampled_from(["gcn", "gcn+bn", "mlp+bn"]),
     capture_point=st.sampled_from(["pre_bn", "post_bn"]),
     sizes=st.lists(st.integers(1, 7), min_size=1, max_size=10),

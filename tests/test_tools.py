@@ -52,6 +52,42 @@ def test_any_other_difference_fails(tmp_path, left, right, verdict):
     assert verdict in result.stdout
 
 
+def manifest_check(tmp_path, written: dict[str, str], run: dict[str, str]):
+    """Write a manifest from one output tree, then check a second tree against it."""
+    for side, files in (("written", written), ("run", run)):
+        for name, text in files.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+    manifest = tmp_path / "cli_outputs.manifest"
+    subprocess.run([sys.executable, str(COMPARE), "--write-manifest", str(manifest),
+                    str(tmp_path / "written")], check=True)
+    return subprocess.run([sys.executable, str(COMPARE), "--manifest", str(manifest),
+                           str(tmp_path / "run")], capture_output=True, text=True)
+
+
+MANIFEST_FILES = {"grid.csv": "solver,mean_mae\nemd,0.25\n",
+                  "console/grid.txt": "emd-efd: ok (1.23s)\n"}
+
+
+def test_manifest_passes_when_only_console_seconds_differ(tmp_path):
+    result = manifest_check(tmp_path, MANIFEST_FILES,
+                            {**MANIFEST_FILES, "console/grid.txt": "emd-efd: ok (45.06s)\n"})
+    assert result.returncode == 0, result.stdout
+    assert result.stdout.splitlines() == ["console/grid.txt: matches", "grid.csv: matches"]
+
+
+@pytest.mark.parametrize("run, verdict", [
+    ({**MANIFEST_FILES, "grid.csv": "solver,mean_mae\nemd,0.35\n"}, "grid.csv: differs"),
+    ({**MANIFEST_FILES, "console/grid.txt": "emd-efd: ok (1.23s) \n"}, "console/grid.txt: differs"),
+    ({"grid.csv": MANIFEST_FILES["grid.csv"]}, "console/grid.txt: missing from the run"),
+    ({**MANIFEST_FILES, "sweep.csv": "mae\n"}, "sweep.csv: not in the manifest"),
+], ids=["one-byte", "console-byte", "missing", "extra"])
+def test_manifest_catches_any_other_difference(tmp_path, run, verdict):
+    result = manifest_check(tmp_path, MANIFEST_FILES, run)
+    assert result.returncode == 1, result.stdout
+    assert verdict in result.stdout
+
+
 # A stand-in for perfbench/run.py: it logs "<tree> <seed>" to ../order.log, prints a report
 # line, then the JSON result with the metrics values.json holds for its seed.
 FAKE_RUN = """\

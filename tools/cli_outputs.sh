@@ -10,7 +10,12 @@
 #
 # Two runs (say, of a `git archive` copy of the parent commit and of the
 # working tree) are compared with `python tools/compare_outputs.py OUT1 OUT2`,
-# which exits 0 when only the wall-clock seconds on the console differ.
+# which exits 0 when only the wall-clock seconds on the console differ. One run
+# is checked against the committed hashes with
+# `python tools/compare_outputs.py --manifest tools/cli_outputs.manifest OUT`;
+# a change that moves an output rewrites the manifest with --write-manifest.
+# The numbers' bits follow the host's BLAS, so where a run misses the manifest on
+# another machine, compare two runs instead.
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -172,6 +177,10 @@ fails eval-bool-feature eval --model fx/model_a.json --data bool-feature.jsonl
 # a header declaring vocab 0 is rejected at the header, before an atom record reads it
 printf '%s\n' '{"feature_dim": 3, "vocab": 0}' '{"n": 1, "atom": [0], "y": 0.5}' > vocab-0.jsonl
 fails eval-vocab-0 eval --model fx-atom/model_a.json --data vocab-0.jsonl
+# only the first record may be a header: a graph record without "n" is not dropped as one
+printf '%s\n' '{"feature_dim": 4}' '{"n": 1, "x": [[0.5, -1, 0, 2]], "y": 0.5}' \
+    '{"x": [[1, 0.25, -0.5, 0]], "y": -1}' > no-n.jsonl
+fails eval-record-no-n eval --model fx/model_a.json --data no-n.jsonl
 # finite weights of 1e200 load, then overflow in layer 1's matmul: an error, not an MAE of NaN
 printf '%s\n' '{"schema": "gcnfuse-model/1", "name": "overflow", "layers": [' \
     '{"kind": "embedding", "weight": [[1e200, 1e200, 1e200, 1e200], [1e200, 1e200, 1e200, 1e200]]},' \
