@@ -32,10 +32,11 @@ holds each vertex-count bucket's states as one (G·n, d) array, so each affine m
 one 2-D product; only the normalized adjacencies (G, n, n) act per graph. An embedding
 is linear, so a graph conv or dense layer right after it multiplies the features by
 W1·W_emb (hidden × feature_dim), and the embedding's own product is formed only for a capture.
-Each layer's product is a new array, and batch norm and ReLU write into it
-unless a capture keeps the array they would overwrite, so an evaluation without
-captures makes one array per layer. After the readout the state is one
-(len(graphs), d) array. Captures keep these shapes, one (G, n, width) stack per
+Batch norm is a per-channel affine map, so it is folded into the weight and bias before it
+once per pass, and a pre_bn capture's product is formed only for that capture.
+Each layer's product is a new array, and ReLU writes into it unless a capture keeps
+it, so an evaluation without captures makes one array per layer. After the readout the
+state is one (len(graphs), d) array. Captures keep these shapes, one (G, n, width) stack per
 bucket, and leave positions to batch.layout.
 BLAS picks kernels by shape, so a graph's bits depend on its batch: one
 batch always gives the same bits, and two batches agree to rounding
@@ -94,9 +95,9 @@ class BatchNormParams:
         scale = gamma / sqrt(running_var + epsilon)
         shift = beta_shift - running_mean * scale
 
-    apply(x) is x * scale + shift, which equals
-    gamma * (x - running_mean) / sqrt(running_var + epsilon) + beta_shift up to
-    rounding. A record whose scale or shift is not finite is rejected.
+    x * scale + shift equals gamma * (x - running_mean) / sqrt(running_var + epsilon)
+    + beta_shift up to rounding, and the forward pass folds it into the affine map
+    before it. A record whose scale or shift is not finite is rejected.
     """
 
     gamma: np.ndarray
@@ -129,12 +130,6 @@ class BatchNormParams:
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
-
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """x * scale + shift over the last axis, into out (a new array by default; out=x is fine)."""
-        out = np.multiply(x, self.scale, out=out)
-        out += self.shift
-        return out
 
 
 @dataclass(frozen=True)
@@ -307,6 +302,8 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
     NumericalError, naming the model and the layer.
     After an embedding, a graph conv or dense layer 1 multiplies the features (aggregated, for
     a graph conv) by W1·W_emb, formed once per pass, and x·W_embᵀ is formed only for a capture.
+    Then each batch norm folds into its layer's map: scale[:, None]·W and b·scale + shift (shift
+    without a bias). A pre_bn capture of such a layer is its product before that fold.
     """
     input_dim = model.input_dim
     if layout and layout[0].features.shape[2] != input_dim:  # one feature_dim per layout
@@ -319,7 +316,8 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
                   if isinstance(l, _Parameterized)), input_dim)
     pooled = np.empty((sum(len(bucket.index) for bucket in layout), width))
     captures: dict[int, list | np.ndarray] = {}
-    weights = {i: l.params.weight for i, l in enumerate(layers) if isinstance(l, _Parameterized)}
+    maps = {i: (l.params.weight, l.params.bias) for i, l in enumerate(layers)
+            if isinstance(l, _Parameterized)}
     fold = (len(layers) > 1 and isinstance(layers[0], Embedding)
             and isinstance(layers[1], (GraphConv, Dense)))
     i = 0  # the layer at work, named when a value overflows or turns NaN
@@ -327,18 +325,24 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
         with np.errstate(over="raise", invalid="raise"):
             if fold:
                 i = 1
-                weights[1] = weights[1] @ weights[0]
+                maps[1] = (maps[1][0] @ maps[0][0], maps[1][1])
+            unfolded = dict(maps)
+            for i in [i for i in maps if layers[i].batch_norm is not None]:
+                (weight, bias), bn = maps[i], layers[i].batch_norm
+                maps[i] = (bn.scale[:, None] * weight,
+                           bn.shift if bias is None else bias * bn.scale + bn.shift)
+            shown = {} if capture_point is None else unfolded if capture_point == PRE_BN else maps
             for bucket in layout:
                 G, n, _ = bucket.features.shape
                 h = bucket.features.reshape(G * n, -1)
                 for i, layer in enumerate(layers[:split]):
                     if fold and i == 0:  # the embedding's own product, only for a capture
-                        if capture_point is not None:
-                            captures.setdefault(0, []).append((h @ weights[0].T).reshape(G, n, -1))
+                        if shown:
+                            captures.setdefault(0, []).append(_product(h, *maps[0]).reshape(G, n, -1))
                         continue
                     if isinstance(layer, GraphConv):
                         h = (bucket.adjacency @ h.reshape(G, n, -1)).reshape(G * n, -1)
-                    h, z = _affine(layer, weights[i], h, capture_point)
+                    h, z = _affine(layer.activation, maps[i], shown.get(i), h)
                     if z is not None:
                         captures.setdefault(i, []).append(z.reshape(G, n, -1))
                 if split == len(layers) and n > 1:
@@ -348,7 +352,7 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
                 pooled[bucket.index] = h.reshape(G, n, -1).mean(axis=1)
             h = pooled
             for i, layer in enumerate(layers[split + 1:], start=split + 1):
-                h, z = _affine(layer, weights[i], h, capture_point)
+                h, z = _affine(layer.activation, maps[i], shown.get(i), h)
                 if z is not None:
                     captures[i] = z
     except FloatingPointError as exc:
@@ -359,20 +363,26 @@ def _evaluate(model: GcnModel, layout, capture_point: str | None):
     return h[:, 0].copy(), captures  # not a view of the head's capture
 
 
-def _affine(layer, weight: np.ndarray, h: np.ndarray, capture_point: str | None):
-    """One parameterized layer on (rows, width) states, times weight: (output, capture or None).
-
-    BN and ReLU write into the new array z unless a capture keeps what they overwrite.
-    """
+def _product(h: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """h @ weight.T + bias, a new array."""
     z = h @ weight.T
-    if layer.params.bias is not None:
-        z += layer.params.bias
-    bn = layer.batch_norm
-    post = z if bn is None else bn.apply(z, out=None if capture_point == PRE_BN else z)
-    captured = None if capture_point is None else (z if capture_point == PRE_BN else post)
-    if layer.activation != "relu":
-        return post, captured
-    return np.maximum(post, 0.0, out=None if captured is post else post), captured
+    if bias is not None:
+        z += bias
+    return z
+
+
+def _affine(activation: str, folded: tuple, shown: tuple | None, h: np.ndarray):
+    """One parameterized layer on (rows, width) states: (output, capture or None).
+
+    folded is its (weight, bias), batch norm folded in; shown is the map whose product a capture
+    keeps (folded itself, or the map before batch norm), or None for no capture. ReLU writes
+    into the new product unless a capture keeps it.
+    """
+    z = _product(h, *folded)
+    captured = z if shown is folded else None if shown is None else _product(h, *shown)
+    if activation != "relu":
+        return z, captured
+    return np.maximum(z, 0.0, out=None if captured is z else z), captured
 
 
 def predict(model: GcnModel, graphs) -> np.ndarray:

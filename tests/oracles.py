@@ -160,23 +160,37 @@ def per_graph_forward(model, graph: Graph, capture_point: str | None, fold: bool
 
     With fold (the evaluator's order), a graph-conv or dense layer right after an
     embedding multiplies the features, aggregated for a graph convolution, by
-    W1 @ W_emb, and the embedding's own product is only its capture. fold=False
-    is the layer-by-layer order: embedding, then aggregation, then weight.
+    W1 @ W_emb, and the embedding's own product is only its capture. Then each
+    batch norm is folded into its layer's weight and bias, scale[:, None] * W and
+    b * scale + shift, and a pre_bn capture is the product with the unfolded ones.
+    fold=False is the layer-by-layer order: embedding, then aggregation, then
+    weight, bias and batch norm.
     """
     layers = model.layers
     weights = {i: l.params.weight for i, l in enumerate(layers) if hasattr(l, "params")}
-    fold = (fold and len(layers) > 1 and isinstance(layers[0], Embedding)
-            and isinstance(layers[1], (GraphConv, Dense)))
-    if fold:
+    biases = {i: l.params.bias for i, l in enumerate(layers) if hasattr(l, "params")}
+    embedding_fold = (fold and len(layers) > 1 and isinstance(layers[0], Embedding)
+                      and isinstance(layers[1], (GraphConv, Dense)))
+    if embedding_fold:
         weights[1] = weights[1] @ weights[0]
     h = graph.features
     per_vertex = True
     captures = {}
 
-    def affine_bn(i, z, layer):
-        if layer.params.bias is not None:
-            z = z + layer.params.bias
-        post = z if layer.batch_norm is None else layer.batch_norm.apply(z)
+    def product(x, weight, bias):
+        z = x @ weight.T if per_vertex else weight @ x
+        return z if bias is None else z + bias
+
+    def affine_bn(i, x, layer):
+        bn = layer.batch_norm
+        z = product(x, weights[i], biases[i])
+        if bn is None:
+            post = z
+        elif fold:
+            post = product(x, bn.scale[:, None] * weights[i],
+                           bn.shift if biases[i] is None else biases[i] * bn.scale + bn.shift)
+        else:
+            post = z * bn.scale + bn.shift
         if capture_point is not None:
             captures[i] = np.array(z if capture_point == PRE_BN else post)
         return post
@@ -186,16 +200,14 @@ def per_graph_forward(model, graph: Graph, capture_point: str | None, fold: bool
             embedded = h @ layer.params.weight.T
             if capture_point is not None:
                 captures[i] = np.array(embedded)
-            h = h if fold else embedded
+            h = h if embedding_fold else embedded
         elif isinstance(layer, GraphConv):
-            z = (per_graph_adjacency(graph) @ h) @ weights[i].T
-            h = np.maximum(affine_bn(i, z, layer), 0.0)
+            h = np.maximum(affine_bn(i, per_graph_adjacency(graph) @ h, layer), 0.0)
         elif isinstance(layer, MeanReadout):
             h = h.mean(axis=0)
             per_vertex = False
         elif isinstance(layer, Dense):
-            z = h @ weights[i].T if per_vertex else weights[i] @ h
-            z = affine_bn(i, z, layer)
+            z = affine_bn(i, h, layer)
             h = np.maximum(z, 0.0) if layer.activation == "relu" else z
     out = np.asarray(h)
     assert out.size == 1, "the regression head must be scalar"

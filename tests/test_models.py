@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -176,21 +177,19 @@ class TestLayerValidation:
                              running_var=[4.0], epsilon=0.0)
         x = np.array([[3.0], [7.0]])
         expected = 2.0 * (x - 1.0) / np.sqrt(4.0) + 0.5
-        assert np.allclose(bn.apply(x), expected)
+        assert np.allclose(x * bn.scale + bn.shift, expected)
 
-    def test_bn_apply_is_the_written_out_formula_and_keeps_its_input(self):
+    def test_bn_scale_and_shift_are_the_written_out_formula(self):
         rng = np.random.default_rng(3)
         bn = BatchNormParams(gamma=rng.uniform(0.5, 1.5, 6), beta_shift=rng.standard_normal(6),
                              running_mean=rng.standard_normal(6),
                              running_var=rng.uniform(0.5, 1.5, 6), epsilon=1e-5)
         x = rng.standard_normal((40, 6))
-        before = x.copy()
-        out = bn.apply(x)
+        out = x * bn.scale + bn.shift
         # the folded form, computed from the stored fields
         scale = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)
         expected = x * scale + (bn.beta_shift - bn.running_mean * scale)
         assert out.tobytes() == expected.tobytes()
-        assert x.tobytes() == before.tobytes()
 
 
 class TestModelValidation:
@@ -319,6 +318,33 @@ class TestEmbeddingFold:
         assert got.tobytes() == predict(self.model(emb=[[1.0]], gc=[[1.0]]), batch).tobytes()
 
 
+class TestBatchNormFold:
+    """Each batch norm folds into its layer's weight and bias once per pass."""
+
+    def test_a_folded_batch_norm_that_overflows_names_its_layer(self):
+        # layer by layer the states stay finite (1e-300 * 1e200 * 1e200), but scale * W2 is 1e400
+        bn = BatchNormParams(gamma=[1e200], beta_shift=[0.0], running_mean=[0.0],
+                             running_var=[1.0], epsilon=0.0)
+        model = GcnModel(name="m", layers=(
+            Embedding(params=DenseParams(weight=[[1.0]])),
+            GraphConv(params=DenseParams(weight=[[1.0]], bias=[0.0])),
+            GraphConv(params=DenseParams(weight=[[1e200]], bias=[0.0]), batch_norm=bn),
+            MeanReadout(),
+            Dense(params=DenseParams(weight=[[1.0]]), activation="none"),
+        ))
+        graph = make_graph(2, edges=[(0, 1)], values=[[1e-300], [0.0]])
+        with warnings.catch_warnings():  # a RuntimeWarning is a failure too
+            warnings.simplefilter("error")
+            assert np.isfinite(per_graph_forward(model, graph, POST_BN, fold=False)[0])
+            batch = Dataset(graphs=(graph,), feature_dim=1)
+            for run in (lambda: predict(model, batch),
+                        lambda: forward_with_capture(model, batch, "pre_bn"),
+                        lambda: forward_with_capture(model, batch, "post_bn")):
+                with pytest.raises(NumericalError,
+                                   match="model 'm', layer 2: overflow encountered in multiply"):
+                    run()
+
+
 class TestCapture:
     def test_pre_equals_post_without_bn(self):
         model = tiny_gcn([[3.0]], [-1.0])
@@ -371,14 +397,25 @@ class TestCapture:
         before = predict(model, batch)
         _, pre = forward_with_capture(model, batch, "pre_bn")
         _, post = forward_with_capture(model, batch, "post_bn")
-        for i in (1, 2):  # the two graph-conv layers, each followed by BN and ReLU
-            bn = model.layers[i].batch_norm
-            for k in range(batch.sample_size):
-                z, after = graph_capture(pre[i], k), graph_capture(post[i], k)
-                expected = z * bn.scale + bn.shift  # the folded batch norm
-                assert np.any(expected < 0)  # an in-place ReLU would have zeroed these
-                assert after.tobytes() == expected.tobytes()
-                assert not np.array_equal(z, after)  # an in-place BN would have made these equal
+        # the two graph-conv layers, each followed by BN and ReLU; layer 1 multiplies by W1 @ W_emb
+        weights = {1: model.layers[1].params.weight @ model.layers[0].params.weight,
+                   2: model.layers[2].params.weight}
+        for j, bucket in enumerate(batch.layout):
+            G, n, _ = bucket.features.shape
+            h = bucket.features
+            for i in (1, 2):
+                layer, bn = model.layers[i], model.layers[i].batch_norm
+                h = (bucket.adjacency @ h).reshape(G * n, -1)
+                z = h @ weights[i].T + layer.params.bias
+                # the batch norm folded into the weight and bias
+                folded = (h @ (bn.scale[:, None] * weights[i]).T
+                          + (layer.params.bias * bn.scale + bn.shift))
+                assert pre[i].values[j].tobytes() == z.reshape(G, n, -1).tobytes()
+                after = post[i].values[j]
+                assert np.any(after < 0)  # an in-place ReLU would have zeroed these
+                assert after.tobytes() == folded.reshape(G, n, -1).tobytes()
+                assert not np.array_equal(pre[i].values[j], after)  # BN did act
+                h = np.maximum(after, 0.0)
         for acts in (pre, post):  # the hidden dense layer: ReLU, no BN
             assert np.any(acts[4].values < 0) and np.array_equal(acts[4].values, pre[4].values)
         assert predict(model, batch).tobytes() == before.tobytes()

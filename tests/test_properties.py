@@ -70,7 +70,7 @@ from oracles import (checked_align_batchnorm, checked_align_layer_incoming,
 )
 def test_folded_batch_norm_is_the_textbook_formula_to_rounding(dim, rows, gamma_exp, var_exp,
                                                                epsilon, mean_exp, spread_exp, seed):
-    """apply's x * scale + shift against gamma * (x - mean) / sqrt(var + eps) + beta.
+    """x * scale + shift against gamma * (x - mean) / sqrt(var + eps) + beta.
 
     Each side rounds each term a few times: the folded scale carries at most
     3.5 units in the last place (u = eps / 2), x * scale and mean * scale one
@@ -92,7 +92,7 @@ def test_folded_batch_norm_is_the_textbook_formula_to_rounding(dim, rows, gamma_
     reference = (bn.gamma * (x - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
                  + bn.beta_shift)
     magnitude = np.abs(bn.scale) * (np.abs(x) + np.abs(bn.running_mean)) + np.abs(bn.beta_shift)
-    assert np.all(np.abs(bn.apply(x) - reference) <= 8 * np.finfo(float).eps * magnitude)
+    assert np.all(np.abs(x * bn.scale + bn.shift - reference) <= 8 * np.finfo(float).eps * magnitude)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -99,6 +99,7 @@ with open(tree.parent / "order.log", "a") as log:
     log.write(f"{tree.name} {seed}\\n")
 values = json.loads((tree / "values.json").read_text())[seed]
 print("perfbench workload=fake")
+print("machine " + json.dumps({"nproc": 2, "tree": tree.name}))
 print(json.dumps({"correct": values.pop("correct", True), "attempted": 4, "failed": 0,
                   "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}))
 """
@@ -106,7 +107,7 @@ BENCHMARK = {"end_to_end": [{"name": "fuse_p50_s", "better": "lower"},
                             {"name": "jobs_per_s", "better": "higher"}]}
 
 
-def bench_pairs(tmp_path, parent: dict, change: dict, pairs: int):
+def bench_pairs(tmp_path, parent: dict, change: dict, pairs: int, *extra: str):
     """Run bench_pairs.py on two fake trees; parent and change map a seed to its metrics."""
     for name, values in (("parent", parent), ("change", change)):
         tree = tmp_path / name
@@ -116,7 +117,8 @@ def bench_pairs(tmp_path, parent: dict, change: dict, pairs: int):
         (tree / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     result = subprocess.run([sys.executable, str(BENCH_PAIRS), str(tmp_path / "parent"),
                              str(tmp_path / "change"), "--workload", "fake", "--pairs", str(pairs),
-                             "--seconds", "1", "--seed", "100"], capture_output=True, text=True)
+                             "--seconds", "1", "--seed", "100", *extra], capture_output=True,
+                            text=True)
     return result, (tmp_path / "order.log").read_text().split("\n")[:-1]
 
 
@@ -164,6 +166,37 @@ def test_a_failed_run_fails_the_comparison(tmp_path):
     assert result.returncode == 1
     assert len(order) == 4 and "FAILED pair 2 change" in result.stdout
     assert "1 complete pairs of 2" in result.stdout
+
+
+def test_out_writes_the_report_as_json(tmp_path):
+    parent = _parent_runs()
+    change = {seed: {"fuse_p50_s": v["fuse_p50_s"] - 2.0, "jobs_per_s": 5.0}
+              for seed, v in parent.items()}
+    change[101]["correct"] = False
+    out = tmp_path / "BENCH.json"
+    result, _ = bench_pairs(tmp_path, parent, change, 10, "--out", str(out))
+    assert result.returncode == 1
+    report = json.loads(out.read_text())
+    assert (report["workload"], report["pairs"], report["complete_pairs"]) == ("fake", 10, 9)
+    assert report["seeds"] == [100, 109] and report["seconds"] == 1
+    # each side's runs in pair order, each with its seed, metrics or error, and machine line
+    for side in ("parent", "change"):
+        runs = report["runs"][side]
+        assert [run["seed"] for run in runs] == list(range(100, 110))
+        assert all(run["machine"] == {"nproc": 2, "tree": side} for run in runs)
+    assert report["runs"]["parent"][0]["metrics"] == {"fuse_p50_s": 10.0, "jobs_per_s": 5.0}
+    failed = report["runs"]["change"][1]
+    assert failed["metrics"] is None and failed["error"] == "exit 0, 0 of 4 failed"
+    assert report["failures"] == ["pair 2 change: exit 0, 0 of 4 failed"]
+    # the series and verdicts keep the complete pairs only, as the console report does
+    fuse = report["metrics"]["fuse_p50_s"]
+    assert fuse["better"] == "lower"
+    assert fuse["parent"]["runs"] == [10.0, 11.0, 11.5, 12.0, 10.0, 10.5, 11.0, 11.5, 12.0]
+    assert fuse["parent"]["median"] == 11.0 and fuse["parent"]["quartiles"] == [10.5, 11.5]
+    assert fuse["change"]["median"] == 9.0
+    assert fuse["verdict"] == {"wins": 9, "gap": 2.0, "parent_iqr": 1.0, "holds": True}
+    assert report["metrics"]["jobs_per_s"]["verdict"]["holds"] is False
+    assert "change wins 9/9, median gap 2 against parent IQR 1: claim holds" in result.stdout
 
 
 def test_src_lines_counts_non_blank_lines_per_module(tmp_path):

@@ -11,8 +11,12 @@ end-to-end metric that the parent tree's BENCHMARK.json names, the report gives
 each side's runs in pair order, median and quartiles, the pairs the change won
 (a tie counts for neither side), and whether a gain may be claimed: the change
 wins at least nine tenths of the pairs and its median is better than the
-parent's by more than the parent's interquartile range. Exit status 1 if any
-run failed, gave no result or reported a failed job; 0 otherwise.
+parent's by more than the parent's interquartile range. `--out FILE` also
+writes the report as JSON: the settings, each side's runs in pair order (seed,
+metrics, why a run failed, and the record of its `machine` line), and for
+each metric each side's series, median and quartiles with the verdict.
+Exit status 1 if any run failed, gave no result or reported a failed job;
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -27,20 +31,28 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seconds: float, seed: int) -> tuple[dict | None, str]:
-    """One benchmark run in tree: ({metric: value} or None, the reason it is None)."""
+def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
+    """One benchmark run in tree: {"seed", "metrics": {metric: value} or None, "error": why
+    metrics is None or "", "machine": the run's machine record or None}."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    machine = next((line.removeprefix("machine ") for line in lines if line.startswith("machine ")),
+                   None)
+    run = {"seed": seed, "metrics": None, "error": "",
+           "machine": None if machine is None else json.loads(machine)}
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return None, f"exit {proc.returncode}, no JSON result: {proc.stderr.strip()[-300:]}"
+        run["error"] = f"exit {proc.returncode}, no JSON result: {proc.stderr.strip()[-300:]}"
+        return run
     if proc.returncode or not result.get("correct") or result.get("failed"):
-        failed = f"{result.get('failed')} of {result.get('attempted')} failed"
-        return None, f"exit {proc.returncode}, {failed}"
-    return {name: rec["value"] for name, rec in result["metrics"].items()}, ""
+        run["error"] = (f"exit {proc.returncode}, "
+                        f"{result.get('failed')} of {result.get('attempted')} failed")
+        return run
+    run["metrics"] = {name: rec["value"] for name, rec in result["metrics"].items()}
+    return run
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -68,6 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--out", type=Path, help="also write the report to this JSON file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -80,30 +93,39 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         seed = args.seed + i
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            values, why = run_once(trees[side], args.workload, args.seconds, seed)
-            print(f"pair {i + 1} seed {seed} {side}: {why or 'ok'}", flush=True)
-            if values is None:
-                failures.append(f"pair {i + 1} {side}: {why}")
-            runs[side].append(values)
+            run = run_once(trees[side], args.workload, args.seconds, seed)
+            print(f"pair {i + 1} seed {seed} {side}: {run['error'] or 'ok'}", flush=True)
+            if run["metrics"] is None:
+                failures.append(f"pair {i + 1} {side}: {run['error']}")
+            runs[side].append(run)
 
-    complete = [i for i in range(args.pairs) if all(runs[side][i] for side in SIDES)]
+    complete = [i for i in range(args.pairs) if all(runs[side][i]["metrics"] for side in SIDES)]
+    report = {"workload": args.workload, "pairs": args.pairs, "complete_pairs": len(complete),
+              "seeds": [args.seed, args.seed + args.pairs - 1], "seconds": args.seconds,
+              "runs": runs, "metrics": {}, "failures": failures}
     print(f"\n{args.workload}: {len(complete)} complete pairs of {args.pairs}, "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}, {args.seconds:g} s per run")
     for name, lower in metrics.items():
-        if not complete or any(name not in runs[side][i] for side in SIDES for i in complete):
+        if not complete or any(name not in runs[side][i]["metrics"]
+                               for side in SIDES for i in complete):
             print(f"{name}: not reported by every run")
             continue
-        series = {side: [runs[side][i][name] for i in complete] for side in SIDES}
-        print(f"{name} ({'lower' if lower else 'higher'} is better)")
+        series = {side: [runs[side][i]["metrics"][name] for i in complete] for side in SIDES}
+        record = report["metrics"][name] = {"better": "lower" if lower else "higher"}
+        print(f"{name} ({record['better']} is better)")
         for side in SIDES:
             q1, q3 = quartiles(series[side])
-            print(f"  {side:6s} median {statistics.median(series[side]):.6g}, "
+            median = statistics.median(series[side])
+            record[side] = {"runs": series[side], "median": median, "quartiles": [q1, q3]}
+            print(f"  {side:6s} median {median:.6g}, "
                   f"quartiles {q1:.6g} {q3:.6g}; runs {' '.join(f'{v:.6g}' for v in series[side])}")
-        v = verdict(series["parent"], series["change"], lower)
+        v = record["verdict"] = verdict(series["parent"], series["change"], lower)
         print(f"  change wins {v['wins']}/{len(complete)}, median gap {v['gap']:.6g} "
               f"against parent IQR {v['parent_iqr']:.6g}: claim {'holds' if v['holds'] else 'fails'}")
     for failure in failures:
         print(f"FAILED {failure}")
+    if args.out:
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 1 if failures else 0
 
 
